@@ -20,6 +20,9 @@ from .gf import Field, sqrt_subfield_indices
 from .incidence import PointSet, OriginInSetError, max_line_intersection
 
 MISSING_REPORT_LIMIT = 32
+# Byte cap on the arrays of one covers_units_block call.  Larger blocks
+# save little call overhead and grow the peak resident memory.
+DENSE_BLOCK_BYTES = 1 << 18
 
 
 class BadArityError(ValueError):
@@ -146,7 +149,7 @@ def dot_product_set(e: PointSet) -> ScalarSet:
 
 def covers_units(s: ScalarSet) -> tuple[bool, list[int]]:
     """Whether every nonzero field element lies in S, plus the missing ones."""
-    missing = [int(t) for t in range(1, s.field.q) if not s.bits[t]]
+    missing = (np.flatnonzero(~s.bits[1:]) + 1).tolist()
     return not missing, missing
 
 
@@ -204,6 +207,59 @@ def cover_verdict(a: ScalarSet, d: int) -> CoverageVerdict:
         rhs=a.field.q ** (d + 1),
         extras={"input_size": a.count, "zero_covered": bool(s.bits[0])},
     )
+
+
+def dense_block_rows(field: Field, k: int, d: int) -> int:
+    """Rows of k-subsets per `covers_units_block` call, or 0 where the
+    per-set `cover_verdict` path should be used instead.
+
+    The dense form does q^2 work per row and sumset step, which beats the
+    per-set pair work only when A*A can fill the field (k^2 >= q).  Its
+    sumset step counts in uint8, so it needs q < 256 when d > 1.  Rows are
+    sized so that a block's arrays, including the difference table it
+    builds, stay under DENSE_BLOCK_BYTES; a field too large for one row
+    gets 0.
+    """
+    q = field.q
+    if k * k < q or (d > 1 and q > 255):
+        return 0
+    # Bytes per row: the products (int64) and the index buffers numpy
+    # fills to compute them, the row offsets, the presence and count rows,
+    # and the gathered q x q slice.  Fixed: 4 KiB of small arrays, and the
+    # q x q difference table with the temporaries of add_arrays.
+    row = 16 * k * k + 64 + 3 * q + (q * q if d > 1 else 0)
+    fixed = 4096 + (8 * q * q * (2 * field.n + 1) if d > 1 else 0)
+    return max(0, (DENSE_BLOCK_BYTES - fixed) // row)
+
+
+def covers_units_block(field: Field, subsets: np.ndarray, d: int) -> np.ndarray:
+    """Whether the d-fold sumset of A*A covers the units, for every row A
+    of the rows x k index array `subsets`; the same verdict as
+    `cover_verdict(A, d).covers_units`.
+
+    The sets are rows of a rows x q presence matrix.  One sumset step is a
+    gather through the difference table diff[t, s] = t - s: t lies in
+    S + P exactly when t - s lies in P for some s in S.  Size blocks with
+    `dense_block_rows`, which also says where this form applies.
+    """
+    if d < 1:
+        raise BadArityError(f"need at least one summand, got d={d}")
+    rows, k = subsets.shape
+    q = field.q
+    # Products, offset in place to flat indices into the presence matrix.
+    flat = field.mul_arrays(subsets[:, :, None], subsets[:, None, :])
+    flat += q * np.arange(rows)[:, None, None]
+    present = np.zeros((rows, q), dtype=bool)
+    present.reshape(-1)[flat] = True
+    cur = present
+    if d > 1:
+        elems = np.arange(q)
+        diff = field.add_arrays(elems[:, None], field.neg_table[None, :])
+        shifted = present[:, diff].view(np.uint8)
+        for _ in range(d - 1):
+            # Representation counts of t as s + (t - s): at most q < 256.
+            cur = np.einsum("rts,rs->rt", shifted, cur.view(np.uint8)) > 0
+    return cur[:, 1:].all(axis=1)
 
 
 def dot_set_lower_bound(e: PointSet) -> CoverageVerdict:

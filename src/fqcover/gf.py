@@ -134,7 +134,8 @@ def _is_irreducible(m: list[int], p: int) -> bool:
 def _least_irreducible(p: int, n: int) -> tuple[int, ...]:
     if n == 1:
         return (0, 1)  # the polynomial x; reduction mod x is plain mod-p arithmetic
-    for tail in itertools.product(range(p), repeat=n):
+    # A zero constant term makes x a factor, so the search starts at c_0 = 1.
+    for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
         m = list(tail) + [1]
         if _is_irreducible(m, p):
             return tuple(m)

@@ -18,7 +18,6 @@ so the reports survive JSON readers that parse numbers as doubles.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +32,9 @@ from .covering import (
     bilinear_cover,
     cover_verdict,
     covers_units,
+    covers_units_block,
     d_for_epsilon,
+    dense_block_rows,
     dot_product_set,
     dot_set_lower_bound,
     point_cover_threshold,
@@ -59,6 +60,8 @@ from .incidence import (
 )
 
 EXHAUSTIVE_BUDGET = 10 ** 7
+# Subsets per exhaustive task and per unranked block.
+SUBSET_CHUNK = 2048
 JSON_INT_LIMIT = 1 << 53
 
 EXIT_OK = 0
@@ -275,14 +278,41 @@ def structured_point_sets(field: Field, d: int, seed: int) -> list[tuple[str, Po
 # Subset enumeration (colex order) and budget guard
 # ----------------------------------------------------------------------
 
+def colex_unrank(universe: int, k: int, lo: int, hi: int) -> np.ndarray:
+    """The k-subsets of range(universe) with colex ranks lo..hi-1, one
+    sorted subset per row of a (hi - lo) x k int64 array.
+
+    Combinatorial number system: the subset c_1 < ... < c_k has rank
+    sum_i C(c_i, i), so c_i is the largest c with C(c, i) at most what is
+    left of the rank once the elements above it are taken off.
+    """
+    total = math.comb(universe, k)
+    if not 0 <= lo <= hi <= total:
+        raise ValueError(f"ranks [{lo}, {hi}) outside [0, {total})")
+    if total * max(universe, 1) >= 1 << 63:
+        raise ValueError(f"C({universe}, {k}) ranks overflow int64")
+    # binom[i - 1][c] = C(c, i) for c < universe, capped at total so that
+    # the running sums stay in int64; every rank is below the cap.
+    binom = []
+    col = np.ones(universe, dtype=np.int64)
+    for _ in range(k):
+        col = np.minimum(np.concatenate(([0], np.cumsum(col)[:-1])), total)
+        binom.append(col)
+    out = np.empty((hi - lo, k), dtype=np.int64)
+    rank = np.arange(lo, hi, dtype=np.int64)
+    for i in range(k, 0, -1):
+        c = np.searchsorted(binom[i - 1], rank, side="right") - 1
+        out[:, i - 1] = c
+        rank -= binom[i - 1][c]
+    return out
+
+
 def colex_subsets(universe: int, k: int):
-    """All k-subsets of range(universe) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for top in range(k - 1, universe):
-        for rest in colex_subsets(top, k - 1):
-            yield rest + (top,)
+    """All k-subsets of range(universe) in colexicographic order, as tuples."""
+    total = math.comb(universe, k)
+    for lo in range(0, total, SUBSET_CHUNK):
+        rows = colex_unrank(universe, k, lo, min(lo + SUBSET_CHUNK, total))
+        yield from map(tuple, rows.tolist())
 
 
 def enumeration_budget(universe: int, sizes: list[int]) -> int:
@@ -411,19 +441,41 @@ def run_selftest(spec: ExperimentSpec) -> RunReport:
 # cover-exhaustive
 # ----------------------------------------------------------------------
 
+def _cover_blocks(field: Field, d: int, size: int, lo: int, hi: int):
+    """Yield (subsets, covers) block by block over the colex ranks [lo, hi)
+    of the size-`size` subsets: the unranked rows and, per row, whether
+    the d-fold sumset of A*A covers the units."""
+    rows = dense_block_rows(field, size, d)
+    for b in range(lo, hi, SUBSET_CHUNK):
+        subsets = colex_unrank(field.q, size, b, min(b + SUBSET_CHUNK, hi))
+        if rows:
+            covers = np.concatenate([covers_units_block(field, subsets[r:r + rows], d)
+                                     for r in range(0, len(subsets), rows)])
+        else:
+            covers = np.array([cover_verdict(ScalarSet.from_indices(field, a), d).covers_units
+                               for a in subsets], dtype=bool)
+        yield subsets, covers
+
+
 def _cover_exhaustive_task(task) -> dict:
     p, n, d, size, lo, hi = task
     field = get_field(p, n)
-    checked = covered = 0
+    threshold = size >= _min_threshold_size(field.q, d)
+    covered = 0
     failures = []
-    for subset in itertools.islice(colex_subsets(field.q, size), lo, hi):
-        verdict = cover_verdict(ScalarSet.from_indices(field, subset), d)
-        checked += 1
-        covered += verdict.covers_units
-        if verdict.threshold_met and not verdict.covers_units:
-            failures.append({"size": size, "subset": list(subset),
+    for subsets, covers in _cover_blocks(field, d, size, lo, hi):
+        covered += int(covers.sum())
+        if not threshold:
+            continue
+        # The report's missing lists come from the per-set oracle, which
+        # must agree with the block verdict.
+        for a in subsets[~covers]:
+            verdict = cover_verdict(ScalarSet.from_indices(field, a), d)
+            if verdict.covers_units:
+                raise RuntimeError(f"block verdict and cover_verdict disagree on {a.tolist()}")
+            failures.append({"size": size, "subset": a.tolist(),
                              "missing": verdict.missing[:32]})
-    return {"size": size, "checked": checked, "covered": covered,
+    return {"size": size, "checked": hi - lo, "covered": covered,
             "failures": failures}
 
 
@@ -434,24 +486,33 @@ def _min_threshold_size(q: int, d: int) -> int:
     return s
 
 
+def _scalar_sizes(spec: ExperimentSpec, q: int, s_min: int) -> list[int]:
+    """The sizes of A a cover command checks: spec.sizes clipped to 0..q,
+    or every size from the threshold up.  A range holding no size in 1..q
+    is refused, so a run cannot pass having checked nothing."""
+    if spec.sizes is None:
+        return list(range(min(s_min, q + 1), q + 1))
+    lo, hi = spec.sizes
+    if hi < 1 or lo > q:
+        raise BadSpecError(f"size range {lo}..{hi} holds no size in 1..{q}, "
+                           f"the valid sizes for q={q}")
+    return [s for s in range(lo, hi + 1) if 0 <= s <= q]
+
+
 def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
     field = get_field(spec.p, spec.n)
     q, d = field.q, spec.d
     report = RunReport("cover-exhaustive", spec.echo(), field.descriptor())
 
     s_min = _min_threshold_size(q, d)
-    if spec.sizes is not None:
-        sizes = [s for s in range(spec.sizes[0], spec.sizes[1] + 1) if 0 <= s <= q]
-    else:
-        sizes = list(range(min(s_min, q + 1), q + 1))
+    sizes = _scalar_sizes(spec, q, s_min)
     require_budget(q, sizes)
 
-    chunk = 2048
     tasks = []
     for s in sizes:
         total = math.comb(q, s)
-        for lo in range(0, total, chunk):
-            tasks.append((spec.p, spec.n, d, s, lo, min(lo + chunk, total)))
+        for lo in range(0, total, SUBSET_CHUNK):
+            tasks.append((spec.p, spec.n, d, s, lo, min(lo + SUBSET_CHUNK, total)))
     results = _parallel(_cover_exhaustive_task, tasks, spec.workers)
 
     tallies = {}
@@ -474,13 +535,8 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
         s = s_min - 1
         while s >= 1 and math.comb(q, s) <= remaining:
             remaining -= math.comb(q, s)
-            all_cover = True
-            for subset in colex_subsets(q, s):
-                verdict = cover_verdict(ScalarSet.from_indices(field, subset), d)
-                if not verdict.covers_units:
-                    all_cover = False
-                    break
-            if not all_cover:
+            if not all(covers.all() for _, covers in
+                       _cover_blocks(field, d, s, 0, math.comb(q, s))):
                 break
             empirical = s
             s -= 1
@@ -544,10 +600,7 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     report = RunReport("cover-sample", spec.echo(), field.descriptor())
 
     s_min = _min_threshold_size(q, d)
-    if spec.sizes is not None:
-        sizes = [s for s in range(spec.sizes[0], spec.sizes[1] + 1) if 0 <= s <= q]
-    else:
-        sizes = list(range(min(s_min, q + 1), q + 1))
+    sizes = _scalar_sizes(spec, q, s_min)
 
     chunk = 256
     tasks = []

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,11 +10,14 @@ from fqcover.covering import (
     ArityMismatchError,
     BadArityError,
     BadEpsilonError,
+    DENSE_BLOCK_BYTES,
     ScalarSet,
     bilinear_cover,
     cover_verdict,
     covers_units,
+    covers_units_block,
     d_for_epsilon,
+    dense_block_rows,
     dilate,
     dot_product_set,
     dot_set_lower_bound,
@@ -350,3 +354,64 @@ def test_pairwise_product_set_oracle():
     got = pairwise_product_set(a, b).indices().tolist()
     expect = sorted({f4.mul(x, y) for x in [1, 2] for y in [2, 3]})
     assert got == expect
+
+
+# ---------------------------------------------------------------------------
+# block verdict kernel
+# ---------------------------------------------------------------------------
+
+# Prime fields, GF(2^m) (additions by xor) and odd extensions (additions
+# on the digit path).
+BLOCK_FIELDS = [(5, 1), (13, 1), (17, 1), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]
+
+
+@given(st.sampled_from(BLOCK_FIELDS), st.integers(1, 3), st.data())
+def test_block_verdict_matches_cover_verdict(pn, d, data):
+    field = get_field(*pn)
+    q = field.q
+    k = data.draw(st.integers(1, q))
+    rows = data.draw(st.lists(st.sets(st.integers(0, q - 1), min_size=k, max_size=k),
+                              min_size=1, max_size=8))
+    subsets = np.array([sorted(r) for r in rows], dtype=np.int64)
+    expect = [cover_verdict(ScalarSet.from_indices(field, a), d).covers_units
+              for a in subsets]
+    assert covers_units_block(field, subsets, d).tolist() == expect
+
+
+def test_block_verdict_sees_non_covering_rows():
+    # The subfield F_3 = {0, 1, 2} of F_9 is closed under products and sums,
+    # so it never covers.
+    f9 = get_field(3, 2)
+    subsets = np.array([[0, 1, 2], [0, 1, 3], [1, 2, 4]], dtype=np.int64)
+    for d in (1, 2, 3):
+        expect = [cover_verdict(ScalarSet.from_indices(f9, a), d).covers_units
+                  for a in subsets]
+        assert covers_units_block(f9, subsets, d).tolist() == expect
+        assert expect[0] is False
+
+
+def test_dense_block_rows_applies_only_where_a_product_set_can_fill_the_field():
+    f17 = get_field(17, 1)
+    assert dense_block_rows(f17, 4, 2) == 0          # 16 < 17
+    assert dense_block_rows(f17, 5, 2) > 0
+    f4096 = get_field(2, 12)
+    assert dense_block_rows(f4096, 1, 2) == 0
+    assert dense_block_rows(f4096, 64, 2) == 0       # one row would not fit
+
+
+@pytest.mark.parametrize("p,n,k,d", [(2, 1, 2, 1), (17, 1, 5, 2), (17, 1, 17, 2),
+                                     (3, 3, 27, 3), (31, 1, 20, 1), (101, 1, 11, 1)])
+def test_dense_block_stays_under_the_byte_cap(p, n, k, d):
+    field = get_field(p, n)
+    rows = dense_block_rows(field, k, d)
+    assert rows > 0
+    rng = stream(7, field.q, k, 43)
+    subsets = np.array([np.sort(rng.choice(field.q, k, replace=False))
+                        for _ in range(rows)])
+    tracemalloc.start()
+    try:
+        covers_units_block(field, subsets, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= DENSE_BLOCK_BYTES

@@ -11,6 +11,8 @@ from fqcover.gf import (
     NoProperSubfieldError,
     NotPrimeError,
     ReducibleModulusError,
+    _is_irreducible,
+    _least_irreducible,
     make_field,
     multiplicative_generator,
     sqrt_subfield_indices,
@@ -82,6 +84,40 @@ def test_prime_field_uses_plain_mod_arithmetic():
     assert field.add(3, 4) == 2
     assert field.mul(3, 4) == 2
     assert field.neg(2) == 3
+
+
+def _full_search_least_irreducible(p, n):
+    # The search without the constant-term skip, as the reference.
+    for tail in itertools.product(range(p), repeat=n):
+        if _is_irreducible(list(tail) + [1], p):
+            return tuple(tail) + (1,)
+
+
+def _sympy_irreducible(coeffs, p):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.symbols("x")
+    return sympy.Poly(list(reversed(coeffs)), x, modulus=p).is_irreducible
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (2, 5), (2, 8), (3, 2), (3, 4),
+                                 (5, 2), (5, 3), (7, 3), (13, 2)])
+def test_least_irreducible_equals_full_search(p, n):
+    m = _least_irreducible(p, n)
+    assert m == _full_search_least_irreducible(p, n)
+    assert _sympy_irreducible(list(m), p)
+
+
+@pytest.mark.parametrize("p,n", [(2, 12), (2, 18), (2, 21), (3, 10), (5, 7), (7, 5)])
+def test_least_irreducible_large_degree_against_sympy(p, n):
+    m = list(_least_irreducible(p, n))
+    assert m[0] != 0 and m[-1] == 1 and len(m) == n + 1
+    assert _sympy_irreducible(m, p)
+    # Every monic candidate before it with a nonzero constant term is
+    # reducible; the ones with constant term 0 are divisible by x.
+    for tail in itertools.product(range(1, p), *[range(p)] * (n - 1)):
+        if list(tail) == m[:-1]:
+            break
+        assert not _sympy_irreducible(list(tail) + [1], p)
 
 
 def test_make_field_rejects_bad_input():

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -6,12 +7,16 @@ from fractions import Fraction
 
 import pytest
 
+import fqcover.harness as harness
+from fqcover.covering import ScalarSet, cover_verdict, dense_block_rows
+
 from fqcover.harness import (
     BadSpecError,
     BudgetExceededError,
     ExperimentSpec,
     canonical_json,
     colex_subsets,
+    colex_unrank,
     enumeration_budget,
     require_budget,
     run_cover_exhaustive,
@@ -46,6 +51,31 @@ def test_colex_order_golden():
 def test_colex_covers_all_sizes():
     assert list(colex_subsets(4, 0)) == [()]
     assert list(colex_subsets(4, 4)) == [(0, 1, 2, 3)]
+
+
+def _colex_reference(universe, k):
+    return sorted(itertools.combinations(range(universe), k), key=lambda c: c[::-1])
+
+
+@pytest.mark.parametrize("universe", range(12))
+def test_colex_unrank_matches_reference_order(universe):
+    for k in range(universe + 1):
+        ref = _colex_reference(universe, k)
+        assert list(colex_subsets(universe, k)) == ref
+        rows = colex_unrank(universe, k, 0, len(ref))
+        assert rows.shape == (len(ref), k)
+        for lo in range(0, len(ref) + 1, 5):
+            for hi in (lo, lo + 1, lo + 7, len(ref)):
+                hi = min(hi, len(ref))
+                got = [tuple(r) for r in colex_unrank(universe, k, lo, hi).tolist()]
+                assert got == ref[lo:hi]
+
+
+def test_colex_unrank_rejects_ranks_out_of_range():
+    with pytest.raises(ValueError):
+        colex_unrank(5, 2, 0, 11)
+    with pytest.raises(ValueError):
+        colex_unrank(200, 100, 0, 1)
 
 
 def test_budget_guard():
@@ -161,6 +191,59 @@ def test_run_cover_exhaustive_q7_29_subsets():
     assert report.status == "ok"
 
 
+@pytest.mark.parametrize("p,n", [(13, 1), (2, 4)])
+def test_run_cover_exhaustive_identical_across_workers(p, n):
+    reports = [canonical_json(run_cover_exhaustive(
+        ExperimentSpec(p=p, n=n, d=2, mode="exhaustive", workers=w)).to_dict())
+        for w in (1, 2)]
+    assert reports[0] == reports[1]
+    report = json.loads(reports[0])
+    q = p ** n
+    assert report["status"] == "ok"
+    assert {int(s): t["checked"] for s, t in report["tallies"].items()} == {
+        s: math.comb(q, s) for s in range(report["extras"]["threshold_min_size"], q + 1)}
+
+
+def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
+    # With the threshold pretended down to size 1, sub-threshold sets that
+    # miss a unit are reported as counterexamples, with the oracle's lists.
+    monkeypatch.setattr(harness, "_min_threshold_size", lambda q, d: 1)
+    field = get_field(7, 1)
+    report = run_cover_exhaustive(ExperimentSpec(p=7, d=2, mode="exhaustive", sizes=(1, 4)))
+    expect = []
+    for k in range(1, 5):
+        for subset in _colex_reference(7, k):
+            verdict = cover_verdict(ScalarSet.from_indices(field, subset), 2)
+            if not verdict.covers_units:
+                expect.append({"size": k, "subset": list(subset),
+                               "missing": verdict.missing[:32]})
+    assert dense_block_rows(field, 3, 2) > 0          # both paths are exercised
+    assert dense_block_rows(field, 2, 2) == 0
+    assert report.counterexamples == sorted(expect, key=lambda c: (c["size"], c["subset"]))
+    assert report.status == "counterexample"
+    for k in range(1, 5):
+        assert report.tallies[str(k)]["covered"] == math.comb(7, k) - sum(
+            c["size"] == k for c in expect)
+
+
+def test_run_cover_exhaustive_small_sets_in_a_large_field_stay_per_set():
+    field = get_field(2, 12)
+    assert dense_block_rows(field, 1, 2) == 0
+    report = run_cover_exhaustive(ExperimentSpec(p=2, n=12, d=2, mode="exhaustive",
+                                                 sizes=(1, 1)))
+    assert report.tallies == {"1": {"checked": 4096, "covered": 0, "threshold": False}}
+    assert report.status == "ok"
+    assert report.extras == {"threshold_min_size": 513, "budget": 4096}
+
+
+@pytest.mark.parametrize("run", [run_cover_exhaustive, run_cover_sample])
+def test_cover_runs_refuse_a_size_range_outside_the_field(run):
+    with pytest.raises(BadSpecError, match=r"1\.\.5"):
+        run(ExperimentSpec(p=5, d=2, sizes=(7, 9)))
+    with pytest.raises(BadSpecError):
+        run(ExperimentSpec(p=5, d=2, sizes=(0, 0)))
+
+
 def test_run_cover_sample_deterministic_in_process():
     spec = ExperimentSpec(p=13, d=2, mode="sample", samples=20, seed=42)
     r1 = canonical_json(run_cover_sample(spec).to_dict())
@@ -242,6 +325,13 @@ def test_cli_budget_exit_4():
     res = run_cli("cover-exhaustive", "--p", "101", "--n", "1", "--d", "2")
     assert res.returncode == 4
     assert "budget" in res.stderr
+
+
+def test_cli_cover_exhaustive_vacuous_size_range_exit_3():
+    res = run_cli("cover-exhaustive", "--p", "5", "--n", "1", "--sizes", "7..9")
+    assert res.returncode == 3
+    assert "1..5" in res.stderr
+    assert res.stdout == ""
 
 
 def test_cli_cover_exhaustive_writes_report(tmp_path):
