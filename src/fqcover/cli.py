@@ -29,7 +29,6 @@ from .harness import (
     BudgetExceededError,
     ExperimentSpec,
     canonical_json,
-    geometry_csv_profile,
     run_cover_exhaustive,
     run_cover_sample,
     run_d_of_eps,
@@ -149,16 +148,10 @@ def main(argv: list[str] | None = None) -> int:
             return _emit(run_sharpness(spec), args.out, started)
         if args.command == "geometry":
             spec = _spec_from_args(args, args.mode)
-            report = run_geometry(spec)
-            if spec.csv:
-                profile = geometry_csv_profile(spec, report.extras["sharpness"]["case"])
-                if profile is not None:
-                    with open(spec.csv, "w", newline="") as fh:
-                        profile.write_csv(fh)
-            return _emit(report, args.out, started)
+            return _emit(run_geometry(spec), args.out, started)
         raise BadSpecError(f"unknown command {args.command!r}")
     except (BadSpecError, BadEpsilonError, NotPrimeError,
-            DegreeOutOfRangeError, FieldTooLargeError, ValueError) as exc:
+            DegreeOutOfRangeError, FieldTooLargeError) as exc:
         print(f"[fqcover] bad spec: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
     except BudgetExceededError as exc:

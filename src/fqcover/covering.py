@@ -2,7 +2,7 @@
 
 The headline objects are the product set A*A = {a*a'}, its d-fold sumset
 A*A + ... + A*A, and the dot-product set {x.y : x, y in E} of a point
-set.  Every theorem-style threshold with a fractional exponent is cleared
+set, which is the support of its counts nu.  Every theorem-style threshold with a fractional exponent is cleared
 to an integer-power comparison (|A|^{2d} > q^{d+1} and friends), because
 the interesting sets sit exactly at these boundaries and float powers
 misclassify them.
@@ -85,14 +85,19 @@ class ScalarSet:
                 and np.array_equal(self.bits, other.bits))
 
 
-def pairwise_product_set(a: ScalarSet, b: ScalarSet) -> ScalarSet:
-    """{x*y : x in A, y in B}, exact."""
+def _image(a: ScalarSet, b: ScalarSet, op) -> ScalarSet:
+    """{op(x, y) : x in A, y in B} for an elementwise field operation op."""
     field = a.field
     sa, sb = a.indices(), b.indices()
     bits = np.zeros(field.q, dtype=bool)
     if len(sa) and len(sb):
-        bits[field.mul_arrays(sa[:, None], sb[None, :]).reshape(-1)] = True
+        bits[op(sa[:, None], sb[None, :]).reshape(-1)] = True
     return ScalarSet(field, bits)
+
+
+def pairwise_product_set(a: ScalarSet, b: ScalarSet) -> ScalarSet:
+    """{x*y : x in A, y in B}, exact."""
+    return _image(a, b, a.field.mul_arrays)
 
 
 def product_set(a: ScalarSet) -> ScalarSet:
@@ -102,12 +107,7 @@ def product_set(a: ScalarSet) -> ScalarSet:
 
 def sumset(a: ScalarSet, b: ScalarSet) -> ScalarSet:
     """{x + y : x in A, y in B}, exact field addition of indices."""
-    field = a.field
-    sa, sb = a.indices(), b.indices()
-    bits = np.zeros(field.q, dtype=bool)
-    if len(sa) and len(sb):
-        bits[field.add_arrays(sa[:, None], sb[None, :]).reshape(-1)] = True
-    return ScalarSet(field, bits)
+    return _image(a, b, a.field.add_arrays)
 
 
 def iterated_sumset(s: ScalarSet, d: int) -> ScalarSet:
@@ -135,16 +135,8 @@ def dilate(s: ScalarSet, c: int) -> ScalarSet:
 
 
 def dot_product_set(e: PointSet) -> ScalarSet:
-    """{x.y : x, y in E}, by direct pair enumeration."""
-    field = e.field
-    bits = np.zeros(field.q, dtype=bool)
-    support = e.support_coords()
-    for x in support:
-        dots = np.zeros(len(support), dtype=np.int64)
-        for i in range(e.d):
-            dots = field.add_arrays(dots, field.mul_arrays(x[i], support[:, i]))
-        bits[dots] = True
-    return ScalarSet(field, bits)
+    """{x.y : x, y in E}, the support of nu."""
+    return ScalarSet(e.field, e.nu_profile.counts > 0)
 
 
 def covers_units(s: ScalarSet) -> tuple[bool, list[int]]:
@@ -269,7 +261,7 @@ def dot_set_lower_bound(e: PointSet) -> CoverageVerdict:
     """
     if e.contains_origin:
         raise OriginInSetError("lower bound check requires an origin-free set")
-    field, q = e.field, e.field.q
+    q = e.field.q
     pset = dot_product_set(e)
     m_line = max_line_intersection(e)[0]
     lhs = pset.count * (m_line * q ** e.d + e.count ** 2)

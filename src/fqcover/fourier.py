@@ -201,3 +201,12 @@ def convolve_diff(f: SpectralFn, g: SpectralFn) -> SpectralFn:
     for y2 in np.nonzero(g.values)[0]:
         out += g.values[y2] * f.values[translate_flats(field, d, int(y2))]
     return SpectralFn(field, d, out)
+
+
+def diff_convolution_hat_check(f: SpectralFn) -> bool:
+    """Whether Ghat = q^d |fhat|^2 for G = f * f, the difference convolution
+    of a real-valued f with itself (the Fourier side of nu)."""
+    ghat = fourier_forward(convolve_diff(f, f)).values
+    expect = f.field.q ** f.d * np.abs(fourier_forward(f).values) ** 2
+    err = float(np.max(np.abs(ghat - expect)))
+    return err <= 1e-8 * max(1.0, float(np.max(expect)))

@@ -44,7 +44,7 @@ from .covering import (
 from .fourier import (
     SpectralFn,
     char_matrix,
-    convolve_diff,
+    diff_convolution_hat_check,
     fourier_forward,
     fourier_forward_direct,
     fourier_invert,
@@ -401,10 +401,7 @@ def _selftest_transforms(field: Field, d: int, seed: int) -> dict:
     lhs, rhs = plancherel_check(ind, ind)
     results["plancherel_indicator"] = bool(abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs)))
 
-    ghat = fourier_forward(convolve_diff(ind, ind)).values
-    expect = size * np.abs(fourier_forward(ind).values) ** 2
-    err = float(np.max(np.abs(ghat - expect)))
-    results["diff_convolution_hat"] = bool(err <= 1e-8 * max(1.0, float(np.max(expect))))
+    results["diff_convolution_hat"] = diff_convolution_hat_check(ind)
 
     if size ** 2 <= 3 ** 12:
         fast = fourier_forward(f).values
@@ -486,17 +483,27 @@ def _min_threshold_size(q: int, d: int) -> int:
     return s
 
 
+def _clip_sizes(sizes: tuple[int, int], universe: int) -> list[int]:
+    """An explicit size range clipped to 0..universe.  A range holding no
+    size in 1..universe is refused, so a run cannot pass having checked
+    nothing."""
+    lo, hi = sizes
+    if hi < 1 or lo > universe:
+        raise BadSpecError(f"size range {lo}..{hi} holds no size in 1..{universe}")
+    return list(range(max(lo, 0), min(hi, universe) + 1))
+
+
+def _require_samples(spec: ExperimentSpec) -> None:
+    if spec.mode == "sample" and spec.samples == 0:
+        raise BadSpecError("sample mode with --samples 0 checks nothing")
+
+
 def _scalar_sizes(spec: ExperimentSpec, q: int, s_min: int) -> list[int]:
     """The sizes of A a cover command checks: spec.sizes clipped to 0..q,
-    or every size from the threshold up.  A range holding no size in 1..q
-    is refused, so a run cannot pass having checked nothing."""
+    or every size from the threshold up."""
     if spec.sizes is None:
         return list(range(min(s_min, q + 1), q + 1))
-    lo, hi = spec.sizes
-    if hi < 1 or lo > q:
-        raise BadSpecError(f"size range {lo}..{hi} holds no size in 1..{q}, "
-                           f"the valid sizes for q={q}")
-    return [s for s in range(lo, hi + 1) if 0 <= s <= q]
+    return _clip_sizes(spec.sizes, q)
 
 
 def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
@@ -598,6 +605,7 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     field = get_field(spec.p, spec.n)
     q, d = field.q, spec.d
     report = RunReport("cover-sample", spec.echo(), field.descriptor())
+    _require_samples(spec)
 
     s_min = _min_threshold_size(q, d)
     sizes = _scalar_sizes(spec, q, s_min)
@@ -696,39 +704,36 @@ def run_sharpness(spec: ExperimentSpec) -> RunReport:
 
 def _geometry_check_one(field: Field, d: int, e: PointSet, checks) -> dict:
     """Run the requested point-set checks; returns per-check booleans plus
-    the exact remainder sharpness fraction."""
+    the exact remainder sharpness fraction.
+
+    Every check reads the set with the origin stripped, so nu and the line
+    counts are computed once.  The coverage threshold is taken on the set
+    as drawn; its verdict is the same either way, because the origin adds
+    only the dot product 0, which coverage of the units ignores.
+    """
     out: dict = {}
+    core = e.strip_origin()
     if "cover" in checks:
         if point_cover_threshold(e):
-            covered, missing = covers_units(dot_product_set(e))
+            covered, missing = covers_units(dot_product_set(core))
             out["cover"] = covered
             if not covered:
                 out["cover_missing"] = missing[:32]
         else:
             out["cover"] = None
-    core = e.strip_origin()
-    prof = None
     if "remainder" in checks:
         rep = remainder_bound_check(core)
-        prof = rep.profile
         out["remainder"] = rep.ok
         num = rep.profile.r_numerator(rep.worst_t) ** 2
         den = core.count ** 2 * field.q ** (d + 1)
         out["sharpness_frac"] = (num, den)
     if "identities" in checks:
-        hat = hyperplane_hat_identity_check(core)
-        ind = core.indicator()
-        ghat = fourier_forward(convolve_diff(ind, ind)).values
-        expect = field.q ** d * np.abs(fourier_forward(ind).values) ** 2
-        gerr = float(np.max(np.abs(ghat - expect))) if ghat.size else 0.0
-        gok = gerr <= 1e-8 * max(1.0, float(np.max(expect)) if expect.size else 1.0)
-        out["identities"] = hat.ok and gok
+        out["identities"] = (hyperplane_hat_identity_check(core).ok
+                             and diff_convolution_hat_check(core.indicator()))
     if "second_moment" in checks:
-        rep = second_moment_check(core, profile=prof)
-        out["second_moment"] = rep.ok
+        out["second_moment"] = second_moment_check(core).ok
     if "keylowerbound" in checks:
-        verdict = dot_set_lower_bound(core)
-        out["keylowerbound"] = verdict.threshold_met
+        out["keylowerbound"] = dot_set_lower_bound(core).threshold_met
     return out
 
 
@@ -743,13 +748,14 @@ def _geometry_sample_task(task) -> dict:
         res = _geometry_check_one(field, d, e, checks)
         res["size"] = size
         res["sample_index"] = i
+        res["flats"] = flats
         outcomes.append(res)
     return {"outcomes": outcomes}
 
 
 def _merge_geometry_outcomes(report: RunReport, outcomes, checks) -> tuple:
     tallies = {c: {"checked": 0, "passed": 0} for c in checks}
-    worst = (0, 1, None)  # (numerator, denominator, label)
+    worst = (0, 1, None, None)  # (numerator, denominator, label, flat indices)
     for res in outcomes:
         label = res.get("name") or f"size{res['size']}#{res.get('sample_index', 0)}"
         for c in checks:
@@ -765,28 +771,36 @@ def _merge_geometry_outcomes(report: RunReport, outcomes, checks) -> tuple:
                 report.counterexamples.append(entry)
         frac = res.get("sharpness_frac")
         if frac and frac[1] > 0 and frac[0] * worst[1] > worst[0] * frac[1]:
-            worst = (frac[0], frac[1], label)
+            worst = (frac[0], frac[1], label, res["flats"])
     report.tallies = tallies
     return worst
 
 
 def run_geometry(spec: ExperimentSpec) -> RunReport:
+    """Run the point-set checks.  With spec.csv set, also write the nu
+    profile of the sharpest case, with the origin stripped, as CSV."""
     field = get_field(spec.p, spec.n)
     q, d = field.q, spec.d
     report = RunReport("geometry", spec.echo(), field.descriptor())
+    _require_samples(spec)
     checks = tuple(c for c in spec.checks if c in POINT_CHECKS) or POINT_CHECKS
     universe = q ** d
     outcomes = []
 
+    if spec.sizes is not None:
+        sizes = _clip_sizes(spec.sizes, universe)
+    elif spec.mode == "exhaustive":
+        lo = 1
+        while lo <= universe and lo ** 2 <= q ** (d + 1):
+            lo += 1
+        sizes = list(range(lo, universe + 1))
+        if not sizes:
+            raise BadSpecError(f"no size in 1..{universe} is above the cover "
+                               f"threshold; give --sizes")
+    else:
+        sizes = list(range(1, min(universe, 100) + 1))
+
     if spec.mode == "exhaustive":
-        if spec.sizes is not None:
-            sizes = [s for s in range(spec.sizes[0], spec.sizes[1] + 1)
-                     if 0 <= s <= universe]
-        else:
-            lo = 1
-            while lo <= universe and lo ** 2 <= q ** (d + 1):
-                lo += 1
-            sizes = list(range(lo, universe + 1))
         require_budget(universe, sizes)
         for s in sizes:
             for subset in colex_subsets(universe, s):
@@ -795,13 +809,12 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
                 res["size"] = s
                 res["sample_index"] = 0
                 res["name"] = f"size{s}_colex{subset}"
+                res["flats"] = subset
                 outcomes.append(res)
     else:
-        lo, hi = spec.sizes if spec.sizes is not None else (1, min(universe, 100))
-        hi = min(hi, universe)
         chunk = 64
         tasks = []
-        for s in range(lo, hi + 1):
+        for s in sizes:
             for tlo in range(0, spec.samples, chunk):
                 tasks.append((spec.p, spec.n, d, spec.seed, s, tlo,
                               min(tlo + chunk, spec.samples), checks))
@@ -812,6 +825,7 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
                 res = _geometry_check_one(field, d, e, checks)
                 res["size"] = e.count
                 res["name"] = name
+                res["flats"] = e.flat_indices()
                 outcomes.append(res)
 
     worst = _merge_geometry_outcomes(report, outcomes, checks)
@@ -822,35 +836,11 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
     }
     report.counterexamples.sort(key=lambda c: (c["check"], str(c["case"])))
     report.flag_counterexamples()
+    if spec.csv and worst[2]:
+        core = PointSet.from_flat(field, d, worst[3]).strip_origin()
+        with open(spec.csv, "w", newline="") as fh:
+            nu_bruteforce(core).write_csv(fh)
     return report
-
-
-def geometry_csv_profile(spec: ExperimentSpec, case_label: str | None):
-    """Recompute the nu profile of the sharpest case for CSV export.
-
-    The case label encodes how the set was drawn (sample stream, colex
-    subset, or structured-family name), so the profile is re-derived
-    instead of being carried through the merge.
-    """
-    import ast
-
-    field = get_field(spec.p, spec.n)
-    if case_label is None:
-        return None
-    if case_label.startswith("size") and "#" in case_label:
-        size_s, idx_s = case_label[4:].split("#")
-        rng = stream(spec.seed, int(idx_s), int(size_s), TAG_POINTS)
-        flats = sample_indices(rng, field.q ** spec.d, int(size_s))
-        e = PointSet.from_flat(field, spec.d, flats)
-    elif "_colex" in case_label:
-        subset = ast.literal_eval(case_label.split("_colex", 1)[1])
-        e = PointSet.from_flat(field, spec.d, list(subset))
-    else:
-        named = dict(structured_point_sets(field, spec.d, spec.seed))
-        if case_label not in named:
-            return None
-        e = named[case_label]
-    return nu_bruteforce(e.strip_origin())
 
 
 # ----------------------------------------------------------------------

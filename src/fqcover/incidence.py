@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,7 +41,12 @@ class SpectralMismatchError(ArithmeticError):
 
 @dataclass(eq=False)
 class PointSet:
-    """A subset of F_q^d as a dense membership array over flat indices."""
+    """A subset of F_q^d as a dense membership array over flat indices.
+
+    A set is not changed after construction, so its dot-product counts
+    (`nu_profile`) and line counts (`line_counts`) are computed once, on
+    first use, and shared by every check that reads them.
+    """
 
     field: Field
     d: int
@@ -118,6 +124,20 @@ class PointSet:
 
     def indicator(self) -> SpectralFn:
         return SpectralFn.from_real(self.field, self.d, self.bits.astype(np.float64))
+
+    @cached_property
+    def nu_profile(self) -> "NuProfile":
+        """nu(self), with its counts read-only because they are shared."""
+        prof = nu(self)
+        prof.counts.flags.writeable = False
+        return prof
+
+    @cached_property
+    def line_counts(self) -> np.ndarray:
+        """line_counts_all(self), read-only because it is shared."""
+        counts = line_counts_all(self)
+        counts.flags.writeable = False
+        return counts
 
 
 @dataclass
@@ -198,12 +218,7 @@ def nu_spectral(e: PointSet) -> NuProfile:
         raise SpectralMismatchError("spectral counts do not sum to |E|^2")
     if len(support) <= 300:
         t_star = int(np.argmax(counts))
-        direct = 0
-        for x in support:
-            dots = np.zeros(len(support), dtype=np.int64)
-            for i in range(d):
-                dots = field.add_arrays(dots, field.mul_arrays(x[i], support[:, i]))
-            direct += int(np.count_nonzero(dots == t_star))
+        direct = int(nu_bruteforce(e).counts[t_star])
         if direct != int(counts[t_star]):
             raise SpectralMismatchError(
                 f"spectral nu({t_star}) = {int(counts[t_star])}, direct count {direct}")
@@ -227,7 +242,7 @@ class RemainderReport:
     profile: NuProfile
 
 
-def remainder_bound_check(e: PointSet, profile: NuProfile | None = None) -> RemainderReport:
+def remainder_bound_check(e: PointSet) -> RemainderReport:
     """Exact check of (q*nu(t) - |E|^2)^2 <= |E|^2 * q^{d+1} for every t != 0.
 
     The bound is unconditional on the nonzero dot values, which is all the
@@ -240,8 +255,8 @@ def remainder_bound_check(e: PointSet, profile: NuProfile | None = None) -> Rema
     A violation at t != 0 would falsify the remainder estimate and is
     never expected; it is reported, not raised, so sweeps can tally it.
     """
-    field, q = e.field, e.field.q
-    prof = profile if profile is not None else nu(e)
+    q = e.field.q
+    prof = e.nu_profile
     bound = e.count ** 2 * q ** (e.d + 1)
     violations = []
     worst_num, worst_t = -1, 1
@@ -276,13 +291,7 @@ def line_intersection(e: PointSet, y_flat: int) -> int:
     """|E intersect l_y| for the line l_y = {t*y}; y must be nonzero."""
     if y_flat == 0:
         raise ZeroDirectionError("line direction must be nonzero")
-    field, d, q = e.field, e.d, e.field.q
-    ycoords = all_coords(field, d)[y_flat]
-    t = np.arange(q, dtype=np.int64)
-    flats = np.zeros(q, dtype=np.int64)
-    for i in range(d):
-        flats += field.mul_arrays(t, int(ycoords[i])).astype(np.int64) * q ** i
-    return int(e.bits[flats].sum())
+    return int((e.bits & PointSet.line(e.field, e.d, y_flat).bits).sum())
 
 
 def line_counts_all(e: PointSet) -> np.ndarray:
@@ -306,9 +315,8 @@ def max_line_intersection(e: PointSet) -> tuple[int, int | None]:
     """
     if e.count == 0:
         return 0, None
-    counts = line_counts_all(e)
-    counts[0] = -1
-    best = int(np.argmax(counts))
+    counts = e.line_counts
+    best = 1 + int(np.argmax(counts[1:]))
     return int(counts[best]), best
 
 
@@ -334,9 +342,9 @@ def hyperplane_hat_identity_check(e: PointSet, rtol: float = 1e-8) -> HatIdentit
     when 0 is excluded from E.
     """
     _require_origin_free(e)
-    field, q = e.field, e.field.q
+    q = e.field.q
     fhat = fourier_forward(hyperplane_sum(e)).values
-    expected = line_counts_all(e).astype(np.float64) / q
+    expected = e.line_counts.astype(np.float64) / q
     expected[0] = e.count / q
     err = float(np.max(np.abs(fhat - expected))) if fhat.size else 0.0
     tol = rtol * max(1.0, float(np.max(np.abs(expected))))
@@ -351,16 +359,15 @@ class SecondMomentReport:
     max_line: int
 
 
-def second_moment_check(e: PointSet, profile: NuProfile | None = None) -> SecondMomentReport:
+def second_moment_check(e: PointSet) -> SecondMomentReport:
     """Exact integer check of q * sum_t nu(t)^2 <= M |E|^2 q^d + |E|^4.
 
     M is the measured maximum line intersection, which stands in for the
     hypothesis constant pair of the conditional estimate.
     """
     _require_origin_free(e)
-    field, q = e.field, e.field.q
-    prof = profile if profile is not None else nu(e)
+    q = e.field.q
     m_line = max_line_intersection(e)[0]
-    lhs = q * sum(int(c) ** 2 for c in prof.counts)
+    lhs = q * sum(int(c) ** 2 for c in e.nu_profile.counts)
     rhs = m_line * e.count ** 2 * q ** e.d + e.count ** 4
     return SecondMomentReport(lhs <= rhs, lhs, rhs, m_line)

@@ -275,9 +275,31 @@ def test_criterion_9_grid_dot_set_equals_scalar_pipeline():
         grid = PointSet.grid_of_scalars(field, d, idx)
         assert dot_product_set(grid) == sumset_of_products(a, d), \
             f"mismatch at i={i}, A={idx.tolist()}"
+        assert nu_bruteforce(grid).counts.tolist() == _grid_nu(field, idx, d), \
+            f"count mismatch at i={i}, A={idx.tolist()}"
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"grid comparison took {elapsed:.1f}s"
-    _passline(9, "dot set of grid == scalar pipeline", f"200 sets, {elapsed:.1f}s")
+    _passline(9, "nu of grid == d-fold convolution of product counts",
+              f"200 sets, {elapsed:.1f}s")
+
+
+def _grid_nu(field, idx, d):
+    """nu of the grid A^d as the d-fold additive convolution of
+    m(s) = #{(a, a') in A^2 : a a' = s}, in Python integers from the
+    field tables."""
+    q = field.q
+    m = [0] * q
+    for a in idx:
+        for b in idx:
+            m[field.mul(int(a), int(b))] += 1
+    out = m
+    for _ in range(d - 1):
+        conv = [0] * q
+        for s, u in enumerate(out):
+            for t, v in enumerate(m):
+                conv[field.add(s, t)] += u * v
+        out = conv
+    return out
 
 
 def test_criterion_10_report_determinism_across_workers(tmp_path):

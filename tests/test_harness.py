@@ -1,3 +1,5 @@
+import ast
+import io
 import itertools
 import json
 import math
@@ -7,8 +9,11 @@ from fractions import Fraction
 
 import pytest
 
+import fqcover.cli as cli
 import fqcover.harness as harness
+import fqcover.incidence as incidence
 from fqcover.covering import ScalarSet, cover_verdict, dense_block_rows
+from fqcover.incidence import PointSet, nu_bruteforce
 
 from fqcover.harness import (
     BadSpecError,
@@ -25,6 +30,7 @@ from fqcover.harness import (
     run_geometry,
     run_selftest,
     run_sharpness,
+    sample_indices,
     stream,
     structured_point_sets,
     structured_scalar_sets,
@@ -296,6 +302,44 @@ def test_run_geometry_sample_small():
     assert report.extras["sharpness"]["max_ratio"] > 0
 
 
+def test_geometry_check_counts_nu_and_lines_once_per_set(monkeypatch):
+    calls = {"nu": 0, "line_counts_all": 0}
+    for name in calls:
+        real = getattr(incidence, name)
+
+        def counted(e, real=real, name=name):
+            calls[name] += 1
+            return real(e)
+        monkeypatch.setattr(incidence, name, counted)
+    field = get_field(3, 2)
+    for i in range(3):
+        e = PointSet.from_flat(field, 2, stream(5, i, 40, 0).choice(81, 40, replace=False))
+        out = harness._geometry_check_one(field, 2, e, harness.POINT_CHECKS)
+        assert set(harness.POINT_CHECKS) <= set(out)
+        assert calls == {"nu": i + 1, "line_counts_all": i + 1}
+
+
+@pytest.mark.parametrize("mode,sizes", [("exhaustive", (6, 7)), ("sample", (3, 6)),
+                                        ("structured", (2, 3))])
+def test_run_geometry_csv_is_the_profile_of_the_sharpest_case(tmp_path, mode, sizes):
+    path = tmp_path / "nu.csv"
+    spec = ExperimentSpec(p=3, d=2, mode=mode, sizes=sizes, samples=3, seed=2,
+                          csv=str(path))
+    case = run_geometry(spec).extras["sharpness"]["case"]
+    field = get_field(3, 1)
+    if "_colex" in case:
+        e = PointSet.from_flat(field, 2, list(ast.literal_eval(case.split("_colex")[1])))
+    elif "#" in case:
+        size, index = map(int, case[4:].split("#"))
+        e = PointSet.from_flat(field, 2, sample_indices(
+            stream(2, index, size, harness.TAG_POINTS), 9, size))
+    else:
+        e = dict(structured_point_sets(field, 2, 2))[case]
+    expected = io.StringIO()
+    nu_bruteforce(e.strip_origin()).write_csv(expected)
+    assert path.read_bytes() == expected.getvalue().encode()
+
+
 def test_run_d_of_eps():
     report = run_d_of_eps(Fraction(1, 4))
     assert report.extras == {"d_cover": 2, "d_proportion": 2}
@@ -332,6 +376,49 @@ def test_cli_cover_exhaustive_vacuous_size_range_exit_3():
     assert res.returncode == 3
     assert "1..5" in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("geometry", "--p", "5", "--d", "2", "--sizes", "30..40"),
+    ("geometry", "--p", "5", "--d", "2", "--samples", "0"),
+    ("geometry", "--p", "5", "--d", "1", "--mode", "exhaustive"),
+    ("cover-sample", "--p", "7", "--samples", "0"),
+])
+def test_cli_refuses_runs_that_check_nothing(args):
+    res = run_cli(*args)
+    assert res.returncode == 3, res.stderr
+    assert "bad spec" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("geometry", "--p", "3", "--d", "2", "--mode", "structured", "--samples", "0"),
+    ("cover-sample", "--p", "7", "--structured", "--samples", "0"),
+])
+def test_cli_structured_roster_runs_without_samples(args):
+    res = run_cli(*args)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert report["status"] == "ok"
+    assert report["extras"].get("structured") or any(
+        t["checked"] for t in report["tallies"].values())
+
+
+def test_geometry_size_range_is_clipped_to_the_space():
+    report = run_geometry(ExperimentSpec(p=3, d=2, mode="sample", sizes=(-3, 2),
+                                         samples=2, checks=("remainder",)))
+    assert report.tallies == {"remainder": {"checked": 6, "passed": 6}}
+    report = run_geometry(ExperimentSpec(p=2, d=2, mode="exhaustive", sizes=(3, 40),
+                                         checks=("remainder",)))
+    assert report.tallies["remainder"]["checked"] == math.comb(4, 3) + math.comb(4, 4)
+
+
+def test_cli_internal_value_error_is_not_a_bad_spec(monkeypatch):
+    def broken(spec):
+        raise ValueError("internal shape error")
+    monkeypatch.setattr(cli, "run_sharpness", broken)
+    with pytest.raises(ValueError, match="internal shape error"):
+        cli.main(["sharpness", "--p", "5"])
 
 
 def test_cli_cover_exhaustive_writes_report(tmp_path):
