@@ -5,8 +5,8 @@ geometry, d-of-eps.  The canonical JSON report goes to stdout (and to
 --out when given); progress and wall-clock timing go to stderr so the
 JSON artifact stays byte-reproducible.
 
-Exit codes: 0 ok, 2 theorem counterexample, 3 bad spec, 4 enumeration
-budget exceeded.
+Exit codes: 0 ok, 2 theorem counterexample, 3 bad spec (a usage error
+included), 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -46,63 +46,80 @@ def _parse_sizes(text: str) -> tuple[int, int]:
     return v, v
 
 
-def _add_common(sub: argparse.ArgumentParser, *, field_args: bool = True) -> None:
-    if field_args:
-        sub.add_argument("--p", type=int, required=True, help="field characteristic")
-        sub.add_argument("--n", type=int, default=1, help="extension degree")
-        sub.add_argument("--d", type=int, default=2, help="ambient dimension")
-    sub.add_argument("--sizes", type=_parse_sizes, default=None, metavar="a..b",
-                     help="size range for A or E")
-    sub.add_argument("--samples", type=int, default=100, help="samples per size")
-    sub.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
-    sub.add_argument("--checks", type=str, default=None,
-                     help="comma list of checks to run")
-    sub.add_argument("--workers", type=int, default=1, help="worker processes")
-    sub.add_argument("--out", type=str, default=None, help="write JSON report here")
-    sub.add_argument("--csv", type=str, default=None, help="write nu profile CSV here")
+def _parse_checks(text: str) -> tuple[str, ...]:
+    return tuple(c for c in text.split(",") if c)
+
+
+# Every option a subcommand can take; each subcommand takes only those it reads.
+_OPTIONS = {
+    "p": dict(type=int, required=True, help="field characteristic"),
+    "n": dict(type=int, default=1, help="extension degree"),
+    "d": dict(type=int, default=2, help="ambient dimension"),
+    "sizes": dict(type=_parse_sizes, default=None, metavar="a..b",
+                  help="size range for A or E"),
+    "samples": dict(type=int, default=100, help="samples per size"),
+    "seed": dict(type=int, default=0, help="64-bit RNG seed"),
+    "checks": dict(type=_parse_checks, default=(), help="comma list of checks to run"),
+    "workers": dict(type=int, default=1, help="worker processes"),
+    "out": dict(type=str, default=None, help="write JSON report here"),
+    "csv": dict(type=str, default=None, help="write nu profile CSV here"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end with exit code 3, as any other bad spec does, and
+    not with argparse's 2, which is the counterexample code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise BadSpecError(message)
+
+
+def _add_options(sub: argparse.ArgumentParser, names: str) -> None:
+    for name in names.split():
+        sub.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fqcover",
         description="exact finite-field coverage and incidence experiments")
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("selftest", help="identity and axiom suite on the field roster")
-    _add_common(s, field_args=False)
+    _add_options(s, "seed out")
 
     s = subs.add_parser("cover-exhaustive",
                         help="every A above the coverage threshold must cover the units")
-    _add_common(s)
+    _add_options(s, "p n d sizes seed workers out")
 
     s = subs.add_parser("cover-sample", help="seeded randomized coverage campaign")
-    _add_common(s)
+    _add_options(s, "p n d sizes samples seed checks workers out")
     s.add_argument("--structured", action="store_true",
                    help="also check the structured set roster (subfields, subgroups)")
 
     s = subs.add_parser("sharpness",
                         help="subfield closure and other non-covering witnesses")
-    _add_common(s)
+    _add_options(s, "p n d out")
 
     s = subs.add_parser("geometry",
                         help="incidence bounds and identities on point sets")
-    _add_common(s)
+    _add_options(s, "p n d sizes samples seed checks workers out csv")
     s.add_argument("--mode", choices=["exhaustive", "sample", "structured"],
                    default="sample")
 
     s = subs.add_parser("d-of-eps",
                         help="exact d guaranteeing coverage for |A| >= C q^(1/2+eps)")
     s.add_argument("eps", type=str, help="epsilon as an exact rational, e.g. 1/4")
-    s.add_argument("--out", type=str, default=None)
+    _add_options(s, "out")
     return parser
 
 
-def _spec_from_args(args: argparse.Namespace, mode: str) -> ExperimentSpec:
-    checks = tuple(c for c in (args.checks or "").split(",") if c)
-    spec = ExperimentSpec(
-        p=args.p, n=args.n, d=args.d, mode=mode,
-        sizes=args.sizes, samples=args.samples, seed=args.seed,
-        checks=checks, workers=args.workers, out=args.out, csv=args.csv)
+def _spec_from_args(args: argparse.Namespace, **fixed) -> ExperimentSpec:
+    """The spec of a run: the options the subcommand took, the spec's
+    defaults for the rest."""
+    given = {k: v for k, v in vars(args).items() if k in ExperimentSpec.__dataclass_fields__}
+    spec = ExperimentSpec(**{**given, **fixed})
     spec.validate()
     return spec
 
@@ -120,15 +137,11 @@ def _emit(report, out_path: str | None, started: float) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     started = time.monotonic()
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "selftest":
-            spec = ExperimentSpec(p=2, n=1, mode="sample", samples=args.samples,
-                                  seed=args.seed, workers=args.workers,
-                                  out=args.out, csv=args.csv)
-            spec.validate()
-            return _emit(run_selftest(spec), args.out, started)
+            return _emit(run_selftest(_spec_from_args(args, p=2)), args.out, started)
         if args.command == "d-of-eps":
             try:
                 eps = Fraction(args.eps)
@@ -137,18 +150,16 @@ def main(argv: list[str] | None = None) -> int:
             return _emit(run_d_of_eps(eps), args.out, started)
 
         if args.command == "cover-exhaustive":
-            spec = _spec_from_args(args, "exhaustive")
+            spec = _spec_from_args(args, mode="exhaustive")
             return _emit(run_cover_exhaustive(spec), args.out, started)
         if args.command == "cover-sample":
-            mode = "structured" if getattr(args, "structured", False) else "sample"
-            spec = _spec_from_args(args, mode)
+            spec = _spec_from_args(args, mode="structured" if args.structured else "sample")
             return _emit(run_cover_sample(spec), args.out, started)
         if args.command == "sharpness":
-            spec = _spec_from_args(args, "structured")
+            spec = _spec_from_args(args, mode="structured")
             return _emit(run_sharpness(spec), args.out, started)
         if args.command == "geometry":
-            spec = _spec_from_args(args, args.mode)
-            return _emit(run_geometry(spec), args.out, started)
+            return _emit(run_geometry(_spec_from_args(args)), args.out, started)
         raise BadSpecError(f"unknown command {args.command!r}")
     except (BadSpecError, BadEpsilonError, NotPrimeError,
             DegreeOutOfRangeError, FieldTooLargeError) as exc:

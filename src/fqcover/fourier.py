@@ -137,26 +137,23 @@ class SpectralFn:
                 for i, v in enumerate(self.values)]
 
 
-def fourier_forward(f: SpectralFn) -> SpectralFn:
-    """fhat(m) = q^{-d} sum_x chi(-x.m) f(x), factorized axis by axis."""
-    field, d = f.field, f.d
-    q = field.q
-    w = char_matrix(field)
+def _transform(f: SpectralFn, w: np.ndarray, scale) -> SpectralFn:
+    """Apply the q x q kernel w along every axis of f, then scale."""
+    q, d = f.field.q, f.d
     arr = f.values.reshape((q,) * d)
     for ax in range(d):
         arr = np.moveaxis(np.tensordot(w, arr, axes=(1, ax)), 0, ax)
-    return SpectralFn(field, d, arr.reshape(-1) * q ** (-d))
+    return SpectralFn(f.field, d, arr.reshape(-1) * scale)
+
+
+def fourier_forward(f: SpectralFn) -> SpectralFn:
+    """fhat(m) = q^{-d} sum_x chi(-x.m) f(x), factorized axis by axis."""
+    return _transform(f, char_matrix(f.field), f.field.q ** (-f.d))
 
 
 def fourier_invert(fhat: SpectralFn) -> SpectralFn:
     """f(x) = sum_m chi(x.m) fhat(m)."""
-    field, d = fhat.field, fhat.d
-    q = field.q
-    w = np.conj(char_matrix(field))
-    arr = fhat.values.reshape((q,) * d)
-    for ax in range(d):
-        arr = np.moveaxis(np.tensordot(w, arr, axes=(1, ax)), 0, ax)
-    return SpectralFn(field, d, arr.reshape(-1))
+    return _transform(fhat, np.conj(char_matrix(fhat.field)), 1)
 
 
 def fourier_forward_direct(f: SpectralFn) -> SpectralFn:

@@ -307,14 +307,6 @@ def colex_unrank(universe: int, k: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def colex_subsets(universe: int, k: int):
-    """All k-subsets of range(universe) in colexicographic order, as tuples."""
-    total = math.comb(universe, k)
-    for lo in range(0, total, SUBSET_CHUNK):
-        rows = colex_unrank(universe, k, lo, min(lo + SUBSET_CHUNK, total))
-        yield from map(tuple, rows.tolist())
-
-
 def enumeration_budget(universe: int, sizes: list[int]) -> int:
     return sum(math.comb(universe, s) for s in sizes)
 
@@ -327,10 +319,36 @@ def require_budget(universe: int, sizes: list[int]) -> None:
             f"of {EXHAUSTIVE_BUDGET}")
 
 
-def _parallel(worker, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
+def _draw(mode: str, universe: int, size: int, lo: int, hi: int, seed: int,
+          tag: int) -> np.ndarray:
+    """The size-`size` subsets of range(universe) with indices lo..hi-1, one
+    sorted subset per row: colex ranks in exhaustive mode, otherwise one
+    Philox stream per sample index."""
+    if mode == "exhaustive":
+        return colex_unrank(universe, size, lo, hi)
+    return np.array([sample_indices(stream(seed, i, size, tag), universe, size)
+                     for i in range(lo, hi)], dtype=np.int64).reshape(hi - lo, size)
+
+
+def _campaign(worker, spec: ExperimentSpec, sizes: list[int], universe: int,
+              chunk: int, *extra) -> list:
+    """Run `worker` on every chunk of the subset indices of every size: the
+    colex ranks [0, C(universe, size)) in exhaustive mode, which must fit
+    the enumeration budget, otherwise the sample indices [0, spec.samples).
+
+    Each task is (p, n, d, mode, seed, size, lo, hi, *extra), and the
+    results come back in task order at any worker count.
+    """
+    if spec.mode == "exhaustive":
+        require_budget(universe, sizes)
+    tasks = []
+    for s in sizes:
+        total = math.comb(universe, s) if spec.mode == "exhaustive" else spec.samples
+        tasks += [(spec.p, spec.n, spec.d, spec.mode, spec.seed, s, lo,
+                   min(lo + chunk, total), *extra) for lo in range(0, total, chunk)]
+    if spec.workers <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
         return list(pool.map(worker, tasks))
 
 
@@ -435,45 +453,55 @@ def run_selftest(spec: ExperimentSpec) -> RunReport:
 
 
 # ----------------------------------------------------------------------
-# cover-exhaustive
+# cover-exhaustive and cover-sample
 # ----------------------------------------------------------------------
 
-def _cover_blocks(field: Field, d: int, size: int, lo: int, hi: int):
-    """Yield (subsets, covers) block by block over the colex ranks [lo, hi)
-    of the size-`size` subsets: the unranked rows and, per row, whether
-    the d-fold sumset of A*A covers the units."""
-    rows = dense_block_rows(field, size, d)
-    for b in range(lo, hi, SUBSET_CHUNK):
-        subsets = colex_unrank(field.q, size, b, min(b + SUBSET_CHUNK, hi))
-        if rows:
-            covers = np.concatenate([covers_units_block(field, subsets[r:r + rows], d)
-                                     for r in range(0, len(subsets), rows)])
-        else:
-            covers = np.array([cover_verdict(ScalarSet.from_indices(field, a), d).covers_units
-                               for a in subsets], dtype=bool)
-        yield subsets, covers
+def _covers(field: Field, d: int, subsets: np.ndarray) -> np.ndarray:
+    """Per row A of `subsets`, whether the d-fold sumset of A*A covers the
+    units: the block kernel where `dense_block_rows` allows it, otherwise
+    the per-set `cover_verdict`."""
+    rows = dense_block_rows(field, subsets.shape[1], d)
+    if rows:
+        return np.concatenate([covers_units_block(field, subsets[r:r + rows], d)
+                               for r in range(0, len(subsets), rows)])
+    return np.array([cover_verdict(ScalarSet.from_indices(field, a), d).covers_units
+                     for a in subsets], dtype=bool)
 
 
-def _cover_exhaustive_task(task) -> dict:
-    p, n, d, size, lo, hi = task
+def _cover_task(task) -> dict:
+    p, n, d, mode, seed, size, lo, hi = task
     field = get_field(p, n)
-    threshold = size >= _min_threshold_size(field.q, d)
-    covered = 0
+    subsets = _draw(mode, field.q, size, lo, hi, seed, TAG_COVER)
+    covers = _covers(field, d, subsets)
     failures = []
-    for subsets, covers in _cover_blocks(field, d, size, lo, hi):
-        covered += int(covers.sum())
-        if not threshold:
-            continue
+    if size >= _min_threshold_size(field.q, d):
         # The report's missing lists come from the per-set oracle, which
         # must agree with the block verdict.
-        for a in subsets[~covers]:
-            verdict = cover_verdict(ScalarSet.from_indices(field, a), d)
+        for i in np.flatnonzero(~covers).tolist():
+            subset = subsets[i].tolist()
+            verdict = cover_verdict(ScalarSet.from_indices(field, subset), d)
             if verdict.covers_units:
-                raise RuntimeError(f"block verdict and cover_verdict disagree on {a.tolist()}")
-            failures.append({"size": size, "subset": a.tolist(),
-                             "missing": verdict.missing[:32]})
-    return {"size": size, "checked": hi - lo, "covered": covered,
+                raise RuntimeError(f"block verdict and cover_verdict disagree on {subset}")
+            failure = {"size": size, "subset": subset, "missing": verdict.missing[:32]}
+            if mode != "exhaustive":
+                failure["sample_index"] = lo + i
+            failures.append(failure)
+    return {"size": size, "checked": hi - lo, "covered": int(covers.sum()),
             "failures": failures}
+
+
+def _scalar_tallies(results: list, s_min: int) -> tuple[dict, list]:
+    """The per-size tallies, keyed in size order, and the failures of a list
+    of cover task results."""
+    tallies: dict = {}
+    failures = []
+    for res in results:
+        t = tallies.setdefault(res["size"], {"checked": 0, "covered": 0,
+                                             "threshold": res["size"] >= s_min})
+        t["checked"] += res["checked"]
+        t["covered"] += res["covered"]
+        failures.extend(res["failures"])
+    return {str(s): tallies[s] for s in sorted(tallies)}, failures
 
 
 def _min_threshold_size(q: int, d: int) -> int:
@@ -493,11 +521,6 @@ def _clip_sizes(sizes: tuple[int, int], universe: int) -> list[int]:
     return list(range(max(lo, 0), min(hi, universe) + 1))
 
 
-def _require_samples(spec: ExperimentSpec) -> None:
-    if spec.mode == "sample" and spec.samples == 0:
-        raise BadSpecError("sample mode with --samples 0 checks nothing")
-
-
 def _scalar_sizes(spec: ExperimentSpec, q: int, s_min: int) -> list[int]:
     """The sizes of A a cover command checks: spec.sizes clipped to 0..q,
     or every size from the threshold up."""
@@ -513,24 +536,11 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
 
     s_min = _min_threshold_size(q, d)
     sizes = _scalar_sizes(spec, q, s_min)
-    require_budget(q, sizes)
-
-    tasks = []
-    for s in sizes:
-        total = math.comb(q, s)
-        for lo in range(0, total, SUBSET_CHUNK):
-            tasks.append((spec.p, spec.n, d, s, lo, min(lo + SUBSET_CHUNK, total)))
-    results = _parallel(_cover_exhaustive_task, tasks, spec.workers)
-
-    tallies = {}
-    failures = []
-    for res in results:
-        t = tallies.setdefault(res["size"], {"checked": 0, "covered": 0,
-                                             "threshold": res["size"] >= s_min})
-        t["checked"] += res["checked"]
-        t["covered"] += res["covered"]
-        failures.extend(res["failures"])
-    report.tallies = {str(s): tallies[s] for s in sorted(tallies)}
+    if not sizes:
+        raise BadSpecError(f"no size in 1..{q} is above the cover threshold at "
+                           f"d={d}; give --sizes")
+    report.tallies, failures = _scalar_tallies(
+        _campaign(_cover_task, spec, sizes, q, SUBSET_CHUNK), s_min)
     report.counterexamples = sorted(failures, key=lambda c: (c["size"], c["subset"]))
 
     extras = {"threshold_min_size": s_min, "budget": enumeration_budget(q, sizes)}
@@ -541,9 +551,11 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
         remaining = EXHAUSTIVE_BUDGET - enumeration_budget(q, sizes)
         s = s_min - 1
         while s >= 1 and math.comb(q, s) <= remaining:
-            remaining -= math.comb(q, s)
-            if not all(covers.all() for _, covers in
-                       _cover_blocks(field, d, s, 0, math.comb(q, s))):
+            total = math.comb(q, s)
+            remaining -= total
+            if not all(
+                    _covers(field, d, colex_unrank(q, s, lo, min(lo + SUBSET_CHUNK, total))).all()
+                    for lo in range(0, total, SUBSET_CHUNK)):
                 break
             empirical = s
             s -= 1
@@ -552,29 +564,6 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
     report.extras = extras
     report.flag_counterexamples()
     return report
-
-
-# ----------------------------------------------------------------------
-# cover-sample
-# ----------------------------------------------------------------------
-
-def _cover_sample_task(task) -> dict:
-    p, n, d, seed, size, lo, hi = task
-    field = get_field(p, n)
-    checked = covered = 0
-    failures = []
-    for i in range(lo, hi):
-        rng = stream(seed, i, size, TAG_COVER)
-        subset = sample_indices(rng, field.q, size)
-        verdict = cover_verdict(ScalarSet.from_indices(field, subset), d)
-        checked += 1
-        covered += verdict.covers_units
-        if verdict.threshold_met and not verdict.covers_units:
-            failures.append({"size": size, "sample_index": i,
-                             "subset": [int(x) for x in subset],
-                             "missing": verdict.missing[:32]})
-    return {"size": size, "checked": checked, "covered": covered,
-            "failures": failures}
 
 
 def _bilinear_campaign(field: Field, d: int, seed: int, samples: int) -> dict:
@@ -605,27 +594,13 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     field = get_field(spec.p, spec.n)
     q, d = field.q, spec.d
     report = RunReport("cover-sample", spec.echo(), field.descriptor())
-    _require_samples(spec)
+    if spec.mode == "sample" and spec.samples == 0:
+        raise BadSpecError("sample mode with --samples 0 checks nothing")
 
     s_min = _min_threshold_size(q, d)
     sizes = _scalar_sizes(spec, q, s_min)
-
-    chunk = 256
-    tasks = []
-    for s in sizes:
-        for lo in range(0, spec.samples, chunk):
-            tasks.append((spec.p, spec.n, d, spec.seed, s, lo,
-                          min(lo + chunk, spec.samples)))
-    results = _parallel(_cover_sample_task, tasks, spec.workers)
-
-    tallies = {}
-    failures = []
-    for res in results:
-        t = tallies.setdefault(res["size"], {"checked": 0, "covered": 0,
-                                             "threshold": res["size"] >= s_min})
-        t["checked"] += res["checked"]
-        t["covered"] += res["covered"]
-        failures.extend(res["failures"])
+    report.tallies, failures = _scalar_tallies(
+        _campaign(_cover_task, spec, sizes, q, 256), s_min)
 
     extras = {"threshold_min_size": s_min}
     if spec.mode == "structured":
@@ -640,7 +615,6 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     if "bilinear" in spec.checks:
         extras["bilinear"] = _bilinear_campaign(field, d, spec.seed, spec.samples)
 
-    report.tallies = {str(s): tallies[s] for s in sorted(tallies)}
     report.counterexamples = sorted(
         failures, key=lambda c: (c["size"], c.get("sample_index", -1), str(c)))
     report.extras = extras
@@ -737,27 +711,25 @@ def _geometry_check_one(field: Field, d: int, e: PointSet, checks) -> dict:
     return out
 
 
-def _geometry_sample_task(task) -> dict:
-    p, n, d, seed, size, lo, hi, checks = task
+def _geometry_task(task) -> list[dict]:
+    p, n, d, mode, seed, size, lo, hi, checks = task
     field = get_field(p, n)
     outcomes = []
-    for i in range(lo, hi):
-        rng = stream(seed, i, size, TAG_POINTS)
-        flats = sample_indices(rng, field.q ** d, size)
-        e = PointSet.from_flat(field, d, flats)
-        res = _geometry_check_one(field, d, e, checks)
+    for i, flats in enumerate(_draw(mode, field.q ** d, size, lo, hi, seed, TAG_POINTS), lo):
+        res = _geometry_check_one(field, d, PointSet.from_flat(field, d, flats), checks)
         res["size"] = size
-        res["sample_index"] = i
+        res["name"] = (f"size{size}_colex{tuple(flats.tolist())}" if mode == "exhaustive"
+                       else f"size{size}#{i}")
         res["flats"] = flats
         outcomes.append(res)
-    return {"outcomes": outcomes}
+    return outcomes
 
 
 def _merge_geometry_outcomes(report: RunReport, outcomes, checks) -> tuple:
     tallies = {c: {"checked": 0, "passed": 0} for c in checks}
     worst = (0, 1, None, None)  # (numerator, denominator, label, flat indices)
     for res in outcomes:
-        label = res.get("name") or f"size{res['size']}#{res.get('sample_index', 0)}"
+        label = res["name"]
         for c in checks:
             val = res.get(c)
             if val is None:
@@ -782,10 +754,8 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
     field = get_field(spec.p, spec.n)
     q, d = field.q, spec.d
     report = RunReport("geometry", spec.echo(), field.descriptor())
-    _require_samples(spec)
     checks = tuple(c for c in spec.checks if c in POINT_CHECKS) or POINT_CHECKS
     universe = q ** d
-    outcomes = []
 
     if spec.sizes is not None:
         sizes = _clip_sizes(spec.sizes, universe)
@@ -794,41 +764,23 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
         while lo <= universe and lo ** 2 <= q ** (d + 1):
             lo += 1
         sizes = list(range(lo, universe + 1))
-        if not sizes:
-            raise BadSpecError(f"no size in 1..{universe} is above the cover "
-                               f"threshold; give --sizes")
     else:
         sizes = list(range(1, min(universe, 100) + 1))
 
-    if spec.mode == "exhaustive":
-        require_budget(universe, sizes)
-        for s in sizes:
-            for subset in colex_subsets(universe, s):
-                e = PointSet.from_flat(field, d, list(subset))
-                res = _geometry_check_one(field, d, e, checks)
-                res["size"] = s
-                res["sample_index"] = 0
-                res["name"] = f"size{s}_colex{subset}"
-                res["flats"] = subset
-                outcomes.append(res)
-    else:
-        chunk = 64
-        tasks = []
-        for s in sizes:
-            for tlo in range(0, spec.samples, chunk):
-                tasks.append((spec.p, spec.n, d, spec.seed, s, tlo,
-                              min(tlo + chunk, spec.samples), checks))
-        for res in _parallel(_geometry_sample_task, tasks, spec.workers):
-            outcomes.extend(res["outcomes"])
-        if spec.mode == "structured":
-            for name, e in structured_point_sets(field, d, spec.seed):
-                res = _geometry_check_one(field, d, e, checks)
-                res["size"] = e.count
-                res["name"] = name
-                res["flats"] = e.flat_indices()
-                outcomes.append(res)
+    outcomes = [res for chunk in _campaign(_geometry_task, spec, sizes, universe, 64, checks)
+                for res in chunk]
+    if spec.mode == "structured":
+        for name, e in structured_point_sets(field, d, spec.seed):
+            res = _geometry_check_one(field, d, e, checks)
+            res["size"] = e.count
+            res["name"] = name
+            res["flats"] = e.flat_indices()
+            outcomes.append(res)
 
     worst = _merge_geometry_outcomes(report, outcomes, checks)
+    if not any(t["checked"] for t in report.tallies.values()):
+        raise BadSpecError(f"checked nothing: no set drawn is within the scope of "
+                           f"the checks {', '.join(checks)}")
     report.extras = {
         "sharpness": {"max_ratio": worst[0] / worst[1] if worst[2] else 0.0,
                       "numerator": worst[0], "denominator": worst[1],

@@ -20,7 +20,6 @@ from fqcover.harness import (
     BudgetExceededError,
     ExperimentSpec,
     canonical_json,
-    colex_subsets,
     colex_unrank,
     enumeration_budget,
     require_budget,
@@ -47,16 +46,20 @@ def run_cli(*args):
 # enumeration order and budget
 # ---------------------------------------------------------------------------
 
+def _colex_tuples(universe, k):
+    return [tuple(r) for r in colex_unrank(universe, k, 0, math.comb(universe, k)).tolist()]
+
+
 def test_colex_order_golden():
-    got = list(colex_subsets(5, 3))
+    got = _colex_tuples(5, 3)
     assert got[:5] == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3), (0, 1, 4)]
     assert len(got) == math.comb(5, 3)
     assert len(set(got)) == len(got)
 
 
 def test_colex_covers_all_sizes():
-    assert list(colex_subsets(4, 0)) == [()]
-    assert list(colex_subsets(4, 4)) == [(0, 1, 2, 3)]
+    assert _colex_tuples(4, 0) == [()]
+    assert _colex_tuples(4, 4) == [(0, 1, 2, 3)]
 
 
 def _colex_reference(universe, k):
@@ -67,7 +70,7 @@ def _colex_reference(universe, k):
 def test_colex_unrank_matches_reference_order(universe):
     for k in range(universe + 1):
         ref = _colex_reference(universe, k)
-        assert list(colex_subsets(universe, k)) == ref
+        assert _colex_tuples(universe, k) == ref
         rows = colex_unrank(universe, k, 0, len(ref))
         assert rows.shape == (len(ref), k)
         for lo in range(0, len(ref) + 1, 5):
@@ -383,6 +386,8 @@ def test_cli_cover_exhaustive_vacuous_size_range_exit_3():
     ("geometry", "--p", "5", "--d", "2", "--samples", "0"),
     ("geometry", "--p", "5", "--d", "1", "--mode", "exhaustive"),
     ("cover-sample", "--p", "7", "--samples", "0"),
+    ("geometry", "--p", "5", "--d", "2", "--sizes", "1..3", "--checks", "cover"),
+    ("cover-exhaustive", "--p", "5", "--d", "1"),
 ])
 def test_cli_refuses_runs_that_check_nothing(args):
     res = run_cli(*args)
@@ -404,6 +409,39 @@ def test_cli_structured_roster_runs_without_samples(args):
         t["checked"] for t in report["tallies"].values())
 
 
+def test_cover_exhaustive_refuses_no_threshold_size_before_the_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("the empirical scan ran")
+    monkeypatch.setattr(harness, "_covers", scan)
+    with pytest.raises(BadSpecError, match="threshold"):
+        run_cover_exhaustive(ExperimentSpec(p=5, d=1, mode="exhaustive"))
+
+
+@pytest.mark.parametrize("run,spec", [
+    (run_geometry, ExperimentSpec(p=3, d=2, mode="exhaustive", sizes=(5, 9))),
+    (run_cover_sample, ExperimentSpec(p=13, d=2, mode="sample", sizes=(4, 13),
+                                      samples=300, seed=7)),
+])
+def test_campaign_reports_identical_across_workers(run, spec):
+    reports = []
+    for workers in (1, 2):
+        spec.workers = workers
+        reports.append(canonical_json(run(spec).to_dict()))
+    assert reports[0] == reports[1]
+
+
+def test_cover_sample_block_verdicts_match_the_per_set_oracle():
+    field = get_field(13, 1)
+    assert all(dense_block_rows(field, k, 2) > 0 for k in range(4, 14))
+    report = run_cover_sample(ExperimentSpec(p=13, d=2, mode="sample", sizes=(4, 13),
+                                             samples=40, seed=7))
+    for k in range(4, 14):
+        covered = sum(cover_verdict(ScalarSet.from_indices(field, sample_indices(
+            stream(7, i, k, harness.TAG_COVER), 13, k)), 2).covers_units for i in range(40))
+        assert report.tallies[str(k)] == {"checked": 40, "covered": covered,
+                                          "threshold": k >= 7}
+
+
 def test_geometry_size_range_is_clipped_to_the_space():
     report = run_geometry(ExperimentSpec(p=3, d=2, mode="sample", sizes=(-3, 2),
                                          samples=2, checks=("remainder",)))
@@ -419,6 +457,34 @@ def test_cli_internal_value_error_is_not_a_bad_spec(monkeypatch):
     monkeypatch.setattr(cli, "run_sharpness", broken)
     with pytest.raises(ValueError, match="internal shape error"):
         cli.main(["sharpness", "--p", "5"])
+
+
+def test_cli_usage_errors_exit_3_not_the_counterexample_code():
+    res = run_cli("cover-exhaustive", "--p", "7", "--bogus")
+    assert res.returncode == 3
+    assert "usage:" in res.stderr and "--bogus" in res.stderr
+    assert res.stdout == ""
+    assert run_cli("geometry", "--p", "five").returncode == 3
+    assert run_cli("--help").returncode == 0
+
+
+@pytest.mark.parametrize("args", [
+    ("selftest", "--samples", "3"),
+    ("selftest", "--workers", "2"),
+    ("selftest", "--csv", "x.csv"),
+    ("sharpness", "--p", "5", "--seed", "1"),
+    ("sharpness", "--p", "5", "--sizes", "2..3"),
+    ("sharpness", "--p", "5", "--checks", "cover"),
+    ("cover-exhaustive", "--p", "5", "--samples", "3"),
+    ("cover-exhaustive", "--p", "5", "--checks", "cover"),
+    ("cover-exhaustive", "--p", "5", "--csv", "x.csv"),
+    ("cover-sample", "--p", "7", "--samples", "3", "--csv", "x.csv"),
+])
+def test_cli_refuses_flags_the_command_does_not_read(args, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(list(args)) == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_cli_cover_exhaustive_writes_report(tmp_path):
