@@ -6,7 +6,7 @@ geometry, d-of-eps.  The canonical JSON report goes to stdout (and to
 JSON artifact stays byte-reproducible.
 
 Exit codes: 0 ok, 2 theorem counterexample, 3 bad spec (a usage error
-included), 4 enumeration budget exceeded.
+included), 4 enumeration or memory budget exceeded.
 """
 
 from __future__ import annotations

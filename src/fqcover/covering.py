@@ -16,13 +16,11 @@ from fractions import Fraction
 
 import numpy as np
 
+from .fourier import DENSE_BLOCK_BYTES
 from .gf import Field, sqrt_subfield_indices
 from .incidence import PointSet, OriginInSetError, max_line_intersection
 
 MISSING_REPORT_LIMIT = 32
-# Byte cap on the arrays of one covers_units_block call.  Larger blocks
-# save little call overhead and grow the peak resident memory.
-DENSE_BLOCK_BYTES = 1 << 18
 
 
 class BadArityError(ValueError):
@@ -127,11 +125,7 @@ def sumset_of_products(a: ScalarSet, d: int) -> ScalarSet:
 
 def dilate(s: ScalarSet, c: int) -> ScalarSet:
     """{c * x : x in S}."""
-    field = s.field
-    idx = s.indices()
-    if len(idx) == 0:
-        return ScalarSet.empty(field)
-    return ScalarSet.from_indices(field, field.mul_arrays(c, idx))
+    return ScalarSet.from_indices(s.field, s.field.mul_arrays(c, s.indices()))
 
 
 def dot_product_set(e: PointSet) -> ScalarSet:

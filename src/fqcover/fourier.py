@@ -3,7 +3,8 @@
 A function f: F_q^d -> C is stored densely as a length-q^d complex array
 (`SpectralFn`).  Points of F_q^d are flat indices: the point with
 coordinates (x_0, ..., x_{d-1}) has flat index sum_i x_i * q^i, where
-each x_i is a field element index.
+each x_i is a field element index.  `point_dot` and `point_map` are the
+one place that does coordinate arithmetic on flat indices, in row blocks.
 
 Normalization: the forward transform carries the q^{-d} factor,
 
@@ -22,6 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import Field
+
+
+# Byte cap on one pairwise array of the point kernel below (per row block)
+# and on the arrays of one covering.covers_units_block call.  Larger blocks
+# save little call overhead and grow the peak resident memory.
+DENSE_BLOCK_BYTES = 1 << 18
 
 
 class DimensionMismatchError(ValueError):
@@ -57,34 +64,36 @@ def dot(field: Field, x, y) -> int:
     return acc
 
 
-def dots_with_all(field: Field, d: int, x_coords) -> np.ndarray:
-    """Dot products of a fixed point x against every point of F_q^d."""
-    coords = all_coords(field, d)
-    acc = np.zeros(field.q ** d, dtype=np.int64)
-    for i in range(d):
-        acc = field.add_arrays(acc, field.mul_arrays(int(x_coords[i]), coords[:, i]))
-    return acc
+def _coord(q: int, flats, i: int):
+    return flats // q ** i % q
 
 
-def translate_flats(field: Field, d: int, v_flat: int) -> np.ndarray:
-    """Permutation array T with T[m] = flat(m + v) for all m."""
+def point_dot(field: Field, d: int, x, y):
+    """x.y for broadcastable arrays x and y of flat indices."""
     q = field.q
-    coords = all_coords(field, d)
-    v = flat_to_coords(q, d, v_flat)
-    acc = np.zeros(q ** d, dtype=np.int64)
-    for i in range(d):
-        acc += field.add_arrays(coords[:, i], v[i]).astype(np.int64) * q ** i
+    acc = field.mul_arrays(_coord(q, x, 0), _coord(q, y, 0))
+    for i in range(1, d):
+        acc = field.add_arrays(acc, field.mul_arrays(_coord(q, x, i), _coord(q, y, i)))
     return acc
 
 
-def scalar_mul_flats(field: Field, d: int, s: int) -> np.ndarray:
-    """Permutation array S with S[m] = flat(s * m) for all m (s a field scalar)."""
+def point_map(field: Field, d: int, op, x, y, *, scalar: bool = False):
+    """flat(op(x_i, y_i) for every coordinate i) for broadcastable arrays
+    x and y of flat indices, or flat(op(x_i, y)) for field elements y if
+    scalar: field.add_arrays gives x + y, field.mul_arrays gives y * x."""
     q = field.q
-    coords = all_coords(field, d)
-    acc = np.zeros(q ** d, dtype=np.int64)
-    for i in range(d):
-        acc += field.mul_arrays(s, coords[:, i]).astype(np.int64) * q ** i
-    return acc
+    out = op(_coord(q, x, 0), y if scalar else _coord(q, y, 0))
+    for i in range(1, d):
+        out = out + op(_coord(q, x, i), y if scalar else _coord(q, y, i)) * q ** i
+    return out
+
+
+def row_blocks(field: Field, rows: int, cols: int) -> list[slice]:
+    """Row slices of a rows x cols pair grid such that every pairwise array
+    over a block, at most n int64 base-p digits (Field.add_arrays) or one
+    complex128 per pair, stays under DENSE_BLOCK_BYTES; at least one row."""
+    step = max(1, DENSE_BLOCK_BYTES // (max(8 * field.n, 16) * max(cols, 1)))
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
 def char_matrix(field: Field) -> np.ndarray:
@@ -108,10 +117,6 @@ class SpectralFn:
         self.values = np.asarray(self.values, dtype=np.complex128)
         if self.values.shape != (self.field.q ** self.d,):
             raise ValueError("values must be a flat array of length q^d")
-
-    @classmethod
-    def zeros(cls, field: Field, d: int) -> "SpectralFn":
-        return cls(field, d, np.zeros(field.q ** d, dtype=np.complex128))
 
     @classmethod
     def constant(cls, field: Field, d: int, c: complex) -> "SpectralFn":
@@ -163,13 +168,12 @@ def fourier_forward_direct(f: SpectralFn) -> SpectralFn:
     size = q ** d
     if size * size > 8_000_000:
         raise ValueError("direct transform oracle restricted to small q^d")
-    coords = all_coords(field, d)
-    dots = np.zeros((size, size), dtype=np.int64)
-    for i in range(d):
-        dots = field.add_arrays(dots, field.mul_arrays(coords[:, i][:, None],
-                                                       coords[None, :, i]))
-    kernel = field.chi_arrays(field.neg_table[dots])
-    return SpectralFn(field, d, kernel @ f.values * q ** (-d))
+    flats = np.arange(size)
+    out = np.empty(size, dtype=np.complex128)
+    for rows in row_blocks(field, size, size):
+        dots = point_dot(field, d, flats[rows, None], flats)
+        out[rows] = field.chi_arrays(field.neg_table[dots]) @ f.values
+    return SpectralFn(field, d, out * q ** (-d))
 
 
 def plancherel_check(f: SpectralFn, g: SpectralFn) -> tuple[complex, complex]:
@@ -189,14 +193,18 @@ def plancherel_check(f: SpectralFn, g: SpectralFn) -> tuple[complex, complex]:
 def convolve_diff(f: SpectralFn, g: SpectralFn) -> SpectralFn:
     """Difference convolution (f*g)(m) = sum_{y - y' = m} f(y) g(y').
 
-    Computed in the time domain by looping over the support of g, so it
-    stays an independent check against the transform-side identity
-    Ghat = q^d |Ehat|^2 rather than being derived from it.
+    Computed in the time domain, as sum over y' in supp g of
+    g(y') f(m + y'), so it stays an independent check against the
+    transform-side identity Ghat = q^d |Ehat|^2 rather than being derived
+    from it.
     """
     field, d = f.field, f.d
-    out = np.zeros(f.size, dtype=np.complex128)
-    for y2 in np.nonzero(g.values)[0]:
-        out += g.values[y2] * f.values[translate_flats(field, d, int(y2))]
+    supp = np.flatnonzero(g.values)
+    flats = np.arange(f.size)
+    out = np.empty(f.size, dtype=np.complex128)
+    for rows in row_blocks(field, f.size, len(supp)):
+        shifted = point_map(field, d, field.add_arrays, flats[rows, None], supp)
+        out[rows] = f.values[shifted] @ g.values[supp]
     return SpectralFn(field, d, out)
 
 

@@ -211,7 +211,8 @@ class Field:
         self.generator = gen
 
         # Multiplication by the generator is F_p-linear; tabulate it once
-        # as a digit-matrix product, then walk the cyclic group.
+        # as a digit-matrix product, then walk the cyclic group by doubling:
+        # exp holds g^0..g^(k-1) and step is multiplication by g^k.
         gen_poly = _poly_trim([int(c) for c in self._digits[gen]])
         mat = np.zeros((n, n), dtype=np.int64)
         for j in range(n):
@@ -221,16 +222,19 @@ class Field:
                 mat[i, j] = c
         mul_by_gen = self._pack((self._digits @ mat.T) % p)
 
-        exp = np.empty(max(q - 1, 1), dtype=np.int64)
+        exp = np.ones(1, dtype=np.int64)
+        step = mul_by_gen
+        while len(exp) < q - 1:
+            exp = np.concatenate([exp, step[exp]])
+            step = step[step]
+        exp = exp[:max(q - 1, 1)]
         log = np.zeros(q, dtype=np.int64)
-        x = 1
-        for i in range(q - 1):
-            exp[i] = x
-            log[x] = i
-            x = int(mul_by_gen[x])
+        log[exp] = np.arange(len(exp))
         self.exp_table = exp
         self.log_table = log
-        if q > 1 and (x != 1 or len(np.unique(exp)) != q - 1):
+        # A repeated power would leave an earlier index unmatched in log.
+        distinct = np.array_equal(log[exp], np.arange(len(exp)))
+        if q > 1 and (mul_by_gen[exp[-1]] != 1 or not distinct):
             raise AssertionError("generator does not enumerate the unit group")
 
     def _build_mul_table(self) -> np.ndarray:
@@ -266,7 +270,7 @@ class Field:
         lin = (self._digits @ basis_traces) % self.p
         if not np.array_equal(lin, self.trace_table):
             raise AssertionError("trace table is not F_p-linear")
-        if len(np.unique(self.trace_table)) != self.p:
+        if np.count_nonzero(np.bincount(self.trace_table)) != self.p:
             raise AssertionError("trace is not surjective onto F_p")
 
     # -- scalar operations ---------------------------------------------

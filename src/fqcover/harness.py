@@ -50,7 +50,7 @@ from .fourier import (
     fourier_invert,
     plancherel_check,
 )
-from .gf import Field, make_field, subfield_indices
+from .gf import DEFAULT_SIZE_CAP, MUL_TABLE_MAX_Q, Field, make_field, subfield_indices
 from .incidence import (
     PointSet,
     hyperplane_hat_identity_check,
@@ -615,6 +615,12 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     if "bilinear" in spec.checks:
         extras["bilinear"] = _bilinear_campaign(field, d, spec.seed, spec.samples)
 
+    if not (sum(t["checked"] for t in report.tallies.values())
+            + len(extras.get("structured", ())) + extras.get("bilinear", {}).get("samples", 0)):
+        raise BadSpecError(f"checked nothing: no size in 1..{q} is above the cover "
+                           f"threshold at d={d} (give --sizes), and no structured "
+                           f"set or bilinear sample was checked")
+
     report.counterexamples = sorted(
         failures, key=lambda c: (c["size"], c.get("sample_index", -1), str(c)))
     report.extras = extras
@@ -634,11 +640,7 @@ def run_sharpness(spec: ExperimentSpec) -> RunReport:
 
     if field.n % 2 == 0:
         sub = sqrt_subfield(field)
-        closure_ok = True
-        for dd in range(1, 7):
-            if sumset_of_products(sub, dd) != sub:
-                closure_ok = False
-                break
+        closure_ok = all(sumset_of_products(sub, dd) == sub for dd in range(1, 7))
         covered, _ = covers_units(sumset_of_products(sub, d))
         extras["sqrt_subfield"] = {
             "size": sub.count,
@@ -750,9 +752,16 @@ def _merge_geometry_outcomes(report: RunReport, outcomes, checks) -> tuple:
 
 def run_geometry(spec: ExperimentSpec) -> RunReport:
     """Run the point-set checks.  With spec.csv set, also write the nu
-    profile of the sharpest case, with the origin stripped, as CSV."""
+    profile of the sharpest case, with the origin stripped, as CSV.  A space
+    whose q^d arrays or q x q character matrix pass the field layer's own
+    caps is refused before anything is built."""
+    q, d = spec.p ** spec.n, spec.d
+    if q ** d > DEFAULT_SIZE_CAP or q > MUL_TABLE_MAX_Q:
+        raise BudgetExceededError(
+            f"F_{q}^{d} needs {16 * q ** d} bytes per function on its {q ** d} points "
+            f"and {16 * q * q} for the q x q character matrix; the caps are "
+            f"{DEFAULT_SIZE_CAP} points and q <= {MUL_TABLE_MAX_Q}")
     field = get_field(spec.p, spec.n)
-    q, d = field.q, spec.d
     report = RunReport("geometry", spec.echo(), field.descriptor())
     checks = tuple(c for c in spec.checks if c in POINT_CHECKS) or POINT_CHECKS
     universe = q ** d
@@ -760,10 +769,8 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
     if spec.sizes is not None:
         sizes = _clip_sizes(spec.sizes, universe)
     elif spec.mode == "exhaustive":
-        lo = 1
-        while lo <= universe and lo ** 2 <= q ** (d + 1):
-            lo += 1
-        sizes = list(range(lo, universe + 1))
+        # From the least size with |E|^2 > q^{d+1}, the point cover threshold.
+        sizes = list(range(math.isqrt(q ** (d + 1)) + 1, universe + 1))
     else:
         sizes = list(range(1, min(universe, 100) + 1))
 

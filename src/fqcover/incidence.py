@@ -18,11 +18,11 @@ import numpy as np
 
 from .fourier import (
     SpectralFn,
-    all_coords,
     char_matrix,
-    dots_with_all,
     fourier_forward,
-    scalar_mul_flats,
+    point_dot,
+    point_map,
+    row_blocks,
 )
 from .gf import Field
 
@@ -88,27 +88,19 @@ class PointSet:
         """The line {t*y : t in F_q} through the origin and y != 0."""
         if y_flat == 0:
             raise ZeroDirectionError("line through the zero direction is undefined")
-        q = field.q
-        ycoords = all_coords(field, d)[y_flat]
-        t = np.arange(q, dtype=np.int64)
-        flats = np.zeros(q, dtype=np.int64)
-        for i in range(d):
-            flats += field.mul_arrays(t, int(ycoords[i])).astype(np.int64) * q ** i
-        return cls.from_flat(field, d, flats)
+        t = np.arange(field.q)
+        return cls.from_flat(field, d, point_map(field, d, field.mul_arrays, y_flat, t,
+                                                 scalar=True))
 
     @classmethod
     def perp_hyperplane(cls, field: Field, d: int, m_flat: int) -> "PointSet":
         """The hyperplane {x : x.m = 0} for m != 0."""
         if m_flat == 0:
             raise ZeroDirectionError("hyperplane normal must be nonzero")
-        coords = all_coords(field, d)
-        return cls(field, d, dots_with_all(field, d, coords[m_flat]) == 0)
+        return cls(field, d, point_dot(field, d, np.arange(field.q ** d), m_flat) == 0)
 
     def flat_indices(self) -> np.ndarray:
         return np.nonzero(self.bits)[0]
-
-    def support_coords(self) -> np.ndarray:
-        return all_coords(self.field, self.d)[self.flat_indices()]
 
     @property
     def contains_origin(self) -> bool:
@@ -156,9 +148,6 @@ class NuProfile:
         """q*nu(t) - |E|^2, the remainder R(t) scaled by q (exact integer)."""
         return self.q * int(self.counts[t]) - self.set_size ** 2
 
-    def r_numerators(self) -> list[int]:
-        return [self.r_numerator(t) for t in range(self.q)]
-
     def write_csv(self, fileobj) -> None:
         writer = csv.writer(fileobj)
         writer.writerow(["t_index", "nu", "r_numerator"])
@@ -175,12 +164,10 @@ def nu_bruteforce(e: PointSet) -> NuProfile:
     """Exact nu by direct enumeration of all ordered pairs."""
     field = e.field
     counts = np.zeros(field.q, dtype=np.int64)
-    support = e.support_coords()
-    for x in support:
-        dots = np.zeros(len(support), dtype=np.int64)
-        for i in range(e.d):
-            dots = field.add_arrays(dots, field.mul_arrays(x[i], support[:, i]))
-        counts += np.bincount(dots, minlength=field.q)
+    flats = e.flat_indices()
+    for rows in row_blocks(field, len(flats), len(flats)):
+        dots = point_dot(field, e.d, flats[rows, None], flats)
+        counts += np.bincount(dots.ravel(), minlength=field.q)
     return NuProfile(field.q, e.count, counts)
 
 
@@ -198,14 +185,12 @@ def nu_spectral(e: PointSet) -> NuProfile:
     if e.count == 0:
         return NuProfile(q, 0, np.zeros(q, dtype=np.int64))
     ehat = fourier_forward(e.indicator()).values
-    support = e.support_coords()
+    flats = e.flat_indices()
     s_sums = np.empty(q, dtype=np.complex128)
-    for s in range(q):
-        ms = field.neg(s)
-        flats = np.zeros(len(support), dtype=np.int64)
-        for i in range(d):
-            flats += field.mul_arrays(ms, support[:, i]).astype(np.int64) * q ** i
-        s_sums[s] = q ** d * ehat[flats].sum()
+    for rows in row_blocks(field, q, len(flats)):
+        scaled = point_map(field, d, field.mul_arrays, flats,
+                           field.neg_table[rows, None], scalar=True)
+        s_sums[rows] = q ** d * ehat[scaled].sum(axis=1)
     nu_c = char_matrix(field) @ s_sums / q
     counts_f = nu_c.real
     counts = np.rint(counts_f).astype(np.int64)
@@ -216,7 +201,7 @@ def nu_spectral(e: PointSet) -> NuProfile:
                                     f"(defect {defect:.3g}, imag {imag:.3g})")
     if int(counts.sum()) != e.count ** 2:
         raise SpectralMismatchError("spectral counts do not sum to |E|^2")
-    if len(support) <= 300:
+    if e.count <= 300:
         t_star = int(np.argmax(counts))
         direct = int(nu_bruteforce(e).counts[t_star])
         if direct != int(counts[t_star]):
@@ -226,8 +211,10 @@ def nu_spectral(e: PointSet) -> NuProfile:
 
 
 def nu(e: PointSet) -> NuProfile:
-    # Brute force wins until the pair count gets genuinely large.
-    if e.count ** 2 <= 10 ** 8:
+    # Per coordinate, brute force does |E|^2 pair steps and the transform
+    # q^{d+1} multiply-adds, measured at about 40 times cheaper each (table
+    # in CHANGES.md).  Up to 300 points nu_spectral recounts by brute force.
+    if e.count <= 300 or 40 * e.count ** 2 <= e.field.q ** (e.d + 1):
         return nu_bruteforce(e)
     return nu_spectral(e)
 
@@ -279,11 +266,11 @@ def rotating_planes_apply(f: SpectralFn, t: int) -> SpectralFn:
     otherwise.
     """
     field, d = f.field, f.d
-    coords = all_coords(field, d)
-    out = np.zeros(f.size, dtype=np.complex128)
-    for x in range(f.size):
-        dots = dots_with_all(field, d, coords[x])
-        out[x] = f.values[dots == t].sum()
+    flats = np.arange(f.size)
+    out = np.empty(f.size, dtype=np.complex128)
+    for rows in row_blocks(field, f.size, f.size):
+        dots = point_dot(field, d, flats[rows, None], flats)
+        out[rows] = np.where(dots == t, f.values, 0).sum(axis=1)
     return SpectralFn(field, d, out)
 
 
@@ -301,9 +288,12 @@ def line_counts_all(e: PointSet) -> np.ndarray:
     membership); callers must ignore it.
     """
     field, d, q = e.field, e.d, e.field.q
-    counts = np.zeros(q ** d, dtype=np.int64)
-    for t in range(q):
-        counts += e.bits[scalar_mul_flats(field, d, t)]
+    flats = np.arange(q ** d)
+    t = np.arange(q)
+    counts = np.empty(q ** d, dtype=np.int64)
+    for rows in row_blocks(field, q ** d, q):
+        scaled = point_map(field, d, field.mul_arrays, flats[rows, None], t, scalar=True)
+        counts[rows] = e.bits[scaled].sum(axis=1)
     return counts
 
 
@@ -323,9 +313,10 @@ def max_line_intersection(e: PointSet) -> tuple[int, int | None]:
 def hyperplane_sum(e: PointSet) -> SpectralFn:
     """F(m) = #{x in E : x.m = 0}; F(0) = |E|."""
     field, d = e.field, e.d
-    out = np.zeros(field.q ** d, dtype=np.float64)
-    for x in e.support_coords():
-        out += dots_with_all(field, d, x) == 0
+    flats, points = e.flat_indices(), np.arange(field.q ** d)
+    out = np.empty(field.q ** d, dtype=np.float64)
+    for rows in row_blocks(field, len(points), len(flats)):
+        out[rows] = (point_dot(field, d, points[rows, None], flats) == 0).sum(axis=1)
     return SpectralFn.from_real(field, d, out)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fqcover.gf as gf
 from fqcover.gf import (
     DegreeOutOfRangeError,
     FieldTooLargeError,
@@ -319,6 +320,35 @@ def test_generator_is_least_with_full_order(p, n):
     assert order(g) == field.q - 1
     for smaller in range(1, g):
         assert order(smaller) < field.q - 1
+
+
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (3, 2), (5, 2), (2, 5),
+                                 (7, 3), (3, 5)])
+def test_exp_and_log_tables_walk_the_generator(p, n):
+    # oracle: polynomial multiplication by the generator, not the tables
+    field = make_field(p, n)
+    modulus = list(field.modulus)
+
+    def poly(a):
+        return gf._poly_trim([(a // p ** i) % p for i in range(n)])
+
+    def index(coeffs):
+        return sum(c * p ** i for i, c in enumerate(coeffs))
+
+    x = [1]
+    for i in range(field.q - 1):
+        assert field.exp_table[i] == index(x) and field.log_table[index(x)] == i
+        x = gf._poly_mulmod(x, poly(field.generator), modulus, p)
+    assert x == [1]
+    assert len(field.exp_table) == field.q - 1
+
+
+def test_unit_group_walk_refuses_a_non_generator(monkeypatch):
+    # With no prime factors to test, the generator search settles on 1,
+    # whose powers repeat.
+    monkeypatch.setattr(gf, "_prime_factors", lambda m: [])
+    with pytest.raises(AssertionError, match="unit group"):
+        make_field(5, 1)
 
 
 def test_subfield_indices():

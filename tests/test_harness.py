@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -388,6 +389,7 @@ def test_cli_cover_exhaustive_vacuous_size_range_exit_3():
     ("cover-sample", "--p", "7", "--samples", "0"),
     ("geometry", "--p", "5", "--d", "2", "--sizes", "1..3", "--checks", "cover"),
     ("cover-exhaustive", "--p", "5", "--d", "1"),
+    ("cover-sample", "--p", "5", "--d", "1"),
 ])
 def test_cli_refuses_runs_that_check_nothing(args):
     res = run_cli(*args)
@@ -407,6 +409,34 @@ def test_cli_structured_roster_runs_without_samples(args):
     assert report["status"] == "ok"
     assert report["extras"].get("structured") or any(
         t["checked"] for t in report["tallies"].values())
+
+
+@pytest.mark.parametrize("extra,checked", [
+    (("--structured",), "structured"),
+    (("--checks", "bilinear", "--samples", "3"), "bilinear"),
+])
+def test_cover_sample_below_threshold_runs_when_it_checks_sets(extra, checked):
+    res = run_cli("cover-sample", "--p", "5", "--d", "1", *extra)
+    assert res.returncode == 0, res.stderr
+    report = json.loads(res.stdout)
+    assert report["tallies"] == {} and report["extras"][checked]
+
+
+@pytest.mark.parametrize("d", ["2", "1"])
+def test_geometry_refuses_an_oversized_space_before_allocating(monkeypatch, capsys, d):
+    def build(*args):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr(harness, "get_field", build)
+    tracemalloc.start()
+    try:
+        code = cli.main(["geometry", "--p", "2", "--n", "20", "--d", d])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert peak < 1 << 20
+    # The needed size: q^d complex values at d = 2, the q x q matrix at both.
+    assert f"{16 * 2 ** 40}" in capsys.readouterr().err
 
 
 def test_cover_exhaustive_refuses_no_threshold_size_before_the_scan(monkeypatch):

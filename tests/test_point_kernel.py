@@ -1,0 +1,177 @@
+"""The blocked point kernel of `fourier` and the incidence counts built on it.
+
+Every blocked count is compared with a Python-integer oracle built from the
+scalar `field.add` and `field.mul`, with the byte cap patched down so that
+each kernel runs in many one-row blocks.  q = 4, 5 and 9 cover the XOR,
+prime and base-p digit paths of `Field.add_arrays`.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import fqcover.fourier as fourier
+import fqcover.incidence as incidence
+from fqcover.fourier import (
+    DENSE_BLOCK_BYTES,
+    SpectralFn,
+    convolve_diff,
+    coords_to_flat,
+    dot,
+    flat_to_coords,
+    point_dot,
+    point_map,
+    row_blocks,
+)
+from fqcover.harness import get_field, stream
+from fqcover.incidence import (
+    PointSet,
+    hyperplane_sum,
+    line_counts_all,
+    nu,
+    nu_bruteforce,
+    nu_spectral,
+    rotating_planes_apply,
+)
+
+SPACES = [(2, 2, 2), (2, 2, 3), (5, 1, 2), (5, 1, 3), (3, 2, 2), (3, 2, 3)]
+
+
+def random_flats(q, d, size, trial):
+    return np.sort(stream(77, trial, size, 5).choice(q ** d, size, replace=False))
+
+
+def scale(field, d, s, flat):
+    q = field.q
+    return coords_to_flat(q, [field.mul(s, c) for c in flat_to_coords(q, d, flat)])
+
+
+def translate(field, d, x, y):
+    q = field.q
+    return coords_to_flat(q, [field.add(a, b) for a, b in
+                              zip(flat_to_coords(q, d, x), flat_to_coords(q, d, y))])
+
+
+def fdot(field, d, x, y):
+    return dot(field, flat_to_coords(field.q, d, x), flat_to_coords(field.q, d, y))
+
+
+@pytest.fixture
+def one_row_blocks(monkeypatch):
+    monkeypatch.setattr(fourier, "DENSE_BLOCK_BYTES", 1)
+    assert row_blocks(get_field(5, 1), 7, 3) == [slice(i, i + 1) for i in range(7)]
+
+
+@pytest.mark.parametrize("p,n,d", SPACES)
+def test_kernel_matches_scalar_field_ops(p, n, d):
+    field = get_field(p, n)
+    q = field.q
+    x = random_flats(q, d, 12, 0)
+    y = random_flats(q, d, 9, 1)
+    s = np.arange(q)
+    dots = point_dot(field, d, x[:, None], y)
+    sums = point_map(field, d, field.add_arrays, x[:, None], y)
+    scaled = point_map(field, d, field.mul_arrays, x[:, None], s, scalar=True)
+    for i, a in enumerate(x.tolist()):
+        assert dots[i].tolist() == [fdot(field, d, a, b) for b in y.tolist()]
+        assert sums[i].tolist() == [translate(field, d, a, b) for b in y.tolist()]
+        assert scaled[i].tolist() == [scale(field, d, t, a) for t in range(q)]
+
+
+@pytest.mark.parametrize("p,n,d", SPACES)
+def test_blocked_counts_match_integer_oracles(one_row_blocks, p, n, d):
+    field = get_field(p, n)
+    q, size = field.q, field.q ** d
+    flats = random_flats(q, d, min(size // 3, 40), 2).tolist()
+    e = PointSet.from_flat(field, d, flats)
+
+    nu_ref = [0] * q
+    for x in flats:
+        for y in flats:
+            nu_ref[fdot(field, d, x, y)] += 1
+    assert nu_bruteforce(e).counts.tolist() == nu_ref
+    # nu_spectral's s-sums run through the kernel in one-row blocks too.
+    assert nu_spectral(e).counts.tolist() == nu_ref
+
+    assert hyperplane_sum(e).values.real.tolist() == [
+        sum(fdot(field, d, x, m) == 0 for x in flats) for m in range(size)]
+    assert line_counts_all(e).tolist() == [
+        sum(e.bits[scale(field, d, t, k)] for t in range(q)) for k in range(size)]
+
+    rng = stream(78, q, d, 6)
+    f_vals = rng.integers(-3, 4, size)
+    g_vals = np.where(e.bits, rng.integers(1, 4, size), 0)
+    got = convolve_diff(SpectralFn.from_real(field, d, f_vals),
+                        SpectralFn.from_real(field, d, g_vals)).values
+    want = [sum(int(g_vals[y]) * int(f_vals[translate(field, d, m, y)]) for y in flats)
+            for m in range(size)]
+    assert got.real.tolist() == want and not got.imag.any()
+
+
+@pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (3, 2)])
+def test_blocked_rotating_planes_match_oracle(one_row_blocks, p, n):
+    field = get_field(p, n)
+    size = field.q ** 2
+    vals = stream(79, p, n, 6).integers(-3, 4, size)
+    for t in (0, 1):
+        got = rotating_planes_apply(SpectralFn.from_real(field, 2, vals), t).values
+        assert got.real.tolist() == [
+            sum(int(vals[y]) for y in range(size) if fdot(field, 2, x, y) == t)
+            for x in range(size)]
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 2)])
+def test_kernel_calls_do_not_grow_with_the_set(monkeypatch, p, n, d):
+    """One block: d multiplications whatever the number of points."""
+    field = get_field(p, n)
+    calls = []
+    mul = type(field).mul_arrays
+    monkeypatch.setattr(type(field), "mul_arrays",
+                        lambda self, a, b: calls.append(1) or mul(self, a, b))
+    for size in (5, 40):
+        e = PointSet.from_flat(field, d, random_flats(field.q, d, size, 3))
+        for fn in (nu_bruteforce, hyperplane_sum, line_counts_all):
+            calls.clear()
+            fn(e)
+            assert len(calls) == d, fn.__name__
+
+
+@pytest.mark.parametrize("fn", [nu_bruteforce, hyperplane_sum])
+def test_blocked_kernel_peak_memory_stays_near_the_cap(fn):
+    field = get_field(101, 1)
+    e = PointSet.from_flat(field, 2, random_flats(101, 2, 2000, 4))
+    fn(e)  # warm the field's caches
+    tracemalloc.start()
+    try:
+        fn(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One unblocked 2000 x 2000 int64 array alone would be 32 MB, 122 caps.
+    assert peak <= 4 * DENSE_BLOCK_BYTES
+
+
+def test_point_constructors_match_oracles():
+    field = get_field(3, 2)
+    q = field.q
+    line = PointSet.line(field, 3, 10)
+    assert set(line.flat_indices().tolist()) == {scale(field, 3, t, 10) for t in range(q)}
+    plane = PointSet.perp_hyperplane(field, 3, 10)
+    assert plane.flat_indices().tolist() == [
+        m for m in range(q ** 3) if fdot(field, 3, m, 10) == 0]
+
+
+@pytest.mark.parametrize("p,n,d,size,spectral", [
+    (101, 1, 2, 300, False),     # nu_spectral would recount by brute force
+    (101, 1, 2, 301, True),
+    (7, 1, 3, 301, True),
+    (101, 1, 3, 1600, False),    # 40 |E|^2 <= q^{d+1}
+    (101, 1, 3, 1700, True),
+])
+def test_nu_crossover(monkeypatch, p, n, d, size, spectral):
+    field = get_field(p, n)
+    monkeypatch.setattr(incidence, "nu_bruteforce", lambda e: "brute")
+    monkeypatch.setattr(incidence, "nu_spectral", lambda e: "spectral")
+    e = PointSet.from_flat(field, d, np.arange(size))
+    assert nu(e) == ("spectral" if spectral else "brute")
