@@ -8,7 +8,7 @@ with integer arithmetic wherever a theorem is being tested.
 
 __version__ = "0.1.0"
 
-from .gf import Field, make_field, multiplicative_generator  # noqa: F401
+from .gf import Field, make_field  # noqa: F401
 from .fourier import (  # noqa: F401
     SpectralFn,
     convolve_diff,

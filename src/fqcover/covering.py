@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fourier import DENSE_BLOCK_BYTES
+from .fourier import DENSE_BLOCK_BYTES, row_blocks
 from .gf import Field, sqrt_subfield_indices
 from .incidence import PointSet, OriginInSetError, max_line_intersection
 
@@ -84,12 +84,13 @@ class ScalarSet:
 
 
 def _image(a: ScalarSet, b: ScalarSet, op) -> ScalarSet:
-    """{op(x, y) : x in A, y in B} for an elementwise field operation op."""
+    """{op(x, y) : x in A, y in B} for an elementwise field operation op,
+    in row blocks of A x B."""
     field = a.field
     sa, sb = a.indices(), b.indices()
     bits = np.zeros(field.q, dtype=bool)
-    if len(sa) and len(sb):
-        bits[op(sa[:, None], sb[None, :]).reshape(-1)] = True
+    for rows in row_blocks(len(sa), len(sb)):
+        bits[op(sa[rows, None], sb[None, :])] = True
     return ScalarSet(field, bits)
 
 
@@ -121,11 +122,6 @@ def iterated_sumset(s: ScalarSet, d: int) -> ScalarSet:
 def sumset_of_products(a: ScalarSet, d: int) -> ScalarSet:
     """The d-fold sumset of the product set: A*A + ... + A*A (d times)."""
     return iterated_sumset(product_set(a), d)
-
-
-def dilate(s: ScalarSet, c: int) -> ScalarSet:
-    """{c * x : x in S}."""
-    return ScalarSet.from_indices(s.field, s.field.mul_arrays(c, s.indices()))
 
 
 def dot_product_set(e: PointSet) -> ScalarSet:
@@ -212,9 +208,9 @@ def dense_block_rows(field: Field, k: int, d: int) -> int:
     # Bytes per row: the products (int64) and the index buffers numpy
     # fills to compute them, the row offsets, the presence and count rows,
     # and the gathered q x q slice.  Fixed: 4 KiB of small arrays, and the
-    # q x q difference table with the temporaries of add_arrays.
+    # int64 q x q difference table with one int64 temporary of add_arrays.
     row = 16 * k * k + 64 + 3 * q + (q * q if d > 1 else 0)
-    fixed = 4096 + (8 * q * q * (2 * field.n + 1) if d > 1 else 0)
+    fixed = 4096 + (16 * q * q if d > 1 else 0)
     return max(0, (DENSE_BLOCK_BYTES - fixed) // row)
 
 

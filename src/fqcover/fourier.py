@@ -88,11 +88,11 @@ def point_map(field: Field, d: int, op, x, y, *, scalar: bool = False):
     return out
 
 
-def row_blocks(field: Field, rows: int, cols: int) -> list[slice]:
+def row_blocks(rows: int, cols: int) -> list[slice]:
     """Row slices of a rows x cols pair grid such that every pairwise array
-    over a block, at most n int64 base-p digits (Field.add_arrays) or one
-    complex128 per pair, stays under DENSE_BLOCK_BYTES; at least one row."""
-    step = max(1, DENSE_BLOCK_BYTES // (max(8 * field.n, 16) * max(cols, 1)))
+    over a block, of int64 element indices or complex128 values, stays
+    under DENSE_BLOCK_BYTES; at least one row."""
+    step = max(1, DENSE_BLOCK_BYTES // (16 * max(cols, 1)))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
@@ -123,23 +123,12 @@ class SpectralFn:
         return cls(field, d, np.full(field.q ** d, c, dtype=np.complex128))
 
     @classmethod
-    def delta(cls, field: Field, d: int, flat: int) -> "SpectralFn":
-        v = np.zeros(field.q ** d, dtype=np.complex128)
-        v[flat] = 1.0
-        return cls(field, d, v)
-
-    @classmethod
     def from_real(cls, field: Field, d: int, real_values) -> "SpectralFn":
         return cls(field, d, np.asarray(real_values, dtype=np.complex128))
 
     @property
     def size(self) -> int:
         return self.values.shape[0]
-
-    def dump_lines(self) -> list[str]:
-        """Debug dump, one 'flat_index re im' line per point."""
-        return [f"{i} {float(v.real)!r} {float(v.imag)!r}"
-                for i, v in enumerate(self.values)]
 
 
 def _transform(f: SpectralFn, w: np.ndarray, scale) -> SpectralFn:
@@ -170,7 +159,7 @@ def fourier_forward_direct(f: SpectralFn) -> SpectralFn:
         raise ValueError("direct transform oracle restricted to small q^d")
     flats = np.arange(size)
     out = np.empty(size, dtype=np.complex128)
-    for rows in row_blocks(field, size, size):
+    for rows in row_blocks(size, size):
         dots = point_dot(field, d, flats[rows, None], flats)
         out[rows] = field.chi_arrays(field.neg_table[dots]) @ f.values
     return SpectralFn(field, d, out * q ** (-d))
@@ -202,7 +191,7 @@ def convolve_diff(f: SpectralFn, g: SpectralFn) -> SpectralFn:
     supp = np.flatnonzero(g.values)
     flats = np.arange(f.size)
     out = np.empty(f.size, dtype=np.complex128)
-    for rows in row_blocks(field, f.size, len(supp)):
+    for rows in row_blocks(f.size, len(supp)):
         shifted = point_map(field, d, field.add_arrays, flats[rows, None], supp)
         out[rows] = f.values[shifted] @ g.values[supp]
     return SpectralFn(field, d, out)

@@ -147,7 +147,8 @@ def _least_irreducible(p: int, n: int) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 
 class Field:
-    """A fully tabulated finite field GF(p^n).
+    """A finite field GF(p^n): fully tabulated up to MUL_TABLE_MAX_Q
+    elements, logarithmic above it.
 
     Immutable after construction; every method is a pure read, so a
     single instance may be shared freely across threads and workers.
@@ -160,27 +161,15 @@ class Field:
         self.modulus = tuple(int(c) % p for c in modulus)
         q = self.q
 
-        # Base-p digit matrix: digits[a, i] = coefficient c_i of element a.
-        dig = np.empty((q, n), dtype=np.int64)
-        rem = np.arange(q, dtype=np.int64)
-        for i in range(n):
-            rem, dig[:, i] = np.divmod(rem, p)
-        self._digits = dig
-        self._p_pows = p ** np.arange(n, dtype=np.int64)
-
-        self.neg_table = self._pack((p - dig) % p)
-
         self._build_log_tables()
-        self.mul_table = None
-        if q <= MUL_TABLE_MAX_Q:
-            self.mul_table = self._build_mul_table()
+        self.mul_table = self._build_mul_table() if q <= MUL_TABLE_MAX_Q else None
 
-        inv = np.zeros(q, dtype=np.int64)
-        if q > 1:
-            nz = np.arange(1, q)
-            inv[1:] = self.exp_table[(self.q - 1 - self.log_table[nz]) % (q - 1)]
-        self.inv_table = inv
+        a = np.arange(q, dtype=np.int64)
+        # The element with index p - 1 is the constant p - 1, that is -1.
+        self.neg_table = self.mul_arrays(p - 1, a)
+        self.inv_table = np.where(a == 0, 0, self.exp_table[-self.log_table % (q - 1)])
 
+        self._build_addition()
         self._build_trace_and_char()
         self._validate()
 
@@ -189,8 +178,34 @@ class Field:
 
     # -- construction internals ---------------------------------------
 
-    def _pack(self, digit_rows: np.ndarray) -> np.ndarray:
-        return digit_rows @ self._p_pows
+    def _poly(self, a: int) -> list[int]:
+        """Coefficient list of the element with index a."""
+        return _poly_trim([a // self.p ** i % self.p for i in range(self.n)])
+
+    def _index(self, poly: list[int]) -> int:
+        return sum(c * self.p ** i for i, c in enumerate(poly))
+
+    def _linear_table(self, images: list[int]) -> np.ndarray:
+        """Table of the F_p-linear map that sends digit i of a packed index
+        sum_i c_i p^i (len(images) digits) to images[i], an element index.
+
+        Digit j of the image is the linear form sum_i c_i * (digit j of
+        images[i]) mod p, tabulated by place-value doubling: each input
+        digit multiplies the table length by p.  Forms are computed in the
+        narrowest unsigned dtype that holds 2p, the table in the narrowest
+        that holds q; callers cast as they need.
+        """
+        p = self.p
+        table = np.zeros(p ** len(images), dtype=np.min_scalar_type(self.q))
+        for j in range(self.n):
+            coeffs = [img // p ** j % p for img in images]
+            if any(coeffs):
+                form = np.zeros(1, dtype=np.min_scalar_type(2 * p))
+                for c in coeffs:
+                    shift = (np.arange(p) * c % p).astype(form.dtype)
+                    form = ((shift[:, None] + form) % p).reshape(-1)
+                table += np.multiply(form, p ** j, dtype=table.dtype)
+        return table
 
     def _build_log_tables(self) -> None:
         p, n, q = self.p, self.n, self.q
@@ -201,86 +216,94 @@ class Field:
         factors = _prime_factors(q - 1) if q > 2 else []
         gen = 1
         for cand in range(1, q):
-            poly = [int(c) for c in self._digits[cand]]
-            poly = _poly_trim(poly)
-            if not poly:
-                continue
+            poly = self._poly(cand)
             if all(_poly_powmod(poly, (q - 1) // ell, mod, p) != [1] for ell in factors):
                 gen = cand
                 break
         self.generator = gen
 
         # Multiplication by the generator is F_p-linear; tabulate it once
-        # as a digit-matrix product, then walk the cyclic group by doubling:
-        # exp holds g^0..g^(k-1) and step is multiplication by g^k.
-        gen_poly = _poly_trim([int(c) for c in self._digits[gen]])
-        mat = np.zeros((n, n), dtype=np.int64)
-        for j in range(n):
-            basis = [0] * j + [1]
-            img = _poly_mulmod(basis, gen_poly, mod, p)
-            for i, c in enumerate(img):
-                mat[i, j] = c
-        mul_by_gen = self._pack((self._digits @ mat.T) % p)
+        # from the images of the basis x^j, then walk the cyclic group by
+        # doubling: exp holds g^0..g^(k-1) and step is multiplication by g^k.
+        gen_poly = self._poly(gen)
+        mul_by_gen = self._linear_table(
+            [self._index(_poly_mulmod([0] * j + [1], gen_poly, mod, p)) for j in range(n)])
 
-        exp = np.ones(1, dtype=np.int64)
+        exp = np.ones(1, dtype=mul_by_gen.dtype)
         step = mul_by_gen
         while len(exp) < q - 1:
             exp = np.concatenate([exp, step[exp]])
             step = step[step]
-        exp = exp[:max(q - 1, 1)]
+        exp = exp[:q - 1].astype(np.int64)
         log = np.zeros(q, dtype=np.int64)
         log[exp] = np.arange(len(exp))
         self.exp_table = exp
         self.log_table = log
         # A repeated power would leave an earlier index unmatched in log.
         distinct = np.array_equal(log[exp], np.arange(len(exp)))
-        if q > 1 and (mul_by_gen[exp[-1]] != 1 or not distinct):
+        if mul_by_gen[exp[-1]] != 1 or not distinct:
             raise AssertionError("generator does not enumerate the unit group")
 
     def _build_mul_table(self) -> np.ndarray:
         q = self.q
         table = np.zeros((q, q), dtype=np.int64)
-        if q > 1:
-            nz = np.arange(1, q)
-            lg = self.log_table[nz]
-            table[1:, 1:] = self.exp_table[(lg[:, None] + lg[None, :]) % (q - 1)]
+        lg = self.log_table[1:]
+        table[1:, 1:] = self.exp_table[(lg[:, None] + lg[None, :]) % (q - 1)]
         return table
 
-    def _build_trace_and_char(self) -> None:
+    def _build_addition(self) -> None:
+        """For odd p and n > 1: a q x q add table up to MUL_TABLE_MAX_Q,
+        Zech logarithms above it.  Otherwise addition is mod p or XOR."""
         p, n, q = self.p, self.n, self.q
-        tr = np.zeros(q, dtype=np.int64)
-        cur = np.arange(q, dtype=np.int64)
-        for _ in range(n):
-            tr = self.add_arrays(tr, cur)
-            cur = self.pow_arrays(cur, p)
-        if n > 1 and np.any(self._digits[tr, 1:]):
-            raise AssertionError("trace values escaped the prime subfield")
-        self.trace_table = tr
-        self.char_table = np.exp(2j * np.pi * np.arange(p) / p)
+        self.add_table = self.zech_table = None
+        if n == 1 or p == 2:
+            return
+        if q <= MUL_TABLE_MAX_Q:
+            # Addition is F_p-linear in the pair index a + q*b, whose 2n
+            # digits are those of a followed by those of b.
+            self.add_table = self._linear_table([p ** i for i in range(n)] * 2).reshape(q, q)
+        else:
+            # zech[k] = log(1 + g^k); adding 1 steps the constant digit.
+            e = self.exp_table
+            self.zech_table = self.log_table[e - e % p + (e + 1) % p]
+            self.zech_table[(q - 1) // 2] = -1  # 1 + g^((q-1)/2) = 1 - 1 = 0
+
+    def _frobenius_trace(self, a: np.ndarray) -> np.ndarray:
+        """a + a^p + ... + a^(p^(n-1)) in field arithmetic."""
+        tr = np.zeros_like(a)
+        for _ in range(self.n):
+            tr = self.add_arrays(tr, a)
+            a = self.pow_arrays(a, self.p)
+        return tr
+
+    def _build_trace_and_char(self) -> None:
+        # The trace is F_p-linear: tabulate it from the traces of the basis.
+        basis = self.p ** np.arange(self.n, dtype=np.int64)
+        traces = self._frobenius_trace(basis).tolist()
+        self.trace_table = self._linear_table(traces).astype(np.int64)
+        self.char_table = np.exp(2j * np.pi * np.arange(self.p) / self.p)
 
     def _validate(self) -> None:
         q = self.q
-        if q > 1:
-            nz = np.arange(1, q)
-            if not np.all(self.mul_arrays(nz, self.inv_table[nz]) == 1):
-                raise AssertionError("inverse table failed a*inv(a) == 1")
-        # Trace is F_p-linear iff it agrees with the linear form spanned by
-        # the basis traces; that plus a surjectivity scan checks every element.
-        basis_traces = self.trace_table[self._p_pows]
-        lin = (self._digits @ basis_traces) % self.p
-        if not np.array_equal(lin, self.trace_table):
-            raise AssertionError("trace table is not F_p-linear")
-        if np.count_nonzero(np.bincount(self.trace_table)) != self.p:
+        nz = np.arange(1, q)
+        if not np.all(self.mul_arrays(nz, self.inv_table[nz]) == 1):
+            raise AssertionError("inverse table failed a*inv(a) == 1")
+        # The trace table is linear by construction; check it against the
+        # Frobenius sum on every element, or on a fixed sample above
+        # MUL_TABLE_MAX_Q.
+        a = np.arange(q, dtype=np.int64)
+        if q > MUL_TABLE_MAX_Q:
+            a = np.random.default_rng(0).integers(0, q, MUL_TABLE_MAX_Q)
+        if not np.array_equal(self._frobenius_trace(a), self.trace_table[a]):
+            raise AssertionError("trace table disagrees with the Frobenius sum")
+        counts = np.bincount(self.trace_table)
+        if len(counts) != self.p or not counts.all():
             raise AssertionError("trace is not surjective onto F_p")
 
     # -- scalar operations ---------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.n == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return int(self._pack((self._digits[a] + self._digits[b]) % self.p))
+        return int(self.add_arrays(a, b))
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, int(self.neg_table[b]))
@@ -289,11 +312,7 @@ class Field:
         return int(self.neg_table[a])
 
     def mul(self, a: int, b: int) -> int:
-        if self.mul_table is not None:
-            return int(self.mul_table[a, b])
-        if a == 0 or b == 0:
-            return 0
-        return int(self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)])
+        return int(self.mul_arrays(a, b))
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -301,11 +320,7 @@ class Field:
         return int(self.inv_table[a])
 
     def pow(self, a: int, e: int) -> int:
-        if e == 0:
-            return 1
-        if a == 0:
-            return 0
-        return int(self.exp_table[(self.log_table[a] * e) % (self.q - 1)])
+        return int(self.pow_arrays(a, e))
 
     def trace(self, a: int) -> int:
         return int(self.trace_table[a])
@@ -321,8 +336,14 @@ class Field:
             return (np.asarray(a) + np.asarray(b)) % self.p
         if self.p == 2:
             return np.bitwise_xor(a, b)
-        da = (self._digits[a] + self._digits[b]) % self.p
-        return da @ self._p_pows
+        if self.add_table is not None:
+            return self.add_table[a, b].astype(np.int64)
+        # g^i + g^j = g^(i + zech[j - i]) for units.
+        a, b = np.asarray(a), np.asarray(b)
+        la = self.log_table[a]
+        z = self.zech_table[(self.log_table[b] - la) % (self.q - 1)]
+        out = np.where(z < 0, 0, self.exp_table[(la + z) % (self.q - 1)])
+        return np.where(a == 0, b, np.where(b == 0, a, out))
 
     def mul_arrays(self, a, b):
         if self.mul_table is not None:
@@ -374,11 +395,6 @@ def make_field(p: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP,
     else:
         modulus = _least_irreducible(p, n)
     return Field(p, n, modulus)
-
-
-def multiplicative_generator(field: Field) -> int:
-    """Least-index element of multiplicative order q-1."""
-    return field.generator
 
 
 def subfield_indices(field: Field, m: int) -> np.ndarray:

@@ -226,8 +226,8 @@ def _divisors(m: int) -> list[int]:
 
 def structured_scalar_sets(field: Field) -> list[tuple[str, ScalarSet]]:
     """Deterministic roster of structured A: subfields, multiplicative
-    subgroups, generator-power prefixes."""
-    q, g = field.q, field.generator
+    subgroups, generator-power prefixes.  exp_table[k] is g^k."""
+    q = field.q
     out: list[tuple[str, ScalarSet]] = []
     for m in range(1, field.n):
         if field.n % m == 0:
@@ -236,11 +236,11 @@ def structured_scalar_sets(field: Field) -> list[tuple[str, ScalarSet]]:
     if q > 2:
         for h in _divisors(q - 1):
             if 1 < h < q - 1:
-                elems = [field.pow(g, k * (q - 1) // h) for k in range(h)]
+                elems = field.exp_table[::(q - 1) // h]
                 out.append((f"subgroup_{h}", ScalarSet.from_indices(field, elems)))
     for length in sorted({2, (q - 1) // 2, q - 2}):
         if 1 <= length <= q - 1:
-            elems = [field.pow(g, k) for k in range(length)]
+            elems = field.exp_table[:length]
             out.append((f"powers_{length}", ScalarSet.from_indices(field, elems)))
     return out
 
@@ -261,9 +261,8 @@ def structured_point_sets(field: Field, d: int, seed: int) -> list[tuple[str, Po
     grid_a = list(range(1, min(q, 1 + max(2, math.isqrt(q)))))
     out.append(("grid_smallrange", PointSet.grid_of_scalars(field, d, grid_a)))
     if q > 3:
-        g = field.generator
         h = max(h for h in _divisors(q - 1) if h < q - 1)
-        sub = [field.pow(g, k * (q - 1) // h) for k in range(h)]
+        sub = field.exp_table[::(q - 1) // h]
         out.append((f"subgroup_grid_{h}", PointSet.grid_of_scalars(field, d, sub)))
     rng = stream(seed, 0, 0, TAG_STRUCTURED)
     extra = sample_indices(rng, q ** d, min(q ** d, max(2, q // 2)))

@@ -165,7 +165,7 @@ def nu_bruteforce(e: PointSet) -> NuProfile:
     field = e.field
     counts = np.zeros(field.q, dtype=np.int64)
     flats = e.flat_indices()
-    for rows in row_blocks(field, len(flats), len(flats)):
+    for rows in row_blocks(len(flats), len(flats)):
         dots = point_dot(field, e.d, flats[rows, None], flats)
         counts += np.bincount(dots.ravel(), minlength=field.q)
     return NuProfile(field.q, e.count, counts)
@@ -187,7 +187,7 @@ def nu_spectral(e: PointSet) -> NuProfile:
     ehat = fourier_forward(e.indicator()).values
     flats = e.flat_indices()
     s_sums = np.empty(q, dtype=np.complex128)
-    for rows in row_blocks(field, q, len(flats)):
+    for rows in row_blocks(q, len(flats)):
         scaled = point_map(field, d, field.mul_arrays, flats,
                            field.neg_table[rows, None], scalar=True)
         s_sums[rows] = q ** d * ehat[scaled].sum(axis=1)
@@ -268,7 +268,7 @@ def rotating_planes_apply(f: SpectralFn, t: int) -> SpectralFn:
     field, d = f.field, f.d
     flats = np.arange(f.size)
     out = np.empty(f.size, dtype=np.complex128)
-    for rows in row_blocks(field, f.size, f.size):
+    for rows in row_blocks(f.size, f.size):
         dots = point_dot(field, d, flats[rows, None], flats)
         out[rows] = np.where(dots == t, f.values, 0).sum(axis=1)
     return SpectralFn(field, d, out)
@@ -291,7 +291,7 @@ def line_counts_all(e: PointSet) -> np.ndarray:
     flats = np.arange(q ** d)
     t = np.arange(q)
     counts = np.empty(q ** d, dtype=np.int64)
-    for rows in row_blocks(field, q ** d, q):
+    for rows in row_blocks(q ** d, q):
         scaled = point_map(field, d, field.mul_arrays, flats[rows, None], t, scalar=True)
         counts[rows] = e.bits[scaled].sum(axis=1)
     return counts
@@ -315,7 +315,7 @@ def hyperplane_sum(e: PointSet) -> SpectralFn:
     field, d = e.field, e.d
     flats, points = e.flat_indices(), np.arange(field.q ** d)
     out = np.empty(field.q ** d, dtype=np.float64)
-    for rows in row_blocks(field, len(points), len(flats)):
+    for rows in row_blocks(len(points), len(flats)):
         out[rows] = (point_dot(field, d, points[rows, None], flats) == 0).sum(axis=1)
     return SpectralFn.from_real(field, d, out)
 

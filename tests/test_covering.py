@@ -18,7 +18,6 @@ from fqcover.covering import (
     covers_units_block,
     d_for_epsilon,
     dense_block_rows,
-    dilate,
     dot_product_set,
     dot_set_lower_bound,
     iterated_sumset,
@@ -32,6 +31,11 @@ from fqcover.covering import (
 )
 from fqcover.harness import get_field, stream
 from fqcover.incidence import OriginInSetError, PointSet
+
+
+def dilate(s, c):
+    """{c * x : x in S}."""
+    return ScalarSet.from_indices(s.field, s.field.mul_arrays(c, s.indices()))
 
 
 def scalar_set_oracle_products(field, indices):
@@ -388,6 +392,22 @@ def test_block_verdict_sees_non_covering_rows():
                   for a in subsets]
         assert covers_units_block(f9, subsets, d).tolist() == expect
         assert expect[0] is False
+
+
+def test_product_set_peak_memory_stays_near_the_cap():
+    field = get_field(2, 12)
+    a = ScalarSet.from_indices(
+        field, np.random.default_rng(3).choice(field.q, 2000, replace=False))
+    expect = product_set(a)  # warm the field's caches
+    tracemalloc.start()
+    try:
+        got = product_set(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == expect
+    # One unblocked 2000 x 2000 int64 array alone would be 32 MB, 122 caps.
+    assert peak <= 2 * DENSE_BLOCK_BYTES
 
 
 def test_dense_block_rows_applies_only_where_a_product_set_can_fill_the_field():

@@ -1,5 +1,9 @@
 import cmath
+import hashlib
 import itertools
+import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +19,14 @@ from fqcover.gf import (
     _is_irreducible,
     _least_irreducible,
     make_field,
-    multiplicative_generator,
     sqrt_subfield_indices,
     subfield_indices,
 )
 from fqcover.harness import get_field
+
+TABLE_DIGESTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                  "field_table_digests.json")
+TABLES = ("exp_table", "log_table", "inv_table", "neg_table", "trace_table")
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +192,97 @@ def test_field_axioms_exhaustive(p, n):
 
 
 def test_field_axioms_random_triples_large_field():
-    # GF(2^13) exceeds the multiplication-table threshold, so this also
-    # exercises the log/antilog path
-    field = make_field(2, 13)
-    assert field.mul_table is None
-    rng = np.random.default_rng(20240817)
-    a, b, c = (rng.integers(0, field.q, size=100_000) for _ in range(3))
-    assert np.array_equal(field.mul_arrays(field.mul_arrays(a, b), c),
-                          field.mul_arrays(a, field.mul_arrays(b, c)))
-    assert np.array_equal(field.mul_arrays(a, field.add_arrays(b, c)),
-                          field.add_arrays(field.mul_arrays(a, b),
-                                           field.mul_arrays(a, c)))
-    nz = a[a != 0]
-    assert np.all(field.mul_arrays(nz, field.inv_table[nz]) == 1)
+    # GF(2^13) and GF(3^8) exceed the table threshold, so this also
+    # exercises the log/antilog path and, for GF(3^8), Zech addition
+    for p, n in [(2, 13), (3, 8)]:
+        field = make_field(p, n)
+        assert field.mul_table is None
+        rng = np.random.default_rng(20240817)
+        a, b, c = (rng.integers(0, field.q, size=100_000) for _ in range(3))
+        assert np.array_equal(field.mul_arrays(field.mul_arrays(a, b), c),
+                              field.mul_arrays(a, field.mul_arrays(b, c)))
+        assert np.array_equal(field.add_arrays(field.add_arrays(a, b), c),
+                              field.add_arrays(a, field.add_arrays(b, c)))
+        assert np.array_equal(field.mul_arrays(a, field.add_arrays(b, c)),
+                              field.add_arrays(field.mul_arrays(a, b),
+                                               field.mul_arrays(a, c)))
+        nz = a[a != 0]
+        assert np.all(field.mul_arrays(nz, field.inv_table[nz]) == 1)
+
+
+def _digitwise_add(p, n, a, b):
+    """a + b from the base-p digits of the element indices, digit by digit
+    mod p; for Python integers or numpy integer arrays alike."""
+    return sum((a // p ** i + b // p ** i) % p * p ** i for i in range(n))
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (3, 5), (5, 5), (7, 3)])
+def test_add_table_matches_digitwise_oracle_on_all_pairs(p, n):
+    field = make_field(p, n)
+    q = field.q
+    assert field.add_table is not None
+    b = np.arange(q)
+    for lo in range(0, q, 256):
+        a = np.arange(lo, min(lo + 256, q))[:, None]
+        assert np.array_equal(field.add_arrays(a, b), _digitwise_add(p, n, a, b))
+    for x, y in zip(range(q), np.random.default_rng(5).permutation(q).tolist()):
+        assert field.add(x, y) == _digitwise_add(p, n, x, y)
+
+
+@pytest.mark.parametrize("p,n", [(3, 8), (5, 6)])
+def test_zech_addition_matches_digitwise_oracle_on_random_pairs(p, n):
+    field = make_field(p, n)
+    assert field.add_table is None and field.zech_table is not None
+    rng = np.random.default_rng(11)
+    a, b = (rng.integers(0, field.q, size=100_000) for _ in range(2))
+    # The special cases of Zech addition: a zero summand and b = -a.
+    a[:1000] = 0
+    b[1000:2000] = 0
+    b[2000:3000] = field.neg_table[a[2000:3000]]
+    expect = _digitwise_add(p, n, a, b)
+    assert np.array_equal(field.add_arrays(a, b), expect)
+    for x, y, z in zip(a[::25].tolist(), b[::25].tolist(), expect[::25].tolist()):
+        assert field.add(x, y) == z
+
+
+@pytest.mark.parametrize("p,n", [(5, 1), (2, 4), (3, 2), (3, 8)])
+def test_array_ops_return_int64(p, n):
+    field = make_field(p, n)
+    a = np.arange(field.q, dtype=np.int64)
+    assert field.add_arrays(a[:, None], a[None, :9]).dtype == np.int64
+    assert field.add_arrays(a, 1).dtype == np.int64
+    assert field.mul_arrays(a[:, None], a[None, :9]).dtype == np.int64
+    assert field.neg_table.dtype == np.int64
+
+
+def _table_entries():
+    with open(TABLE_DIGESTS_PATH) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("entry", _table_entries(), ids=lambda e: f"{e['p']}^{e['n']}")
+def test_tables_match_the_recorded_digests(entry):
+    # Digests of the int64 tables, recorded before the tables were built
+    # without a base-p digit matrix.
+    field = make_field(entry["p"], entry["n"], size_cap=1 << 21)
+    for name in TABLES:
+        table = np.asarray(getattr(field, name), dtype="<i8")
+        assert hashlib.sha256(table.tobytes()).hexdigest() == entry[name], name
+    assert field.generator == entry["generator"]
+
+
+def test_make_field_peak_memory_is_a_small_multiple_of_its_tables():
+    field = make_field(2, 18)
+    table_bytes = sum(getattr(field, name).nbytes for name in TABLES)
+    tracemalloc.start()
+    try:
+        make_field(2, 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The tables take 40 bytes per element; a q x n int64 digit matrix
+    # alone would take 144.
+    assert peak <= 3 * table_bytes
 
 
 def test_inv_of_zero_raises():
@@ -298,11 +383,11 @@ def test_multiplicative_generator_examples():
     # oracle: brute-force orders in the prime fields
     assert all(_order_oracle_prime(g, 5) < 4 for g in [1, 4])
     assert _order_oracle_prime(2, 5) == 4
-    assert multiplicative_generator(get_field(5, 1)) == 2
+    assert get_field(5, 1).generator == 2
     assert all(_order_oracle_prime(g, 7) < 6 for g in [1, 2, 4])
     assert _order_oracle_prime(3, 7) == 6
-    assert multiplicative_generator(get_field(7, 1)) == 3
-    assert multiplicative_generator(get_field(2, 1)) == 1
+    assert get_field(7, 1).generator == 3
+    assert get_field(2, 1).generator == 1
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (2, 2), (7, 1), (3, 2), (2, 4), (5, 2)])
@@ -341,6 +426,18 @@ def test_exp_and_log_tables_walk_the_generator(p, n):
         x = gf._poly_mulmod(x, poly(field.generator), modulus, p)
     assert x == [1]
     assert len(field.exp_table) == field.q - 1
+
+
+def test_trace_table_is_checked_against_the_frobenius_sum(monkeypatch):
+    build = gf.Field._build_trace_and_char
+
+    def shifted(self):
+        build(self)
+        self.trace_table = np.roll(self.trace_table, 1)
+
+    monkeypatch.setattr(gf.Field, "_build_trace_and_char", shifted)
+    with pytest.raises(AssertionError, match="Frobenius"):
+        make_field(3, 2)
 
 
 def test_unit_group_walk_refuses_a_non_generator(monkeypatch):
