@@ -365,7 +365,7 @@ def test_pairwise_product_set_oracle():
 # ---------------------------------------------------------------------------
 
 # Prime fields, GF(2^m) (additions by xor) and odd extensions (additions
-# on the digit path).
+# through the add table).
 BLOCK_FIELDS = [(5, 1), (13, 1), (17, 1), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]
 
 

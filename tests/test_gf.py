@@ -262,8 +262,6 @@ def _table_entries():
 
 @pytest.mark.parametrize("entry", _table_entries(), ids=lambda e: f"{e['p']}^{e['n']}")
 def test_tables_match_the_recorded_digests(entry):
-    # Digests of the int64 tables, recorded before the tables were built
-    # without a base-p digit matrix.
     field = make_field(entry["p"], entry["n"], size_cap=1 << 21)
     for name in TABLES:
         table = np.asarray(getattr(field, name), dtype="<i8")
