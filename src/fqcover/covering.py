@@ -191,27 +191,61 @@ def cover_verdict(a: ScalarSet, d: int) -> CoverageVerdict:
     )
 
 
-def dense_block_rows(field: Field, k: int, d: int) -> int:
-    """Rows of k-subsets per `covers_units_block` call, or 0 where the
-    per-set `cover_verdict` path should be used instead.
+# The block kernel packs the rows of a block 64 to a word: a set family is
+# a q x w uint64 array, bit j of word [x, i] saying whether x lies in the
+# set of row 64 i + j.
+LANES = 64
+# Bytes of the buffers numpy's iterator takes for a broadcast ufunc call.
+UFUNC_BUFFER_BYTES = 1 << 16
 
-    The dense form does q^2 work per row and sumset step, which beats the
-    per-set pair work only when A*A can fill the field (k^2 >= q).  Its
-    sumset step counts in uint8, so it needs q < 256 when d > 1.  Rows are
-    sized so that a block's arrays, including the difference table it
-    builds, stay under DENSE_BLOCK_BYTES; a field too large for one row
-    gets 0.
+
+def dense_block_rows(field: Field, k: int, d: int, rows: int) -> int:
+    """Rows of k-subsets per `covers_units_block` call for a batch of
+    `rows` subsets, or 0 where the per-set `cover_verdict` path should be
+    used instead.
+
+    In units of one product formed by `cover_verdict`, measured (table in
+    CHANGES.md): a block call costs 6144 plus half a unit per word
+    operation, and it does d q^2 w of them for w = ceil(block / 64) words,
+    whatever k is; a set on its own costs 4096 plus its k^2 products plus
+    m^2 / 8 per sumset step, m = min(k^2, q) bounding |A*A|.  The block
+    runs where it is the cheaper.
+
+    A block is the whole batch, or as many whole words of rows as keep a
+    block's arrays under DENSE_BLOCK_BYTES.  The bool presence matrix and
+    its packed form take 72 q bytes a word; that also leaves room for the
+    packed arrays and one x of the gathered slice (see `_or_of_ands`).
     """
     q = field.q
-    if k * k < q or (d > 1 and q > 255):
+    words = (DENSE_BLOCK_BYTES - UFUNC_BUFFER_BYTES) // (72 * q)
+    block = min(rows, LANES * words)
+    if block < 1:
         return 0
-    # Bytes per row: the products (int64) and the index buffers numpy
-    # fills to compute them, the row offsets, the presence and count rows,
-    # and the gathered q x q slice.  Fixed: 4 KiB of small arrays, and the
-    # int64 q x q difference table with one int64 temporary of add_arrays.
-    row = 16 * k * k + 64 + 3 * q + (q * q if d > 1 else 0)
-    fixed = 4096 + (16 * q * q if d > 1 else 0)
-    return max(0, (DENSE_BLOCK_BYTES - fixed) // row)
+    m = min(k * k, q)
+    per_set = 4096 + k * k + (d - 1) * m * m // 8
+    return block if 6144 + d * q * q * -(-block // LANES) // 2 <= block * per_set else 0
+
+
+def _or_of_ands(u: np.ndarray, v: np.ndarray, xs: np.ndarray, sol,
+                out: np.ndarray) -> None:
+    """out[t] |= u[x] & v[sol(x, t)] for every x in xs and every t, on
+    q x w word arrays.  sol(xb) gives the len(xb) x q solution indices of
+    a block of xs.
+
+    A block's gathered slice, its solution rows and its AND operand take
+    8 w + 24 bytes an element.  Beside the five q x w arrays of one
+    `covers_units_block` step and the buffers of the broadcast AND, they
+    stay under DENSE_BLOCK_BYTES for every block `dense_block_rows` gives.
+    """
+    q, words = v.shape
+    room = DENSE_BLOCK_BYTES - UFUNC_BUFFER_BYTES - 40 * q * words
+    step = max(1, room // ((q + 1) * (8 * words + 24)))
+    for lo in range(0, len(xs), step):
+        xb = xs[lo:lo + step]
+        g = np.take(v, sol(xb), axis=0)
+        np.bitwise_and(g, u[xb, None, :], out=g)
+        out |= np.bitwise_or.reduce(g, axis=0)
+        del g  # before the next slice is gathered
 
 
 def covers_units_block(field: Field, subsets: np.ndarray, d: int) -> np.ndarray:
@@ -219,29 +253,36 @@ def covers_units_block(field: Field, subsets: np.ndarray, d: int) -> np.ndarray:
     of the rows x k index array `subsets`; the same verdict as
     `cover_verdict(A, d).covers_units`.
 
-    The sets are rows of a rows x q presence matrix.  One sumset step is a
-    gather through the difference table diff[t, s] = t - s: t lies in
-    S + P exactly when t - s lies in P for some s in S.  Size blocks with
-    `dense_block_rows`, which also says where this form applies.
+    The rows are bit-sliced 64 to a uint64 word (see LANES), so every
+    step is the word-wide image of two set families under a group table,
+    `_or_of_ands`: t lies in X*Y (or X + Y) exactly when some x in X has
+    its solution t x^-1 (or t - x) in Y.  The product step runs over the
+    units x, and 0 lies in A*A exactly when it lies in A.  Size blocks
+    with `dense_block_rows`, which also says where this form pays.
     """
     if d < 1:
         raise BadArityError(f"need at least one summand, got d={d}")
-    rows, k = subsets.shape
+    rows = len(subsets)
     q = field.q
-    # Products, offset in place to flat indices into the presence matrix.
-    flat = field.mul_arrays(subsets[:, :, None], subsets[:, None, :])
-    flat += q * np.arange(rows)[:, None, None]
-    present = np.zeros((rows, q), dtype=bool)
-    present.reshape(-1)[flat] = True
-    cur = present
-    if d > 1:
-        elems = np.arange(q)
-        diff = field.add_arrays(elems[:, None], field.neg_table[None, :])
-        shifted = present[:, diff].view(np.uint8)
-        for _ in range(d - 1):
-            # Representation counts of t as s + (t - s): at most q < 256.
-            cur = np.einsum("rts,rs->rt", shifted, cur.view(np.uint8)) > 0
-    return cur[:, 1:].all(axis=1)
+    words = -(-rows // LANES)
+    present = np.zeros((q, words * LANES), dtype=bool)
+    present[subsets, np.arange(rows)[:, None]] = True
+    a = np.packbits(present, axis=1, bitorder="little").view(np.uint64)
+    del present
+
+    elems = np.arange(q)
+    prods = np.zeros_like(a)
+    _or_of_ands(a, a, elems[1:], lambda xb: field.mul_arrays(
+        field.inv_table[xb][:, None], elems[None, :]), prods)
+    prods[0] = a[0]
+    cur = prods
+    for _ in range(d - 1):
+        nxt = np.zeros_like(a)
+        _or_of_ands(cur, prods, elems, lambda xb: field.add_arrays(
+            field.neg_table[xb][:, None], elems[None, :]), nxt)
+        cur = nxt
+    verdict = np.bitwise_and.reduce(cur[1:], axis=0)
+    return np.unpackbits(verdict.view(np.uint8), bitorder="little")[:rows].astype(bool)
 
 
 def dot_set_lower_bound(e: PointSet) -> CoverageVerdict:

@@ -25,8 +25,9 @@ import numpy as np
 from .gf import Field
 
 
-# Byte cap on one pairwise array of the point kernel below (per row block)
-# and on the arrays of one covering.covers_units_block call.  Larger blocks
+# Byte cap on one pairwise array of the point kernel below and of the
+# product sets and sumsets of covering (per row block), and on all the
+# arrays of one covering.covers_units_block call together.  Larger blocks
 # save little call overhead and grow the peak resident memory.
 DENSE_BLOCK_BYTES = 1 << 18
 

@@ -245,10 +245,16 @@ class Field:
             raise AssertionError("generator does not enumerate the unit group")
 
     def _build_mul_table(self) -> np.ndarray:
+        """The q x q product table in the narrowest dtype that holds an
+        element index, filled in row blocks of about 1 MiB of int64 logs."""
         q = self.q
-        table = np.zeros((q, q), dtype=np.int64)
+        table = np.zeros((q, q), dtype=np.min_scalar_type(q - 1))
         lg = self.log_table[1:]
-        table[1:, 1:] = self.exp_table[(lg[:, None] + lg[None, :]) % (q - 1)]
+        step = max(1, (1 << 17) // q)
+        for lo in range(0, q - 1, step):
+            rows = lg[lo:lo + step, None] + lg[None, :]
+            rows %= q - 1
+            table[1 + lo:1 + lo + step, 1:] = self.exp_table[rows]
         return table
 
     def _build_addition(self) -> None:
@@ -331,13 +337,19 @@ class Field:
 
     # -- vectorized operations ------------------------------------------
 
+    def _table_at(self, table: np.ndarray, a, b):
+        """table[a, b] as int64 for a narrow q x q table and element indices
+        a, b: one flat index gathers faster than numpy's two-index form on
+        broadcast shapes."""
+        return table.reshape(-1)[np.asarray(a, dtype=np.int64) * self.q + b].astype(np.int64)
+
     def add_arrays(self, a, b):
         if self.n == 1:
             return (np.asarray(a) + np.asarray(b)) % self.p
         if self.p == 2:
             return np.bitwise_xor(a, b)
         if self.add_table is not None:
-            return self.add_table[a, b].astype(np.int64)
+            return self._table_at(self.add_table, a, b)
         # g^i + g^j = g^(i + zech[j - i]) for units.
         a, b = np.asarray(a), np.asarray(b)
         la = self.log_table[a]
@@ -347,7 +359,7 @@ class Field:
 
     def mul_arrays(self, a, b):
         if self.mul_table is not None:
-            return self.mul_table[a, b]
+            return self._table_at(self.mul_table, a, b)
         a = np.asarray(a)
         b = np.asarray(b)
         out = self.exp_table[(self.log_table[a] + self.log_table[b]) % (self.q - 1)]

@@ -60,6 +60,9 @@ from .incidence import (
 )
 
 EXHAUSTIVE_BUDGET = 10 ** 7
+# Products a*a' (the sum of |A|^2) that the structured sets of one run may
+# form.  The roster of GF(2^14) needs 3.7e8, that of GF(2^16) 6.1e9.
+STRUCTURED_PAIR_BUDGET = 10 ** 9
 # Subsets per exhaustive task and per unranked block.
 SUBSET_CHUNK = 2048
 JSON_INT_LIMIT = 1 << 53
@@ -243,6 +246,16 @@ def structured_scalar_sets(field: Field) -> list[tuple[str, ScalarSet]]:
             elems = field.exp_table[:length]
             out.append((f"powers_{length}", ScalarSet.from_indices(field, elems)))
     return out
+
+
+def _require_pair_budget(roster: list[tuple[str, ScalarSet]]) -> None:
+    """Refuse a structured roster whose product sets would take more than
+    STRUCTURED_PAIR_BUDGET products, before any is formed."""
+    pairs = sum(a.count ** 2 for _, a in roster)
+    if pairs > STRUCTURED_PAIR_BUDGET:
+        raise BudgetExceededError(
+            f"the structured sets need {pairs} products, over the budget of "
+            f"{STRUCTURED_PAIR_BUDGET}")
 
 
 def structured_point_sets(field: Field, d: int, seed: int) -> list[tuple[str, PointSet]]:
@@ -459,7 +472,7 @@ def _covers(field: Field, d: int, subsets: np.ndarray) -> np.ndarray:
     """Per row A of `subsets`, whether the d-fold sumset of A*A covers the
     units: the block kernel where `dense_block_rows` allows it, otherwise
     the per-set `cover_verdict`."""
-    rows = dense_block_rows(field, subsets.shape[1], d)
+    rows = dense_block_rows(field, subsets.shape[1], d, len(subsets))
     if rows:
         return np.concatenate([covers_units_block(field, subsets[r:r + rows], d)
                                for r in range(0, len(subsets), rows)])
@@ -596,6 +609,9 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     if spec.mode == "sample" and spec.samples == 0:
         raise BadSpecError("sample mode with --samples 0 checks nothing")
 
+    roster = structured_scalar_sets(field) if spec.mode == "structured" else []
+    _require_pair_budget(roster)
+
     s_min = _min_threshold_size(q, d)
     sizes = _scalar_sizes(spec, q, s_min)
     report.tallies, failures = _scalar_tallies(
@@ -604,7 +620,7 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     extras = {"threshold_min_size": s_min}
     if spec.mode == "structured":
         structured = []
-        for name, a in structured_scalar_sets(field):
+        for name, a in roster:
             verdict = cover_verdict(a, d)
             structured.append({"name": name, **verdict.to_report_dict()})
             if verdict.threshold_met and not verdict.covers_units:
@@ -636,6 +652,8 @@ def run_sharpness(spec: ExperimentSpec) -> RunReport:
     q, d = field.q, spec.d
     report = RunReport("sharpness", spec.echo(), field.descriptor())
     extras: dict = {}
+    roster = structured_scalar_sets(field)
+    _require_pair_budget(roster)
 
     if field.n % 2 == 0:
         sub = sqrt_subfield(field)
@@ -655,7 +673,7 @@ def run_sharpness(spec: ExperimentSpec) -> RunReport:
 
     best = None
     families = []
-    for name, a in structured_scalar_sets(field):
+    for name, a in roster:
         verdict = cover_verdict(a, d)
         entry = {"name": name, "size": a.count,
                  "covers_units": verdict.covers_units,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from fqcover import covering
 from fqcover.covering import (
     ArityMismatchError,
     BadArityError,
@@ -29,7 +30,7 @@ from fqcover.covering import (
     sqrt_subfield,
     sumset_of_products,
 )
-from fqcover.harness import get_field, stream
+from fqcover.harness import SUBSET_CHUNK, get_field, stream
 from fqcover.incidence import OriginInSetError, PointSet
 
 
@@ -365,8 +366,9 @@ def test_pairwise_product_set_oracle():
 # ---------------------------------------------------------------------------
 
 # Prime fields, GF(2^m) (additions by xor) and odd extensions (additions
-# through the add table).
-BLOCK_FIELDS = [(5, 1), (13, 1), (17, 1), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2)]
+# through the add table), up to q = 128 at every d.
+BLOCK_FIELDS = [(5, 1), (13, 1), (17, 1), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2),
+                (101, 1), (3, 4), (2, 7)]
 
 
 @given(st.sampled_from(BLOCK_FIELDS), st.integers(1, 3), st.data())
@@ -374,12 +376,59 @@ def test_block_verdict_matches_cover_verdict(pn, d, data):
     field = get_field(*pn)
     q = field.q
     k = data.draw(st.integers(1, q))
-    rows = data.draw(st.lists(st.sets(st.integers(0, q - 1), min_size=k, max_size=k),
-                              min_size=1, max_size=8))
-    subsets = np.array([sorted(r) for r in rows], dtype=np.int64)
+    # Up to 130 rows, so that a block can spill into a third 64-lane word.
+    rows = data.draw(st.integers(1, 130))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    subsets = np.array([np.sort(rng.choice(q, k, replace=False)) for _ in range(rows)])
     expect = [cover_verdict(ScalarSet.from_indices(field, a), d).covers_units
               for a in subsets]
     assert covers_units_block(field, subsets, d).tolist() == expect
+
+
+@pytest.mark.parametrize("pn", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_block_verdict_matches_cover_verdict_on_every_subset_of_a_small_field(pn):
+    # Every x of a step counts here: in F_2, {1} covers the units only
+    # through the product 1*1.
+    field = get_field(*pn)
+    q = field.q
+    for k in range(1, q + 1):
+        subsets = np.array(list(itertools.combinations(range(q), k)), dtype=np.int64)
+        for d in (1, 2, 3):
+            expect = [cover_verdict(ScalarSet.from_indices(field, a), d).covers_units
+                      for a in subsets]
+            assert covers_units_block(field, subsets, d).tolist() == expect
+
+
+@pytest.mark.parametrize("op", ["mul", "add"])
+def test_word_image_matches_the_set_image_across_x_blocks(op):
+    # At q = 101 with 8 words a step takes its x in several blocks; each of
+    # the 512 lanes must hold its own image {x*y} or {x + y} with x in U
+    # (units only for products) and y in V.  The sets are sparse (about 3
+    # and 13 elements a lane), so that a lost x shows in the image.
+    field = get_field(101, 1)
+    q = field.q
+    rng = np.random.default_rng(5)
+    words = lambda n: np.bitwise_and.reduce(
+        rng.integers(0, 1 << 64, (n, q, 8), dtype=np.uint64), axis=0)
+    u, v = words(5), words(3)
+    elems = np.arange(q)
+    if op == "mul":
+        xs, inv = elems[1:], field.inv_table
+        sol = lambda xb: field.mul_arrays(inv[xb][:, None], elems[None, :])
+        image = lambda x, y: x * y % q
+    else:
+        xs, neg = elems, field.neg_table
+        sol = lambda xb: field.add_arrays(neg[xb][:, None], elems[None, :])
+        image = lambda x, y: (x + y) % q
+    out = np.zeros_like(u)
+    covering._or_of_ands(u, v, xs, sol, out)
+    bits = lambda w: np.unpackbits(w.view(np.uint8), axis=1, bitorder="little").astype(bool)
+    ub, vb = bits(u), bits(v)
+    expect = np.zeros_like(ub)
+    for x in xs:
+        for y in range(q):
+            expect[image(x, y)] |= ub[x] & vb[y]
+    assert np.array_equal(bits(out), expect)
 
 
 def test_block_verdict_sees_non_covering_rows():
@@ -410,20 +459,30 @@ def test_product_set_peak_memory_stays_near_the_cap():
     assert peak <= 2 * DENSE_BLOCK_BYTES
 
 
-def test_dense_block_rows_applies_only_where_a_product_set_can_fill_the_field():
+def test_dense_block_rows_follows_the_measured_crossover():
+    # A batch goes to the block kernel, in whole 64-row words; a lone set
+    # stays per set, since a block call costs more than one small verdict.
     f17 = get_field(17, 1)
-    assert dense_block_rows(f17, 4, 2) == 0          # 16 < 17
-    assert dense_block_rows(f17, 5, 2) > 0
+    assert dense_block_rows(f17, 9, 2, 2048) == 2048
+    assert dense_block_rows(f17, 9, 2, 1) == 0
+    assert dense_block_rows(get_field(101, 1), 33, 2, 2048) % 64 == 0
+    # At q = 1024 the block's d q^2 word operations lose to a few products
+    # per set, and win once the sumsets fill the field.
+    f1024 = get_field(2, 10)
+    assert dense_block_rows(f1024, 3, 1, 256) == 0
+    assert dense_block_rows(f1024, 32, 2, 256) > 0
+    # At q = 4096 a single word of rows would not fit under the cap.
     f4096 = get_field(2, 12)
-    assert dense_block_rows(f4096, 1, 2) == 0
-    assert dense_block_rows(f4096, 64, 2) == 0       # one row would not fit
+    assert dense_block_rows(f4096, 513, 2, 5) == 0
+    assert dense_block_rows(f4096, 64, 2, 2048) == 0
 
 
 @pytest.mark.parametrize("p,n,k,d", [(2, 1, 2, 1), (17, 1, 5, 2), (17, 1, 17, 2),
-                                     (3, 3, 27, 3), (31, 1, 20, 1), (101, 1, 11, 1)])
+                                     (3, 3, 27, 3), (31, 1, 20, 1), (101, 1, 11, 1),
+                                     (101, 1, 33, 2), (3, 4, 20, 3), (2, 7, 40, 2)])
 def test_dense_block_stays_under_the_byte_cap(p, n, k, d):
     field = get_field(p, n)
-    rows = dense_block_rows(field, k, d)
+    rows = dense_block_rows(field, k, d, SUBSET_CHUNK)
     assert rows > 0
     rng = stream(7, field.q, k, 43)
     subsets = np.array([np.sort(rng.choice(field.q, k, replace=False))

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -219,26 +220,28 @@ def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
     # miss a unit are reported as counterexamples, with the oracle's lists.
     monkeypatch.setattr(harness, "_min_threshold_size", lambda q, d: 1)
     field = get_field(7, 1)
-    report = run_cover_exhaustive(ExperimentSpec(p=7, d=2, mode="exhaustive", sizes=(1, 4)))
+    report = run_cover_exhaustive(ExperimentSpec(p=7, d=2, mode="exhaustive", sizes=(1, 7)))
     expect = []
-    for k in range(1, 5):
+    for k in range(1, 8):
         for subset in _colex_reference(7, k):
             verdict = cover_verdict(ScalarSet.from_indices(field, subset), 2)
             if not verdict.covers_units:
                 expect.append({"size": k, "subset": list(subset),
                                "missing": verdict.missing[:32]})
-    assert dense_block_rows(field, 3, 2) > 0          # both paths are exercised
-    assert dense_block_rows(field, 2, 2) == 0
+    # Both paths are exercised: the 35 sets of size 3 go to the block
+    # kernel, the lone set of size 7 stays per set.
+    assert dense_block_rows(field, 3, 2, 35) > 0
+    assert dense_block_rows(field, 7, 2, 1) == 0
     assert report.counterexamples == sorted(expect, key=lambda c: (c["size"], c["subset"]))
     assert report.status == "counterexample"
-    for k in range(1, 5):
+    for k in range(1, 8):
         assert report.tallies[str(k)]["covered"] == math.comb(7, k) - sum(
             c["size"] == k for c in expect)
 
 
 def test_run_cover_exhaustive_small_sets_in_a_large_field_stay_per_set():
     field = get_field(2, 12)
-    assert dense_block_rows(field, 1, 2) == 0
+    assert dense_block_rows(field, 1, 2, harness.SUBSET_CHUNK) == 0
     report = run_cover_exhaustive(ExperimentSpec(p=2, n=12, d=2, mode="exhaustive",
                                                  sizes=(1, 1)))
     assert report.tallies == {"1": {"checked": 4096, "covered": 0, "threshold": False}}
@@ -439,6 +442,25 @@ def test_geometry_refuses_an_oversized_space_before_allocating(monkeypatch, caps
     assert f"{16 * 2 ** 40}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["sharpness"], ["cover-sample", "--structured"]])
+def test_structured_roster_over_the_pair_budget_is_refused(capsys, command):
+    # GF(2^16) puts powers_32767 and powers_65534 in the structured roster:
+    # 6e9 products, refused before the first product set.
+    harness.get_field(2, 16)
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        code = cli.main(command + ["--p", "2", "--n", "16"])
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert elapsed < 1
+    assert peak < 4 << 20
+    assert f"{harness.STRUCTURED_PAIR_BUDGET}" in capsys.readouterr().err
+
+
 def test_cover_exhaustive_refuses_no_threshold_size_before_the_scan(monkeypatch):
     def scan(*args):
         raise AssertionError("the empirical scan ran")
@@ -462,7 +484,7 @@ def test_campaign_reports_identical_across_workers(run, spec):
 
 def test_cover_sample_block_verdicts_match_the_per_set_oracle():
     field = get_field(13, 1)
-    assert all(dense_block_rows(field, k, 2) > 0 for k in range(4, 14))
+    assert all(dense_block_rows(field, k, 2, 40) > 0 for k in range(4, 14))
     report = run_cover_sample(ExperimentSpec(p=13, d=2, mode="sample", sizes=(4, 13),
                                              samples=40, seed=7))
     for k in range(4, 14):
