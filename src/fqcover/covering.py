@@ -285,6 +285,12 @@ def covers_units_block(field: Field, subsets: np.ndarray, d: int) -> np.ndarray:
     return np.unpackbits(verdict.view(np.uint8), bitorder="little")[:rows].astype(bool)
 
 
+def dot_set_lower_bound_sides(dot_set_size, max_line, size, q: int, d: int):
+    """(lhs, rhs) = (|{x.y}| (M q^d + |E|^2), q |E|^2), elementwise over
+    arrays; lhs stays under 2^52 for every space `geometry` accepts."""
+    return dot_set_size * (max_line * q ** d + size ** 2), q * size ** 2
+
+
 def dot_set_lower_bound(e: PointSet) -> CoverageVerdict:
     """Exact check of |{x.y}| * (M q^d + |E|^2) >= q |E|^2 for origin-free E.
 
@@ -292,11 +298,9 @@ def dot_set_lower_bound(e: PointSet) -> CoverageVerdict:
     """
     if e.contains_origin:
         raise OriginInSetError("lower bound check requires an origin-free set")
-    q = e.field.q
     pset = dot_product_set(e)
     m_line = max_line_intersection(e)[0]
-    lhs = pset.count * (m_line * q ** e.d + e.count ** 2)
-    rhs = q * e.count ** 2
+    lhs, rhs = dot_set_lower_bound_sides(pset.count, m_line, e.count, e.field.q, e.d)
     covered, missing = covers_units(pset)
     return CoverageVerdict(
         set_size=pset.count,

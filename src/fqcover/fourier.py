@@ -1,10 +1,12 @@
 """Fourier analysis on F_q^d: transform, inversion, Plancherel, convolution.
 
 A function f: F_q^d -> C is stored densely as a length-q^d complex array
-(`SpectralFn`).  Points of F_q^d are flat indices: the point with
-coordinates (x_0, ..., x_{d-1}) has flat index sum_i x_i * q^i, where
-each x_i is a field element index.  `point_dot` and `point_map` are the
-one place that does coordinate arithmetic on flat indices, in row blocks.
+(`SpectralFn`), and a stack of them as an array with leading stack axes;
+the transforms and the convolution act on the last axis only.  Points of
+F_q^d are flat indices: the point with coordinates (x_0, ..., x_{d-1}) has
+flat index sum_i x_i * q^i, where each x_i is a field element index.
+`point_dot` and `point_map` are the one place that does coordinate
+arithmetic on flat indices, in row blocks (`row_blocks`, `stack_blocks`).
 
 Normalization: the forward transform carries the q^{-d} factor,
 
@@ -18,6 +20,7 @@ this convention.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +100,19 @@ def row_blocks(rows: int, cols: int) -> list[slice]:
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 
+def stack_blocks(rows: int, k: int, cols: int) -> Iterator[tuple[slice, slice]]:
+    """(sets, items) slices of a rows x k x cols pair grid (rows sets of k
+    items, each item paired with cols values) such that every pairwise
+    array over a block stays under DENSE_BLOCK_BYTES, as in `row_blocks`:
+    whole sets at a time where one set fits, otherwise the item blocks of
+    one set at a time."""
+    items = row_blocks(k, cols)
+    if len(items) > 1:
+        yield from ((slice(r, r + 1), i) for r in range(rows) for i in items)
+    else:
+        yield from ((sets, slice(0, k)) for sets in row_blocks(rows, k * cols))
+
+
 def char_matrix(field: Field) -> np.ndarray:
     """W[a, b] = chi(-a*b), the kernel of the one-dimensional transform."""
     if field._char_matrix is None:
@@ -108,7 +124,8 @@ def char_matrix(field: Field) -> np.ndarray:
 
 @dataclass(eq=False)
 class SpectralFn:
-    """A dense complex-valued function on F_q^d."""
+    """A dense complex-valued function on F_q^d, or a stack of them: the
+    last axis of `values` runs over the q^d points."""
 
     field: Field
     d: int
@@ -116,8 +133,8 @@ class SpectralFn:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != (self.field.q ** self.d,):
-            raise ValueError("values must be a flat array of length q^d")
+        if self.values.shape[-1:] != (self.field.q ** self.d,):
+            raise ValueError("values must be an array of length q^d along its last axis")
 
     @classmethod
     def constant(cls, field: Field, d: int, c: complex) -> "SpectralFn":
@@ -129,16 +146,21 @@ class SpectralFn:
 
     @property
     def size(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
 def _transform(f: SpectralFn, w: np.ndarray, scale) -> SpectralFn:
-    """Apply the q x q kernel w along every axis of f, then scale."""
+    """Apply the q x q kernel w along every coordinate axis of f, then scale.
+
+    Each round transforms the leading coordinate (the most significant
+    digit of the flat index) of every function of the stack with one
+    matmul and rotates it to the end, so d rounds restore the order.
+    """
     q, d = f.field.q, f.d
-    arr = f.values.reshape((q,) * d)
-    for ax in range(d):
-        arr = np.moveaxis(np.tensordot(w, arr, axes=(1, ax)), 0, ax)
-    return SpectralFn(f.field, d, arr.reshape(-1) * scale)
+    arr = f.values.reshape(-1, q, q ** (d - 1))
+    for _ in range(d):
+        arr = np.matmul(w, arr).transpose(0, 2, 1).reshape(-1, q, q ** (d - 1))
+    return SpectralFn(f.field, d, arr.reshape(f.values.shape) * scale)
 
 
 def fourier_forward(f: SpectralFn) -> SpectralFn:
@@ -181,27 +203,40 @@ def plancherel_check(f: SpectralFn, g: SpectralFn) -> tuple[complex, complex]:
 
 
 def convolve_diff(f: SpectralFn, g: SpectralFn) -> SpectralFn:
-    """Difference convolution (f*g)(m) = sum_{y - y' = m} f(y) g(y').
+    """Difference convolution (f*g)(m) = sum_{y - y' = m} f(y) g(y'), for
+    every function of the stacks f and g (of one shape).
 
     Computed in the time domain, as sum over y' in supp g of
     g(y') f(m + y'), so it stays an independent check against the
     transform-side identity Ghat = q^d |Ehat|^2 rather than being derived
-    from it.
+    from it.  Each row's support is padded with zeros of g to the largest
+    support of the stack; their weight 0 masks them.
     """
-    field, d = f.field, f.d
-    supp = np.flatnonzero(g.values)
-    flats = np.arange(f.size)
-    out = np.empty(f.size, dtype=np.complex128)
-    for rows in row_blocks(f.size, len(supp)):
-        shifted = point_map(field, d, field.add_arrays, flats[rows, None], supp)
-        out[rows] = f.values[shifted] @ g.values[supp]
-    return SpectralFn(field, d, out)
+    field, d, size = f.field, f.d, f.size
+    fv, gv = f.values.reshape(-1, size), g.values.reshape(-1, size)
+    nonzero = gv != 0
+    k = int(nonzero.sum(axis=1).max(initial=0))
+    supp = np.argsort(~nonzero, axis=1, kind="stable")[:, :k]
+    weights = np.take_along_axis(gv, supp, axis=1)[:, :, None]
+    flats = np.arange(size)
+    out = np.empty(fv.shape, dtype=np.complex128)
+    for sets, items in stack_blocks(len(fv), size, k):
+        shifted = point_map(field, d, field.add_arrays, flats[items, None], supp[sets, None, :])
+        shifted += size * np.arange(sets.start, sets.start + len(shifted))[:, None, None]
+        out[sets, items] = np.matmul(fv.reshape(-1)[shifted], weights[sets])[..., 0]
+    return SpectralFn(field, d, out.reshape(f.values.shape))
+
+
+def diff_hat_close(ghat: np.ndarray, fhat: np.ndarray, qd: int) -> np.ndarray:
+    """Per function of a stack, whether ghat = qd |fhat|^2 to within a
+    relative 1e-8, for ghat the transform of f * f and fhat that of f."""
+    expect = qd * np.abs(fhat) ** 2
+    err = np.max(np.abs(ghat - expect), axis=-1)
+    return err <= 1e-8 * np.maximum(1.0, np.max(expect, axis=-1))
 
 
 def diff_convolution_hat_check(f: SpectralFn) -> bool:
     """Whether Ghat = q^d |fhat|^2 for G = f * f, the difference convolution
     of a real-valued f with itself (the Fourier side of nu)."""
     ghat = fourier_forward(convolve_diff(f, f)).values
-    expect = f.field.q ** f.d * np.abs(fourier_forward(f).values) ** 2
-    err = float(np.max(np.abs(ghat - expect)))
-    return err <= 1e-8 * max(1.0, float(np.max(expect)))
+    return bool(diff_hat_close(ghat, fourier_forward(f).values, f.size))

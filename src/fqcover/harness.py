@@ -35,8 +35,7 @@ from .covering import (
     covers_units_block,
     d_for_epsilon,
     dense_block_rows,
-    dot_product_set,
-    dot_set_lower_bound,
+    dot_set_lower_bound_sides,
     point_cover_threshold,
     sqrt_subfield,
     sumset_of_products,
@@ -44,19 +43,23 @@ from .covering import (
 from .fourier import (
     SpectralFn,
     char_matrix,
+    convolve_diff,
     diff_convolution_hat_check,
+    diff_hat_close,
     fourier_forward,
     fourier_forward_direct,
     fourier_invert,
     plancherel_check,
+    row_blocks,
 )
 from .gf import DEFAULT_SIZE_CAP, MUL_TABLE_MAX_Q, Field, make_field, subfield_indices
 from .incidence import (
     PointSet,
-    hyperplane_hat_identity_check,
+    hat_identity_close,
+    hyperplane_sum,
     nu_bruteforce,
-    remainder_bound_check,
-    second_moment_check,
+    remainder_sides,
+    second_moment_sides,
 )
 
 EXHAUSTIVE_BUDGET = 10 ** 7
@@ -223,8 +226,10 @@ def sample_indices(rng: np.random.Generator, universe: int, size: int) -> np.nda
 # ----------------------------------------------------------------------
 
 def _divisors(m: int) -> list[int]:
-    out = [d for d in range(1, m + 1) if m % d == 0]
-    return out
+    """The divisors of m >= 1 in increasing order, by trial division up to
+    sqrt(m)."""
+    low = [d for d in range(1, math.isqrt(m) + 1) if m % d == 0]
+    return low + [m // d for d in reversed(low) if d * d != m]
 
 
 def structured_scalar_sets(field: Field) -> list[tuple[str, ScalarSet]]:
@@ -695,52 +700,86 @@ def run_sharpness(spec: ExperimentSpec) -> RunReport:
 # geometry
 # ----------------------------------------------------------------------
 
-def _geometry_check_one(field: Field, d: int, e: PointSet, checks) -> dict:
-    """Run the requested point-set checks; returns per-check booleans plus
-    the exact remainder sharpness fraction.
+def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
+    """Run the requested point-set checks on every set of the stack e (sets
+    of one size, one per row); per set, the per-check booleans plus the
+    exact remainder sharpness fraction.
 
-    Every check reads the set with the origin stripped, so nu and the line
-    counts are computed once.  The coverage threshold is taken on the set
-    as drawn; its verdict is the same either way, because the origin adds
-    only the dot product 0, which coverage of the units ignores.
+    Every check reads a set with the origin stripped, its core.  nu and
+    the line counts are computed once, for the stack as drawn, and the
+    origin's share is taken off: its dot product with every point is 0
+    and it lies on every line, so it adds k^2 - |core|^2 pairs to nu(0)
+    and one point to each line count and each hyperplane sum.  The
+    coverage threshold is taken on the set as drawn; its verdict is the
+    same either way, because the origin adds only the dot product 0, which
+    coverage of the units ignores.
     """
-    out: dict = {}
-    core = e.strip_origin()
-    if "cover" in checks:
-        if point_cover_threshold(e):
-            covered, missing = covers_units(dot_product_set(core))
-            out["cover"] = covered
-            if not covered:
+    q, k = field.q, e.count
+    pad = e.bits[:, 0].astype(np.int64)
+    size = k - pad
+    outs: list[dict] = [{} for _ in pad]
+
+    def put(check, values) -> None:
+        for out, v in zip(outs, values):
+            out[check] = v
+
+    if {"cover", "remainder", "second_moment", "keylowerbound"} & set(checks):
+        counts = e.nu_profile.counts.copy()
+        counts[:, 0] -= k * k - size ** 2
+    if {"identities", "second_moment", "keylowerbound"} & set(checks):
+        lines = e.line_counts - pad[:, None]
+        max_line = lines[:, 1:].max(axis=1)
+    if "cover" in checks and not point_cover_threshold(e):
+        put("cover", [None] * len(outs))
+    elif "cover" in checks:
+        for out, row in zip(outs, counts):
+            missing = (np.flatnonzero(row[1:] == 0) + 1).tolist()
+            out["cover"] = not missing
+            if missing:
                 out["cover_missing"] = missing[:32]
-        else:
-            out["cover"] = None
     if "remainder" in checks:
-        rep = remainder_bound_check(core)
-        out["remainder"] = rep.ok
-        num = rep.profile.r_numerator(rep.worst_t) ** 2
-        den = core.count ** 2 * field.q ** (d + 1)
-        out["sharpness_frac"] = (num, den)
+        r, bound = remainder_sides(counts, size, q, d)
+        dev = np.abs(r[:, 1:])
+        worst = dev[np.arange(len(dev)), np.argmax(dev, axis=1)]
+        put("remainder", (dev <= bound[:, None]).all(axis=1).tolist())
+        put("sharpness_frac", [(w ** 2, n ** 2 * q ** (d + 1))
+                               for w, n in zip(worst.tolist(), size.tolist())])
     if "identities" in checks:
-        out["identities"] = (hyperplane_hat_identity_check(core).ok
-                             and diff_convolution_hat_check(core.indicator()))
+        core = e.bits.astype(np.float64)
+        core[:, 0] = 0
+        hsum = hyperplane_sum(e).values.real - pad[:, None]
+        conv = convolve_diff(SpectralFn(field, d, core), SpectralFn(field, d, core)).values
+        hats = fourier_forward(SpectralFn(field, d, np.stack([hsum, conv, core]))).values
+        put("identities", (hat_identity_close(hats[0], lines, size, q)[0]
+                           & diff_hat_close(hats[1], hats[2], q ** d)).tolist())
     if "second_moment" in checks:
-        out["second_moment"] = second_moment_check(core).ok
+        lhs, rhs = second_moment_sides(counts, size, max_line, q, d)
+        put("second_moment", (lhs <= rhs).tolist())
     if "keylowerbound" in checks:
-        out["keylowerbound"] = dot_set_lower_bound(core).threshold_met
-    return out
+        lhs, rhs = dot_set_lower_bound_sides((counts > 0).sum(axis=1), max_line, size, q, d)
+        put("keylowerbound", (lhs >= rhs).tolist())
+    return outs
+
+
+def _geometry_check_one(field: Field, d: int, e: PointSet, checks) -> dict:
+    """`_geometry_checks` of the single set e, as a stack of one."""
+    return _geometry_checks(field, d, PointSet(field, d, e.bits[None]), checks)[0]
 
 
 def _geometry_task(task) -> list[dict]:
     p, n, d, mode, seed, size, lo, hi, checks = task
     field = get_field(p, n)
-    outcomes = []
-    for i, flats in enumerate(_draw(mode, field.q ** d, size, lo, hi, seed, TAG_POINTS), lo):
-        res = _geometry_check_one(field, d, PointSet.from_flat(field, d, flats), checks)
+    drawn = _draw(mode, field.q ** d, size, lo, hi, seed, TAG_POINTS)
+    # Stacks of as many sets as keep a q^d array of complex values per set
+    # under DENSE_BLOCK_BYTES, and at least one set.
+    outcomes = [res for rows in row_blocks(len(drawn), field.q ** d)
+                for res in _geometry_checks(field, d, PointSet.from_flat(field, d, drawn[rows]),
+                                            checks)]
+    for i, (res, flats) in enumerate(zip(outcomes, drawn), lo):
         res["size"] = size
         res["name"] = (f"size{size}_colex{tuple(flats.tolist())}" if mode == "exhaustive"
                        else f"size{size}#{i}")
         res["flats"] = flats
-        outcomes.append(res)
     return outcomes
 
 

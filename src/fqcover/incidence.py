@@ -6,11 +6,19 @@ exact integer numerator q*nu(t) - |E|^2: every inequality asserted here
 is an inequality between integers, with floats confined to diagnostics.
 Character sums enter only through the cross-validating spectral path and
 the hyperplane transform identity.
+
+The counts (nu, line counts, hyperplane sums) take a `PointSet` that may
+be a stack of sets of one size, and give one result per set along leading
+axes; each has one implementation, run in `fourier.stack_blocks`.  The
+read-outs (`remainder_sides`, `hat_identity_close`, `second_moment_sides`)
+work elementwise over leading axes too, so a caller that has counted a
+whole stack reads every set's verdict off in array expressions.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -23,6 +31,7 @@ from .fourier import (
     point_dot,
     point_map,
     row_blocks,
+    stack_blocks,
 )
 from .gf import Field
 
@@ -41,11 +50,15 @@ class SpectralMismatchError(ArithmeticError):
 
 @dataclass(eq=False)
 class PointSet:
-    """A subset of F_q^d as a dense membership array over flat indices.
+    """A subset of F_q^d as a dense membership array over flat indices, or
+    a stack of subsets of one size: `bits` then has leading stack axes and
+    `count` is the size of each set.
 
-    A set is not changed after construction, so its dot-product counts
-    (`nu_profile`) and line counts (`line_counts`) are computed once, on
-    first use, and shared by every check that reads them.
+    A set is not changed after construction, so its flat indices, its
+    dot-product counts (`nu_profile`) and its line counts (`line_counts`)
+    are computed once, on first use, and shared by every check that reads
+    them.  The named constructors, `contains_origin`, `strip_origin` and
+    `union` are for a single set.
     """
 
     field: Field
@@ -55,9 +68,12 @@ class PointSet:
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=bool)
-        if self.bits.shape != (self.field.q ** self.d,):
-            raise ValueError("bits must be a flat bool array of length q^d")
-        self.count = int(self.bits.sum())
+        if self.bits.shape[-1:] != (self.field.q ** self.d,):
+            raise ValueError("bits must be a bool array of length q^d along its last axis")
+        sizes = self.bits.sum(axis=-1)
+        if sizes.size and sizes.min() != sizes.max():
+            raise ValueError("the sets of a stack must have one size")
+        self.count = int(sizes.flat[0]) if sizes.size else 0
 
     @classmethod
     def empty(cls, field: Field, d: int) -> "PointSet":
@@ -69,8 +85,11 @@ class PointSet:
 
     @classmethod
     def from_flat(cls, field: Field, d: int, flats) -> "PointSet":
-        bits = np.zeros(field.q ** d, dtype=bool)
-        bits[np.asarray(flats, dtype=np.int64)] = True
+        """The set of the given flat indices, or the stack of the sets in
+        the rows (last axis) of a flat-index array."""
+        flats = np.asarray(flats, dtype=np.int64)
+        bits = np.zeros(flats.shape[:-1] + (field.q ** d,), dtype=bool)
+        np.put_along_axis(bits, flats, True, axis=-1)
         return cls(field, d, bits)
 
     @classmethod
@@ -99,8 +118,16 @@ class PointSet:
             raise ZeroDirectionError("hyperplane normal must be nonzero")
         return cls(field, d, point_dot(field, d, np.arange(field.q ** d), m_flat) == 0)
 
+    @cached_property
+    def _flats(self) -> np.ndarray:
+        flats = np.nonzero(self.bits)[-1].reshape(self.bits.shape[:-1] + (self.count,))
+        flats.flags.writeable = False
+        return flats
+
     def flat_indices(self) -> np.ndarray:
-        return np.nonzero(self.bits)[0]
+        """The sorted flat indices of the set, one row per set of a stack
+        (read-only, because they are shared)."""
+        return self._flats
 
     @property
     def contains_origin(self) -> bool:
@@ -134,11 +161,12 @@ class PointSet:
 
 @dataclass
 class NuProfile:
-    """nu(t) over t in F_q, with the exact remainder numerators."""
+    """nu(t) over t in F_q, with the exact remainder numerators.  The
+    counts of a stack carry its leading axes; the methods take one set."""
 
     q: int
     set_size: int
-    counts: np.ndarray  # int64, length q
+    counts: np.ndarray  # int64, length q along the last axis
 
     @property
     def total(self) -> int:
@@ -160,15 +188,23 @@ def _require_origin_free(e: PointSet) -> None:
         raise OriginInSetError("operation requires a set not containing the origin")
 
 
+def _flat_rows(e: PointSet) -> np.ndarray:
+    """The flat indices of e as a sets x count array."""
+    return e.flat_indices().reshape(e.bits[..., 0].size, e.count)
+
+
 def nu_bruteforce(e: PointSet) -> NuProfile:
-    """Exact nu by direct enumeration of all ordered pairs."""
-    field = e.field
-    counts = np.zeros(field.q, dtype=np.int64)
-    flats = e.flat_indices()
-    for rows in row_blocks(len(flats), len(flats)):
-        dots = point_dot(field, e.d, flats[rows, None], flats)
-        counts += np.bincount(dots.ravel(), minlength=field.q)
-    return NuProfile(field.q, e.count, counts)
+    """Exact nu by direct enumeration of all ordered pairs: one point_dot
+    per block of (set, x) over all y of the set, and one bincount offset
+    by q per set of the block."""
+    field, q = e.field, e.field.q
+    flats = _flat_rows(e)
+    counts = np.zeros((len(flats), q), dtype=np.int64)
+    for sets, items in stack_blocks(len(flats), e.count, e.count):
+        dots = point_dot(field, e.d, flats[sets, items, None], flats[sets, None, :])
+        dots += q * np.arange(len(dots))[:, None, None]
+        counts[sets] += np.bincount(dots.ravel(), minlength=len(dots) * q).reshape(-1, q)
+    return NuProfile(q, e.count, counts.reshape(e.bits.shape[:-1] + (q,)))
 
 
 def nu_spectral(e: PointSet) -> NuProfile:
@@ -182,32 +218,37 @@ def nu_spectral(e: PointSet) -> NuProfile:
     SpectralMismatchError.
     """
     field, d, q = e.field, e.d, e.field.q
+    lead = e.bits.shape[:-1]
     if e.count == 0:
-        return NuProfile(q, 0, np.zeros(q, dtype=np.int64))
-    ehat = fourier_forward(e.indicator()).values
-    flats = e.flat_indices()
-    s_sums = np.empty(q, dtype=np.complex128)
-    for rows in row_blocks(q, len(flats)):
-        scaled = point_map(field, d, field.mul_arrays, flats,
-                           field.neg_table[rows, None], scalar=True)
-        s_sums[rows] = q ** d * ehat[scaled].sum(axis=1)
-    nu_c = char_matrix(field) @ s_sums / q
+        return NuProfile(q, 0, np.zeros(lead + (q,), dtype=np.int64))
+    ehat = fourier_forward(e.indicator()).values.reshape(-1)
+    flats = _flat_rows(e)
+    rows = len(flats)
+    s_sums = np.empty((rows, q), dtype=np.complex128)
+    for sets, items in stack_blocks(rows, q, e.count):
+        scaled = point_map(field, d, field.mul_arrays, flats[sets, None, :],
+                           field.neg_table[items, None], scalar=True)
+        scaled += q ** d * np.arange(sets.start, sets.start + len(scaled))[:, None, None]
+        s_sums[sets, items] = q ** d * ehat[scaled].sum(axis=2)
+    nu_c = s_sums @ char_matrix(field).T / q
     counts_f = nu_c.real
     counts = np.rint(counts_f).astype(np.int64)
-    defect = float(np.max(np.abs(counts_f - counts))) if q else 0.0
+    defect = float(np.max(np.abs(counts_f - counts)))
     imag = float(np.max(np.abs(nu_c.imag)))
     if defect > 1e-6 or imag > 1e-6:
         raise SpectralMismatchError(f"spectral counts not near integers "
                                     f"(defect {defect:.3g}, imag {imag:.3g})")
-    if int(counts.sum()) != e.count ** 2:
+    if np.any(counts.sum(axis=1) != e.count ** 2):
         raise SpectralMismatchError("spectral counts do not sum to |E|^2")
     if e.count <= 300:
-        t_star = int(np.argmax(counts))
-        direct = int(nu_bruteforce(e).counts[t_star])
-        if direct != int(counts[t_star]):
+        t_star = np.argmax(counts, axis=1)
+        direct = nu_bruteforce(e).counts.reshape(rows, q)[np.arange(rows), t_star]
+        bad = np.flatnonzero(direct != counts[np.arange(rows), t_star])
+        if len(bad):
+            r = bad[0]
             raise SpectralMismatchError(
-                f"spectral nu({t_star}) = {int(counts[t_star])}, direct count {direct}")
-    return NuProfile(q, e.count, counts)
+                f"spectral nu({t_star[r]}) = {counts[r, t_star[r]]}, direct count {direct[r]}")
+    return NuProfile(q, e.count, counts.reshape(lead + (q,)))
 
 
 def nu(e: PointSet) -> NuProfile:
@@ -217,6 +258,18 @@ def nu(e: PointSet) -> NuProfile:
     if e.count <= 300 or 40 * e.count ** 2 <= e.field.q ** (e.d + 1):
         return nu_bruteforce(e)
     return nu_spectral(e)
+
+
+def remainder_sides(counts: np.ndarray, size, q: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(r, B) with r(t) = q nu(t) - |E|^2 and B = isqrt(|E|^2 q^{d+1}), so
+    that the remainder estimate at t reads |r(t)| <= B exactly; elementwise
+    over the leading axes of counts and size.  r is int64: |r(t)| is at
+    most q |E|^2, under 2^52 for every space `geometry` accepts."""
+    size = np.asarray(size, dtype=np.int64)
+    r = q * counts - (size ** 2)[..., None]
+    bound = np.array([math.isqrt(int(n) ** 2 * q ** (d + 1)) for n in size.flat],
+                     dtype=np.int64).reshape(size.shape)
+    return r, bound
 
 
 @dataclass
@@ -241,22 +294,18 @@ def remainder_bound_check(e: PointSet) -> RemainderReport:
 
     A violation at t != 0 would falsify the remainder estimate and is
     never expected; it is reported, not raised, so sweeps can tally it.
+    The worst t is the first t != 0 where |q nu(t) - |E|^2| is largest.
     """
     q = e.field.q
     prof = e.nu_profile
+    r, b = remainder_sides(prof.counts, e.count, q, e.d)
+    dev = np.abs(r)
+    violations = (np.flatnonzero(dev[1:] > b) + 1).tolist()
+    worst_t = 1 + int(np.argmax(dev[1:]))
     bound = e.count ** 2 * q ** (e.d + 1)
-    violations = []
-    worst_num, worst_t = -1, 1
-    for t in range(1, q):
-        num = prof.r_numerator(t) ** 2
-        if num > worst_num:
-            worst_num, worst_t = num, t
-        if num > bound:
-            violations.append(t)
-    sharpness = 0.0 if bound == 0 else max(worst_num, 0) / bound
-    zero_ok = prof.r_numerator(0) ** 2 <= bound
+    sharpness = 0.0 if bound == 0 else int(r[worst_t]) ** 2 / bound
     return RemainderReport(not violations, sharpness, worst_t, violations,
-                           zero_ok, prof)
+                           bool(dev[0] <= b), prof)
 
 
 def rotating_planes_apply(f: SpectralFn, t: int) -> SpectralFn:
@@ -282,19 +331,25 @@ def line_intersection(e: PointSet, y_flat: int) -> int:
 
 
 def line_counts_all(e: PointSet) -> np.ndarray:
-    """|E intersect l_k| for every flat index k simultaneously.
+    """|E intersect l_k| for every flat index k simultaneously, per set of
+    a stack: one gather of the bits at the scaled flats {t k : t in F_q},
+    shared by the sets of a block.
 
     Entry 0 is not a line count (it accumulates q copies of the origin
     membership); callers must ignore it.
     """
     field, d, q = e.field, e.d, e.field.q
+    bits = e.bits.reshape(-1, q ** d)
     flats = np.arange(q ** d)
     t = np.arange(q)
-    counts = np.empty(q ** d, dtype=np.int64)
-    for rows in row_blocks(q ** d, q):
-        scaled = point_map(field, d, field.mul_arrays, flats[rows, None], t, scalar=True)
-        counts[rows] = e.bits[scaled].sum(axis=1)
-    return counts
+    counts = np.empty(bits.shape, dtype=np.int64)
+    scaled, items_at = None, None
+    for sets, items in stack_blocks(len(bits), q ** d, q):
+        if items != items_at:
+            scaled = point_map(field, d, field.mul_arrays, flats[items, None], t, scalar=True)
+            items_at = items
+        counts[sets, items] = bits[sets][:, scaled].sum(axis=2)
+    return counts.reshape(e.bits.shape)
 
 
 def max_line_intersection(e: PointSet) -> tuple[int, int | None]:
@@ -311,19 +366,31 @@ def max_line_intersection(e: PointSet) -> tuple[int, int | None]:
 
 
 def hyperplane_sum(e: PointSet) -> SpectralFn:
-    """F(m) = #{x in E : x.m = 0}; F(0) = |E|."""
+    """F(m) = #{x in E : x.m = 0}, per set of a stack; F(0) = |E|."""
     field, d = e.field, e.d
-    flats, points = e.flat_indices(), np.arange(field.q ** d)
-    out = np.empty(field.q ** d, dtype=np.float64)
-    for rows in row_blocks(len(points), len(flats)):
-        out[rows] = (point_dot(field, d, points[rows, None], flats) == 0).sum(axis=1)
-    return SpectralFn.from_real(field, d, out)
+    flats, points = _flat_rows(e), np.arange(field.q ** d)
+    out = np.empty((len(flats), len(points)), dtype=np.float64)
+    for sets, items in stack_blocks(len(flats), len(points), e.count):
+        dots = point_dot(field, d, points[items, None], flats[sets, None, :])
+        out[sets, items] = np.count_nonzero(dots == 0, axis=2)
+    return SpectralFn.from_real(field, d, out.reshape(e.bits.shape))
 
 
 @dataclass
 class HatIdentityReport:
     ok: bool
     max_abs_err: float
+
+
+def hat_identity_close(fhat: np.ndarray, line_counts: np.ndarray, size, q: int,
+                       rtol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """(ok, err) of Fhat(k) = q^{-1} |E intersect l_k| (k != 0) and
+    Fhat(0) = q^{-1} |E|, elementwise over the leading axes: err is the
+    largest deviation, ok whether it is within rtol of the largest value."""
+    expected = line_counts / q
+    expected[..., 0] = np.asarray(size) / q
+    err = np.max(np.abs(fhat - expected), axis=-1)
+    return err <= rtol * np.maximum(1.0, np.max(np.abs(expected), axis=-1)), err
 
 
 def hyperplane_hat_identity_check(e: PointSet, rtol: float = 1e-8) -> HatIdentityReport:
@@ -333,13 +400,9 @@ def hyperplane_hat_identity_check(e: PointSet, rtol: float = 1e-8) -> HatIdentit
     when 0 is excluded from E.
     """
     _require_origin_free(e)
-    q = e.field.q
     fhat = fourier_forward(hyperplane_sum(e)).values
-    expected = e.line_counts.astype(np.float64) / q
-    expected[0] = e.count / q
-    err = float(np.max(np.abs(fhat - expected))) if fhat.size else 0.0
-    tol = rtol * max(1.0, float(np.max(np.abs(expected))))
-    return HatIdentityReport(err <= tol, err)
+    ok, err = hat_identity_close(fhat, e.line_counts, e.count, e.field.q, rtol)
+    return HatIdentityReport(bool(ok), float(err))
 
 
 @dataclass
@@ -350,6 +413,15 @@ class SecondMomentReport:
     max_line: int
 
 
+def second_moment_sides(counts: np.ndarray, size, max_line, q: int, d: int):
+    """(lhs, rhs) = (q sum_t nu(t)^2, M |E|^2 q^d + |E|^4) in Python
+    integers, since nu(t)^2 can pass 2^63; elementwise over the leading
+    axes of counts, size and max_line."""
+    c = counts.astype(object)
+    n = np.asarray(size).astype(object)
+    return q * (c * c).sum(axis=-1), np.asarray(max_line).astype(object) * n ** 2 * q ** d + n ** 4
+
+
 def second_moment_check(e: PointSet) -> SecondMomentReport:
     """Exact integer check of q * sum_t nu(t)^2 <= M |E|^2 q^d + |E|^4.
 
@@ -357,8 +429,6 @@ def second_moment_check(e: PointSet) -> SecondMomentReport:
     hypothesis constant pair of the conditional estimate.
     """
     _require_origin_free(e)
-    q = e.field.q
     m_line = max_line_intersection(e)[0]
-    lhs = q * sum(int(c) ** 2 for c in e.nu_profile.counts)
-    rhs = m_line * e.count ** 2 * q ** e.d + e.count ** 4
+    lhs, rhs = second_moment_sides(e.nu_profile.counts, e.count, m_line, e.field.q, e.d)
     return SecondMomentReport(lhs <= rhs, lhs, rhs, m_line)

@@ -119,6 +119,23 @@ def test_forward_matches_retained_direct_evaluator(p, n, d):
                          - fourier_forward_direct(f).values)) <= 1e-9
 
 
+@pytest.mark.parametrize("p,n,d", [(3, 1, 2), (2, 2, 2), (3, 1, 3), (5, 1, 1)])
+def test_stacked_forward_matches_direct_evaluator_per_function(p, n, d):
+    """A 2 x 3 stack goes through one transform; each function of it must
+    equal its own direct double sum, and inversion must give the stack back."""
+    field = get_field(p, n)
+    size = field.q ** d
+    rng = stream(8, field.q, d, 19)
+    vals = rng.standard_normal((2, 3, size)) + 1j * rng.standard_normal((2, 3, size))
+    fast = fourier_forward(SpectralFn(field, d, vals)).values
+    assert fast.shape == vals.shape
+    for idx in np.ndindex(2, 3):
+        direct = fourier_forward_direct(SpectralFn(field, d, vals[idx])).values
+        assert np.max(np.abs(fast[idx] - direct)) <= 1e-9
+    back = fourier_invert(SpectralFn(field, d, fast)).values
+    assert np.max(np.abs(back - vals)) <= 1e-9
+
+
 # ---------------------------------------------------------------------------
 # inversion
 # ---------------------------------------------------------------------------

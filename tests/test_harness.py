@@ -292,6 +292,11 @@ def test_run_sharpness_prime_field_skips_subfield():
     assert isinstance(report.extras["sqrt_subfield"], str)
 
 
+def test_divisors_match_the_scan():
+    for m in range(1, 2001):
+        assert harness._divisors(m) == [d for d in range(1, m + 1) if m % d == 0]
+
+
 def test_run_geometry_exhaustive_q3():
     spec = ExperimentSpec(p=3, d=2, mode="exhaustive", sizes=(6, 9))
     report = run_geometry(spec)

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from fqcover.incidence import (
     nu_bruteforce,
     nu_spectral,
     remainder_bound_check,
+    remainder_sides,
     rotating_planes_apply,
     second_moment_check,
+    second_moment_sides,
 )
 
 
@@ -396,6 +399,26 @@ def test_second_moment_on_100_random_origin_free_sets(p, n, d):
         flats = 1 + np.sort(rng.choice(size_cap, size, replace=False))
         rep = second_moment_check(PointSet.from_flat(field, d, flats))
         assert rep.ok, f"trial {trial}: {rep.lhs} > {rep.rhs}"
+
+
+def test_second_moment_sides_stay_exact_past_int64():
+    # 3.1e9 ** 2 > 2 ** 63: squared in int64 these counts would wrap around.
+    counts = np.array([[3_100_000_000, 5, 0], [7, 3_037_000_500, 1]], dtype=np.int64)
+    assert (counts * counts).sum(axis=1).tolist() != [
+        sum(int(c) ** 2 for c in row) for row in counts.tolist()]
+    size, max_line = np.array([60_000, 55_200]), np.array([40, 3])
+    lhs, rhs = second_moment_sides(counts, size, max_line, 3, 2)
+    assert lhs.tolist() == [3 * sum(int(c) ** 2 for c in row) for row in counts.tolist()]
+    assert rhs.tolist() == [40 * 60_000 ** 2 * 9 + 60_000 ** 4, 3 * 55_200 ** 2 * 9 + 55_200 ** 4]
+
+
+def test_remainder_sides_match_the_squared_comparison():
+    # q = 7, d = 2, |E| = 5: |r| <= B must hold exactly when r^2 <= 25 * 7^3.
+    counts = np.arange(40, dtype=np.int64)
+    r, bound = remainder_sides(counts, 5, 7, 2)
+    assert bound == math.isqrt(25 * 7 ** 3)
+    assert r.tolist() == [7 * c - 25 for c in range(40)]
+    assert ((np.abs(r) <= bound) == np.array([v * v <= 25 * 7 ** 3 for v in r.tolist()])).all()
 
 
 def test_second_moment_rejects_origin():

@@ -3,7 +3,9 @@
 Every blocked count is compared with a Python-integer oracle built from the
 scalar `field.add` and `field.mul`, with the byte cap patched down so that
 each kernel runs in many one-row blocks.  q = 4, 5 and 9 cover the XOR,
-prime and add-table paths of `Field.add_arrays`.
+prime and add-table paths of `Field.add_arrays`.  Stacks of sets, some
+holding the origin, are checked set by set against the same oracles and
+against the per-set checks.
 """
 
 import tracemalloc
@@ -12,27 +14,39 @@ import numpy as np
 import pytest
 
 import fqcover.fourier as fourier
+import fqcover.harness as harness
 import fqcover.incidence as incidence
+from fqcover.covering import (
+    covers_units,
+    dot_product_set,
+    dot_set_lower_bound,
+    point_cover_threshold,
+)
 from fqcover.fourier import (
     DENSE_BLOCK_BYTES,
     SpectralFn,
     convolve_diff,
     coords_to_flat,
+    diff_convolution_hat_check,
     dot,
     flat_to_coords,
     point_dot,
     point_map,
     row_blocks,
+    stack_blocks,
 )
 from fqcover.harness import get_field, stream
 from fqcover.incidence import (
     PointSet,
+    hyperplane_hat_identity_check,
     hyperplane_sum,
     line_counts_all,
     nu,
     nu_bruteforce,
     nu_spectral,
+    remainder_bound_check,
     rotating_planes_apply,
+    second_moment_check,
 )
 
 SPACES = [(2, 2, 2), (2, 2, 3), (5, 1, 2), (5, 1, 3), (3, 2, 2), (3, 2, 3)]
@@ -150,6 +164,109 @@ def test_blocked_kernel_peak_memory_stays_near_the_cap(fn):
         tracemalloc.stop()
     # One unblocked 2000 x 2000 int64 array alone would be 32 MB, 122 caps.
     assert peak <= 4 * DENSE_BLOCK_BYTES
+
+
+def mixed_stack(field, d, k, rows, trial):
+    """rows sorted k-subsets of F_q^d; the even rows hold the origin."""
+    universe = field.q ** d - 1
+    out = []
+    for r in range(rows):
+        rng = stream(80, trial, r, 7)
+        if r % 2 == 0:
+            out.append([0] + (1 + np.sort(rng.choice(universe, k - 1, replace=False))).tolist())
+        else:
+            out.append((1 + np.sort(rng.choice(universe, k, replace=False))).tolist())
+    return np.array(out, dtype=np.int64)
+
+
+def per_set_checks(field, d, flats):
+    """The point checks of one set, each read off the per-set functions on
+    the set with its origin stripped."""
+    e = PointSet.from_flat(field, d, flats)
+    core = e.strip_origin()
+    out = {"cover": None}
+    if point_cover_threshold(e):
+        out["cover"], missing = covers_units(dot_product_set(core))
+        if missing:
+            out["cover_missing"] = missing[:32]
+    rep = remainder_bound_check(core)
+    out["remainder"] = rep.ok
+    out["sharpness_frac"] = (rep.profile.r_numerator(rep.worst_t) ** 2,
+                             core.count ** 2 * field.q ** (d + 1))
+    out["identities"] = (hyperplane_hat_identity_check(core).ok
+                         and diff_convolution_hat_check(core.indicator()))
+    out["second_moment"] = second_moment_check(core).ok
+    out["keylowerbound"] = dot_set_lower_bound(core).threshold_met
+    return out
+
+
+@pytest.mark.parametrize("p,n,d,k", [(2, 2, 2, 6), (5, 1, 2, 12), (3, 2, 2, 30),
+                                     (3, 1, 3, 8), (2, 1, 2, 1), (3, 1, 2, 1)])
+@pytest.mark.parametrize("cap", [DENSE_BLOCK_BYTES, 1])
+def test_stacked_counts_and_checks_match_per_set_oracles(monkeypatch, p, n, d, k, cap):
+    """Five sets in one stack, the even ones holding the origin (at k = 1
+    their core is empty), at the default cap and in one-row blocks."""
+    monkeypatch.setattr(fourier, "DENSE_BLOCK_BYTES", cap)
+    field = get_field(p, n)
+    q, size = field.q, field.q ** d
+    flats = mixed_stack(field, d, k, 5, k)
+    stack = PointSet.from_flat(field, d, flats)
+    assert stack.count == k and stack.flat_indices().tolist() == flats.tolist()
+
+    brute, spectral = nu_bruteforce(stack).counts, nu_spectral(stack).counts
+    hsum, lines = hyperplane_sum(stack).values, line_counts_all(stack)
+    weights = np.where(stack.bits, 1 + np.arange(size) % 3, 0)
+    values = stream(81, q, d, 8).integers(-3, 4, (5, size))
+    conv = convolve_diff(SpectralFn.from_real(field, d, values),
+                         SpectralFn.from_real(field, d, weights)).values
+    for r, row in enumerate(flats.tolist()):
+        nu_ref = [0] * q
+        for x in row:
+            for y in row:
+                nu_ref[fdot(field, d, x, y)] += 1
+        assert brute[r].tolist() == spectral[r].tolist() == nu_ref
+        assert hsum[r].real.tolist() == [
+            sum(fdot(field, d, x, m) == 0 for x in row) for m in range(size)]
+        assert lines[r].tolist() == [
+            sum(stack.bits[r, scale(field, d, t, m)] for t in range(q)) for m in range(size)]
+        assert conv[r].real.tolist() == [
+            sum(int(weights[r, y]) * int(values[r, translate(field, d, m, y)]) for y in row)
+            for m in range(size)]
+
+    got = harness._geometry_checks(field, d, stack, harness.POINT_CHECKS)
+    assert got == [per_set_checks(field, d, row) for row in flats]
+
+
+def test_stack_blocks_cover_every_pair_once(monkeypatch):
+    for cap, rows, k, cols in [(1, 3, 4, 5), (16 * 5 * 4, 7, 4, 5), (16 * 5 * 3, 2, 7, 5),
+                               (DENSE_BLOCK_BYTES, 64, 81, 9)]:
+        monkeypatch.setattr(fourier, "DENSE_BLOCK_BYTES", cap)
+        seen = np.zeros((rows, k), dtype=np.int64)
+        for sets, items in stack_blocks(rows, k, cols):
+            block = seen[sets, items]
+            assert block.size * cols * 16 <= max(cap, 16 * cols)
+            seen[sets, items] += 1
+        assert (seen == 1).all()
+
+
+def test_stacked_kernel_peak_memory_stays_near_the_cap():
+    """64 sets of 2000 points in F_101^2: each set's 4e6 pairs are split
+    into (set, x) blocks, and a line-count block gathers for a few points."""
+    field = get_field(101, 1)
+    flats = np.stack([random_flats(101, 2, 2000, 10 + i) for i in range(64)])
+    e = PointSet.from_flat(field, 2, flats)
+    e.flat_indices()  # computed once and shared, like the field's caches
+    warm = PointSet.from_flat(field, 2, flats[:2, :50])
+    for fn in (nu_bruteforce, line_counts_all):
+        fn(warm)
+        tracemalloc.start()
+        try:
+            out = fn(e)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Beyond the result (64 x 10201 int64 line counts are 20 caps).
+        assert peak - getattr(out, "counts", out).nbytes <= 4 * DENSE_BLOCK_BYTES, fn.__name__
 
 
 def test_point_constructors_match_oracles():
