@@ -4,16 +4,17 @@
 Usage (from anywhere):
 
     python3 scripts/bench_pairs.py PARENT_TREE CHANGE_TREE --out BENCH_8.json \
-        [--workloads geometry-q9 exhaustive-q17] [--seeds 10..19] [--seconds 50] \
         [--claim geometry-q9:sets_per_s] [--change "what the change did"]
 
 PARENT_TREE and CHANGE_TREE are two checkouts of the repository.  Both lose
 their `src/fqcover/__pycache__` first, and every run is made with
 PYTHONDONTWRITEBYTECODE=1, so that neither side imports from a bytecode
-cache the other lacks.  Pair i runs `perfbench/run.py --workload W --seed S
---seconds T --trace 0` in the parent tree first when i is even and in the
-change tree first when i is odd.  The end-to-end metrics are those that
-the change tree's BENCHMARK.json lists.  The output is rewritten after
+cache the other lacks.  For each workload of the change tree's
+BENCHMARK.json, pair i (seed 10 + i, ten pairs) runs `perfbench/run.py
+--workload W --seed S --seconds T --trace 0`, with T that file's
+run_seconds, in the parent tree first when i is even and in the change tree
+first when i is odd.  The end-to-end metrics are those that BENCHMARK.json
+lists.  The output is rewritten after
 every pair, so an interrupted run keeps the pairs it finished.
 
 A claimed metric is met when the change wins at least 9 of every 10 pairs
@@ -33,9 +34,7 @@ import subprocess
 import sys
 
 
-def parse_seeds(text: str) -> list[int]:
-    lo, _, hi = text.partition("..")
-    return list(range(int(lo), int(hi or lo) + 1))
+SEEDS = list(range(10, 20))
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -82,11 +81,6 @@ def main() -> int:
     ap.add_argument("parent_tree")
     ap.add_argument("change_tree")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--workloads", nargs="+", default=None,
-                    help="default: the workloads of the change tree's BENCHMARK.json")
-    ap.add_argument("--seeds", default="10..19")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="default: run_seconds of the change tree's BENCHMARK.json")
     ap.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims a gain on")
     ap.add_argument("--change", default="", help="one line on what the change did")
     args = ap.parse_args()
@@ -97,9 +91,8 @@ def main() -> int:
         shutil.rmtree(os.path.join(tree, "src", "fqcover", "__pycache__"), ignore_errors=True)
     with open(os.path.join(trees["change"], "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
-    seeds = parse_seeds(args.seeds)
+    workloads = [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     claim = dict(zip(("workload", "metric"), args.claim.split(":"))) if args.claim else None
 
     record = {
@@ -114,11 +107,11 @@ def main() -> int:
     }
     for workload in workloads:
         runs = {"parent": [], "change": []}
-        for i, seed in enumerate(seeds):
+        for i, seed in enumerate(SEEDS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 runs[side].append(run_once(trees[side], workload, seed, seconds))
             record["workloads"][workload] = {
-                "seeds": seeds[:i + 1], "pairs": i + 1,
+                "seeds": SEEDS[:i + 1], "pairs": i + 1,
                 "attempted": {s: sum(r["attempted"] for r in runs[s]) for s in runs},
                 "failed": {s: sum(r["failed"] for r in runs[s]) for s in runs},
                 "metrics": {m["name"]: summarize(
@@ -131,7 +124,7 @@ def main() -> int:
             with open(args.out, "w") as fh:
                 json.dump(record, fh, indent=1)
                 fh.write("\n")
-            print(f"{workload} pair {i + 1}/{len(seeds)} done", file=sys.stderr, flush=True)
+            print(f"{workload} pair {i + 1}/{len(SEEDS)} done", file=sys.stderr, flush=True)
     return 0
 
 

@@ -129,9 +129,18 @@ def dot_product_set(e: PointSet) -> ScalarSet:
     return ScalarSet(e.field, e.nu_profile.counts > 0)
 
 
+def missing_units(present: np.ndarray) -> list:
+    """The nonzero field elements absent from `present`, a membership mask
+    or count array over the field (last axis): one list, or a list per row
+    of a stack."""
+    if present.ndim > 1:
+        return [missing_units(row) for row in present]
+    return (np.flatnonzero(present[1:] == 0) + 1).tolist()
+
+
 def covers_units(s: ScalarSet) -> tuple[bool, list[int]]:
     """Whether every nonzero field element lies in S, plus the missing ones."""
-    missing = (np.flatnonzero(~s.bits[1:]) + 1).tolist()
+    missing = missing_units(s.bits)
     return not missing, missing
 
 

@@ -36,6 +36,7 @@ from .covering import (
     d_for_epsilon,
     dense_block_rows,
     dot_set_lower_bound_sides,
+    missing_units,
     point_cover_threshold,
     sqrt_subfield,
     sumset_of_products,
@@ -59,6 +60,7 @@ from .incidence import (
     hyperplane_sum,
     nu_bruteforce,
     remainder_sides,
+    remainder_verdicts,
     second_moment_sides,
 )
 
@@ -732,16 +734,13 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
     if "cover" in checks and not point_cover_threshold(e):
         put("cover", [None] * len(outs))
     elif "cover" in checks:
-        for out, row in zip(outs, counts):
-            missing = (np.flatnonzero(row[1:] == 0) + 1).tolist()
+        for out, missing in zip(outs, missing_units(counts)):
             out["cover"] = not missing
             if missing:
                 out["cover_missing"] = missing[:32]
     if "remainder" in checks:
-        r, bound = remainder_sides(counts, size, q, d)
-        dev = np.abs(r[:, 1:])
-        worst = dev[np.arange(len(dev)), np.argmax(dev, axis=1)]
-        put("remainder", (dev <= bound[:, None]).all(axis=1).tolist())
+        ok, _, worst = remainder_verdicts(*remainder_sides(counts, size, q, d))
+        put("remainder", ok.tolist())
         put("sharpness_frac", [(w ** 2, n ** 2 * q ** (d + 1))
                                for w, n in zip(worst.tolist(), size.tolist())])
     if "identities" in checks:

@@ -272,6 +272,16 @@ def remainder_sides(counts: np.ndarray, size, q: int, d: int) -> tuple[np.ndarra
     return r, bound
 
 
+def remainder_verdicts(r: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ok, worst_t, r(worst_t)) for r and B of `remainder_sides`, over the
+    leading axes: whether |r(t)| <= B at every t != 0, and the first t != 0
+    where |r(t)| is largest."""
+    dev = np.abs(r[..., 1:])
+    worst_t = 1 + np.argmax(dev, axis=-1)
+    ok = (dev <= np.asarray(bound)[..., None]).all(axis=-1)
+    return ok, worst_t, np.take_along_axis(r, worst_t[..., None], axis=-1)[..., 0]
+
+
 @dataclass
 class RemainderReport:
     ok: bool
@@ -299,13 +309,12 @@ def remainder_bound_check(e: PointSet) -> RemainderReport:
     q = e.field.q
     prof = e.nu_profile
     r, b = remainder_sides(prof.counts, e.count, q, e.d)
-    dev = np.abs(r)
-    violations = (np.flatnonzero(dev[1:] > b) + 1).tolist()
-    worst_t = 1 + int(np.argmax(dev[1:]))
+    ok, worst_t, worst_r = remainder_verdicts(r, b)
+    violations = (np.flatnonzero(np.abs(r[1:]) > b) + 1).tolist()
     bound = e.count ** 2 * q ** (e.d + 1)
-    sharpness = 0.0 if bound == 0 else int(r[worst_t]) ** 2 / bound
-    return RemainderReport(not violations, sharpness, worst_t, violations,
-                           bool(dev[0] <= b), prof)
+    sharpness = 0.0 if bound == 0 else int(worst_r) ** 2 / bound
+    return RemainderReport(bool(ok), sharpness, int(worst_t), violations,
+                           bool(abs(r[0]) <= b), prof)
 
 
 def rotating_planes_apply(f: SpectralFn, t: int) -> SpectralFn:

@@ -22,6 +22,7 @@ from fqcover.covering import (
     dot_product_set,
     dot_set_lower_bound,
     iterated_sumset,
+    missing_units,
     pairwise_product_set,
     point_cover_threshold,
     positive_proportion_check,
@@ -150,6 +151,14 @@ def test_covers_units():
     covered, missing = covers_units(ScalarSet.from_indices(f5, [0, 2, 3, 4]))
     assert not covered and missing == [1]
     assert covers_units(ScalarSet.empty(f5)) == (False, [1, 2, 3, 4])
+
+
+def test_missing_units_per_row_of_counts():
+    # nu-style counts, one row per set: entry 0 never counts as missing.
+    counts = np.array([[0, 3, 0, 1, 2], [7, 1, 1, 1, 1], [0, 0, 0, 0, 0]])
+    assert missing_units(counts) == [[2], [], [1, 2, 3, 4]]
+    assert missing_units(counts[0]) == [2]
+    assert missing_units(counts > 0) == missing_units(counts)
 
 
 def test_scalar_cover_threshold_exact_integers():
