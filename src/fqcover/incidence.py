@@ -10,9 +10,10 @@ the hyperplane transform identity.
 The counts (nu, line counts, hyperplane sums) take a `PointSet` that may
 be a stack of sets of one size, and give one result per set along leading
 axes; each has one implementation, run in `fourier.stack_blocks`.  The
-read-outs (`remainder_sides`, `hat_identity_close`, `second_moment_sides`)
-work elementwise over leading axes too, so a caller that has counted a
-whole stack reads every set's verdict off in array expressions.
+read-outs (`remainder_sides`, `remainder_verdicts`, `hat_identity_close`,
+`second_moment_sides`) work elementwise over leading axes too, so a caller
+that has counted a whole stack reads every set's verdict off in array
+expressions.
 """
 
 from __future__ import annotations
