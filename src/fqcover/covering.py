@@ -18,7 +18,7 @@ import numpy as np
 
 from .fourier import DENSE_BLOCK_BYTES, row_blocks
 from .gf import Field, sqrt_subfield_indices
-from .incidence import PointSet, OriginInSetError, max_line_intersection
+from .incidence import PointSet, OriginInSetError, max_line_intersection, nu
 
 MISSING_REPORT_LIMIT = 32
 
@@ -126,7 +126,7 @@ def sumset_of_products(a: ScalarSet, d: int) -> ScalarSet:
 
 def dot_product_set(e: PointSet) -> ScalarSet:
     """{x.y : x, y in E}, the support of nu."""
-    return ScalarSet(e.field, e.nu_profile.counts > 0)
+    return ScalarSet(e.field, nu(e).counts > 0)
 
 
 def missing_units(present: np.ndarray) -> list:
@@ -152,6 +152,15 @@ def scalar_cover_threshold(a: ScalarSet, d: int) -> bool:
     if d < 1:
         raise BadArityError(f"need d >= 1, got d={d}")
     return a.count ** (2 * d) > a.field.q ** (d + 1)
+
+
+def min_threshold_size(q: int, d: int) -> int:
+    """The least size of A in 1..q that meets `scalar_cover_threshold` in
+    F_q, or q + 1 if none does."""
+    s = 1
+    while s <= q and s ** (2 * d) <= q ** (d + 1):
+        s += 1
+    return s
 
 
 def point_cover_threshold(e: PointSet) -> bool:

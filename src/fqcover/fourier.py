@@ -39,17 +39,6 @@ class DimensionMismatchError(ValueError):
     pass
 
 
-def all_coords(field: Field, d: int) -> np.ndarray:
-    """[q^d, d] matrix whose row k holds the coordinates of flat index k."""
-    cached = field._coords_cache.get(d)
-    if cached is None:
-        q = field.q
-        flat = np.arange(q ** d, dtype=np.int64)
-        cached = np.stack([(flat // q ** i) % q for i in range(d)], axis=1)
-        field._coords_cache[d] = cached
-    return cached
-
-
 def coords_to_flat(q: int, coords) -> int:
     return int(sum(int(c) * q ** i for i, c in enumerate(coords)))
 

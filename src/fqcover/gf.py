@@ -174,6 +174,7 @@ class Field:
         self._validate()
 
         self._char_matrix = None
+        # Empty and unused: perfbench/child.py sums the bytes held here.
         self._coords_cache: dict[int, np.ndarray] = {}
 
     # -- construction internals ---------------------------------------

@@ -26,8 +26,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__
+from . import __version__, incidence
 from .covering import (
+    MISSING_REPORT_LIMIT,
     ScalarSet,
     bilinear_cover,
     cover_verdict,
@@ -36,6 +37,7 @@ from .covering import (
     d_for_epsilon,
     dense_block_rows,
     dot_set_lower_bound_sides,
+    min_threshold_size,
     missing_units,
     point_cover_threshold,
     sqrt_subfield,
@@ -493,7 +495,7 @@ def _cover_task(task) -> dict:
     subsets = _draw(mode, field.q, size, lo, hi, seed, TAG_COVER)
     covers = _covers(field, d, subsets)
     failures = []
-    if size >= _min_threshold_size(field.q, d):
+    if size >= min_threshold_size(field.q, d):
         # The report's missing lists come from the per-set oracle, which
         # must agree with the block verdict.
         for i in np.flatnonzero(~covers).tolist():
@@ -501,7 +503,8 @@ def _cover_task(task) -> dict:
             verdict = cover_verdict(ScalarSet.from_indices(field, subset), d)
             if verdict.covers_units:
                 raise RuntimeError(f"block verdict and cover_verdict disagree on {subset}")
-            failure = {"size": size, "subset": subset, "missing": verdict.missing[:32]}
+            failure = {"size": size, "subset": subset,
+                       "missing": verdict.missing[:MISSING_REPORT_LIMIT]}
             if mode != "exhaustive":
                 failure["sample_index"] = lo + i
             failures.append(failure)
@@ -521,13 +524,6 @@ def _scalar_tallies(results: list, s_min: int) -> tuple[dict, list]:
         t["covered"] += res["covered"]
         failures.extend(res["failures"])
     return {str(s): tallies[s] for s in sorted(tallies)}, failures
-
-
-def _min_threshold_size(q: int, d: int) -> int:
-    s = 1
-    while s <= q and s ** (2 * d) <= q ** (d + 1):
-        s += 1
-    return s
 
 
 def _clip_sizes(sizes: tuple[int, int], universe: int) -> list[int]:
@@ -553,33 +549,39 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
     q, d = field.q, spec.d
     report = RunReport("cover-exhaustive", spec.echo(), field.descriptor())
 
-    s_min = _min_threshold_size(q, d)
+    s_min = min_threshold_size(q, d)
     sizes = _scalar_sizes(spec, q, s_min)
     if not sizes:
         raise BadSpecError(f"no size in 1..{q} is above the cover threshold at "
                            f"d={d}; give --sizes")
-    report.tallies, failures = _scalar_tallies(
-        _campaign(_cover_task, spec, sizes, q, SUBSET_CHUNK), s_min)
+    # Without --sizes, the sizes below the threshold are scanned too, from
+    # s_min - 1 down for as long as they fit what is left of the budget.
+    scan: list[int] = []
+    if spec.sizes is None:
+        remaining = EXHAUSTIVE_BUDGET - enumeration_budget(q, sizes)
+        for s in range(s_min - 1, 0, -1):
+            remaining -= math.comb(q, s)
+            if remaining < 0:
+                break
+            scan.append(s)
+    tallies, failures = _scalar_tallies(
+        _campaign(_cover_task, spec, sizes + scan, q, SUBSET_CHUNK), s_min)
+    report.tallies = {str(s): tallies[str(s)] for s in sizes}
     report.counterexamples = sorted(failures, key=lambda c: (c["size"], c["subset"]))
 
     extras = {"threshold_min_size": s_min, "budget": enumeration_budget(q, sizes)}
     if spec.sizes is None and not failures:
-        # Empirical scan below the guaranteed range: smallest size at which
-        # every subset still covers.  Reported, never asserted.
+        # The smallest size from which up to the threshold every subset
+        # covers.  Reported, never asserted.
         empirical = s_min
-        remaining = EXHAUSTIVE_BUDGET - enumeration_budget(q, sizes)
-        s = s_min - 1
-        while s >= 1 and math.comb(q, s) <= remaining:
-            total = math.comb(q, s)
-            remaining -= total
-            if not all(
-                    _covers(field, d, colex_unrank(q, s, lo, min(lo + SUBSET_CHUNK, total))).all()
-                    for lo in range(0, total, SUBSET_CHUNK)):
+        for s in scan:
+            if tallies[str(s)]["covered"] < tallies[str(s)]["checked"]:
                 break
             empirical = s
-            s -= 1
         extras["empirical_all_cover_min_size"] = empirical
-        extras["empirical_scan_floor"] = s + 1
+        # The lowest size the scan vouches for is that minimum itself; the
+        # key stays because it is part of the report.
+        extras["empirical_scan_floor"] = empirical
     report.extras = extras
     report.flag_counterexamples()
     return report
@@ -619,7 +621,7 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     roster = structured_scalar_sets(field) if spec.mode == "structured" else []
     _require_pair_budget(roster)
 
-    s_min = _min_threshold_size(q, d)
+    s_min = min_threshold_size(q, d)
     sizes = _scalar_sizes(spec, q, s_min)
     report.tallies, failures = _scalar_tallies(
         _campaign(_cover_task, spec, sizes, q, 256), s_min)
@@ -632,7 +634,7 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
             structured.append({"name": name, **verdict.to_report_dict()})
             if verdict.threshold_met and not verdict.covers_units:
                 failures.append({"size": a.count, "structured": name,
-                                 "missing": verdict.missing[:32]})
+                                 "missing": verdict.missing[:MISSING_REPORT_LIMIT]})
         extras["structured"] = structured
     if "bilinear" in spec.checks:
         extras["bilinear"] = _bilinear_campaign(field, d, spec.seed, spec.samples)
@@ -725,11 +727,13 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
         for out, v in zip(outs, values):
             out[check] = v
 
+    # nu and the line counts are looked up on their module, where tests
+    # count the calls.
     if {"cover", "remainder", "second_moment", "keylowerbound"} & set(checks):
-        counts = e.nu_profile.counts.copy()
+        counts = incidence.nu(e).counts
         counts[:, 0] -= k * k - size ** 2
     if {"identities", "second_moment", "keylowerbound"} & set(checks):
-        lines = e.line_counts - pad[:, None]
+        lines = incidence.line_counts_all(e) - pad[:, None]
         max_line = lines[:, 1:].max(axis=1)
     if "cover" in checks and not point_cover_threshold(e):
         put("cover", [None] * len(outs))
@@ -737,7 +741,7 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
         for out, missing in zip(outs, missing_units(counts)):
             out["cover"] = not missing
             if missing:
-                out["cover_missing"] = missing[:32]
+                out["cover_missing"] = missing[:MISSING_REPORT_LIMIT]
     if "remainder" in checks:
         ok, _, worst = remainder_verdicts(*remainder_sides(counts, size, q, d))
         put("remainder", ok.tolist())

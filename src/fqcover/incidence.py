@@ -55,11 +55,9 @@ class PointSet:
     a stack of subsets of one size: `bits` then has leading stack axes and
     `count` is the size of each set.
 
-    A set is not changed after construction, so its flat indices, its
-    dot-product counts (`nu_profile`) and its line counts (`line_counts`)
-    are computed once, on first use, and shared by every check that reads
-    them.  The named constructors, `contains_origin`, `strip_origin` and
-    `union` are for a single set.
+    A set is not changed after construction, so its flat indices are
+    computed once, on first use.  The named constructors,
+    `contains_origin`, `strip_origin` and `union` are for a single set.
     """
 
     field: Field
@@ -144,20 +142,6 @@ class PointSet:
 
     def indicator(self) -> SpectralFn:
         return SpectralFn.from_real(self.field, self.d, self.bits.astype(np.float64))
-
-    @cached_property
-    def nu_profile(self) -> "NuProfile":
-        """nu(self), with its counts read-only because they are shared."""
-        prof = nu(self)
-        prof.counts.flags.writeable = False
-        return prof
-
-    @cached_property
-    def line_counts(self) -> np.ndarray:
-        """line_counts_all(self), read-only because it is shared."""
-        counts = line_counts_all(self)
-        counts.flags.writeable = False
-        return counts
 
 
 @dataclass
@@ -308,7 +292,7 @@ def remainder_bound_check(e: PointSet) -> RemainderReport:
     The worst t is the first t != 0 where |q nu(t) - |E|^2| is largest.
     """
     q = e.field.q
-    prof = e.nu_profile
+    prof = nu(e)
     r, b = remainder_sides(prof.counts, e.count, q, e.d)
     ok, worst_t, worst_r = remainder_verdicts(r, b)
     violations = (np.flatnonzero(np.abs(r[1:]) > b) + 1).tolist()
@@ -370,7 +354,7 @@ def max_line_intersection(e: PointSet) -> tuple[int, int | None]:
     """
     if e.count == 0:
         return 0, None
-    counts = e.line_counts
+    counts = line_counts_all(e)
     best = 1 + int(np.argmax(counts[1:]))
     return int(counts[best]), best
 
@@ -392,18 +376,19 @@ class HatIdentityReport:
     max_abs_err: float
 
 
-def hat_identity_close(fhat: np.ndarray, line_counts: np.ndarray, size, q: int,
-                       rtol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def hat_identity_close(fhat: np.ndarray, line_counts: np.ndarray, size,
+                       q: int) -> tuple[np.ndarray, np.ndarray]:
     """(ok, err) of Fhat(k) = q^{-1} |E intersect l_k| (k != 0) and
     Fhat(0) = q^{-1} |E|, elementwise over the leading axes: err is the
-    largest deviation, ok whether it is within rtol of the largest value."""
+    largest deviation, ok whether it is within a relative 1e-8 of the
+    largest value."""
     expected = line_counts / q
     expected[..., 0] = np.asarray(size) / q
     err = np.max(np.abs(fhat - expected), axis=-1)
-    return err <= rtol * np.maximum(1.0, np.max(np.abs(expected), axis=-1)), err
+    return err <= 1e-8 * np.maximum(1.0, np.max(np.abs(expected), axis=-1)), err
 
 
-def hyperplane_hat_identity_check(e: PointSet, rtol: float = 1e-8) -> HatIdentityReport:
+def hyperplane_hat_identity_check(e: PointSet) -> HatIdentityReport:
     """Check Fhat(k) = q^{-1} |E intersect l_k| (k != 0) and Fhat(0) = q^{-1}|E|.
 
     Requires an origin-free set; the derivation collapses the s-sum only
@@ -411,7 +396,7 @@ def hyperplane_hat_identity_check(e: PointSet, rtol: float = 1e-8) -> HatIdentit
     """
     _require_origin_free(e)
     fhat = fourier_forward(hyperplane_sum(e)).values
-    ok, err = hat_identity_close(fhat, e.line_counts, e.count, e.field.q, rtol)
+    ok, err = hat_identity_close(fhat, line_counts_all(e), e.count, e.field.q)
     return HatIdentityReport(bool(ok), float(err))
 
 
@@ -440,5 +425,5 @@ def second_moment_check(e: PointSet) -> SecondMomentReport:
     """
     _require_origin_free(e)
     m_line = max_line_intersection(e)[0]
-    lhs, rhs = second_moment_sides(e.nu_profile.counts, e.count, m_line, e.field.q, e.d)
+    lhs, rhs = second_moment_sides(nu(e).counts, e.count, m_line, e.field.q, e.d)
     return SecondMomentReport(lhs <= rhs, lhs, rhs, m_line)

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from fqcover.fourier import (
     DimensionMismatchError,
     SpectralFn,
-    all_coords,
     convolve_diff,
     coords_to_flat,
     dot,
@@ -55,13 +54,6 @@ def dft_oracle(field, d, values):
 @given(st.integers(0, 5 ** 3 - 1))
 def test_flat_coords_roundtrip(flat):
     assert coords_to_flat(5, flat_to_coords(5, 3, flat)) == flat
-
-
-def test_all_coords_matches_flat_decomposition():
-    field = get_field(3, 1)
-    coords = all_coords(field, 2)
-    for flat in range(9):
-        assert tuple(coords[flat]) == flat_to_coords(3, 2, flat)
 
 
 def test_dot_examples():

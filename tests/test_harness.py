@@ -15,7 +15,7 @@ import fqcover.cli as cli
 import fqcover.harness as harness
 import fqcover.incidence as incidence
 from fqcover.covering import ScalarSet, cover_verdict, dense_block_rows
-from fqcover.incidence import PointSet, nu_bruteforce
+from fqcover.incidence import PointSet, max_line_intersection, nu_bruteforce
 
 from fqcover.harness import (
     BadSpecError,
@@ -215,10 +215,33 @@ def test_run_cover_exhaustive_identical_across_workers(p, n):
         s: math.comb(q, s) for s in range(report["extras"]["threshold_min_size"], q + 1)}
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("p,n", [(5, 1), (7, 1), (2, 3), (3, 2), (11, 1), (13, 1)])
+def test_cover_exhaustive_scan_matches_the_per_set_oracle(p, n, d):
+    # Every size below the threshold fits the budget here, so the scan's
+    # minimum is the least s such that every subset of every size from s
+    # up to the threshold covers, by the per-set oracle.
+    field = get_field(p, n)
+    q = field.q
+    assert 2 ** q <= harness.EXHAUSTIVE_BUDGET
+    expect = s_min = min(s for s in range(1, q + 1) if s ** (2 * d) > q ** (d + 1))
+    for s in range(s_min - 1, 0, -1):
+        if not all(cover_verdict(ScalarSet.from_indices(field, a), d).covers_units
+                   for a in itertools.combinations(range(q), s)):
+            break
+        expect = s
+    for workers in (1, 2):
+        extras = run_cover_exhaustive(ExperimentSpec(p=p, n=n, d=d, mode="exhaustive",
+                                                     workers=workers)).extras
+        assert extras["threshold_min_size"] == s_min
+        assert extras["empirical_all_cover_min_size"] == expect
+        assert extras["empirical_scan_floor"] == expect
+
+
 def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
     # With the threshold pretended down to size 1, sub-threshold sets that
     # miss a unit are reported as counterexamples, with the oracle's lists.
-    monkeypatch.setattr(harness, "_min_threshold_size", lambda q, d: 1)
+    monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
     field = get_field(7, 1)
     report = run_cover_exhaustive(ExperimentSpec(p=7, d=2, mode="exhaustive", sizes=(1, 7)))
     expect = []
@@ -329,6 +352,26 @@ def test_geometry_check_counts_nu_and_lines_once_per_set(monkeypatch):
         out = harness._geometry_check_one(field, 2, e, harness.POINT_CHECKS)
         assert set(harness.POINT_CHECKS) <= set(out)
         assert calls == {"nu": i + 1, "line_counts_all": i + 1}
+
+
+def test_geometry_max_line_is_that_of_each_core(monkeypatch):
+    # With the origin taken off, entry 0 of a row's line counts holds q - 1
+    # for a set with the origin; M is the largest count over the lines only.
+    seen = {}
+    for name, pos in (("second_moment_sides", 2), ("dot_set_lower_bound_sides", 1)):
+        def record(*args, real=getattr(harness, name), name=name, pos=pos):
+            seen[name] = args[pos].tolist()
+            return real(*args)
+        monkeypatch.setattr(harness, name, record)
+    field, q, k = get_field(5, 1), 5, 6
+    rows = [sorted(([0] if i % 2 == 0 else []) + stream(3, i, k, 0).choice(
+        range(1, q ** 2), k - (i % 2 == 0), replace=False).tolist()) for i in range(8)]
+    harness._geometry_checks(field, 2, PointSet.from_flat(field, 2, rows),
+                             harness.POINT_CHECKS)
+    expect = [max_line_intersection(PointSet.from_flat(field, 2, r).strip_origin())[0]
+              for r in rows]
+    assert max(expect[::2]) < q - 1
+    assert seen == {"second_moment_sides": expect, "dot_set_lower_bound_sides": expect}
 
 
 @pytest.mark.parametrize("mode,sizes", [("exhaustive", (6, 7)), ("sample", (3, 6)),

@@ -269,28 +269,6 @@ def test_max_line_argmax_is_canonical():
     assert all(counts[k] < m for k in range(1, arg))
 
 
-def test_max_line_leaves_the_shared_line_counts_unchanged():
-    field = get_field(5, 1)
-    e = random_pointset(field, 2, 11, 3, tag=35)
-    before = e.line_counts.copy()
-    max_line_intersection(e)
-    second_moment_check(e.strip_origin())
-    assert np.array_equal(e.line_counts, before)
-    assert np.array_equal(e.line_counts, line_counts_all(e))
-
-
-def test_shared_counts_are_cached_and_read_only():
-    field = get_field(3, 2)
-    e = random_pointset(field, 2, 20, 4, tag=36)
-    assert e.nu_profile is e.nu_profile
-    assert e.line_counts is e.line_counts
-    assert np.array_equal(e.nu_profile.counts, nu_bruteforce(e).counts)
-    with pytest.raises(ValueError):
-        e.nu_profile.counts[0] = 0
-    with pytest.raises(ValueError):
-        e.line_counts[0] = 0
-
-
 # ---------------------------------------------------------------------------
 # hyperplane sums and the hat identity
 # ---------------------------------------------------------------------------
