@@ -1,9 +1,11 @@
 """fqcover: exact harmonic analysis and coverage experiments over finite fields.
 
-The library builds fully tabulated fields GF(p^n), runs the Fourier
-transform on F_q^d, counts dot-product incidences exactly, and checks a
-family of coverage statements for sum-of-product sets, all at desk scale
-with integer arithmetic wherever a theorem is being tested.
+The library builds fields GF(p^n) from tables (q x q tables up to
+`gf.MUL_TABLE_MAX_Q` elements, exp/log and Zech logarithm tables above),
+runs the Fourier transform on F_q^d, counts dot-product incidences
+exactly, and checks a family of coverage statements for sum-of-product
+sets, all at desk scale with integer arithmetic wherever a theorem is
+being tested.
 """
 
 __version__ = "0.1.0"
@@ -34,7 +36,6 @@ from .incidence import (  # noqa: F401
 )
 from .covering import (  # noqa: F401
     CoverageVerdict,
-    ScalarSet,
     bilinear_cover,
     covers_units,
     d_for_epsilon,

@@ -1,11 +1,13 @@
 """Arithmetic of scalar sets: product sets, iterated sumsets, coverage checks.
 
-The headline objects are the product set A*A = {a*a'}, its d-fold sumset
-A*A + ... + A*A, and the dot-product set {x.y : x, y in E} of a point
-set, which is the support of its counts nu.  Every theorem-style threshold with a fractional exponent is cleared
-to an integer-power comparison (|A|^{2d} > q^{d+1} and friends), because
-the interesting sets sit exactly at these boundaries and float powers
-misclassify them.
+A scalar set is a `PointSet` of F_q^1: its flat indices are element
+indices.  The headline objects are the product set A*A = {a*a'}, its
+d-fold sumset A*A + ... + A*A, and the dot-product set {x.y : x, y in E}
+of a point set, which is the support of its counts nu; the d-fold sumset
+of A*A is the dot-product set of the grid A^d.  Every theorem-style
+threshold with a fractional exponent is cleared to an integer-power
+comparison (|A|^{2d} > q^{d+1} and friends), because the interesting sets
+sit exactly at these boundaries and float powers misclassify them.
 """
 
 from __future__ import annotations
@@ -35,81 +37,33 @@ class BadEpsilonError(ValueError):
     pass
 
 
-@dataclass(eq=False)
-class ScalarSet:
-    """A subset of F_q as a dense membership array over element indices."""
-
-    field: Field
-    bits: np.ndarray
-    count: int = dc_field(init=False)
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=bool)
-        if self.bits.shape != (self.field.q,):
-            raise ValueError("bits must be a flat bool array of length q")
-        self.count = int(self.bits.sum())
-
-    @classmethod
-    def empty(cls, field: Field) -> "ScalarSet":
-        return cls(field, np.zeros(field.q, dtype=bool))
-
-    @classmethod
-    def full(cls, field: Field) -> "ScalarSet":
-        return cls(field, np.ones(field.q, dtype=bool))
-
-    @classmethod
-    def from_indices(cls, field: Field, indices) -> "ScalarSet":
-        bits = np.zeros(field.q, dtype=bool)
-        bits[np.asarray(indices, dtype=np.int64)] = True
-        return cls(field, bits)
-
-    def indices(self) -> np.ndarray:
-        return np.nonzero(self.bits)[0]
-
-    def contains(self, idx: int) -> bool:
-        return bool(self.bits[idx])
-
-    def strip_zero(self) -> "ScalarSet":
-        bits = self.bits.copy()
-        bits[0] = False
-        return ScalarSet(self.field, bits)
-
-    def grid(self, d: int) -> PointSet:
-        """The point set A^d = A x ... x A."""
-        return PointSet.grid_of_scalars(self.field, d, self.indices())
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ScalarSet) and self.field is other.field
-                and np.array_equal(self.bits, other.bits))
-
-
-def _image(a: ScalarSet, b: ScalarSet, op) -> ScalarSet:
+def _image(a: PointSet, b: PointSet, op) -> PointSet:
     """{op(x, y) : x in A, y in B} for an elementwise field operation op,
     in row blocks of A x B."""
     field = a.field
-    sa, sb = a.indices(), b.indices()
+    sa, sb = a.flat_indices(), b.flat_indices()
     bits = np.zeros(field.q, dtype=bool)
     for rows in row_blocks(len(sa), len(sb)):
         bits[op(sa[rows, None], sb[None, :])] = True
-    return ScalarSet(field, bits)
+    return PointSet(field, 1, bits)
 
 
-def pairwise_product_set(a: ScalarSet, b: ScalarSet) -> ScalarSet:
+def pairwise_product_set(a: PointSet, b: PointSet) -> PointSet:
     """{x*y : x in A, y in B}, exact."""
     return _image(a, b, a.field.mul_arrays)
 
 
-def product_set(a: ScalarSet) -> ScalarSet:
+def product_set(a: PointSet) -> PointSet:
     """A*A = {x*y : x, y in A}."""
     return pairwise_product_set(a, a)
 
 
-def sumset(a: ScalarSet, b: ScalarSet) -> ScalarSet:
+def sumset(a: PointSet, b: PointSet) -> PointSet:
     """{x + y : x in A, y in B}, exact field addition of indices."""
     return _image(a, b, a.field.add_arrays)
 
 
-def iterated_sumset(s: ScalarSet, d: int) -> ScalarSet:
+def iterated_sumset(s: PointSet, d: int) -> PointSet:
     """S + S + ... + S, d copies."""
     if d < 1:
         raise BadArityError(f"need at least one summand, got d={d}")
@@ -119,14 +73,14 @@ def iterated_sumset(s: ScalarSet, d: int) -> ScalarSet:
     return out
 
 
-def sumset_of_products(a: ScalarSet, d: int) -> ScalarSet:
+def sumset_of_products(a: PointSet, d: int) -> PointSet:
     """The d-fold sumset of the product set: A*A + ... + A*A (d times)."""
     return iterated_sumset(product_set(a), d)
 
 
-def dot_product_set(e: PointSet) -> ScalarSet:
+def dot_product_set(e: PointSet) -> PointSet:
     """{x.y : x, y in E}, the support of nu."""
-    return ScalarSet(e.field, nu(e).counts > 0)
+    return PointSet(e.field, 1, nu(e).counts > 0)
 
 
 def missing_units(present: np.ndarray) -> list:
@@ -138,13 +92,13 @@ def missing_units(present: np.ndarray) -> list:
     return (np.flatnonzero(present[1:] == 0) + 1).tolist()
 
 
-def covers_units(s: ScalarSet) -> tuple[bool, list[int]]:
+def covers_units(s: PointSet) -> tuple[bool, list[int]]:
     """Whether every nonzero field element lies in S, plus the missing ones."""
     missing = missing_units(s.bits)
     return not missing, missing
 
 
-def scalar_cover_threshold(a: ScalarSet, d: int) -> bool:
+def scalar_cover_threshold(a: PointSet, d: int) -> bool:
     """|A|^{2d} > q^{d+1}, the exact form of |A| > q^{1/2 + 1/(2d)}.
 
     Equality is classified as threshold not met.
@@ -193,7 +147,7 @@ class CoverageVerdict:
         }
 
 
-def cover_verdict(a: ScalarSet, d: int) -> CoverageVerdict:
+def cover_verdict(a: PointSet, d: int) -> CoverageVerdict:
     """Coverage of the units by the d-fold sumset of A*A, with the exact
     threshold witness |A|^{2d} vs q^{d+1}."""
     s = sumset_of_products(a, d)
@@ -331,7 +285,7 @@ def dot_set_lower_bound(e: PointSet) -> CoverageVerdict:
     )
 
 
-def positive_proportion_check(a: ScalarSet, d: int) -> CoverageVerdict:
+def positive_proportion_check(a: PointSet, d: int) -> CoverageVerdict:
     """Exact check of |dA^2| * (m q^d + m^{2d}) >= q m^{2d} with m = |A \\ {0}|.
 
     This is the grid specialization of the dot-set lower bound: for
@@ -344,10 +298,10 @@ def positive_proportion_check(a: ScalarSet, d: int) -> CoverageVerdict:
     if d < 1:
         raise BadArityError(f"need d >= 1, got d={d}")
     field, q = a.field, a.field.q
-    stripped = a.contains(0)
-    core = a.strip_zero() if stripped else a
+    stripped = a.contains_origin
+    core = a.strip_origin() if stripped else a
     m = core.count
-    s = sumset_of_products(core, d) if m else ScalarSet.empty(field)
+    s = sumset_of_products(core, d) if m else PointSet.empty(field, 1)
     lhs = s.count * (m * q ** d + m ** (2 * d))
     rhs = q * m ** (2 * d)
     covered, missing = covers_units(s)
@@ -369,7 +323,7 @@ def positive_proportion_check(a: ScalarSet, d: int) -> CoverageVerdict:
     )
 
 
-def bilinear_cover(a_sets: list[ScalarSet], b_sets: list[ScalarSet]) -> CoverageVerdict:
+def bilinear_cover(a_sets: list[PointSet], b_sets: list[PointSet]) -> CoverageVerdict:
     """Coverage by A_1*B_1 + ... + A_d*B_d, with the size-product ratio.
 
     There is no exact threshold here (the sufficient condition carries an
@@ -414,6 +368,6 @@ def d_for_epsilon(eps: Fraction) -> tuple[int, int]:
     return d_cover, d_proportion
 
 
-def sqrt_subfield(field: Field) -> ScalarSet:
-    """The subfield of size sqrt(q) as a ScalarSet (even degree only)."""
-    return ScalarSet.from_indices(field, sqrt_subfield_indices(field))
+def sqrt_subfield(field: Field) -> PointSet:
+    """The subfield of size sqrt(q) as a set of F_q^1 (even degree only)."""
+    return PointSet.from_flat(field, 1, sqrt_subfield_indices(field))

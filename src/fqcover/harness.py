@@ -29,7 +29,6 @@ import numpy as np
 from . import __version__, incidence
 from .covering import (
     MISSING_REPORT_LIMIT,
-    ScalarSet,
     bilinear_cover,
     cover_verdict,
     covers_units,
@@ -177,21 +176,14 @@ class RunReport:
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        v = int(obj)
-        return str(v) if abs(v) >= JSON_INT_LIMIT else v
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if obj is None or isinstance(obj, str):
+    if isinstance(obj, bool):
         return obj
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, Fraction):
-        return str(obj)
+    if isinstance(obj, int):
+        return str(obj) if abs(obj) >= JSON_INT_LIMIT else obj
+    if obj is None or isinstance(obj, (float, str)):
+        return obj
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
@@ -236,28 +228,28 @@ def _divisors(m: int) -> list[int]:
     return low + [m // d for d in reversed(low) if d * d != m]
 
 
-def structured_scalar_sets(field: Field) -> list[tuple[str, ScalarSet]]:
+def structured_scalar_sets(field: Field) -> list[tuple[str, PointSet]]:
     """Deterministic roster of structured A: subfields, multiplicative
     subgroups, generator-power prefixes.  exp_table[k] is g^k."""
     q = field.q
-    out: list[tuple[str, ScalarSet]] = []
+    out: list[tuple[str, PointSet]] = []
     for m in range(1, field.n):
         if field.n % m == 0:
             out.append((f"subfield_{field.p}^{m}",
-                        ScalarSet.from_indices(field, subfield_indices(field, m))))
+                        PointSet.from_flat(field, 1, subfield_indices(field, m))))
     if q > 2:
         for h in _divisors(q - 1):
             if 1 < h < q - 1:
                 elems = field.exp_table[::(q - 1) // h]
-                out.append((f"subgroup_{h}", ScalarSet.from_indices(field, elems)))
+                out.append((f"subgroup_{h}", PointSet.from_flat(field, 1, elems)))
     for length in sorted({2, (q - 1) // 2, q - 2}):
         if 1 <= length <= q - 1:
             elems = field.exp_table[:length]
-            out.append((f"powers_{length}", ScalarSet.from_indices(field, elems)))
+            out.append((f"powers_{length}", PointSet.from_flat(field, 1, elems)))
     return out
 
 
-def _require_pair_budget(roster: list[tuple[str, ScalarSet]]) -> None:
+def _require_pair_budget(roster: list[tuple[str, PointSet]]) -> None:
     """Refuse a structured roster whose product sets would take more than
     STRUCTURED_PAIR_BUDGET products, before any is formed."""
     pairs = sum(a.count ** 2 for _, a in roster)
@@ -485,7 +477,7 @@ def _covers(field: Field, d: int, subsets: np.ndarray) -> np.ndarray:
     if rows:
         return np.concatenate([covers_units_block(field, subsets[r:r + rows], d)
                                for r in range(0, len(subsets), rows)])
-    return np.array([cover_verdict(ScalarSet.from_indices(field, a), d).covers_units
+    return np.array([cover_verdict(PointSet.from_flat(field, 1, a), d).covers_units
                      for a in subsets], dtype=bool)
 
 
@@ -500,7 +492,7 @@ def _cover_task(task) -> dict:
         # must agree with the block verdict.
         for i in np.flatnonzero(~covers).tolist():
             subset = subsets[i].tolist()
-            verdict = cover_verdict(ScalarSet.from_indices(field, subset), d)
+            verdict = cover_verdict(PointSet.from_flat(field, 1, subset), d)
             if verdict.covers_units:
                 raise RuntimeError(f"block verdict and cover_verdict disagree on {subset}")
             failure = {"size": size, "subset": subset,
@@ -597,7 +589,7 @@ def _bilinear_campaign(field: Field, d: int, seed: int, samples: int) -> dict:
         for _ in range(2 * d):
             size = int(rng.integers(1, field.q))
             (a_sets if len(a_sets) < d else b_sets).append(
-                ScalarSet.from_indices(field, sample_indices(rng, field.q, size)))
+                PointSet.from_flat(field, 1, sample_indices(rng, field.q, size)))
         verdict = bilinear_cover(a_sets, b_sets)
         ratio = verdict.extras["ratio"]
         if verdict.covers_units:

@@ -53,11 +53,14 @@ class SpectralMismatchError(ArithmeticError):
 class PointSet:
     """A subset of F_q^d as a dense membership array over flat indices, or
     a stack of subsets of one size: `bits` then has leading stack axes and
-    `count` is the size of each set.
+    `count` is the size of each set.  A scalar set, a subset of F_q, is a
+    PointSet with d = 1, whose flat indices are element indices.
 
     A set is not changed after construction, so its flat indices are
     computed once, on first use.  The named constructors,
     `contains_origin`, `strip_origin` and `union` are for a single set.
+    Two sets are equal when they have the same field object, the same d
+    and equal bits.
     """
 
     field: Field
@@ -142,6 +145,10 @@ class PointSet:
 
     def indicator(self) -> SpectralFn:
         return SpectralFn.from_real(self.field, self.d, self.bits.astype(np.float64))
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PointSet) and self.field is other.field
+                and self.d == other.d and np.array_equal(self.bits, other.bits))
 
 
 @dataclass

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from fqcover.covering import (
-    ScalarSet,
     covers_units,
     dot_product_set,
     dot_set_lower_bound,
@@ -169,7 +168,7 @@ def test_criterion_4_cover_theorem_exhaustive():
             if size ** (2 * d) <= q ** (d + 1):
                 continue
             for combo in combinations(range(q), size):
-                a = ScalarSet.from_indices(field, combo)
+                a = PointSet.from_flat(field, 1, combo)
                 assert scalar_cover_threshold(a, d)
                 covered, missing = covers_units(sumset_of_products(a, d))
                 assert covered, f"counterexample q={q} d={d} A={combo} missing={missing}"
@@ -271,7 +270,7 @@ def test_criterion_9_grid_dot_set_equals_scalar_pipeline():
         cap = min(field.q, 12 if d == 2 else 6)
         size = int(rng.integers(1, cap + 1))
         idx = np.sort(rng.choice(field.q, size, replace=False))
-        a = ScalarSet.from_indices(field, idx)
+        a = PointSet.from_flat(field, 1, idx)
         grid = PointSet.grid_of_scalars(field, d, idx)
         assert dot_product_set(grid) == sumset_of_products(a, d), \
             f"mismatch at i={i}, A={idx.tolist()}"

@@ -12,7 +12,6 @@ from fqcover.covering import (
     BadArityError,
     BadEpsilonError,
     DENSE_BLOCK_BYTES,
-    ScalarSet,
     bilinear_cover,
     cover_verdict,
     covers_units,
@@ -37,7 +36,7 @@ from fqcover.incidence import OriginInSetError, PointSet
 
 def dilate(s, c):
     """{c * x : x in S}."""
-    return ScalarSet.from_indices(s.field, s.field.mul_arrays(c, s.indices()))
+    return PointSet.from_flat(s.field, 1, s.field.mul_arrays(c, s.flat_indices()))
 
 
 def scalar_set_oracle_products(field, indices):
@@ -54,11 +53,11 @@ def scalar_set_oracle_sums(field, s1, s2):
 
 def test_product_set_examples():
     f5 = get_field(5, 1)
-    assert product_set(ScalarSet.from_indices(f5, [0, 1])).indices().tolist() == [0, 1]
+    assert product_set(PointSet.from_flat(f5, 1, [0, 1])).flat_indices().tolist() == [0, 1]
     # 16 products mod 5 land exactly on the units
-    a = ScalarSet.from_indices(f5, [1, 2, 3, 4])
-    assert product_set(a).indices().tolist() == [1, 2, 3, 4]
-    assert product_set(ScalarSet.empty(f5)).count == 0
+    a = PointSet.from_flat(f5, 1, [1, 2, 3, 4])
+    assert product_set(a).flat_indices().tolist() == [1, 2, 3, 4]
+    assert product_set(PointSet.empty(f5, 1)).count == 0
 
 
 @pytest.mark.parametrize("p,n", [(5, 1), (2, 2), (3, 2), (7, 1)])
@@ -68,22 +67,22 @@ def test_product_set_matches_oracle(p, n):
     for trial in range(5):
         k = int(rng.integers(1, field.q + 1))
         idx = np.sort(rng.choice(field.q, k, replace=False))
-        got = product_set(ScalarSet.from_indices(field, idx)).indices().tolist()
+        got = product_set(PointSet.from_flat(field, 1, idx)).flat_indices().tolist()
         assert got == scalar_set_oracle_products(field, idx.tolist())
 
 
 def test_iterated_sumset_examples():
     f5 = get_field(5, 1)
-    s = ScalarSet.from_indices(f5, [1, 2, 3, 4])
+    s = PointSet.from_flat(f5, 1, [1, 2, 3, 4])
     assert iterated_sumset(s, 1) == s
-    assert iterated_sumset(s, 2).indices().tolist() == [0, 1, 2, 3, 4]
+    assert iterated_sumset(s, 2).flat_indices().tolist() == [0, 1, 2, 3, 4]
     with pytest.raises(BadArityError):
         iterated_sumset(s, 0)
 
 
 def test_sumset_closed_subfield_gf4():
     f4 = get_field(2, 2)
-    f2 = ScalarSet.from_indices(f4, [0, 1])
+    f2 = PointSet.from_flat(f4, 1, [0, 1])
     for d in range(1, 7):
         assert iterated_sumset(f2, d) == f2
 
@@ -91,19 +90,19 @@ def test_sumset_closed_subfield_gf4():
 def test_sumset_extension_field_is_field_addition():
     # index arithmetic is not integer arithmetic for n > 1
     f4 = get_field(2, 2)
-    s = ScalarSet.from_indices(f4, [2, 3])  # omega, omega + 1
-    got = iterated_sumset(s, 2).indices().tolist()
+    s = PointSet.from_flat(f4, 1, [2, 3])  # omega, omega + 1
+    got = iterated_sumset(s, 2).flat_indices().tolist()
     assert got == scalar_set_oracle_sums(f4, [2, 3], [2, 3])
     assert 1 in got  # omega + (omega + 1) = 1
 
 
 def test_sumset_of_products_examples():
     f5 = get_field(5, 1)
-    assert sumset_of_products(ScalarSet.full(f5), 3) == ScalarSet.full(f5)
-    a = ScalarSet.from_indices(f5, [1, 2, 3, 4])
-    assert sumset_of_products(a, 2).indices().tolist() == [0, 1, 2, 3, 4]
+    assert sumset_of_products(PointSet.full(f5, 1), 3) == PointSet.full(f5, 1)
+    a = PointSet.from_flat(f5, 1, [1, 2, 3, 4])
+    assert sumset_of_products(a, 2).flat_indices().tolist() == [0, 1, 2, 3, 4]
     f9 = get_field(3, 2)
-    f3 = ScalarSet.from_indices(f9, [0, 1, 2])
+    f3 = PointSet.from_flat(f9, 1, [0, 1, 2])
     assert sumset_of_products(f3, 3) == f3
     assert not covers_units(sumset_of_products(f3, 3))[0]
 
@@ -114,10 +113,10 @@ def test_sumset_of_products_examples():
 
 def test_dot_product_set_examples():
     f3 = get_field(3, 1)
-    assert dot_product_set(PointSet.full(f3, 2)).indices().tolist() == [0, 1, 2]
+    assert dot_product_set(PointSet.full(f3, 2)).flat_indices().tolist() == [0, 1, 2]
     f5 = get_field(5, 1)
     v = 7  # (2, 1): v.v = 0
-    assert dot_product_set(PointSet.from_flat(f5, 2, [v])).indices().tolist() == [0]
+    assert dot_product_set(PointSet.from_flat(f5, 2, [v])).flat_indices().tolist() == [0]
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -128,7 +127,7 @@ def test_grid_dot_set_equals_sumset_of_products(d):
         for trial in range(5):
             k = int(rng.integers(1, min(field.q, 5 if d == 3 else 8) + 1))
             idx = np.sort(rng.choice(field.q, k, replace=False))
-            a = ScalarSet.from_indices(field, idx)
+            a = PointSet.from_flat(field, 1, idx)
             grid = PointSet.grid_of_scalars(field, d, idx)
             assert dot_product_set(grid) == sumset_of_products(a, d)
 
@@ -136,7 +135,7 @@ def test_grid_dot_set_equals_sumset_of_products(d):
 @given(st.sets(st.integers(0, 6), min_size=1, max_size=7))
 def test_grid_dot_set_equals_sumset_property_f7(indices):
     field = get_field(7, 1)
-    a = ScalarSet.from_indices(field, sorted(indices))
+    a = PointSet.from_flat(field, 1, sorted(indices))
     grid = PointSet.grid_of_scalars(field, 2, sorted(indices))
     assert dot_product_set(grid) == sumset_of_products(a, 2)
 
@@ -147,10 +146,10 @@ def test_grid_dot_set_equals_sumset_property_f7(indices):
 
 def test_covers_units():
     f5 = get_field(5, 1)
-    assert covers_units(ScalarSet.full(f5)) == (True, [])
-    covered, missing = covers_units(ScalarSet.from_indices(f5, [0, 2, 3, 4]))
+    assert covers_units(PointSet.full(f5, 1)) == (True, [])
+    covered, missing = covers_units(PointSet.from_flat(f5, 1, [0, 2, 3, 4]))
     assert not covered and missing == [1]
-    assert covers_units(ScalarSet.empty(f5)) == (False, [1, 2, 3, 4])
+    assert covers_units(PointSet.empty(f5, 1)) == (False, [1, 2, 3, 4])
 
 
 def test_missing_units_per_row_of_counts():
@@ -163,13 +162,13 @@ def test_missing_units_per_row_of_counts():
 
 def test_scalar_cover_threshold_exact_integers():
     f5 = get_field(5, 1)
-    assert scalar_cover_threshold(ScalarSet.from_indices(f5, [1, 2, 3, 4]), 2)
-    assert not scalar_cover_threshold(ScalarSet.from_indices(f5, [1, 2, 3]), 2)
-    assert scalar_cover_threshold(ScalarSet.full(f5), 2)
+    assert scalar_cover_threshold(PointSet.from_flat(f5, 1, [1, 2, 3, 4]), 2)
+    assert not scalar_cover_threshold(PointSet.from_flat(f5, 1, [1, 2, 3]), 2)
+    assert scalar_cover_threshold(PointSet.full(f5, 1), 2)
     # exact equality |A|^{2d} = q^{d+1} counts as not met: q = 4, d = 1, |A| = 4
     f4 = get_field(2, 2)
     assert 4 ** 2 == 4 ** 2
-    assert not scalar_cover_threshold(ScalarSet.full(f4), 1)
+    assert not scalar_cover_threshold(PointSet.full(f4, 1), 1)
 
 
 def test_point_cover_threshold():
@@ -184,7 +183,7 @@ def test_point_cover_threshold():
 
 def test_cover_verdict_fields():
     f5 = get_field(5, 1)
-    v = cover_verdict(ScalarSet.from_indices(f5, [1, 2, 3, 4]), 2)
+    v = cover_verdict(PointSet.from_flat(f5, 1, [1, 2, 3, 4]), 2)
     assert v.covers_units and v.threshold_met
     assert v.lhs == 4 ** 4 and v.rhs == 5 ** 3
     assert v.missing == []
@@ -228,18 +227,18 @@ def test_dot_set_lower_bound_rejects_origin():
 
 def test_positive_proportion_examples():
     f5 = get_field(5, 1)
-    v = positive_proportion_check(ScalarSet.from_indices(f5, [1, 2, 3, 4]), 2)
+    v = positive_proportion_check(PointSet.from_flat(f5, 1, [1, 2, 3, 4]), 2)
     assert v.threshold_met and v.set_size == 5
     assert v.lhs == 5 * (4 * 25 + 4 ** 4) and v.rhs == 5 * 4 ** 4
-    single = positive_proportion_check(ScalarSet.from_indices(f5, [1]), 2)
+    single = positive_proportion_check(PointSet.from_flat(f5, 1, [1]), 2)
     assert single.threshold_met and single.set_size == 1
     assert 0 < v.extras["implied_proportion"] < 1
 
 
 def test_positive_proportion_strips_zero():
     f5 = get_field(5, 1)
-    with_zero = positive_proportion_check(ScalarSet.from_indices(f5, [0, 1, 2, 3, 4]), 2)
-    without = positive_proportion_check(ScalarSet.from_indices(f5, [1, 2, 3, 4]), 2)
+    with_zero = positive_proportion_check(PointSet.from_flat(f5, 1, [0, 1, 2, 3, 4]), 2)
+    without = positive_proportion_check(PointSet.from_flat(f5, 1, [1, 2, 3, 4]), 2)
     assert with_zero.extras["zero_stripped"]
     assert not without.extras["zero_stripped"]
     assert with_zero.lhs == without.lhs and with_zero.rhs == without.rhs
@@ -247,7 +246,7 @@ def test_positive_proportion_strips_zero():
 
 def test_positive_proportion_prime_subfield_of_p2():
     f9 = get_field(3, 2)
-    v = positive_proportion_check(ScalarSet.from_indices(f9, [1, 2]), 2)
+    v = positive_proportion_check(PointSet.from_flat(f9, 1, [1, 2]), 2)
     assert isinstance(v.extras["c_size"], float)
     assert v.threshold_met  # the exact inequality is unconditional
 
@@ -258,7 +257,7 @@ def test_positive_proportion_prime_subfield_of_p2():
 
 def test_bilinear_full_sets():
     f5 = get_field(5, 1)
-    full = ScalarSet.full(f5)
+    full = PointSet.full(f5, 1)
     v = bilinear_cover([full, full], [full, full])
     assert v.covers_units
     assert v.extras["ratio"] == pytest.approx(5.0)  # q^{d-1}
@@ -266,7 +265,7 @@ def test_bilinear_full_sets():
 
 def test_bilinear_matches_sumset_of_products():
     f5 = get_field(5, 1)
-    a = ScalarSet.from_indices(f5, [1, 2, 3, 4])
+    a = PointSet.from_flat(f5, 1, [1, 2, 3, 4])
     v = bilinear_cover([a, a], [a, a])
     assert v.covers_units
     assert v.extras["ratio"] == pytest.approx(4 ** 4 / 5 ** 3)
@@ -274,8 +273,8 @@ def test_bilinear_matches_sumset_of_products():
 
 def test_bilinear_annihilator():
     f5 = get_field(5, 1)
-    zero = ScalarSet.from_indices(f5, [0])
-    full = ScalarSet.full(f5)
+    zero = PointSet.from_flat(f5, 1, [0])
+    full = PointSet.full(f5, 1)
     v = bilinear_cover([zero], [full])
     assert not v.covers_units and v.set_size == 1
     # a second full term restores coverage
@@ -285,7 +284,7 @@ def test_bilinear_annihilator():
 
 def test_bilinear_arity_mismatch():
     f5 = get_field(5, 1)
-    full = ScalarSet.full(f5)
+    full = PointSet.full(f5, 1)
     with pytest.raises(ArityMismatchError):
         bilinear_cover([full, full], [full])
     with pytest.raises(ArityMismatchError):
@@ -326,8 +325,8 @@ def test_d_for_epsilon_rational_ceilings(num, den):
        st.sets(st.integers(0, 6), max_size=3))
 def test_monotonicity_f7(base, extra):
     field = get_field(7, 1)
-    a = ScalarSet.from_indices(field, sorted(base))
-    a_big = ScalarSet.from_indices(field, sorted(base | extra))
+    a = PointSet.from_flat(field, 1, sorted(base))
+    a_big = PointSet.from_flat(field, 1, sorted(base | extra))
     small = sumset_of_products(a, 2)
     big = sumset_of_products(a_big, 2)
     assert np.all(big.bits[small.bits])
@@ -338,17 +337,17 @@ def test_monotonicity_f7(base, extra):
 def test_dilation_covariance_f9(indices, c):
     # (cA)^2 + ... = c^2 (A^2 + ...)
     field = get_field(3, 2)
-    a = ScalarSet.from_indices(field, sorted(indices))
+    a = PointSet.from_flat(field, 1, sorted(indices))
     lhs = sumset_of_products(dilate(a, c), 2)
     c2 = field.mul(c, c)
-    rhs = ScalarSet.from_indices(
-        field, field.mul_arrays(c2, sumset_of_products(a, 2).indices()))
+    rhs = PointSet.from_flat(
+        field, 1, field.mul_arrays(c2, sumset_of_products(a, 2).flat_indices()))
     assert lhs == rhs
 
 
 def test_sqrt_subfield_wrapper():
     f9 = get_field(3, 2)
-    assert sqrt_subfield(f9).indices().tolist() == [0, 1, 2]
+    assert sqrt_subfield(f9).flat_indices().tolist() == [0, 1, 2]
 
 
 def test_exhaustive_theorem_check_tiny():
@@ -357,15 +356,15 @@ def test_exhaustive_theorem_check_tiny():
     admitted = [s for s in range(4) if s ** 4 > 27]
     assert admitted == [3]
     for combo in itertools.combinations(range(3), 3):
-        v = cover_verdict(ScalarSet.from_indices(f3, combo), 2)
+        v = cover_verdict(PointSet.from_flat(f3, 1, combo), 2)
         assert v.threshold_met and v.covers_units
 
 
 def test_pairwise_product_set_oracle():
     f4 = get_field(2, 2)
-    a = ScalarSet.from_indices(f4, [1, 2])
-    b = ScalarSet.from_indices(f4, [2, 3])
-    got = pairwise_product_set(a, b).indices().tolist()
+    a = PointSet.from_flat(f4, 1, [1, 2])
+    b = PointSet.from_flat(f4, 1, [2, 3])
+    got = pairwise_product_set(a, b).flat_indices().tolist()
     expect = sorted({f4.mul(x, y) for x in [1, 2] for y in [2, 3]})
     assert got == expect
 
@@ -389,7 +388,7 @@ def test_block_verdict_matches_cover_verdict(pn, d, data):
     rows = data.draw(st.integers(1, 130))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     subsets = np.array([np.sort(rng.choice(q, k, replace=False)) for _ in range(rows)])
-    expect = [cover_verdict(ScalarSet.from_indices(field, a), d).covers_units
+    expect = [cover_verdict(PointSet.from_flat(field, 1, a), d).covers_units
               for a in subsets]
     assert covers_units_block(field, subsets, d).tolist() == expect
 
@@ -403,7 +402,7 @@ def test_block_verdict_matches_cover_verdict_on_every_subset_of_a_small_field(pn
     for k in range(1, q + 1):
         subsets = np.array(list(itertools.combinations(range(q), k)), dtype=np.int64)
         for d in (1, 2, 3):
-            expect = [cover_verdict(ScalarSet.from_indices(field, a), d).covers_units
+            expect = [cover_verdict(PointSet.from_flat(field, 1, a), d).covers_units
                       for a in subsets]
             assert covers_units_block(field, subsets, d).tolist() == expect
 
@@ -446,7 +445,7 @@ def test_block_verdict_sees_non_covering_rows():
     f9 = get_field(3, 2)
     subsets = np.array([[0, 1, 2], [0, 1, 3], [1, 2, 4]], dtype=np.int64)
     for d in (1, 2, 3):
-        expect = [cover_verdict(ScalarSet.from_indices(f9, a), d).covers_units
+        expect = [cover_verdict(PointSet.from_flat(f9, 1, a), d).covers_units
                   for a in subsets]
         assert covers_units_block(f9, subsets, d).tolist() == expect
         assert expect[0] is False
@@ -454,8 +453,8 @@ def test_block_verdict_sees_non_covering_rows():
 
 def test_product_set_peak_memory_stays_near_the_cap():
     field = get_field(2, 12)
-    a = ScalarSet.from_indices(
-        field, np.random.default_rng(3).choice(field.q, 2000, replace=False))
+    a = PointSet.from_flat(
+        field, 1, np.random.default_rng(3).choice(field.q, 2000, replace=False))
     expect = product_set(a)  # warm the field's caches
     tracemalloc.start()
     try:

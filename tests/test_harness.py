@@ -12,9 +12,10 @@ from fractions import Fraction
 import pytest
 
 import fqcover.cli as cli
+import fqcover.covering as covering
 import fqcover.harness as harness
 import fqcover.incidence as incidence
-from fqcover.covering import ScalarSet, cover_verdict, dense_block_rows
+from fqcover.covering import cover_verdict, covers_units, dense_block_rows, dot_product_set
 from fqcover.incidence import PointSet, max_line_intersection, nu_bruteforce
 
 from fqcover.harness import (
@@ -162,7 +163,7 @@ def test_structured_scalar_sets_gf9_includes_subfield():
     field = get_field(3, 2)
     names = dict(structured_scalar_sets(field))
     assert "subfield_3^1" in names
-    assert names["subfield_3^1"].indices().tolist() == [0, 1, 2]
+    assert names["subfield_3^1"].flat_indices().tolist() == [0, 1, 2]
 
 
 def test_structured_point_sets_shapes():
@@ -226,7 +227,7 @@ def test_cover_exhaustive_scan_matches_the_per_set_oracle(p, n, d):
     assert 2 ** q <= harness.EXHAUSTIVE_BUDGET
     expect = s_min = min(s for s in range(1, q + 1) if s ** (2 * d) > q ** (d + 1))
     for s in range(s_min - 1, 0, -1):
-        if not all(cover_verdict(ScalarSet.from_indices(field, a), d).covers_units
+        if not all(cover_verdict(PointSet.from_flat(field, 1, a), d).covers_units
                    for a in itertools.combinations(range(q), s)):
             break
         expect = s
@@ -247,7 +248,7 @@ def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
     expect = []
     for k in range(1, 8):
         for subset in _colex_reference(7, k):
-            verdict = cover_verdict(ScalarSet.from_indices(field, subset), 2)
+            verdict = cover_verdict(PointSet.from_flat(field, 1, subset), 2)
             if not verdict.covers_units:
                 expect.append({"size": k, "subset": list(subset),
                                "missing": verdict.missing[:32]})
@@ -260,6 +261,103 @@ def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
     for k in range(1, 8):
         assert report.tallies[str(k)]["covered"] == math.comb(7, k) - sum(
             c["size"] == k for c in expect)
+
+
+def _flagged(report) -> dict:
+    """The report as serialized, after checking it is flagged."""
+    out = json.loads(canonical_json(report.to_dict()))
+    assert out["status"] == "counterexample" and out["exit_code"] == 2
+    assert report.exit_code == harness.EXIT_COUNTEREXAMPLE
+    return out
+
+
+def test_run_cover_sample_counterexamples_carry_sample_indices(monkeypatch):
+    # Sampled sets below the real threshold, reported as if above it.
+    monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
+    field = get_field(7, 1)
+    report = run_cover_sample(ExperimentSpec(p=7, d=2, mode="sample", sizes=(1, 7),
+                                             samples=5, seed=3))
+    expect = []
+    for k in range(1, 8):
+        for i in range(5):
+            subset = sample_indices(stream(3, i, k, harness.TAG_COVER), 7, k).tolist()
+            verdict = cover_verdict(PointSet.from_flat(field, 1, subset), 2)
+            if not verdict.covers_units:
+                expect.append({"size": k, "subset": subset,
+                               "missing": verdict.missing[:32], "sample_index": i})
+    assert expect and report.counterexamples == sorted(
+        expect, key=lambda c: (c["size"], c["sample_index"], str(c)))
+    assert all(set(c) == {"size", "subset", "missing", "sample_index"}
+               for c in _flagged(report)["counterexamples"])
+
+
+def test_run_cover_sample_structured_counterexamples_sort_before_samples(monkeypatch):
+    # Every structured set counts as above the threshold, and so does every
+    # sampled one; at one size, structured entries come first.
+    monkeypatch.setattr(covering, "scalar_cover_threshold", lambda a, d: True)
+    monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
+    field = get_field(3, 2)
+    report = run_cover_sample(ExperimentSpec(p=3, n=2, d=2, mode="structured",
+                                             sizes=(1, 9), samples=3, seed=1))
+    structured, sampled = [], []
+    for name, a in structured_scalar_sets(field):
+        verdict = cover_verdict(a, 2)
+        if not verdict.covers_units:
+            structured.append({"size": a.count, "structured": name,
+                               "missing": verdict.missing[:32]})
+    for k in range(1, 10):
+        for i in range(3):
+            subset = sample_indices(stream(1, i, k, harness.TAG_COVER), 9, k).tolist()
+            verdict = cover_verdict(PointSet.from_flat(field, 1, subset), 2)
+            if not verdict.covers_units:
+                sampled.append({"size": k, "subset": subset,
+                                "missing": verdict.missing[:32], "sample_index": i})
+    assert any(c["structured"] == "subfield_3^1" for c in structured)
+    assert report.counterexamples == sorted(
+        structured + sampled, key=lambda c: (c["size"], c.get("sample_index", -1), str(c)))
+    keys = {frozenset(c) for c in _flagged(report)["counterexamples"]}
+    assert keys == {frozenset({"size", "structured", "missing"}),
+                    frozenset({"size", "subset", "missing", "sample_index"})}
+
+
+def test_run_sharpness_counterexamples(monkeypatch):
+    # The subfield is reported when it covers, and every non-covering
+    # family when it is taken as above the threshold.
+    monkeypatch.setattr(harness, "covers_units", lambda s: (True, []))
+    monkeypatch.setattr(covering, "scalar_cover_threshold", lambda a, d: True)
+    field = get_field(3, 2)
+    report = run_sharpness(ExperimentSpec(p=3, n=2, d=2, mode="structured"))
+    expect = [{"structured": "sqrt_subfield", "size": 3}] + [
+        {"structured": name, "size": a.count} for name, a in structured_scalar_sets(field)
+        if not cover_verdict(a, 2).covers_units]
+    assert len(expect) > 1 and report.counterexamples == expect
+    assert report.extras["sqrt_subfield"]["covers_units"]
+    assert _flagged(report)["counterexamples"] == expect
+
+
+def test_run_geometry_counterexamples(monkeypatch):
+    # The cover check runs below the point threshold, and second_moment
+    # is made to fail everywhere, so both kinds of entry are reported.
+    monkeypatch.setattr(harness, "point_cover_threshold", lambda e: True)
+    monkeypatch.setattr(harness, "second_moment_sides",
+                        lambda counts, size, max_line, q, d: (size + 1, size))
+    field = get_field(5, 1)
+    report = run_geometry(ExperimentSpec(p=5, d=2, mode="sample", sizes=(2, 10), samples=2,
+                                         seed=1, checks=("cover", "second_moment")))
+    expect = []
+    for k in range(2, 11):
+        for i in range(2):
+            flats = sample_indices(stream(1, i, k, harness.TAG_POINTS), 25, k)
+            core = PointSet.from_flat(field, 2, flats).strip_origin()
+            missing = covers_units(dot_product_set(core))[1]
+            if missing:
+                expect.append({"check": "cover", "case": f"size{k}#{i}", "missing": missing})
+            expect.append({"check": "second_moment", "case": f"size{k}#{i}"})
+    assert sum(c["check"] == "cover" for c in expect) > 1
+    assert report.counterexamples == sorted(expect, key=lambda c: (c["check"], c["case"]))
+    assert report.counterexamples[-18]["case"] == "size10#0"  # cases sort as strings
+    assert report.tallies["second_moment"] == {"checked": 18, "passed": 0}
+    assert _flagged(report)["counterexamples"] == report.counterexamples
 
 
 def test_run_cover_exhaustive_small_sets_in_a_large_field_stay_per_set():
@@ -536,7 +634,7 @@ def test_cover_sample_block_verdicts_match_the_per_set_oracle():
     report = run_cover_sample(ExperimentSpec(p=13, d=2, mode="sample", sizes=(4, 13),
                                              samples=40, seed=7))
     for k in range(4, 14):
-        covered = sum(cover_verdict(ScalarSet.from_indices(field, sample_indices(
+        covered = sum(cover_verdict(PointSet.from_flat(field, 1, sample_indices(
             stream(7, i, k, harness.TAG_COVER), 13, k)), 2).covers_units for i in range(40))
         assert report.tallies[str(k)] == {"checked": 40, "covered": covered,
                                           "threshold": k >= 7}

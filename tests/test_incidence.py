@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fqcover.fourier import SpectralFn, flat_to_coords
+from fqcover.gf import make_field
 from fqcover.harness import get_field, stream
 from fqcover.incidence import (
     OriginInSetError,
@@ -44,6 +45,17 @@ def random_pointset(field, d, size, trial, tag=31):
     rng = stream(2024, trial, size, tag)
     flats = np.sort(rng.choice(field.q ** d, size, replace=False))
     return PointSet.from_flat(field, d, flats)
+
+
+def test_point_sets_are_equal_by_field_d_and_bits():
+    f2, f4 = get_field(2, 1), get_field(2, 2)
+    a = PointSet.from_flat(f4, 1, [1, 2])
+    assert a == PointSet.from_flat(f4, 1, [2, 1])
+    assert a != PointSet.from_flat(f4, 1, [1, 3])
+    # Equal bits over another field object, or another field and dimension.
+    assert PointSet.full(f4, 1) != PointSet.full(make_field(2, 2), 1)
+    assert PointSet.full(f4, 1) != PointSet.full(f2, 2)
+    assert a != a.bits
 
 
 # ---------------------------------------------------------------------------
