@@ -178,12 +178,10 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, list):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool):
+    if obj is None or isinstance(obj, (bool, float, str)):
         return obj
     if isinstance(obj, int):
         return str(obj) if abs(obj) >= JSON_INT_LIMIT else obj
-    if obj is None or isinstance(obj, (float, str)):
-        return obj
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

@@ -271,29 +271,10 @@ def _flagged(report) -> dict:
     return out
 
 
-def test_run_cover_sample_counterexamples_carry_sample_indices(monkeypatch):
-    # Sampled sets below the real threshold, reported as if above it.
-    monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
-    field = get_field(7, 1)
-    report = run_cover_sample(ExperimentSpec(p=7, d=2, mode="sample", sizes=(1, 7),
-                                             samples=5, seed=3))
-    expect = []
-    for k in range(1, 8):
-        for i in range(5):
-            subset = sample_indices(stream(3, i, k, harness.TAG_COVER), 7, k).tolist()
-            verdict = cover_verdict(PointSet.from_flat(field, 1, subset), 2)
-            if not verdict.covers_units:
-                expect.append({"size": k, "subset": subset,
-                               "missing": verdict.missing[:32], "sample_index": i})
-    assert expect and report.counterexamples == sorted(
-        expect, key=lambda c: (c["size"], c["sample_index"], str(c)))
-    assert all(set(c) == {"size", "subset", "missing", "sample_index"}
-               for c in _flagged(report)["counterexamples"])
-
-
-def test_run_cover_sample_structured_counterexamples_sort_before_samples(monkeypatch):
+def test_run_cover_sample_counterexamples_from_samples_and_structured_sets(monkeypatch):
     # Every structured set counts as above the threshold, and so does every
-    # sampled one; at one size, structured entries come first.
+    # sampled one.  Sampled entries carry their sample index; at one size,
+    # structured entries come first.
     monkeypatch.setattr(covering, "scalar_cover_threshold", lambda a, d: True)
     monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
     field = get_field(3, 2)
