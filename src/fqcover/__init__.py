@@ -23,16 +23,10 @@ from .fourier import (  # noqa: F401
 from .incidence import (  # noqa: F401
     NuProfile,
     PointSet,
-    hyperplane_hat_identity_check,
     hyperplane_sum,
-    line_intersection,
-    max_line_intersection,
     nu,
     nu_bruteforce,
     nu_spectral,
-    remainder_bound_check,
-    rotating_planes_apply,
-    second_moment_check,
 )
 from .covering import (  # noqa: F401
     CoverageVerdict,
@@ -40,7 +34,6 @@ from .covering import (  # noqa: F401
     covers_units,
     d_for_epsilon,
     dot_product_set,
-    dot_set_lower_bound,
     iterated_sumset,
     point_cover_threshold,
     positive_proportion_check,

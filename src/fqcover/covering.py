@@ -20,7 +20,7 @@ import numpy as np
 
 from .fourier import DENSE_BLOCK_BYTES, row_blocks
 from .gf import Field, sqrt_subfield_indices
-from .incidence import PointSet, OriginInSetError, max_line_intersection, nu
+from .incidence import PointSet, nu
 
 MISSING_REPORT_LIMIT = 32
 
@@ -258,42 +258,21 @@ def covers_units_block(field: Field, subsets: np.ndarray, d: int) -> np.ndarray:
 
 
 def dot_set_lower_bound_sides(dot_set_size, max_line, size, q: int, d: int):
-    """(lhs, rhs) = (|{x.y}| (M q^d + |E|^2), q |E|^2), elementwise over
-    arrays; lhs stays under 2^52 for every space `geometry` accepts."""
+    """(lhs, rhs) = (|{x.y}| (M q^d + |E|^2), q |E|^2) of the dot-set lower
+    bound lhs >= rhs for origin-free E, M the largest line intersection;
+    elementwise, with lhs under 2^52 for every space `geometry` accepts."""
     return dot_set_size * (max_line * q ** d + size ** 2), q * size ** 2
-
-
-def dot_set_lower_bound(e: PointSet) -> CoverageVerdict:
-    """Exact check of |{x.y}| * (M q^d + |E|^2) >= q |E|^2 for origin-free E.
-
-    M is the measured maximum line intersection.
-    """
-    if e.contains_origin:
-        raise OriginInSetError("lower bound check requires an origin-free set")
-    pset = dot_product_set(e)
-    m_line = max_line_intersection(e)[0]
-    lhs, rhs = dot_set_lower_bound_sides(pset.count, m_line, e.count, e.field.q, e.d)
-    covered, missing = covers_units(pset)
-    return CoverageVerdict(
-        set_size=pset.count,
-        covers_units=covered,
-        missing=missing,
-        threshold_met=lhs >= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        extras={"max_line": m_line, "input_size": e.count},
-    )
 
 
 def positive_proportion_check(a: PointSet, d: int) -> CoverageVerdict:
     """Exact check of |dA^2| * (m q^d + m^{2d}) >= q m^{2d} with m = |A \\ {0}|.
 
-    This is the grid specialization of the dot-set lower bound: for
-    E = (A \\ {0})^d every line meets E in at most m points.  If 0 is in
-    A it is stripped first (0 contributes nothing new to products) and
-    the verdict records that.  The size constant and the implied
-    proportion are reported as float diagnostics only; the pass/fail is
-    the integer inequality.
+    This is the grid specialization of the dot-set lower bound
+    (`dot_set_lower_bound_sides`): for E = (A \\ {0})^d every line meets E
+    in at most m points.  If 0 is in A it is stripped first (0 contributes
+    nothing new to products) and the verdict records that.  The size
+    constant and the implied proportion are reported as float diagnostics
+    only; the pass/fail is the integer inequality.
     """
     if d < 1:
         raise BadArityError(f"need d >= 1, got d={d}")

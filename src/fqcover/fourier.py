@@ -126,10 +126,6 @@ class SpectralFn:
             raise ValueError("values must be an array of length q^d along its last axis")
 
     @classmethod
-    def constant(cls, field: Field, d: int, c: complex) -> "SpectralFn":
-        return cls(field, d, np.full(field.q ** d, c, dtype=np.complex128))
-
-    @classmethod
     def from_real(cls, field: Field, d: int, real_values) -> "SpectralFn":
         return cls(field, d, np.asarray(real_values, dtype=np.complex128))
 

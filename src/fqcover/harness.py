@@ -754,11 +754,6 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
     return outs
 
 
-def _geometry_check_one(field: Field, d: int, e: PointSet, checks) -> dict:
-    """`_geometry_checks` of the single set e, as a stack of one."""
-    return _geometry_checks(field, d, PointSet(field, d, e.bits[None]), checks)[0]
-
-
 def _geometry_task(task) -> list[dict]:
     p, n, d, mode, seed, size, lo, hi, checks = task
     field = get_field(p, n)
@@ -827,7 +822,7 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
                 for res in chunk]
     if spec.mode == "structured":
         for name, e in structured_point_sets(field, d, spec.seed):
-            res = _geometry_check_one(field, d, e, checks)
+            res = _geometry_checks(field, d, PointSet(field, d, e.bits[None]), checks)[0]
             res["size"] = e.count
             res["name"] = name
             res["flats"] = e.flat_indices()

@@ -1,4 +1,5 @@
-"""Incidence counting on F_q^d: nu(t), remainder bounds, hyperplane sums.
+"""Incidence counting on F_q^d: nu(t), line counts, hyperplane sums, and
+the read-outs of the geometric statements built on them.
 
 The central object is nu(t) = #{(x, y) in E x E : x.y = t} for a point
 set E.  Its deviation from the uniform count |E|^2/q is tracked as the
@@ -10,10 +11,11 @@ the hyperplane transform identity.
 The counts (nu, line counts, hyperplane sums) take a `PointSet` that may
 be a stack of sets of one size, and give one result per set along leading
 axes; each has one implementation, run in `fourier.stack_blocks`.  The
-read-outs (`remainder_sides`, `remainder_verdicts`, `hat_identity_close`,
-`second_moment_sides`) work elementwise over leading axes too, so a caller
-that has counted a whole stack reads every set's verdict off in array
-expressions.
+read-outs of the remainder estimate, the hat identity and the second
+moment (`remainder_sides`, `remainder_verdicts`, `hat_identity_close`,
+`second_moment_sides`) work elementwise over leading axes too.  Their one
+caller, `harness._geometry_checks`, reads every set's verdicts off the
+counts of a stack; a single set is a stack of one.
 """
 
 from __future__ import annotations
@@ -31,14 +33,9 @@ from .fourier import (
     fourier_forward,
     point_dot,
     point_map,
-    row_blocks,
     stack_blocks,
 )
 from .gf import Field
-
-
-class OriginInSetError(ValueError):
-    pass
 
 
 class ZeroDirectionError(ValueError):
@@ -160,10 +157,6 @@ class NuProfile:
     set_size: int
     counts: np.ndarray  # int64, length q along the last axis
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
     def r_numerator(self, t: int) -> int:
         """q*nu(t) - |E|^2, the remainder R(t) scaled by q (exact integer)."""
         return self.q * int(self.counts[t]) - self.set_size ** 2
@@ -173,11 +166,6 @@ class NuProfile:
         writer.writerow(["t_index", "nu", "r_numerator"])
         for t in range(self.q):
             writer.writerow([t, int(self.counts[t]), self.r_numerator(t)])
-
-
-def _require_origin_free(e: PointSet) -> None:
-    if e.contains_origin:
-        raise OriginInSetError("operation requires a set not containing the origin")
 
 
 def _flat_rows(e: PointSet) -> np.ndarray:
@@ -267,68 +255,13 @@ def remainder_sides(counts: np.ndarray, size, q: int, d: int) -> tuple[np.ndarra
 def remainder_verdicts(r: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ok, worst_t, r(worst_t)) for r and B of `remainder_sides`, over the
     leading axes: whether |r(t)| <= B at every t != 0, and the first t != 0
-    where |r(t)| is largest."""
+    where |r(t)| is largest.  The bound does NOT extend to t = 0: the
+    self-orthogonal line through (1, 1) in characteristic 2 has every pair
+    dot to 0, so nu(0) = |E|^2 overshoots it."""
     dev = np.abs(r[..., 1:])
     worst_t = 1 + np.argmax(dev, axis=-1)
     ok = (dev <= np.asarray(bound)[..., None]).all(axis=-1)
     return ok, worst_t, np.take_along_axis(r, worst_t[..., None], axis=-1)[..., 0]
-
-
-@dataclass
-class RemainderReport:
-    ok: bool
-    sharpness: float       # max over t != 0 of (q nu(t) - |E|^2)^2 / (|E|^2 q^{d+1})
-    worst_t: int
-    violations: list[int]
-    zero_dot_within_bound: bool  # diagnostic: whether t = 0 happens to obey it too
-    profile: NuProfile
-
-
-def remainder_bound_check(e: PointSet) -> RemainderReport:
-    """Exact check of (q*nu(t) - |E|^2)^2 <= |E|^2 * q^{d+1} for every t != 0.
-
-    The bound is unconditional on the nonzero dot values, which is all the
-    coverage statements consume.  It does NOT extend to t = 0: a
-    self-orthogonal line (all of whose point pairs have dot product 0,
-    e.g. the line through (1, 1) in characteristic 2) has nu(0) = |E|^2,
-    overshooting the bound.  The t = 0 comparison is therefore reported
-    as a diagnostic flag, never as a violation.
-
-    A violation at t != 0 would falsify the remainder estimate and is
-    never expected; it is reported, not raised, so sweeps can tally it.
-    The worst t is the first t != 0 where |q nu(t) - |E|^2| is largest.
-    """
-    q = e.field.q
-    prof = nu(e)
-    r, b = remainder_sides(prof.counts, e.count, q, e.d)
-    ok, worst_t, worst_r = remainder_verdicts(r, b)
-    violations = (np.flatnonzero(np.abs(r[1:]) > b) + 1).tolist()
-    bound = e.count ** 2 * q ** (e.d + 1)
-    sharpness = 0.0 if bound == 0 else int(worst_r) ** 2 / bound
-    return RemainderReport(bool(ok), sharpness, int(worst_t), violations,
-                           bool(abs(r[0]) <= b), prof)
-
-
-def rotating_planes_apply(f: SpectralFn, t: int) -> SpectralFn:
-    """(R_t f)(x) = sum over {y : x.y = t} of f(y).
-
-    For x = 0 the solution set is all of F_q^d when t = 0 and empty
-    otherwise.
-    """
-    field, d = f.field, f.d
-    flats = np.arange(f.size)
-    out = np.empty(f.size, dtype=np.complex128)
-    for rows in row_blocks(f.size, f.size):
-        dots = point_dot(field, d, flats[rows, None], flats)
-        out[rows] = np.where(dots == t, f.values, 0).sum(axis=1)
-    return SpectralFn(field, d, out)
-
-
-def line_intersection(e: PointSet, y_flat: int) -> int:
-    """|E intersect l_y| for the line l_y = {t*y}; y must be nonzero."""
-    if y_flat == 0:
-        raise ZeroDirectionError("line direction must be nonzero")
-    return int((e.bits & PointSet.line(e.field, e.d, y_flat).bits).sum())
 
 
 def line_counts_all(e: PointSet) -> np.ndarray:
@@ -353,19 +286,6 @@ def line_counts_all(e: PointSet) -> np.ndarray:
     return counts.reshape(e.bits.shape)
 
 
-def max_line_intersection(e: PointSet) -> tuple[int, int | None]:
-    """(M, argmax) with M = max over lines of |E intersect l_y|.
-
-    The argmax is the least flat index attaining M, which is also the
-    canonical representative (least flat index) of its line.
-    """
-    if e.count == 0:
-        return 0, None
-    counts = line_counts_all(e)
-    best = 1 + int(np.argmax(counts[1:]))
-    return int(counts[best]), best
-
-
 def hyperplane_sum(e: PointSet) -> SpectralFn:
     """F(m) = #{x in E : x.m = 0}, per set of a stack; F(0) = |E|."""
     field, d = e.field, e.d
@@ -377,60 +297,22 @@ def hyperplane_sum(e: PointSet) -> SpectralFn:
     return SpectralFn.from_real(field, d, out.reshape(e.bits.shape))
 
 
-@dataclass
-class HatIdentityReport:
-    ok: bool
-    max_abs_err: float
-
-
 def hat_identity_close(fhat: np.ndarray, line_counts: np.ndarray, size,
                        q: int) -> tuple[np.ndarray, np.ndarray]:
     """(ok, err) of Fhat(k) = q^{-1} |E intersect l_k| (k != 0) and
     Fhat(0) = q^{-1} |E|, elementwise over the leading axes: err is the
     largest deviation, ok whether it is within a relative 1e-8 of the
-    largest value."""
+    largest value.  It needs origin-free E to collapse the s-sum."""
     expected = line_counts / q
     expected[..., 0] = np.asarray(size) / q
     err = np.max(np.abs(fhat - expected), axis=-1)
     return err <= 1e-8 * np.maximum(1.0, np.max(np.abs(expected), axis=-1)), err
 
 
-def hyperplane_hat_identity_check(e: PointSet) -> HatIdentityReport:
-    """Check Fhat(k) = q^{-1} |E intersect l_k| (k != 0) and Fhat(0) = q^{-1}|E|.
-
-    Requires an origin-free set; the derivation collapses the s-sum only
-    when 0 is excluded from E.
-    """
-    _require_origin_free(e)
-    fhat = fourier_forward(hyperplane_sum(e)).values
-    ok, err = hat_identity_close(fhat, line_counts_all(e), e.count, e.field.q)
-    return HatIdentityReport(bool(ok), float(err))
-
-
-@dataclass
-class SecondMomentReport:
-    ok: bool
-    lhs: int            # q * sum_t nu(t)^2
-    rhs: int            # M * |E|^2 * q^d + |E|^4
-    max_line: int
-
-
 def second_moment_sides(counts: np.ndarray, size, max_line, q: int, d: int):
     """(lhs, rhs) = (q sum_t nu(t)^2, M |E|^2 q^d + |E|^4) in Python
     integers, since nu(t)^2 can pass 2^63; elementwise over the leading
-    axes of counts, size and max_line."""
+    axes of counts, size and max_line, M the largest line intersection."""
     c = counts.astype(object)
     n = np.asarray(size).astype(object)
     return q * (c * c).sum(axis=-1), np.asarray(max_line).astype(object) * n ** 2 * q ** d + n ** 4
-
-
-def second_moment_check(e: PointSet) -> SecondMomentReport:
-    """Exact integer check of q * sum_t nu(t)^2 <= M |E|^2 q^d + |E|^4.
-
-    M is the measured maximum line intersection, which stands in for the
-    hypothesis constant pair of the conditional estimate.
-    """
-    _require_origin_free(e)
-    m_line = max_line_intersection(e)[0]
-    lhs, rhs = second_moment_sides(nu(e).counts, e.count, m_line, e.field.q, e.d)
-    return SecondMomentReport(lhs <= rhs, lhs, rhs, m_line)

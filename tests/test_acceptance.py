@@ -18,7 +18,7 @@ import pytest
 from fqcover.covering import (
     covers_units,
     dot_product_set,
-    dot_set_lower_bound,
+    dot_set_lower_bound_sides,
     scalar_cover_threshold,
     sqrt_subfield,
     sumset_of_products,
@@ -27,11 +27,15 @@ from fqcover.fourier import SpectralFn, convolve_diff, fourier_forward, fourier_
 from fqcover.harness import get_field, stream, structured_point_sets
 from fqcover.incidence import (
     PointSet,
-    hyperplane_hat_identity_check,
+    hat_identity_close,
+    hyperplane_sum,
+    line_counts_all,
+    nu,
     nu_bruteforce,
     nu_spectral,
-    remainder_bound_check,
-    second_moment_check,
+    remainder_sides,
+    remainder_verdicts,
+    second_moment_sides,
 )
 
 ROSTER = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
@@ -116,7 +120,7 @@ def test_criterion_2_nu_consistency_500_sets():
         brute = nu_bruteforce(e)
         spectral = nu_spectral(e)
         assert np.array_equal(brute.counts, spectral.counts)
-        assert brute.total == e.count ** 2
+        assert brute.counts.sum() == e.count ** 2
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"nu consistency took {elapsed:.1f}s"
     _passline(2, "nu spectral == brute", f"500 sets, {elapsed:.1f}s")
@@ -130,12 +134,12 @@ def test_criterion_3_remainder_bound_exact():
     checked = 0
 
     def assert_bound(e, label):
-        rep = remainder_bound_check(e)
+        prof = nu(e)
         bound = e.count ** 2 * e.field.q ** (e.d + 1)
         for t in range(1, e.field.q):
-            num = rep.profile.r_numerator(t) ** 2
+            num = prof.r_numerator(t) ** 2
             assert num <= bound, f"violation on {label} at t={t}: {num} > {bound}"
-        assert rep.ok and not rep.violations
+        assert remainder_verdicts(*remainder_sides(prof.counts, e.count, e.field.q, e.d))[0]
 
     for i in range(1000):
         p, n = ROSTER[i % len(ROSTER)]
@@ -204,6 +208,14 @@ def test_criterion_5_dot_cover_exhaustive_q3():
 def test_criterion_6_lower_bound_and_second_moment():
     started = time.monotonic()
     checked = 0
+
+    def sides(e):
+        """(second moment lhs, rhs, dot-set bound lhs, rhs) of one set."""
+        q, counts = e.field.q, nu(e).counts
+        max_line = int(line_counts_all(e)[1:].max())
+        return (*second_moment_sides(counts, e.count, max_line, q, e.d),
+                *dot_set_lower_bound_sides(int((counts > 0).sum()), max_line, e.count, q, e.d))
+
     for i in range(1000):
         p, n = ROSTER[i % len(ROSTER)]
         field = get_field(p, n)
@@ -211,16 +223,13 @@ def test_criterion_6_lower_bound_and_second_moment():
         rng = stream(SEED, i, d, 106)
         size = int(rng.integers(1, min(field.q ** d - 1, 60) + 1))
         e = _random_origin_free(field, d, size, i, 107)
-        sm = second_moment_check(e)
-        assert sm.ok, f"second moment violated at i={i}: {sm.lhs} > {sm.rhs}"
-        kb = dot_set_lower_bound(e)
-        assert kb.threshold_met, f"lower bound violated at i={i}: {kb.lhs} < {kb.rhs}"
+        sm_lhs, sm_rhs, kb_lhs, kb_rhs = sides(e)
+        assert sm_lhs <= sm_rhs, f"second moment violated at i={i}: {sm_lhs} > {sm_rhs}"
+        assert kb_lhs >= kb_rhs, f"lower bound violated at i={i}: {kb_lhs} < {kb_rhs}"
         checked += 1
     for name, e in _structured_roster(50):
-        core = e.strip_origin()
-        sm = second_moment_check(core)
-        kb = dot_set_lower_bound(core)
-        assert sm.ok and kb.threshold_met, f"violation on {name}"
+        sm_lhs, sm_rhs, kb_lhs, kb_rhs = sides(e.strip_origin())
+        assert sm_lhs <= sm_rhs and kb_lhs >= kb_rhs, f"violation on {name}"
         checked += 1
     elapsed = time.monotonic() - started
     assert elapsed < 300, f"lower bound sweep took {elapsed:.1f}s"
@@ -237,8 +246,9 @@ def test_criterion_7_hyperplane_hat_identity():
         rng = stream(SEED, i, d, 108)
         size = int(rng.integers(1, min(field.q ** d - 1, 60) + 1))
         e = _random_origin_free(field, d, size, i, 109)
-        rep = hyperplane_hat_identity_check(e)
-        assert rep.ok, f"identity failed at i={i}: err {rep.max_abs_err}"
+        fhat = fourier_forward(hyperplane_sum(e)).values
+        ok, err = hat_identity_close(fhat, line_counts_all(e), e.count, field.q)
+        assert ok, f"identity failed at i={i}: err {err}"
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"hat identity sweep took {elapsed:.1f}s"
     _passline(7, "hyperplane transform identity", f"200 sets, {elapsed:.1f}s")

@@ -19,7 +19,7 @@ from fqcover.covering import (
     d_for_epsilon,
     dense_block_rows,
     dot_product_set,
-    dot_set_lower_bound,
+    dot_set_lower_bound_sides,
     iterated_sumset,
     missing_units,
     pairwise_product_set,
@@ -31,7 +31,7 @@ from fqcover.covering import (
     sumset_of_products,
 )
 from fqcover.harness import SUBSET_CHUNK, get_field, stream
-from fqcover.incidence import OriginInSetError, PointSet
+from fqcover.incidence import PointSet, line_counts_all
 
 
 def dilate(s, c):
@@ -195,34 +195,36 @@ def test_cover_verdict_fields():
 # lower bounds
 # ---------------------------------------------------------------------------
 
+def dot_set_bound(e):
+    """(|{x.y}|, M, lhs, rhs) of the dot-set lower bound on one set."""
+    dots = dot_product_set(e).count
+    max_line = int(line_counts_all(e)[1:].max())
+    return (dots, max_line,
+            *dot_set_lower_bound_sides(dots, max_line, e.count, e.field.q, e.d))
+
+
 def test_dot_set_lower_bound_grid():
     f7 = get_field(7, 1)
     e = PointSet.grid_of_scalars(f7, 2, [1, 2, 3])
-    v = dot_set_lower_bound(e)
-    assert v.threshold_met
-    assert v.lhs == v.set_size * (v.extras["max_line"] * 49 + 81)
-    assert v.rhs == 7 * 81
+    dots, max_line, lhs, rhs = dot_set_bound(e)
+    assert lhs >= rhs
+    assert lhs == dots * (max_line * 49 + 81)
+    assert rhs == 7 * 81
 
 
 def test_dot_set_lower_bound_punctured_line():
     f5 = get_field(5, 1)
     e = PointSet.line(f5, 2, 6).strip_origin()
-    v = dot_set_lower_bound(e)
-    assert v.threshold_met
+    _, _, lhs, rhs = dot_set_bound(e)
+    assert lhs >= rhs
 
 
 def test_dot_set_lower_bound_singleton():
     f5 = get_field(5, 1)
-    v = dot_set_lower_bound(PointSet.from_flat(f5, 2, [8]))
-    assert v.set_size == 1 and v.extras["max_line"] == 1
-    assert v.lhs == 5 ** 2 + 1 and v.rhs == 5
-    assert v.threshold_met
-
-
-def test_dot_set_lower_bound_rejects_origin():
-    f5 = get_field(5, 1)
-    with pytest.raises(OriginInSetError):
-        dot_set_lower_bound(PointSet.from_flat(f5, 2, [0, 1]))
+    dots, max_line, lhs, rhs = dot_set_bound(PointSet.from_flat(f5, 2, [8]))
+    assert dots == 1 and max_line == 1
+    assert lhs == 5 ** 2 + 1 and rhs == 5
+    assert lhs >= rhs
 
 
 def test_positive_proportion_examples():

@@ -16,7 +16,7 @@ import fqcover.covering as covering
 import fqcover.harness as harness
 import fqcover.incidence as incidence
 from fqcover.covering import cover_verdict, covers_units, dense_block_rows, dot_product_set
-from fqcover.incidence import PointSet, max_line_intersection, nu_bruteforce
+from fqcover.incidence import PointSet, line_counts_all, nu_bruteforce
 
 from fqcover.harness import (
     BadSpecError,
@@ -428,7 +428,8 @@ def test_geometry_check_counts_nu_and_lines_once_per_set(monkeypatch):
     field = get_field(3, 2)
     for i in range(3):
         e = PointSet.from_flat(field, 2, stream(5, i, 40, 0).choice(81, 40, replace=False))
-        out = harness._geometry_check_one(field, 2, e, harness.POINT_CHECKS)
+        out = harness._geometry_checks(field, 2, PointSet(field, 2, e.bits[None]),
+                                       harness.POINT_CHECKS)[0]
         assert set(harness.POINT_CHECKS) <= set(out)
         assert calls == {"nu": i + 1, "line_counts_all": i + 1}
 
@@ -447,7 +448,7 @@ def test_geometry_max_line_is_that_of_each_core(monkeypatch):
         range(1, q ** 2), k - (i % 2 == 0), replace=False).tolist()) for i in range(8)]
     harness._geometry_checks(field, 2, PointSet.from_flat(field, 2, rows),
                              harness.POINT_CHECKS)
-    expect = [max_line_intersection(PointSet.from_flat(field, 2, r).strip_origin())[0]
+    expect = [int(line_counts_all(PointSet.from_flat(field, 2, r).strip_origin())[1:].max())
               for r in rows]
     assert max(expect[::2]) < q - 1
     assert seen == {"second_moment_sides": expect, "dot_set_lower_bound_sides": expect}

@@ -5,25 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fqcover.fourier import SpectralFn, flat_to_coords
+from fqcover.fourier import flat_to_coords, fourier_forward
 from fqcover.gf import make_field
 from fqcover.harness import get_field, stream
 from fqcover.incidence import (
-    OriginInSetError,
     PointSet,
     ZeroDirectionError,
-    hyperplane_hat_identity_check,
+    hat_identity_close,
     hyperplane_sum,
     line_counts_all,
-    line_intersection,
-    max_line_intersection,
     nu,
     nu_bruteforce,
     nu_spectral,
-    remainder_bound_check,
     remainder_sides,
-    rotating_planes_apply,
-    second_moment_check,
+    remainder_verdicts,
     second_moment_sides,
 )
 
@@ -47,6 +42,30 @@ def random_pointset(field, d, size, trial, tag=31):
     return PointSet.from_flat(field, d, flats)
 
 
+def remainder(e):
+    """(ok, r, B, worst r) of the remainder read-outs on one set."""
+    r, bound = remainder_sides(nu(e).counts, e.count, e.field.q, e.d)
+    ok, _, worst = remainder_verdicts(r, bound)
+    return bool(ok), r, int(bound), int(worst)
+
+
+def max_line(e):
+    """The largest |E intersect l| over the lines l through the origin."""
+    return int(line_counts_all(e)[1:].max())
+
+
+def hat_identity(e):
+    """(ok, err) of the hyperplane transform identity on one set."""
+    fhat = fourier_forward(hyperplane_sum(e)).values
+    ok, err = hat_identity_close(fhat, line_counts_all(e), e.count, e.field.q)
+    return bool(ok), float(err)
+
+
+def second_moment(e):
+    """(lhs, rhs) of q sum nu^2 <= M |E|^2 q^d + |E|^4 on one set."""
+    return second_moment_sides(nu(e).counts, e.count, max_line(e), e.field.q, e.d)
+
+
 def test_point_sets_are_equal_by_field_d_and_bits():
     f2, f4 = get_field(2, 1), get_field(2, 2)
     a = PointSet.from_flat(f4, 1, [1, 2])
@@ -67,7 +86,7 @@ def test_nu_of_full_plane_f3():
     field = get_field(3, 1)
     prof = nu_bruteforce(PointSet.full(field, 2))
     assert prof.counts.tolist() == [33, 24, 24]
-    assert prof.total == 81
+    assert prof.counts.sum() == 81
     assert prof.counts.tolist() == nu_oracle(field, 2, range(9))
 
 
@@ -115,7 +134,7 @@ def test_nu_total_is_size_squared(flats):
     field = get_field(5, 1)
     e = PointSet.from_flat(field, 2, sorted(flats)) if flats \
         else PointSet.empty(field, 2)
-    assert nu_bruteforce(e).total == e.count ** 2
+    assert nu_bruteforce(e).counts.sum() == e.count ** 2
 
 
 def test_nu_profile_csv():
@@ -137,26 +156,25 @@ def test_remainder_full_space_exact():
     # full F_q^d: nu(t != 0) = (q^d - 1) q^{d-1}, numerator -q^{d-1} there
     field = get_field(3, 1)
     e = PointSet.full(field, 2)
-    rep = remainder_bound_check(e)
-    assert rep.ok
-    prof = rep.profile
+    ok, _, _, worst = remainder(e)
+    assert ok
+    prof = nu(e)
     for t in [1, 2]:
         # R(t) = -q^{d-1} = -3, so the numerator q*R(t) is -9
         assert prof.r_numerator(t) == -9
     assert prof.r_numerator(0) == 3 * 33 - 81
-    assert rep.sharpness <= 1
+    assert worst ** 2 <= e.count ** 2 * 3 ** 3
 
 
 def test_remainder_singleton():
     field = get_field(7, 1)
-    rep = remainder_bound_check(PointSet.from_flat(field, 2, [8]))
-    assert rep.ok
+    assert remainder(PointSet.from_flat(field, 2, [8]))[0]
 
 
 def test_remainder_empty_set():
     field = get_field(3, 1)
-    rep = remainder_bound_check(PointSet.empty(field, 2))
-    assert rep.ok and rep.sharpness == 0.0
+    ok, _, _, worst = remainder(PointSet.empty(field, 2))
+    assert ok and worst == 0
 
 
 def test_remainder_holds_on_100_random_sets_f7():
@@ -164,9 +182,9 @@ def test_remainder_holds_on_100_random_sets_f7():
     for trial in range(100):
         size = trial % 49 + 1
         e = random_pointset(field, 2, size, trial, tag=33)
-        rep = remainder_bound_check(e)
-        assert rep.ok, f"violation at trial {trial}, t in {rep.violations}"
-        assert 0 <= rep.sharpness <= 1
+        ok, r, bound, worst = remainder(e)
+        assert ok, f"violation at trial {trial}, t in {np.flatnonzero(abs(r[1:]) > bound) + 1}"
+        assert worst ** 2 <= e.count ** 2 * 7 ** 3
 
 
 @given(st.sets(st.integers(0, 8), min_size=1, max_size=9))
@@ -188,8 +206,8 @@ def test_remainder_t_zero_is_genuinely_excluded():
     assert prof.counts.tolist() == [16, 0, 0, 0]
     assert prof.r_numerator(0) ** 2 == 2304
     assert iso.count ** 2 * 4 ** 3 == 1024           # bound overshot at t = 0
-    rep = remainder_bound_check(iso)
-    assert rep.ok and not rep.zero_dot_within_bound  # t != 0 still fine
+    ok, r, bound, _ = remainder(iso)
+    assert ok and abs(r[0]) > bound                  # t != 0 still fine
 
     # cross of a line and its perp in F_3^2: off by exactly 1, a case float
     # arithmetic could misclassify
@@ -199,35 +217,8 @@ def test_remainder_t_zero_is_genuinely_excluded():
     assert cross.count == 5
     assert prof.r_numerator(0) ** 2 == 676
     assert cross.count ** 2 * 3 ** 3 == 675
-    rep = remainder_bound_check(cross)
-    assert rep.ok and not rep.zero_dot_within_bound
-
-
-# ---------------------------------------------------------------------------
-# rotating planes
-# ---------------------------------------------------------------------------
-
-def test_rotating_planes_on_constant():
-    field = get_field(3, 1)
-    one = SpectralFn.constant(field, 2, 1.0)
-    for t in range(3):
-        r = rotating_planes_apply(one, t).values
-        for x in range(1, 9):
-            assert r[x] == pytest.approx(3)  # hyperplane has q^{d-1} points
-        if t == 0:
-            assert r[0] == pytest.approx(9)
-        else:
-            assert r[0] == pytest.approx(0)
-
-
-def test_rotating_planes_nu_consistency():
-    field = get_field(5, 1)
-    e = random_pointset(field, 2, 9, 0, tag=34)
-    prof = nu_bruteforce(e)
-    ind = e.indicator()
-    for t in range(5):
-        r = rotating_planes_apply(ind, t).values
-        assert r[e.flat_indices()].sum().real == pytest.approx(int(prof.counts[t]))
+    ok, r, bound, _ = remainder(cross)
+    assert ok and abs(r[0]) > bound
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +230,7 @@ def test_line_contains_q_points_and_self_intersects_fully():
     for y in [1, 7, 13]:
         ln = PointSet.line(field, 2, y)
         assert ln.count == 5
-        assert line_intersection(ln, y) == 5
+        assert line_counts_all(ln)[y] == 5
 
 
 def test_line_intersection_grid_diagonal():
@@ -248,37 +239,22 @@ def test_line_intersection_grid_diagonal():
     a = [1, 2, 4]
     e = PointSet.grid_of_scalars(field, 2, a)
     diag = 1 + 5  # coords (1, 1)
-    assert line_intersection(e, diag) == len(a)
+    assert line_counts_all(e)[diag] == len(a)
 
 
 def test_line_intersection_empty_and_zero_direction():
     field = get_field(5, 1)
-    assert line_intersection(PointSet.empty(field, 2), 3) == 0
-    with pytest.raises(ZeroDirectionError):
-        line_intersection(PointSet.full(field, 2), 0)
+    assert line_counts_all(PointSet.empty(field, 2))[3] == 0
     with pytest.raises(ZeroDirectionError):
         PointSet.line(field, 2, 0)
 
 
 def test_max_line_examples():
     field = get_field(5, 1)
-    grid = PointSet.grid_of_scalars(field, 2, [1, 2])
-    m, arg = max_line_intersection(grid)
-    assert m == 2
-    assert line_intersection(grid, arg) == 2
-    ln = PointSet.line(field, 2, 7)
-    assert max_line_intersection(ln)[0] == 5
-    assert max_line_intersection(PointSet.full(field, 2))[0] == 5
-    assert max_line_intersection(PointSet.empty(field, 2)) == (0, None)
-
-
-def test_max_line_argmax_is_canonical():
-    field = get_field(5, 1)
-    e = random_pointset(field, 2, 11, 3, tag=35)
-    m, arg = max_line_intersection(e)
-    counts = line_counts_all(e)
-    assert counts[arg] == m
-    assert all(counts[k] < m for k in range(1, arg))
+    assert max_line(PointSet.grid_of_scalars(field, 2, [1, 2])) == 2
+    assert max_line(PointSet.line(field, 2, 7)) == 5
+    assert max_line(PointSet.full(field, 2)) == 5
+    assert max_line(PointSet.empty(field, 2)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +307,13 @@ def test_hyperplane_mass_origin_free():
 def test_hat_identity_on_punctured_line():
     field = get_field(5, 1)
     e = PointSet.line(field, 2, 7).strip_origin()
-    rep = hyperplane_hat_identity_check(e)
-    assert rep.ok and rep.max_abs_err <= 1e-8
+    ok, err = hat_identity(e)
+    assert ok and err <= 1e-8
 
 
 def test_hat_identity_on_singleton():
     field = get_field(5, 1)
-    rep = hyperplane_hat_identity_check(PointSet.from_flat(field, 2, [11]))
-    assert rep.ok
+    assert hat_identity(PointSet.from_flat(field, 2, [11]))[0]
 
 
 def test_hat_identity_on_50_random_origin_free_sets():
@@ -347,14 +322,8 @@ def test_hat_identity_on_50_random_origin_free_sets():
         size = trial % 20 + 1
         rng = stream(77, trial, size, 38)
         flats = 1 + np.sort(rng.choice(24, size, replace=False))
-        rep = hyperplane_hat_identity_check(PointSet.from_flat(field, 2, flats))
-        assert rep.ok, f"trial {trial}: err {rep.max_abs_err}"
-
-
-def test_hat_identity_rejects_origin():
-    field = get_field(5, 1)
-    with pytest.raises(OriginInSetError):
-        hyperplane_hat_identity_check(PointSet.from_flat(field, 2, [0, 3]))
+        ok, err = hat_identity(PointSet.from_flat(field, 2, flats))
+        assert ok, f"trial {trial}: err {err}"
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +332,20 @@ def test_hat_identity_rejects_origin():
 
 def test_second_moment_singleton():
     field = get_field(5, 1)
-    rep = second_moment_check(PointSet.from_flat(field, 2, [7]))
-    assert rep.ok
-    assert rep.lhs == 5          # q * sum nu^2 = q
-    assert rep.rhs == 5 ** 2 + 1  # 1 * 1 * q^d + 1
+    lhs, rhs = second_moment(PointSet.from_flat(field, 2, [7]))
+    assert lhs <= rhs
+    assert lhs == 5          # q * sum nu^2 = q
+    assert rhs == 5 ** 2 + 1  # 1 * 1 * q^d + 1
 
 
 def test_second_moment_grid():
     field = get_field(7, 1)
     e = PointSet.grid_of_scalars(field, 2, [1, 2, 3])
-    rep = second_moment_check(e)
-    assert rep.ok
-    assert rep.max_line == 3
+    lhs, rhs = second_moment(e)
+    assert lhs <= rhs
+    assert max_line(e) == 3
     prof = nu_bruteforce(e)
-    assert rep.lhs == 7 * sum(int(c) ** 2 for c in prof.counts)
+    assert lhs == 7 * sum(int(c) ** 2 for c in prof.counts)
 
 
 @pytest.mark.parametrize("p,n,d", [(5, 1, 2), (3, 1, 3)])
@@ -387,8 +356,8 @@ def test_second_moment_on_100_random_origin_free_sets(p, n, d):
         size = trial % min(size_cap, 20) + 1
         rng = stream(88, trial, size, 39)
         flats = 1 + np.sort(rng.choice(size_cap, size, replace=False))
-        rep = second_moment_check(PointSet.from_flat(field, d, flats))
-        assert rep.ok, f"trial {trial}: {rep.lhs} > {rep.rhs}"
+        lhs, rhs = second_moment(PointSet.from_flat(field, d, flats))
+        assert lhs <= rhs, f"trial {trial}: {lhs} > {rhs}"
 
 
 def test_second_moment_sides_stay_exact_past_int64():
@@ -409,12 +378,6 @@ def test_remainder_sides_match_the_squared_comparison():
     assert bound == math.isqrt(25 * 7 ** 3)
     assert r.tolist() == [7 * c - 25 for c in range(40)]
     assert ((np.abs(r) <= bound) == np.array([v * v <= 25 * 7 ** 3 for v in r.tolist()])).all()
-
-
-def test_second_moment_rejects_origin():
-    field = get_field(5, 1)
-    with pytest.raises(OriginInSetError):
-        second_moment_check(PointSet.from_flat(field, 2, [0, 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Every blocked count is compared with a Python-integer oracle built from the
 scalar `field.add` and `field.mul`, with the byte cap patched down so that
 each kernel runs in many one-row blocks.  q = 4, 5 and 9 cover the XOR,
 prime and add-table paths of `Field.add_arrays`.  Stacks of sets, some
-holding the origin, are checked set by set against the same oracles and
-against the per-set checks.
+holding the origin, are checked set by set against the same oracles, and
+their geometry verdicts against the paper's inequalities in Python integers.
 """
 
 import tracemalloc
@@ -16,20 +16,14 @@ import pytest
 import fqcover.fourier as fourier
 import fqcover.harness as harness
 import fqcover.incidence as incidence
-from fqcover.covering import (
-    covers_units,
-    dot_product_set,
-    dot_set_lower_bound,
-    point_cover_threshold,
-)
 from fqcover.fourier import (
     DENSE_BLOCK_BYTES,
     SpectralFn,
     convolve_diff,
     coords_to_flat,
-    diff_convolution_hat_check,
     dot,
     flat_to_coords,
+    fourier_forward_direct,
     point_dot,
     point_map,
     row_blocks,
@@ -38,15 +32,11 @@ from fqcover.fourier import (
 from fqcover.harness import get_field, stream
 from fqcover.incidence import (
     PointSet,
-    hyperplane_hat_identity_check,
     hyperplane_sum,
     line_counts_all,
     nu,
     nu_bruteforce,
     nu_spectral,
-    remainder_bound_check,
-    rotating_planes_apply,
-    second_moment_check,
 )
 
 SPACES = [(2, 2, 2), (2, 2, 3), (5, 1, 2), (5, 1, 3), (3, 2, 2), (3, 2, 3)]
@@ -123,18 +113,6 @@ def test_blocked_counts_match_integer_oracles(one_row_blocks, p, n, d):
     assert got.real.tolist() == want and not got.imag.any()
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (3, 2)])
-def test_blocked_rotating_planes_match_oracle(one_row_blocks, p, n):
-    field = get_field(p, n)
-    size = field.q ** 2
-    vals = stream(79, p, n, 6).integers(-3, 4, size)
-    for t in (0, 1):
-        got = rotating_planes_apply(SpectralFn.from_real(field, 2, vals), t).values
-        assert got.real.tolist() == [
-            sum(int(vals[y]) for y in range(size) if fdot(field, 2, x, y) == t)
-            for x in range(size)]
-
-
 @pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 2)])
 def test_kernel_calls_do_not_grow_with_the_set(monkeypatch, p, n, d):
     """One block: d multiplications whatever the number of points."""
@@ -179,24 +157,51 @@ def mixed_stack(field, d, k, rows, trial):
     return np.array(out, dtype=np.int64)
 
 
+def close(fhat, expect):
+    """Whether fhat = expect to within a relative 1e-8 of the largest value."""
+    return np.abs(fhat - expect).max() <= 1e-8 * max(1.0, np.abs(expect).max())
+
+
 def per_set_checks(field, d, flats):
-    """The point checks of one set, each read off the per-set functions on
-    the set with its origin stripped."""
-    e = PointSet.from_flat(field, d, flats)
-    core = e.strip_origin()
+    """The point checks of one set, each the paper's statement on the set
+    with its origin stripped, its core: nu, the line counts, the hyperplane
+    sums and the difference counts are counted in Python integers with
+    `fdot`, `scale` and `translate`, the inequalities compared in Python
+    integers, and the transforms taken by `fourier_forward_direct`."""
+    q, size = field.q, field.q ** d
+    core = [x for x in flats.tolist() if x != 0]
+    members, n = set(core), len(core)
+    nu_ref, diff = [0] * q, [0] * size
+    for x in core:
+        for y in core:
+            nu_ref[fdot(field, d, x, y)] += 1
+            diff[translate(field, d, x, scale(field, d, field.neg(1), y))] += 1
+    lines = [n] + [sum(scale(field, d, t, m) in members for t in range(1, q))
+                   for m in range(1, size)]
+    max_line = max(lines[1:])
     out = {"cover": None}
-    if point_cover_threshold(e):
-        out["cover"], missing = covers_units(dot_product_set(core))
+    if len(flats) ** 2 > q ** (d + 1):
+        missing = [t for t in range(1, q) if not nu_ref[t]]
+        out["cover"] = not missing
         if missing:
             out["cover_missing"] = missing[:32]
-    rep = remainder_bound_check(core)
-    out["remainder"] = rep.ok
-    out["sharpness_frac"] = (rep.profile.r_numerator(rep.worst_t) ** 2,
-                             core.count ** 2 * field.q ** (d + 1))
-    out["identities"] = (hyperplane_hat_identity_check(core).ok
-                         and diff_convolution_hat_check(core.indicator()))
-    out["second_moment"] = second_moment_check(core).ok
-    out["keylowerbound"] = dot_set_lower_bound(core).threshold_met
+    worst = max((q * nu_ref[t] - n * n) ** 2 for t in range(1, q))
+    out["remainder"] = worst <= n * n * q ** (d + 1)
+    out["sharpness_frac"] = (worst, n * n * q ** (d + 1))
+
+    def direct_hat(values):
+        return fourier_forward_direct(SpectralFn.from_real(field, d, values)).values
+
+    # Fhat(k) = |E intersect l_k| / q for k != 0 and |E| / q at 0, and the
+    # transform of the difference counts is q^d |Ehat|^2.
+    hsum = [sum(fdot(field, d, x, m) == 0 for x in core) for m in range(size)]
+    ehat = direct_hat([x in members for x in range(size)])
+    out["identities"] = bool(close(direct_hat(hsum), np.array(lines) / q)
+                             and close(direct_hat(diff), size * np.abs(ehat) ** 2))
+    out["second_moment"] = (q * sum(c * c for c in nu_ref)
+                            <= max_line * n * n * q ** d + n ** 4)
+    dots = sum(c > 0 for c in nu_ref)
+    out["keylowerbound"] = dots * (max_line * q ** d + n * n) >= q * n * n
     return out
 
 
