@@ -7,8 +7,9 @@ things make that work:
 * the RNG is Philox (counter-based): every sampled object gets its own
   stream keyed by (seed; sample index, size, purpose tag), so sharding
   the sample indices over workers cannot change what is drawn;
-* workers are sharded over contiguous index ranges and merged by
-  addition / sorted concatenation, both order-independent;
+* the tasks, contiguous index ranges, are dealt round-robin into one
+  batch per worker, and the results are put back in task order and merged
+  by addition / sorted concatenation, both order-independent;
 * wall-clock timing is printed to stderr by the CLI and never enters the
   JSON body.
 
@@ -69,7 +70,7 @@ EXHAUSTIVE_BUDGET = 10 ** 7
 # Products a*a' (the sum of |A|^2) that the structured sets of one run may
 # form.  The roster of GF(2^14) needs 3.7e8, that of GF(2^16) 6.1e9.
 STRUCTURED_PAIR_BUDGET = 10 ** 9
-# Subsets per exhaustive task and per unranked block.
+# Orbit representatives per cover-exhaustive task, unranked as one block.
 SUBSET_CHUNK = 2048
 JSON_INT_LIMIT = 1 << 53
 
@@ -341,26 +342,33 @@ def _draw(mode: str, universe: int, size: int, lo: int, hi: int, seed: int,
                      for i in range(lo, hi)], dtype=np.int64).reshape(hi - lo, size)
 
 
-def _campaign(worker, spec: ExperimentSpec, sizes: list[int], universe: int,
-              chunk: int, *extra) -> list:
-    """Run `worker` on every chunk of the subset indices of every size: the
-    colex ranks [0, C(universe, size)) in exhaustive mode, which must fit
-    the enumeration budget, otherwise the sample indices [0, spec.samples).
+def _run_batch(worker, tasks: list) -> list:
+    return [worker(t) for t in tasks]
+
+
+def _campaign(worker, spec: ExperimentSpec, totals: dict[int, int], chunk: int,
+              *extra) -> list:
+    """Run `worker` on every chunk of the indices [0, totals[size]) of every
+    size: colex ranks in exhaustive mode, otherwise sample indices.
 
     Each task is (p, n, d, mode, seed, size, lo, hi, *extra), and the
-    results come back in task order at any worker count.
+    results come back in task order at any worker count.  With w > 1
+    workers, the tasks are dealt round-robin into w batches and each worker
+    runs one, so a run pays one round trip per worker, not per task, and
+    the sizes of a `geometry` run, whose costs grow with the size, are
+    spread evenly.
     """
-    if spec.mode == "exhaustive":
-        require_budget(universe, sizes)
-    tasks = []
-    for s in sizes:
-        total = math.comb(universe, s) if spec.mode == "exhaustive" else spec.samples
-        tasks += [(spec.p, spec.n, spec.d, spec.mode, spec.seed, s, lo,
-                   min(lo + chunk, total), *extra) for lo in range(0, total, chunk)]
-    if spec.workers <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-        return list(pool.map(worker, tasks))
+    tasks = [(spec.p, spec.n, spec.d, spec.mode, spec.seed, s, lo, min(lo + chunk, total),
+              *extra) for s, total in totals.items() for lo in range(0, total, chunk)]
+    w = min(spec.workers, len(tasks))
+    if w <= 1:
+        return _run_batch(worker, tasks)
+    out = [None] * len(tasks)
+    with ProcessPoolExecutor(max_workers=w) as pool:
+        for i, batch in enumerate(pool.map(_run_batch, [worker] * w,
+                                           [tasks[i::w] for i in range(w)])):
+            out[i::w] = batch
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -479,27 +487,42 @@ def _covers(field: Field, d: int, subsets: np.ndarray) -> np.ndarray:
                      for a in subsets], dtype=bool)
 
 
+def _oracle_failure(field: Field, d: int, subset: list) -> dict:
+    """The report entry of a set that `_covers` found not covering.  Its
+    missing list comes from the per-set oracle, which must agree."""
+    verdict = cover_verdict(PointSet.from_flat(field, 1, subset), d)
+    if verdict.covers_units:
+        raise RuntimeError(f"block verdict and cover_verdict disagree on {subset}")
+    return {"size": len(subset), "subset": subset,
+            "missing": verdict.missing[:MISSING_REPORT_LIMIT]}
+
+
 def _cover_task(task) -> dict:
     p, n, d, mode, seed, size, lo, hi = task
     field = get_field(p, n)
     subsets = _draw(mode, field.q, size, lo, hi, seed, TAG_COVER)
     covers = _covers(field, d, subsets)
-    failures = []
-    if size >= min_threshold_size(field.q, d):
-        # The report's missing lists come from the per-set oracle, which
-        # must agree with the block verdict.
-        for i in np.flatnonzero(~covers).tolist():
-            subset = subsets[i].tolist()
-            verdict = cover_verdict(PointSet.from_flat(field, 1, subset), d)
-            if verdict.covers_units:
-                raise RuntimeError(f"block verdict and cover_verdict disagree on {subset}")
-            failure = {"size": size, "subset": subset,
-                       "missing": verdict.missing[:MISSING_REPORT_LIMIT]}
-            if mode != "exhaustive":
-                failure["sample_index"] = lo + i
-            failures.append(failure)
+    failing = np.flatnonzero(~covers & (size >= min_threshold_size(field.q, d)))
+    failures = [{**_oracle_failure(field, d, subsets[i].tolist()), "sample_index": lo + i}
+                for i in failing.tolist()]
     return {"size": size, "checked": hi - lo, "covered": int(covers.sum()),
             "failures": failures}
+
+
+def _orbit_task(task) -> dict:
+    """Verdicts on the orbit representatives {1} | R of one colex rank range
+    of the (size - 1)-subsets R of F_q \\ {1}: the covering ones without 0
+    and with 0, and at a threshold size the failing ones, for
+    `_orbit_tallies`."""
+    p, n, d, _, _, size, lo, hi = task
+    field = get_field(p, n)
+    rest = colex_unrank(field.q - 1, size - 1, lo, hi)
+    reps = np.hstack([np.ones((hi - lo, 1), dtype=np.int64), rest + (rest > 0)])
+    covers = _covers(field, d, reps)
+    zero = (rest[:, :1] == 0).any(axis=1)
+    failing = ~covers & (size >= min_threshold_size(field.q, d))
+    return {"size": size, "covered": [int((covers & ~zero).sum()), int((covers & zero).sum())],
+            "failing": reps[failing].tolist()}
 
 
 def _scalar_tallies(results: list, s_min: int) -> tuple[dict, list]:
@@ -514,6 +537,42 @@ def _scalar_tallies(results: list, s_min: int) -> tuple[dict, list]:
         t["covered"] += res["covered"]
         failures.extend(res["failures"])
     return {str(s): tallies[s] for s in sorted(tallies)}, failures
+
+
+def _orbit_tallies(field: Field, d: int, sizes: list[int], results: list,
+                   s_min: int) -> tuple[dict, list]:
+    """The per-size tallies and the failures of every subset of F_q of the
+    given sizes, from the `_orbit_task` results.
+
+    Coverage does not change under A -> cA for c != 0, and a k-set A with m
+    units has exactly m images cA that contain 1.  So the covering k-sets
+    without 0 number (q - 1)/k times the covering representatives without
+    0, and those with 0 (q - 1)/(k - 1) times those with 0.  The sets with
+    no unit, {} and {0}, cover nothing.  A failing set is in the orbit
+    {cB} of a failing representative B; each orbit is listed once.
+    """
+    q = field.q
+    covered = {s: [0, 0] for s in sizes}
+    reps = {u for u in ((), (0,)) if len(u) in covered and len(u) >= s_min}
+    for res in results:
+        for i, count in enumerate(res["covered"]):
+            covered[res["size"]][i] += count
+        reps.update(map(tuple, res["failing"]))
+    tallies = {}
+    for s in sizes:
+        total = 0
+        for count, units in zip(covered[s], (s, s - 1)):
+            if count:
+                sets, remainder = divmod((q - 1) * count, units)
+                if remainder:
+                    raise RuntimeError(f"orbit counts {covered[s]} of size {s} are not whole")
+                total += sets
+        tallies[str(s)] = {"checked": math.comb(q, s), "covered": total,
+                           "threshold": s >= s_min}
+    units = np.arange(1, q)[:, None]
+    orbits = {tuple(row) for rep in reps for row in np.sort(
+        field.mul_arrays(units, np.array(rep, dtype=np.int64)), axis=1).tolist()}
+    return tallies, [_oracle_failure(field, d, list(subset)) for subset in sorted(orbits)]
 
 
 def _clip_sizes(sizes: tuple[int, int], universe: int) -> list[int]:
@@ -544,6 +603,7 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
     if not sizes:
         raise BadSpecError(f"no size in 1..{q} is above the cover threshold at "
                            f"d={d}; give --sizes")
+    require_budget(q, sizes)
     # Without --sizes, the sizes below the threshold are scanned too, from
     # s_min - 1 down for as long as they fit what is left of the budget.
     scan: list[int] = []
@@ -554,8 +614,9 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
             if remaining < 0:
                 break
             scan.append(s)
-    tallies, failures = _scalar_tallies(
-        _campaign(_cover_task, spec, sizes + scan, q, SUBSET_CHUNK), s_min)
+    results = _campaign(_orbit_task, spec, {s: math.comb(q - 1, s - 1) for s in sizes + scan
+                                            if s > 0}, SUBSET_CHUNK)
+    tallies, failures = _orbit_tallies(field, d, sizes + scan, results, s_min)
     report.tallies = {str(s): tallies[str(s)] for s in sizes}
     report.counterexamples = sorted(failures, key=lambda c: (c["size"], c["subset"]))
 
@@ -614,7 +675,7 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     s_min = min_threshold_size(q, d)
     sizes = _scalar_sizes(spec, q, s_min)
     report.tallies, failures = _scalar_tallies(
-        _campaign(_cover_task, spec, sizes, q, 256), s_min)
+        _campaign(_cover_task, spec, dict.fromkeys(sizes, spec.samples), 256), s_min)
 
     extras = {"threshold_min_size": s_min}
     if spec.mode == "structured":
@@ -818,7 +879,12 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
     else:
         sizes = list(range(1, min(universe, 100) + 1))
 
-    outcomes = [res for chunk in _campaign(_geometry_task, spec, sizes, universe, 64, checks)
+    if spec.mode == "exhaustive":
+        require_budget(universe, sizes)
+        totals = {s: math.comb(universe, s) for s in sizes}
+    else:
+        totals = dict.fromkeys(sizes, spec.samples)
+    outcomes = [res for chunk in _campaign(_geometry_task, spec, totals, 64, checks)
                 for res in chunk]
     if spec.mode == "structured":
         for name, e in structured_point_sets(field, d, spec.seed):

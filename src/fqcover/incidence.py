@@ -69,10 +69,13 @@ class PointSet:
         self.bits = np.asarray(self.bits, dtype=bool)
         if self.bits.shape[-1:] != (self.field.q ** self.d,):
             raise ValueError("bits must be a bool array of length q^d along its last axis")
-        sizes = self.bits.sum(axis=-1)
-        if sizes.size and sizes.min() != sizes.max():
-            raise ValueError("the sets of a stack must have one size")
-        self.count = int(sizes.flat[0]) if sizes.size else 0
+        if self.bits.ndim == 1:
+            self.count = int(np.count_nonzero(self.bits))
+        else:
+            sizes = self.bits.sum(axis=-1)
+            if sizes.size and sizes.min() != sizes.max():
+                raise ValueError("the sets of a stack must have one size")
+            self.count = int(sizes.flat[0]) if sizes.size else 0
 
     @classmethod
     def empty(cls, field: Field, d: int) -> "PointSet":
@@ -88,7 +91,10 @@ class PointSet:
         the rows (last axis) of a flat-index array."""
         flats = np.asarray(flats, dtype=np.int64)
         bits = np.zeros(flats.shape[:-1] + (field.q ** d,), dtype=bool)
-        np.put_along_axis(bits, flats, True, axis=-1)
+        if flats.ndim == 1:
+            bits[flats] = True
+        else:
+            np.put_along_axis(bits, flats, True, axis=-1)
         return cls(field, d, bits)
 
     @classmethod

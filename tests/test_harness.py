@@ -15,7 +15,13 @@ import fqcover.cli as cli
 import fqcover.covering as covering
 import fqcover.harness as harness
 import fqcover.incidence as incidence
-from fqcover.covering import cover_verdict, covers_units, dense_block_rows, dot_product_set
+from fqcover.covering import (
+    cover_verdict,
+    covers_units,
+    dense_block_rows,
+    dot_product_set,
+    min_threshold_size,
+)
 from fqcover.incidence import PointSet, line_counts_all, nu_bruteforce
 
 from fqcover.harness import (
@@ -252,15 +258,43 @@ def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
             if not verdict.covers_units:
                 expect.append({"size": k, "subset": list(subset),
                                "missing": verdict.missing[:32]})
-    # Both paths are exercised: the 35 sets of size 3 go to the block
-    # kernel, the lone set of size 7 stays per set.
-    assert dense_block_rows(field, 3, 2, 35) > 0
+    # Both paths are exercised: the 15 orbit representatives of size 3
+    # (the sets holding 1) go to the block kernel, the lone one of size 7
+    # stays per set.
+    assert dense_block_rows(field, 3, 2, 15) > 0
     assert dense_block_rows(field, 7, 2, 1) == 0
     assert report.counterexamples == sorted(expect, key=lambda c: (c["size"], c["subset"]))
     assert report.status == "counterexample"
     for k in range(1, 8):
         assert report.tallies[str(k)]["covered"] == math.comb(7, k) - sum(
             c["size"] == k for c in expect)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_cover_exhaustive_tallies_from_orbit_representatives(p, n, d, monkeypatch):
+    # Only the sets holding 1 reach the verdicts, C(q - 1, k - 1) of size
+    # k; the weighted counts equal those of every subset, by the oracle.
+    field = get_field(p, n)
+    q = field.q
+    rows = dict.fromkeys(range(q + 1), 0)
+    covers = harness._covers
+
+    def counted(field, d, subsets):
+        rows[subsets.shape[1]] += len(subsets)
+        assert (subsets == 1).any(axis=1).all()
+        return covers(field, d, subsets)
+
+    monkeypatch.setattr(harness, "_covers", counted)
+    report = run_cover_exhaustive(ExperimentSpec(p=p, n=n, d=d, mode="exhaustive",
+                                                 sizes=(0, q)))
+    assert rows == {k: math.comb(q - 1, k - 1) if k else 0 for k in range(q + 1)}
+    s_min = min_threshold_size(q, d)
+    assert report.tallies == {str(k): {
+        "checked": math.comb(q, k),
+        "covered": sum(cover_verdict(PointSet.from_flat(field, 1, a), d).covers_units
+                       for a in itertools.combinations(range(q), k)),
+        "threshold": k >= s_min} for k in range(q + 1)}
 
 
 def _flagged(report) -> dict:
@@ -598,16 +632,23 @@ def test_cover_exhaustive_refuses_no_threshold_size_before_the_scan(monkeypatch)
 
 
 @pytest.mark.parametrize("run,spec", [
+    (run_cover_exhaustive, ExperimentSpec(p=7, d=2, mode="exhaustive", sizes=(1, 7))),
     (run_geometry, ExperimentSpec(p=3, d=2, mode="exhaustive", sizes=(5, 9))),
     (run_cover_sample, ExperimentSpec(p=13, d=2, mode="sample", sizes=(4, 13),
                                       samples=300, seed=7)),
 ])
-def test_campaign_reports_identical_across_workers(run, spec):
+def test_campaign_reports_identical_across_workers(run, spec, monkeypatch):
+    # With the cover threshold pretended down to size 1, failing sets are
+    # reported: cover-exhaustive expands them from orbit representatives.
+    # Three workers get batches of unequal length.
+    monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
     reports = []
-    for workers in (1, 2):
+    for workers in (1, 2, 3):
         spec.workers = workers
         reports.append(canonical_json(run(spec).to_dict()))
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
+    flagged = '"status":"counterexample"' in reports[0]
+    assert flagged == (run is not run_geometry)
 
 
 def test_cover_sample_block_verdicts_match_the_per_set_oracle():

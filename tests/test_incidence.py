@@ -77,6 +77,20 @@ def test_point_sets_are_equal_by_field_d_and_bits():
     assert a != a.bits
 
 
+def test_point_set_sizes_of_single_sets_and_stacks():
+    field = get_field(5, 1)
+    assert PointSet.from_flat(field, 1, [4, 0, 2]).count == 3
+    assert PointSet.from_flat(field, 1, np.zeros(0, dtype=np.int64)).count == 0
+    stack = PointSet.from_flat(field, 1, [[0, 2], [1, 4], [3, 4]])
+    assert stack.count == 2
+    assert stack.bits.tolist() == [[True, False, True, False, False],
+                                   [False, True, False, False, True],
+                                   [False, False, False, True, True]]
+    with pytest.raises(ValueError, match="one size"):
+        PointSet(field, 1, [[True, False, True, False, False],
+                            [True, False, False, False, False]])
+
+
 # ---------------------------------------------------------------------------
 # nu
 # ---------------------------------------------------------------------------
