@@ -632,10 +632,10 @@ def test_cover_exhaustive_refuses_no_threshold_size_before_the_scan(monkeypatch)
 
 
 @pytest.mark.parametrize("run,spec", [
-    (run_cover_exhaustive, ExperimentSpec(p=7, d=2, mode="exhaustive", sizes=(1, 7))),
     (run_geometry, ExperimentSpec(p=3, d=2, mode="exhaustive", sizes=(5, 9))),
     (run_cover_sample, ExperimentSpec(p=13, d=2, mode="sample", sizes=(4, 13),
                                       samples=300, seed=7)),
+    (run_cover_exhaustive, ExperimentSpec(p=7, d=2, mode="exhaustive", sizes=(1, 7))),
 ])
 def test_campaign_reports_identical_across_workers(run, spec, monkeypatch):
     # With the cover threshold pretended down to size 1, failing sets are
