@@ -26,13 +26,12 @@ ROSTER = [(3, 1, 2), (2, 2, 2), (5, 1, 2), (7, 1, 2), (2, 3, 2), (3, 2, 2), (3, 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", type=Path, default=Path("results"))
-    parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args()
     args.outdir.mkdir(parents=True, exist_ok=True)
 
     worst = 0
     for p, n, d in ROSTER:
-        spec = ExperimentSpec(p=p, n=n, d=d, mode="exhaustive", workers=args.workers)
+        spec = ExperimentSpec(p=p, n=n, d=d, mode="exhaustive")
         report = run_cover_exhaustive(spec)
         path = args.outdir / f"cover_q{p ** n}_d{d}.json"
         path.write_text(canonical_json(report.to_dict()))

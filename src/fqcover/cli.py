@@ -131,7 +131,8 @@ def _emit(report, out_path: str | None, started: float) -> int:
         with open(out_path, "w") as fh:
             fh.write(text)
     elapsed = time.monotonic() - started
-    print(f"[fqcover] {report.command}: status={report.status} "
+    stats = "".join(f" {k}={v}" for k, v in report.stats.items())
+    print(f"[fqcover] {report.command}: status={report.status}{stats} "
           f"wall_clock={elapsed:.3f}s", file=sys.stderr)
     return report.exit_code
 

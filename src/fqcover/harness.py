@@ -70,7 +70,8 @@ EXHAUSTIVE_BUDGET = 10 ** 7
 # Products a*a' (the sum of |A|^2) that the structured sets of one run may
 # form.  The roster of GF(2^14) needs 3.7e8, that of GF(2^16) 6.1e9.
 STRUCTURED_PAIR_BUDGET = 10 ** 9
-# Orbit representatives per cover-exhaustive task, unranked as one block.
+# Candidate orbit representatives per verdict block of the cover-exhaustive
+# search.
 SUBSET_CHUNK = 2048
 JSON_INT_LIMIT = 1 << 53
 
@@ -153,6 +154,8 @@ class RunReport:
     extras: dict = dc_field(default_factory=dict)
     status: str = "ok"
     exit_code: int = EXIT_OK
+    # Counts of the work done, for the CLI's stderr line; never serialized.
+    stats: dict = dc_field(default_factory=dict)
 
     def flag_counterexamples(self) -> None:
         if self.counterexamples:
@@ -509,20 +512,88 @@ def _cover_task(task) -> dict:
             "failures": failures}
 
 
-def _orbit_task(task) -> dict:
-    """Verdicts on the orbit representatives {1} | R of one colex rank range
-    of the (size - 1)-subsets R of F_q \\ {1}: the covering ones without 0
-    and with 0, and at a threshold size the failing ones, for
-    `_orbit_tallies`."""
-    p, n, d, _, _, size, lo, hi = task
-    field = get_field(p, n)
-    rest = colex_unrank(field.q - 1, size - 1, lo, hi)
-    reps = np.hstack([np.ones((hi - lo, 1), dtype=np.int64), rest + (rest > 0)])
-    covers = _covers(field, d, reps)
-    zero = (rest[:, :1] == 0).any(axis=1)
-    failing = ~covers & (size >= min_threshold_size(field.q, d))
-    return {"size": size, "covered": [int((covers & ~zero).sum()), int((covers & zero).sum())],
-            "failing": reps[failing].tolist()}
+def _representatives(rest: np.ndarray) -> np.ndarray:
+    """The orbit representatives {1} | R, one int64 row each, of the rows
+    of `rest`: the sets R of F_q \\ {1} shifted into range(q - 1), r -> r - 1
+    for r > 1."""
+    rest = rest.astype(np.int64)
+    return np.hstack([np.ones((len(rest), 1), dtype=np.int64), rest + (rest > 0)])
+
+
+def _last(rows: np.ndarray) -> np.ndarray:
+    """max(R) of every row R, as int64; -1 for the empty row."""
+    return rows[:, -1].astype(np.int64) if rows.shape[1] else np.full(len(rows), -1)
+
+
+def _children(parents: list[np.ndarray], universe: int):
+    """The rows R | {u} for every row R of the blocks `parents` and every u
+    in range(universe) above max(R), parent by parent, in blocks of at most
+    SUBSET_CHUNK rows."""
+    for block in parents:
+        last = _last(block)
+        ends = np.cumsum(universe - 1 - last)
+        for lo in range(0, int(ends[-1]), SUBSET_CHUNK):
+            j = np.arange(lo, min(lo + SUBSET_CHUNK, int(ends[-1])))
+            owner = np.searchsorted(ends, j, side="right")
+            # Parent o's children take the indices from
+            # ends[o] - (universe - 1 - last[o]) to ends[o] - 1, with u from
+            # last[o] + 1 to universe - 1.
+            u = j - ends[owner] + universe
+            yield np.hstack([block[owner], u[:, None].astype(block.dtype)])
+
+
+def _noncovering_levels(field: Field, d: int, lo: int, top: int):
+    """Yield (k, decided, kept) for each level k decided, up to `top`: the
+    number of orbit representatives of size k that got a `_covers` verdict,
+    and those of them whose d-fold sumset of A*A misses a unit, as blocks
+    of at most SUBSET_CHUNK rows.  A representative holds 1 and is stored
+    as the row R of `_representatives`, in the smallest unsigned dtype that
+    holds q - 1.
+
+    A subset B of A gives dB^2 inside dA^2, so the sets that miss a unit
+    are closed under taking subsets.  Each representative S of size k >= 2
+    has one parent, S minus the largest element of S \\ {1}, which holds 1
+    and misses a unit when S does.  So level 1 decides {1}, and level k
+    decides the children of the non-covering rows of level k - 1, the
+    sets R | {u} with u > max(R); all other representatives of size k
+    cover.  After an empty level every larger set covers, and the search
+    stops.
+
+    The levels below `lo` >= 1, the least size asked for, only lead up to
+    it.  They are searched while the sets decided stay within the number of
+    representatives of the sizes lo..top; past that, every representative
+    of size lo is decided, in colex order, and the search goes on from
+    there.  So a run decides at most twice as many sets as those
+    representatives.
+    """
+    q = field.q
+    dtype = np.min_scalar_type(q - 1)
+    direct = sum(math.comb(q - 1, k - 1) for k in range(lo, top + 1))
+    k, count, blocks = 1, 1, [np.zeros((1, 0), dtype=dtype)]
+    decided = 0
+    while True:
+        if k < lo and decided + count > direct:
+            k, count = lo, math.comb(q - 1, lo - 1)
+            blocks = (colex_unrank(q - 1, lo - 1, i, min(i + SUBSET_CHUNK, count)).astype(dtype)
+                      for i in range(0, count, SUBSET_CHUNK))
+        decided += count
+        kept = []
+        for rest in blocks:
+            rest = rest[~_covers(field, d, _representatives(rest))]
+            if not len(rest):
+                continue
+            # Small blocks are merged, so that the next level's verdict
+            # calls stay large.
+            if kept and len(kept[-1]) + len(rest) <= SUBSET_CHUNK:
+                kept[-1] = np.concatenate([kept[-1], rest])
+            else:
+                kept.append(rest)
+        yield k, count, kept
+        if not kept or k == top:
+            return
+        k += 1
+        count = sum(int((q - 2 - _last(rows)).sum()) for rows in kept)
+        blocks = _children(kept, q - 1)
 
 
 def _scalar_tallies(results: list, s_min: int) -> tuple[dict, list]:
@@ -542,7 +613,9 @@ def _scalar_tallies(results: list, s_min: int) -> tuple[dict, list]:
 def _orbit_tallies(field: Field, d: int, sizes: list[int], results: list,
                    s_min: int) -> tuple[dict, list]:
     """The per-size tallies and the failures of every subset of F_q of the
-    given sizes, from the `_orbit_task` results.
+    given sizes, from per-size records of the orbit representatives: the
+    covering ones without 0 and with 0, and at a threshold size the failing
+    ones.
 
     Coverage does not change under A -> cA for c != 0, and a k-set A with m
     units has exactly m images cA that contain 1.  So the covering k-sets
@@ -614,9 +687,26 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
             if remaining < 0:
                 break
             scan.append(s)
-    results = _campaign(_orbit_task, spec, {s: math.comb(q - 1, s - 1) for s in sizes + scan
-                                            if s > 0}, SUBSET_CHUNK)
-    tallies, failures = _orbit_tallies(field, d, sizes + scan, results, s_min)
+    def record(k: int, kept: list[np.ndarray]) -> dict:
+        # Of the representatives of size k, C(q - 2, k - 1) lack 0 and
+        # C(q - 2, k - 2) hold it; those not kept cover.
+        count = sum(map(len, kept))
+        with_zero = sum(int((rest[:, :1] == 0).sum()) for rest in kept)
+        return {"size": k, "covered": [
+            math.comb(q - 2, k - 1) - (count - with_zero),
+            (math.comb(q - 2, k - 2) if k > 1 else 0) - with_zero],
+            "failing": [row for rest in kept for row in _representatives(rest).tolist()]
+            if k >= s_min else []}
+
+    results = {k: record(k, []) for k in sizes + scan if k > 0}
+    # The search runs in this process at any --workers: a whole run's
+    # verdicts take less time than a pool takes to start.
+    verdicts = 0
+    for k, level, kept in _noncovering_levels(field, d, min(results), max(results)):
+        verdicts += level
+        if k in results:
+            results[k] = record(k, kept)
+    tallies, failures = _orbit_tallies(field, d, sizes + scan, results.values(), s_min)
     report.tallies = {str(s): tallies[str(s)] for s in sizes}
     report.counterexamples = sorted(failures, key=lambda c: (c["size"], c["subset"]))
 
@@ -634,6 +724,7 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
         # key stays because it is part of the report.
         extras["empirical_scan_floor"] = empirical
     report.extras = extras
+    report.stats = {"verdicts": verdicts}
     report.flag_counterexamples()
     return report
 

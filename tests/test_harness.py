@@ -249,6 +249,19 @@ def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
     # With the threshold pretended down to size 1, sub-threshold sets that
     # miss a unit are reported as counterexamples, with the oracle's lists.
     monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
+    calls = {"block": 0, "per_set": 0}
+    block, per_set = harness.covers_units_block, harness.cover_verdict
+
+    def counted_block(*args):
+        calls["block"] += 1
+        return block(*args)
+
+    def counted_per_set(*args):
+        calls["per_set"] += 1
+        return per_set(*args)
+
+    monkeypatch.setattr(harness, "covers_units_block", counted_block)
+    monkeypatch.setattr(harness, "cover_verdict", counted_per_set)
     field = get_field(7, 1)
     report = run_cover_exhaustive(ExperimentSpec(p=7, d=2, mode="exhaustive", sizes=(1, 7)))
     expect = []
@@ -258,11 +271,11 @@ def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
             if not verdict.covers_units:
                 expect.append({"size": k, "subset": list(subset),
                                "missing": verdict.missing[:32]})
-    # Both paths are exercised: the 15 orbit representatives of size 3
-    # (the sets holding 1) go to the block kernel, the lone one of size 7
-    # stays per set.
-    assert dense_block_rows(field, 3, 2, 15) > 0
-    assert dense_block_rows(field, 7, 2, 1) == 0
+    # Both verdict paths are reached: the block kernel decides the search's
+    # larger levels, the per-set oracle the lone {1}.  Every counterexample
+    # takes one more oracle call.
+    assert calls["block"] > 0
+    assert calls["per_set"] > len(expect)
     assert report.counterexamples == sorted(expect, key=lambda c: (c["size"], c["subset"]))
     assert report.status == "counterexample"
     for k in range(1, 8):
@@ -270,31 +283,84 @@ def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
             c["size"] == k for c in expect)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
-def test_cover_exhaustive_tallies_from_orbit_representatives(p, n, d, monkeypatch):
-    # Only the sets holding 1 reach the verdicts, C(q - 1, k - 1) of size
-    # k; the weighted counts equal those of every subset, by the oracle.
+def _check_search(p, n, d, monkeypatch, lo=0):
+    """Run cover-exhaustive on every size lo..q and check it against brute
+    force with `cover_verdict`.  The sets given a verdict (each holding 1,
+    in blocks of at most SUBSET_CHUNK rows) are, at size k, exactly the
+    children of the non-covering representatives of size k - 1 when those
+    were decided.  Below the least size asked for, a level may be left out,
+    and then every representative of that size is decided instead, within
+    twice their number over the sizes asked for.  The tallies and
+    counterexamples are those of every subset."""
     field = get_field(p, n)
     q = field.q
-    rows = dict.fromkeys(range(q + 1), 0)
+    verdicts = {a: cover_verdict(PointSet.from_flat(field, 1, a), d)
+                for k in range(q + 1) for a in itertools.combinations(range(q), k)}
+    rows = {k: [] for k in range(q + 1)}
     covers = harness._covers
 
     def counted(field, d, subsets):
-        rows[subsets.shape[1]] += len(subsets)
+        assert 0 < len(subsets) <= harness.SUBSET_CHUNK
         assert (subsets == 1).any(axis=1).all()
+        rows[subsets.shape[1]] += (tuple(sorted(a)) for a in subsets.tolist())
         return covers(field, d, subsets)
 
     monkeypatch.setattr(harness, "_covers", counted)
     report = run_cover_exhaustive(ExperimentSpec(p=p, n=n, d=d, mode="exhaustive",
-                                                 sizes=(0, q)))
-    assert rows == {k: math.comb(q - 1, k - 1) if k else 0 for k in range(q + 1)}
-    s_min = min_threshold_size(q, d)
+                                                 sizes=(lo, q)))
+    reps = {k: [a for a in verdicts if len(a) == k and 1 in a] for k in range(q + 1)}
+    children = {k: [] for k in range(q + 2)}
+    children[1] = [(1,)]
+    for a in (a for a, v in verdicts.items() if 1 in a and not v.covers_units):
+        top = max((x for x in a if x != 1), default=-1)
+        children[len(a) + 1] += [tuple(sorted(a + (x,))) for x in range(top + 1, q) if x != 1]
+    first = max(lo, 1)
+    for k in range(1, q + 1):
+        if k == first and k > 1 and not rows[k - 1]:
+            expect = reps[k]
+        elif k == 1 or rows[k - 1]:
+            expect = children[k] if k >= first or rows[k] else []
+        else:
+            expect = []
+        assert sorted(rows[k]) == sorted(expect), k
+    assert sum(map(len, rows.values())) <= 2 * sum(len(reps[k]) for k in range(first, q + 1))
+    s_min = harness.min_threshold_size(q, d)
     assert report.tallies == {str(k): {
         "checked": math.comb(q, k),
-        "covered": sum(cover_verdict(PointSet.from_flat(field, 1, a), d).covers_units
-                       for a in itertools.combinations(range(q), k)),
-        "threshold": k >= s_min} for k in range(q + 1)}
+        "covered": sum(v.covers_units for a, v in verdicts.items() if len(a) == k),
+        "threshold": k >= s_min} for k in range(lo, q + 1)}
+    assert report.counterexamples == [
+        {"size": len(a), "subset": list(a), "missing": v.missing[:32]}
+        for a, v in sorted(verdicts.items(), key=lambda av: (len(av[0]), av[0]))
+        if len(a) >= max(s_min, lo, 1) and not v.covers_units]
+    return rows, report
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("p,n", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)])
+def test_cover_exhaustive_tallies_from_orbit_representatives(p, n, d, monkeypatch):
+    rows, _ = _check_search(p, n, d, monkeypatch)
+    assert rows[1] == [(1,)]
+
+
+@pytest.mark.parametrize("p,threshold,lo", [(11, None, 0), (13, None, 0), (11, 1, 0),
+                                            (13, None, 9)])
+def test_cover_exhaustive_search_splits_levels_across_blocks(p, threshold, lo, monkeypatch):
+    # At d = 1 the sets that miss a unit are many (every subset of the
+    # squares and 0 among them), so with blocks of 7 rows most levels take
+    # several verdict calls.  With the threshold at 1 every one of them is
+    # a counterexample, expanded from its representative.  From size 9 up,
+    # searching all of sizes 1..8 would decide more sets than the 794
+    # representatives of sizes 9..13: the search stops after size 5, and
+    # every representative of size 9 is decided.
+    monkeypatch.setattr(harness, "SUBSET_CHUNK", 7)
+    if threshold:
+        monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: threshold)
+    rows, report = _check_search(p, 1, 1, monkeypatch, lo)
+    assert max(len(r) for r in rows.values()) > 20 * 7
+    assert report.status == ("counterexample" if threshold else "ok")
+    if lo:
+        assert rows[lo - 1] == [] and len(rows[lo]) == math.comb(p - 1, lo - 1)
 
 
 def _flagged(report) -> dict:
@@ -631,6 +697,32 @@ def test_cover_exhaustive_refuses_no_threshold_size_before_the_scan(monkeypatch)
         run_cover_exhaustive(ExperimentSpec(p=5, d=1, mode="exhaustive"))
 
 
+def test_cover_exhaustive_search_peak_memory():
+    # d = 1 keeps most sets below the middle size from covering: the search
+    # decides 106,064 sets of F_19, holding two levels at a time.
+    harness.get_field(19, 1)
+    tracemalloc.start()
+    try:
+        code = cli.main(["cover-exhaustive", "--p", "19", "--d", "1", "--sizes", "1..19"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4 << 20
+
+
+def test_cover_exhaustive_starts_no_pool(monkeypatch):
+    def pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
+    spec = ExperimentSpec(p=13, d=2, mode="exhaustive", sizes=(1, 13))
+    single = canonical_json(run_cover_exhaustive(spec).to_dict())
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+    spec.workers = 3
+    assert canonical_json(run_cover_exhaustive(spec).to_dict()) == single
+    assert '"status":"counterexample"' in single
+
+
 @pytest.mark.parametrize("run,spec", [
     (run_geometry, ExperimentSpec(p=3, d=2, mode="exhaustive", sizes=(5, 9))),
     (run_cover_sample, ExperimentSpec(p=13, d=2, mode="sample", sizes=(4, 13),
@@ -744,3 +836,11 @@ def test_wall_clock_on_stderr_not_in_json():
     res = run_cli("d-of-eps", "1/4")
     assert "wall_clock" in res.stderr
     assert "wall_clock" not in res.stdout
+    assert "verdicts" not in res.stderr
+    # cover-exhaustive also says how many sets its search decided: at
+    # q = 7, d = 2, {1}, its 6 children and the 9 children of the 4 of
+    # those that miss a unit.
+    res = run_cli("cover-exhaustive", "--p", "7")
+    assert res.returncode == 0
+    assert " verdicts=16 wall_clock=" in res.stderr
+    assert "verdicts" not in res.stdout and "wall_clock" not in res.stdout
