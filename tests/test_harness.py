@@ -20,7 +20,6 @@ from fqcover.covering import (
     covers_units,
     dense_block_rows,
     dot_product_set,
-    min_threshold_size,
 )
 from fqcover.incidence import PointSet, line_counts_all, nu_bruteforce
 
