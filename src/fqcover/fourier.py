@@ -5,8 +5,12 @@ A function f: F_q^d -> C is stored densely as a length-q^d complex array
 the transforms and the convolution act on the last axis only.  Points of
 F_q^d are flat indices: the point with coordinates (x_0, ..., x_{d-1}) has
 flat index sum_i x_i * q^i, where each x_i is a field element index.
-`point_dot` and `point_map` are the one place that does coordinate
-arithmetic on flat indices, in row blocks (`row_blocks`, `stack_blocks`).
+`point_dot`, `point_add` and `point_scale` are the one place that does
+arithmetic on flat indices.  Where the q^d x q^d pair grid fits one row
+block (`row_blocks`), that is q^d <= 128 at the default DENSE_BLOCK_BYTES,
+each is one gather from a table of F_q^d built on first use; above it,
+each works coordinate by coordinate, and callers split the pair grid into
+row blocks (`row_blocks`, `stack_blocks`).
 
 Normalization: the forward transform carries the q^{-d} factor,
 
@@ -61,8 +65,7 @@ def _coord(q: int, flats, i: int):
     return flats // q ** i % q
 
 
-def point_dot(field: Field, d: int, x, y):
-    """x.y for broadcastable arrays x and y of flat indices."""
+def _dot_coords(field: Field, d: int, x, y):
     q = field.q
     acc = field.mul_arrays(_coord(q, x, 0), _coord(q, y, 0))
     for i in range(1, d):
@@ -70,15 +73,61 @@ def point_dot(field: Field, d: int, x, y):
     return acc
 
 
-def point_map(field: Field, d: int, op, x, y, *, scalar: bool = False):
-    """flat(op(x_i, y_i) for every coordinate i) for broadcastable arrays
-    x and y of flat indices, or flat(op(x_i, y)) for field elements y if
-    scalar: field.add_arrays gives x + y, field.mul_arrays gives y * x."""
+def _map_coords(field: Field, d: int, op, x, y, *, scalar: bool = False):
+    """flat(op(x_i, y_i) for every coordinate i), or flat(op(x_i, y)) for
+    field elements y if scalar."""
     q = field.q
     out = op(_coord(q, x, 0), y if scalar else _coord(q, y, 0))
     for i in range(1, d):
         out = out + op(_coord(q, x, i), y if scalar else _coord(q, y, i)) * q ** i
     return out
+
+
+def _point_table(field: Field, d: int, name: str) -> np.ndarray | None:
+    """The int64 table `name` of F_q^d: dot[x, y] = x.y, add[x, y] =
+    flat(x + y) and scale[x, s] = flat(s * x).  None unless the q^d x q^d
+    pair grid fits one row block under DENSE_BLOCK_BYTES, which is tested
+    on every call, so that a patched cap takes effect on a field that
+    already holds the tables.  All three are built together on first use,
+    coordinate by coordinate, and kept on the field."""
+    size = field.q ** d
+    if 16 * size * size > DENSE_BLOCK_BYTES:
+        return None
+    tables = field._coords_cache
+    if (d, name) not in tables:
+        flats = np.arange(size)
+        tables[d, "dot"] = _dot_coords(field, d, flats[:, None], flats)
+        tables[d, "add"] = _map_coords(field, d, field.add_arrays, flats[:, None], flats)
+        tables[d, "scale"] = _map_coords(field, d, field.mul_arrays, flats[:, None],
+                                         np.arange(field.q), scalar=True)
+    return tables[d, name]
+
+
+def _gather(table: np.ndarray, x, y) -> np.ndarray:
+    return table.reshape(-1)[np.asarray(x) * table.shape[1] + y]
+
+
+def point_dot(field: Field, d: int, x, y):
+    """x.y for broadcastable arrays x and y of flat indices."""
+    table = _point_table(field, d, "dot")
+    return _dot_coords(field, d, x, y) if table is None else _gather(table, x, y)
+
+
+def point_add(field: Field, d: int, x, y):
+    """flat(x + y) for broadcastable arrays x and y of flat indices."""
+    table = _point_table(field, d, "add")
+    if table is None:
+        return _map_coords(field, d, field.add_arrays, x, y)
+    return _gather(table, x, y)
+
+
+def point_scale(field: Field, d: int, x, s):
+    """flat(s * x) for broadcastable arrays x of flat indices and s of
+    field elements."""
+    table = _point_table(field, d, "scale")
+    if table is None:
+        return _map_coords(field, d, field.mul_arrays, x, s, scalar=True)
+    return _gather(table, x, s)
 
 
 def row_blocks(rows: int, cols: int) -> list[slice]:
@@ -206,7 +255,7 @@ def convolve_diff(f: SpectralFn, g: SpectralFn) -> SpectralFn:
     flats = np.arange(size)
     out = np.empty(fv.shape, dtype=np.complex128)
     for sets, items in stack_blocks(len(fv), size, k):
-        shifted = point_map(field, d, field.add_arrays, flats[items, None], supp[sets, None, :])
+        shifted = point_add(field, d, flats[items, None], supp[sets, None, :])
         shifted += size * np.arange(sets.start, sets.start + len(shifted))[:, None, None]
         out[sets, items] = np.matmul(fv.reshape(-1)[shifted], weights[sets])[..., 0]
     return SpectralFn(field, d, out.reshape(f.values.shape))

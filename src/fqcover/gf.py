@@ -174,8 +174,9 @@ class Field:
         self._validate()
 
         self._char_matrix = None
-        # Empty and unused: perfbench/child.py sums the bytes held here.
-        self._coords_cache: dict[int, np.ndarray] = {}
+        # The point tables of F_q^d that fourier builds on first use, keyed
+        # by (d, table name); perfbench/child.py sums their bytes.
+        self._coords_cache: dict[tuple[int, str], np.ndarray] = {}
 
     # -- construction internals ---------------------------------------
 
@@ -385,6 +386,18 @@ class Field:
         return f"Field(p={self.p}, n={self.n}, q={self.q})"
 
 
+def field_order(p: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> int:
+    """q = p^n, after the argument checks of `make_field`, which build
+    nothing: p prime, n >= 1 and q within size_cap."""
+    if not isinstance(p, int) or not is_prime(p):
+        raise NotPrimeError(f"p={p} is not prime")
+    if not isinstance(n, int) or n < 1:
+        raise DegreeOutOfRangeError(f"extension degree n={n} must be >= 1")
+    if p ** n > size_cap:
+        raise FieldTooLargeError(f"q = {p}^{n} exceeds the size cap {size_cap}")
+    return p ** n
+
+
 def make_field(p: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP,
                _modulus: tuple[int, ...] | None = None) -> Field:
     """Build GF(p^n) with the canonical (lexicographically least) modulus.
@@ -392,12 +405,7 @@ def make_field(p: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP,
     `_modulus` is a test hook: an injected modulus is still checked for
     irreducibility and rejected hard if it fails.
     """
-    if not isinstance(p, int) or not is_prime(p):
-        raise NotPrimeError(f"p={p} is not prime")
-    if not isinstance(n, int) or n < 1:
-        raise DegreeOutOfRangeError(f"extension degree n={n} must be >= 1")
-    if p ** n > size_cap:
-        raise FieldTooLargeError(f"q = {p}^{n} exceeds the size cap {size_cap}")
+    field_order(p, n, size_cap=size_cap)
     if _modulus is not None:
         m = [int(c) % p for c in _modulus]
         if len(m) != n + 1 or m[-1] != 1:

@@ -55,7 +55,14 @@ from .fourier import (
     plancherel_check,
     row_blocks,
 )
-from .gf import DEFAULT_SIZE_CAP, MUL_TABLE_MAX_Q, Field, make_field, subfield_indices
+from .gf import (
+    DEFAULT_SIZE_CAP,
+    MUL_TABLE_MAX_Q,
+    Field,
+    field_order,
+    make_field,
+    subfield_indices,
+)
 from .incidence import (
     PointSet,
     hat_identity_close,
@@ -327,11 +334,15 @@ def enumeration_budget(universe: int, sizes: list[int]) -> int:
 
 
 def require_budget(universe: int, sizes: list[int]) -> None:
-    total = enumeration_budget(universe, sizes)
-    if total > EXHAUSTIVE_BUDGET:
-        raise BudgetExceededError(
-            f"exhaustive enumeration needs {total} subsets, over the budget "
-            f"of {EXHAUSTIVE_BUDGET}")
+    # Summed only until the budget is passed: over all the sizes of GF(4096),
+    # the binomials alone take seconds.
+    total = 0
+    for s in sizes:
+        total += math.comb(universe, s)
+        if total > EXHAUSTIVE_BUDGET:
+            raise BudgetExceededError(
+                f"exhaustive enumeration needs at least {total} subsets, over the "
+                f"budget of {EXHAUSTIVE_BUDGET}")
 
 
 def _draw(mode: str, universe: int, size: int, lo: int, hi: int, seed: int,
@@ -667,16 +678,16 @@ def _scalar_sizes(spec: ExperimentSpec, q: int, s_min: int) -> list[int]:
 
 
 def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
-    field = get_field(spec.p, spec.n)
-    q, d = field.q, spec.d
-    report = RunReport("cover-exhaustive", spec.echo(), field.descriptor())
-
+    # The budget is applied to q before any table of the field is built.
+    q, d = field_order(spec.p, spec.n), spec.d
     s_min = min_threshold_size(q, d)
     sizes = _scalar_sizes(spec, q, s_min)
     if not sizes:
         raise BadSpecError(f"no size in 1..{q} is above the cover threshold at "
                            f"d={d}; give --sizes")
     require_budget(q, sizes)
+    field = get_field(spec.p, spec.n)
+    report = RunReport("cover-exhaustive", spec.echo(), field.descriptor())
     # Without --sizes, the sizes below the threshold are scanned too, from
     # s_min - 1 down for as long as they fit what is left of the budget.
     scan: list[int] = []

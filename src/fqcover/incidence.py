@@ -32,7 +32,7 @@ from .fourier import (
     char_matrix,
     fourier_forward,
     point_dot,
-    point_map,
+    point_scale,
     stack_blocks,
 )
 from .gf import Field
@@ -113,8 +113,7 @@ class PointSet:
         if y_flat == 0:
             raise ZeroDirectionError("line through the zero direction is undefined")
         t = np.arange(field.q)
-        return cls.from_flat(field, d, point_map(field, d, field.mul_arrays, y_flat, t,
-                                                 scalar=True))
+        return cls.from_flat(field, d, point_scale(field, d, y_flat, t))
 
     @classmethod
     def perp_hyperplane(cls, field: Field, d: int, m_flat: int) -> "PointSet":
@@ -212,8 +211,7 @@ def nu_spectral(e: PointSet) -> NuProfile:
     rows = len(flats)
     s_sums = np.empty((rows, q), dtype=np.complex128)
     for sets, items in stack_blocks(rows, q, e.count):
-        scaled = point_map(field, d, field.mul_arrays, flats[sets, None, :],
-                           field.neg_table[items, None], scalar=True)
+        scaled = point_scale(field, d, flats[sets, None, :], field.neg_table[items, None])
         scaled += q ** d * np.arange(sets.start, sets.start + len(scaled))[:, None, None]
         s_sums[sets, items] = q ** d * ehat[scaled].sum(axis=2)
     nu_c = s_sums @ char_matrix(field).T / q
@@ -286,7 +284,7 @@ def line_counts_all(e: PointSet) -> np.ndarray:
     scaled, items_at = None, None
     for sets, items in stack_blocks(len(bits), q ** d, q):
         if items != items_at:
-            scaled = point_map(field, d, field.mul_arrays, flats[items, None], t, scalar=True)
+            scaled = point_scale(field, d, flats[items, None], t)
             items_at = items
         counts[sets, items] = bits[sets][:, scaled].sum(axis=2)
     return counts.reshape(e.bits.shape)

@@ -605,6 +605,24 @@ def test_cli_budget_exit_4():
     assert "budget" in res.stderr
 
 
+@pytest.mark.parametrize("args,code", [
+    (("--p", "2", "--n", "12"), 4),     # GF(4096): C(4096, s) subsets per size
+    (("--p", "4"), 3),
+    (("--p", "2", "--n", "0"), 3),
+    (("--p", "2", "--n", "21"), 3),     # over the field size cap
+])
+def test_cover_exhaustive_refuses_before_building_the_field(monkeypatch, capsys, args, code):
+    def build(*args, **kwargs):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr(harness, "make_field", build)
+    monkeypatch.setattr(harness, "_FIELD_CACHE", {})
+    t0 = time.perf_counter()
+    assert cli.main(["cover-exhaustive", *args]) == code
+    # Summing C(4096, s) over every size up to 4096 took 1.6 s.
+    assert time.perf_counter() - t0 < 1
+    assert ("budget" in capsys.readouterr().err) == (code == 4)
+
+
 def test_cli_cover_exhaustive_vacuous_size_range_exit_3():
     res = run_cli("cover-exhaustive", "--p", "5", "--n", "1", "--sizes", "7..9")
     assert res.returncode == 3

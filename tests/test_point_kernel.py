@@ -24,8 +24,9 @@ from fqcover.fourier import (
     dot,
     flat_to_coords,
     fourier_forward_direct,
+    point_add,
     point_dot,
-    point_map,
+    point_scale,
     row_blocks,
     stack_blocks,
 )
@@ -67,20 +68,69 @@ def one_row_blocks(monkeypatch):
     assert row_blocks(7, 3) == [slice(i, i + 1) for i in range(7)]
 
 
-@pytest.mark.parametrize("p,n,d", SPACES)
-def test_kernel_matches_scalar_field_ops(p, n, d):
+def count_field_calls(monkeypatch, field):
+    """Count the calls of the field's add_arrays and mul_arrays."""
+    calls = {"add_arrays": 0, "mul_arrays": 0}
+    for name in calls:
+        def counted(self, a, b, op=getattr(type(field), name), name=name):
+            calls[name] += 1
+            return op(self, a, b)
+        monkeypatch.setattr(type(field), name, counted)
+    return calls
+
+
+def tabled(field, d):
+    """Whether the point kernels of F_q^d are served from tables: the
+    q^d x q^d pair grid fits one row block."""
+    return len(row_blocks(field.q ** d, field.q ** d)) == 1
+
+
+def check_kernels_against_scalar_ops(monkeypatch, p, n, d):
+    """point_dot, point_add and point_scale against the scalar field ops,
+    with the field-array calls of a second round counted: none from the
+    tables, d multiplications and d - 1 additions per dot product, d
+    additions per sum and d multiplications per scaling without them."""
     field = get_field(p, n)
     q = field.q
     x = random_flats(q, d, 12, 0)
     y = random_flats(q, d, 9, 1)
     s = np.arange(q)
-    dots = point_dot(field, d, x[:, None], y)
-    sums = point_map(field, d, field.add_arrays, x[:, None], y)
-    scaled = point_map(field, d, field.mul_arrays, x[:, None], s, scalar=True)
+
+    def kernels():
+        return (point_dot(field, d, x[:, None], y), point_add(field, d, x[:, None], y),
+                point_scale(field, d, x[:, None], s))
+
+    first = kernels()
+    with monkeypatch.context() as m:
+        calls = count_field_calls(m, field)
+        dots, sums, scaled = kernels()
+    for a, b in zip(first, (dots, sums, scaled)):
+        assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
     for i, a in enumerate(x.tolist()):
         assert dots[i].tolist() == [fdot(field, d, a, b) for b in y.tolist()]
         assert sums[i].tolist() == [translate(field, d, a, b) for b in y.tolist()]
         assert scaled[i].tolist() == [scale(field, d, t, a) for t in range(q)]
+    if tabled(field, d):
+        assert calls == {"add_arrays": 0, "mul_arrays": 0}
+        assert all(field._coords_cache[d, name].dtype == np.int64
+                   for name in ("dot", "add", "scale"))
+    else:
+        assert calls == {"add_arrays": 2 * d - 1, "mul_arrays": 2 * d}
+
+
+@pytest.mark.parametrize("p,n,d", SPACES)
+def test_kernel_matches_scalar_field_ops(monkeypatch, p, n, d):
+    """At the default cap every space up to q^d = 128 uses its tables."""
+    assert tabled(get_field(p, n), d) == ((p, n, d) != (3, 2, 3))
+    check_kernels_against_scalar_ops(monkeypatch, p, n, d)
+
+
+@pytest.mark.parametrize("p,n,d", SPACES)
+def test_kernel_matches_scalar_field_ops_in_one_row_blocks(one_row_blocks, monkeypatch,
+                                                           p, n, d):
+    """Under a one-byte cap no space uses tables, even where they exist."""
+    assert not tabled(get_field(p, n), d)
+    check_kernels_against_scalar_ops(monkeypatch, p, n, d)
 
 
 @pytest.mark.parametrize("p,n,d", SPACES)
@@ -113,20 +163,53 @@ def test_blocked_counts_match_integer_oracles(one_row_blocks, p, n, d):
     assert got.real.tolist() == want and not got.imag.any()
 
 
-@pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 2)])
-def test_kernel_calls_do_not_grow_with_the_set(monkeypatch, p, n, d):
-    """One block: d multiplications whatever the number of points."""
-    field = get_field(p, n)
-    calls = []
-    mul = type(field).mul_arrays
-    monkeypatch.setattr(type(field), "mul_arrays",
-                        lambda self, a, b: calls.append(1) or mul(self, a, b))
-    for size in (5, 40):
-        e = PointSet.from_flat(field, d, random_flats(field.q, d, size, 3))
-        for fn in (nu_bruteforce, hyperplane_sum, line_counts_all):
-            calls.clear()
+def count_calls(monkeypatch, field, d, flats):
+    """Per count of the set of flats, its field-array calls and the row
+    blocks of its pair grid."""
+    e = PointSet.from_flat(field, d, flats)
+    grids = {nu_bruteforce: (e.count, e.count), hyperplane_sum: (field.q ** d, e.count),
+             line_counts_all: (field.q ** d, field.q)}
+    out = {}
+    for fn, (rows, cols) in grids.items():
+        fn(e)  # builds the field's point tables where it has them
+        with monkeypatch.context() as m:
+            calls = count_field_calls(m, field)
             fn(e)
-            assert len(calls) == d, fn.__name__
+        out[fn.__name__] = (calls, len(list(stack_blocks(1, rows, cols))))
+    return out
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 2), (3, 2, 3)])
+def test_kernel_calls_do_not_grow_with_the_set(monkeypatch, p, n, d):
+    """With the tables of F_4^3 and F_9^2, no field-array call at all; on
+    the 729 points of F_9^3, d multiplications per row block, and d - 1
+    additions per block of dot products."""
+    field = get_field(p, n)
+    for size in (5, 40):
+        got = count_calls(monkeypatch, field, d, random_flats(field.q, d, size, 3))
+        for name, (calls, blocks) in got.items():
+            if tabled(field, d):
+                assert calls == {"add_arrays": 0, "mul_arrays": 0}, name
+            else:
+                adds = 0 if name == "line_counts_all" else d - 1
+                assert calls == {"add_arrays": adds * blocks, "mul_arrays": d * blocks}, name
+
+
+def test_patched_cap_leaves_the_tables_of_a_field(monkeypatch):
+    """A cap patched to 1 after F_9^2 has its tables sends every kernel back
+    to the per-coordinate path, with the same counts."""
+    field = get_field(3, 2)
+    flats = random_flats(9, 2, 20, 5)
+    before = count_calls(monkeypatch, field, 2, flats)
+    assert (2, "dot") in field._coords_cache
+    assert all(calls["mul_arrays"] == 0 for calls, _ in before.values())
+    e = PointSet.from_flat(field, 2, flats)
+    want = [nu_bruteforce(e).counts, hyperplane_sum(e).values, line_counts_all(e)]
+    monkeypatch.setattr(fourier, "DENSE_BLOCK_BYTES", 1)
+    for name, (calls, blocks) in count_calls(monkeypatch, field, 2, flats).items():
+        assert blocks > 1 and calls["mul_arrays"] == 2 * blocks, name
+    got = [nu_bruteforce(e).counts, hyperplane_sum(e).values, line_counts_all(e)]
+    assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
 
 @pytest.mark.parametrize("fn", [nu_bruteforce, hyperplane_sum])
