@@ -110,7 +110,9 @@ def _gather(table: np.ndarray, x, y) -> np.ndarray:
 def point_dot(field: Field, d: int, x, y):
     """x.y for broadcastable arrays x and y of flat indices."""
     table = _point_table(field, d, "dot")
-    return _dot_coords(field, d, x, y) if table is None else _gather(table, x, y)
+    if table is None:
+        return _dot_coords(field, d, x, y)
+    return _gather(table, x, y)
 
 
 def point_add(field: Field, d: int, x, y):

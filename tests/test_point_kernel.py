@@ -2,7 +2,10 @@
 
 Every blocked count is compared with a Python-integer oracle built from the
 scalar `field.add` and `field.mul`, with the byte cap patched down so that
-each kernel runs in many one-row blocks.  q = 4, 5 and 9 cover the XOR,
+each kernel runs in many one-row blocks.  The kernels themselves are
+checked on both of their paths: from the point tables of spaces up to
+q^d = 128 at the default cap, and coordinate by coordinate above it or
+under the patched cap, with the field-array calls of each path counted.  q = 4, 5 and 9 cover the XOR,
 prime and add-table paths of `Field.add_arrays`.  Stacks of sets, some
 holding the origin, are checked set by set against the same oracles, and
 their geometry verdicts against the paper's inequalities in Python integers.
@@ -179,12 +182,14 @@ def count_calls(monkeypatch, field, d, flats):
     return out
 
 
-@pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 2), (3, 2, 3)])
+@pytest.mark.parametrize("p,n,d", [(2, 2, 3), (3, 2, 2), (3, 2, 3),
+                                   (2, 1, 7), (11, 1, 2), (2, 1, 8), (13, 1, 2)])
 def test_kernel_calls_do_not_grow_with_the_set(monkeypatch, p, n, d):
-    """With the tables of F_4^3 and F_9^2, no field-array call at all; on
-    the 729 points of F_9^3, d multiplications per row block, and d - 1
-    additions per block of dot products."""
+    """With the tables of F_4^3, F_9^2, F_2^7 and F_11^2 (q^d <= 128), no
+    field-array call at all; on F_9^3, F_2^8 and F_13^2, d multiplications
+    per row block, and d - 1 additions per block of dot products."""
     field = get_field(p, n)
+    assert tabled(field, d) == (p ** (n * d) <= 128)
     for size in (5, 40):
         got = count_calls(monkeypatch, field, d, random_flats(field.q, d, size, 3))
         for name, (calls, blocks) in got.items():
