@@ -10,6 +10,11 @@ being tested.
 
 __version__ = "0.1.0"
 
+# argparse words its messages through gettext, which imports locale on the
+# first one.  Every CLI run builds a parser, so locale is loaded with the
+# package, not inside the run.
+import locale  # noqa: F401
+
 from .gf import Field, make_field  # noqa: F401
 from .fourier import (  # noqa: F401
     SpectralFn,

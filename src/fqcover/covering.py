@@ -117,9 +117,10 @@ def min_threshold_size(q: int, d: int) -> int:
     return s
 
 
-def point_cover_threshold(e: PointSet) -> bool:
-    """|E|^2 > q^{d+1}, the exact form of |E| > q^{(d+1)/2}."""
-    return e.count ** 2 > e.field.q ** (e.d + 1)
+def point_cover_threshold(e: PointSet):
+    """|E|^2 > q^{d+1}, the exact form of |E| > q^{(d+1)/2}: a bool, or
+    one per set of a stack."""
+    return e.sizes ** 2 > e.field.q ** (e.d + 1)
 
 
 @dataclass

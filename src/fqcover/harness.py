@@ -7,9 +7,10 @@ things make that work:
 * the RNG is Philox (counter-based): every sampled object gets its own
   stream keyed by (seed; sample index, size, purpose tag), so sharding
   the sample indices over workers cannot change what is drawn;
-* the tasks, contiguous index ranges, are dealt round-robin into one
-  batch per worker, and the results are put back in task order and merged
-  by addition / sorted concatenation, both order-independent;
+* the tasks, runs of consecutive (size, index) pairs, are dealt
+  round-robin into one batch per worker, and the results are put back in
+  task order and merged by addition / sorted concatenation, both
+  order-independent;
 * wall-clock timing is printed to stderr by the CLI and never enters the
   JSON body.
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -362,27 +362,42 @@ def _run_batch(worker, tasks: list) -> list:
 
 def _campaign(worker, spec: ExperimentSpec, totals: dict[int, int], chunk: int,
               *extra) -> list:
-    """Run `worker` on every chunk of the indices [0, totals[size]) of every
-    size: colex ranks in exhaustive mode, otherwise sample indices.
+    """Run `worker` on the indices [0, totals[size]) of every size: colex
+    ranks in exhaustive mode, otherwise sample indices.
 
-    Each task is (p, n, d, mode, seed, size, lo, hi, *extra), and the
-    results come back in task order at any worker count.  With w > 1
-    workers, the tasks are dealt round-robin into w batches and each worker
-    runs one, so a run pays one round trip per worker, not per task, and
-    the sizes of a `geometry` run, whose costs grow with the size, are
-    spread evenly.
+    The (size, index) pairs of all sizes in order are cut into tasks of
+    `chunk` consecutive pairs, so a task may span sizes.  Each task is
+    (p, n, d, mode, seed, segments, *extra), segments being its (size, lo,
+    hi) index ranges in order; the worker returns a list of results per
+    task, and these come back concatenated in task order at any worker
+    count.  With w > 1 workers, the tasks are dealt round-robin
+    into w batches and each worker runs one, so a run pays one round trip
+    per worker, not per task, and the sizes of a `geometry` run, whose
+    costs grow with the size, are spread evenly.
     """
-    tasks = [(spec.p, spec.n, spec.d, spec.mode, spec.seed, s, lo, min(lo + chunk, total),
-              *extra) for s, total in totals.items() for lo in range(0, total, chunk)]
+    # Task i holds the pairs i*chunk .. (i+1)*chunk - 1; a size is cut where
+    # its pairs cross a multiple of chunk.
+    packed: dict[int, list[tuple[int, int, int]]] = {}
+    start = 0
+    for s, total in totals.items():
+        cuts = [0, *range(-start % chunk or chunk, total, chunk), total] if total else []
+        for lo, hi in zip(cuts, cuts[1:]):
+            packed.setdefault((start + lo) // chunk, []).append((s, lo, hi))
+        start += total
+    tasks = [(spec.p, spec.n, spec.d, spec.mode, spec.seed, segments, *extra)
+             for segments in packed.values()]
     w = min(spec.workers, len(tasks))
     if w <= 1:
-        return _run_batch(worker, tasks)
-    out = [None] * len(tasks)
-    with ProcessPoolExecutor(max_workers=w) as pool:
-        for i, batch in enumerate(pool.map(_run_batch, [worker] * w,
-                                           [tasks[i::w] for i in range(w)])):
-            out[i::w] = batch
-    return out
+        out = _run_batch(worker, tasks)
+    else:
+        # Imported here: a run that starts no pool does not load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+        out = [None] * len(tasks)
+        with ProcessPoolExecutor(max_workers=w) as pool:
+            for i, batch in enumerate(pool.map(_run_batch, [worker] * w,
+                                               [tasks[i::w] for i in range(w)])):
+                out[i::w] = batch
+    return [res for results in out for res in results]
 
 
 # ----------------------------------------------------------------------
@@ -511,16 +526,20 @@ def _oracle_failure(field: Field, d: int, subset: list) -> dict:
             "missing": verdict.missing[:MISSING_REPORT_LIMIT]}
 
 
-def _cover_task(task) -> dict:
-    p, n, d, mode, seed, size, lo, hi = task
+def _cover_task(task) -> list[dict]:
+    """One result per (size, lo, hi) segment of a `_campaign` task."""
+    p, n, d, mode, seed, segments = task
     field = get_field(p, n)
-    subsets = _draw(mode, field.q, size, lo, hi, seed, TAG_COVER)
-    covers = _covers(field, d, subsets)
-    failing = np.flatnonzero(~covers & (size >= min_threshold_size(field.q, d)))
-    failures = [{**_oracle_failure(field, d, subsets[i].tolist()), "sample_index": lo + i}
-                for i in failing.tolist()]
-    return {"size": size, "checked": hi - lo, "covered": int(covers.sum()),
-            "failures": failures}
+    out = []
+    for size, lo, hi in segments:
+        subsets = _draw(mode, field.q, size, lo, hi, seed, TAG_COVER)
+        covers = _covers(field, d, subsets)
+        failing = np.flatnonzero(~covers & (size >= min_threshold_size(field.q, d)))
+        failures = [{**_oracle_failure(field, d, subsets[i].tolist()), "sample_index": lo + i}
+                    for i in failing.tolist()]
+        out.append({"size": size, "checked": hi - lo, "covered": int(covers.sum()),
+                    "failures": failures})
+    return out
 
 
 def _representatives(rest: np.ndarray) -> np.ndarray:
@@ -765,11 +784,11 @@ def _bilinear_campaign(field: Field, d: int, seed: int, samples: int) -> dict:
 
 
 def run_cover_sample(spec: ExperimentSpec) -> RunReport:
+    if spec.mode == "sample" and spec.samples == 0:
+        raise BadSpecError("sample mode with --samples 0 checks nothing")
     field = get_field(spec.p, spec.n)
     q, d = field.q, spec.d
     report = RunReport("cover-sample", spec.echo(), field.descriptor())
-    if spec.mode == "sample" and spec.samples == 0:
-        raise BadSpecError("sample mode with --samples 0 checks nothing")
 
     roster = structured_scalar_sets(field) if spec.mode == "structured" else []
     _require_pair_budget(roster)
@@ -858,8 +877,8 @@ def run_sharpness(spec: ExperimentSpec) -> RunReport:
 # ----------------------------------------------------------------------
 
 def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
-    """Run the requested point-set checks on every set of the stack e (sets
-    of one size, one per row); per set, the per-check booleans plus the
+    """Run the requested point-set checks on every set of the stack e (one
+    set per row, of any sizes); per set, the per-check booleans plus the
     exact remainder sharpness fraction.
 
     Every check reads a set with the origin stripped, its core.  nu and
@@ -867,14 +886,14 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
     origin's share is taken off: its dot product with every point is 0
     and it lies on every line, so it adds k^2 - |core|^2 pairs to nu(0)
     and one point to each line count and each hyperplane sum.  The
-    coverage threshold is taken on the set as drawn; its verdict is the
+    coverage threshold is taken on each set as drawn; its verdict is the
     same either way, because the origin adds only the dot product 0, which
     coverage of the units ignores.
     """
-    q, k = field.q, e.count
-    pad = e.bits[:, 0].astype(np.int64)
-    size = k - pad
-    outs: list[dict] = [{} for _ in pad]
+    q, k = field.q, e.sizes
+    origin = e.bits[:, 0].astype(np.int64)
+    size = k - origin
+    outs: list[dict] = [{} for _ in origin]
 
     def put(check, values) -> None:
         for out, v in zip(outs, values):
@@ -886,14 +905,12 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
         counts = incidence.nu(e).counts
         counts[:, 0] -= k * k - size ** 2
     if {"identities", "second_moment", "keylowerbound"} & set(checks):
-        lines = incidence.line_counts_all(e) - pad[:, None]
+        lines = incidence.line_counts_all(e) - origin[:, None]
         max_line = lines[:, 1:].max(axis=1)
-    if "cover" in checks and not point_cover_threshold(e):
-        put("cover", [None] * len(outs))
-    elif "cover" in checks:
-        for out, missing in zip(outs, missing_units(counts)):
-            out["cover"] = not missing
-            if missing:
+    if "cover" in checks:
+        for out, met, missing in zip(outs, point_cover_threshold(e), missing_units(counts)):
+            out["cover"] = not missing if met else None
+            if met and missing:
                 out["cover_missing"] = missing[:MISSING_REPORT_LIMIT]
     if "remainder" in checks:
         ok, _, worst = remainder_verdicts(*remainder_sides(counts, size, q, d))
@@ -903,7 +920,7 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
     if "identities" in checks:
         core = e.bits.astype(np.float64)
         core[:, 0] = 0
-        hsum = hyperplane_sum(e).values.real - pad[:, None]
+        hsum = hyperplane_sum(e).values.real - origin[:, None]
         conv = convolve_diff(SpectralFn(field, d, core), SpectralFn(field, d, core)).values
         hats = fourier_forward(SpectralFn(field, d, np.stack([hsum, conv, core]))).values
         put("identities", (hat_identity_close(hats[0], lines, size, q)[0]
@@ -917,16 +934,24 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
     return outs
 
 
+def _stacked_checks(field: Field, d: int, bits: np.ndarray, checks) -> list[dict]:
+    """`_geometry_checks` on the sets in the rows of bits, in stacks of as
+    many sets as keep a q^d array of complex values per set under
+    DENSE_BLOCK_BYTES, and at least one set."""
+    return [res for rows in row_blocks(len(bits), field.q ** d)
+            for res in _geometry_checks(field, d, PointSet(field, d, bits[rows]), checks)]
+
+
 def _geometry_task(task) -> list[dict]:
-    p, n, d, mode, seed, size, lo, hi, checks = task
+    p, n, d, mode, seed, segments, checks = task
     field = get_field(p, n)
-    drawn = _draw(mode, field.q ** d, size, lo, hi, seed, TAG_POINTS)
-    # Stacks of as many sets as keep a q^d array of complex values per set
-    # under DENSE_BLOCK_BYTES, and at least one set.
-    outcomes = [res for rows in row_blocks(len(drawn), field.q ** d)
-                for res in _geometry_checks(field, d, PointSet.from_flat(field, d, drawn[rows]),
-                                            checks)]
-    for i, (res, flats) in enumerate(zip(outcomes, drawn), lo):
+    drawn = [(size, i, flats) for size, lo, hi in segments for i, flats in
+             enumerate(_draw(mode, field.q ** d, size, lo, hi, seed, TAG_POINTS), lo)]
+    bits = np.zeros((len(drawn), field.q ** d), dtype=bool)
+    for row, (_, _, flats) in zip(bits, drawn):
+        row[flats] = True
+    outcomes = _stacked_checks(field, d, bits, checks)
+    for res, (size, i, flats) in zip(outcomes, drawn):
         res["size"] = size
         res["name"] = (f"size{size}_colex{tuple(flats.tolist())}" if mode == "exhaustive"
                        else f"size{size}#{i}")
@@ -986,15 +1011,13 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
         totals = {s: math.comb(universe, s) for s in sizes}
     else:
         totals = dict.fromkeys(sizes, spec.samples)
-    outcomes = [res for chunk in _campaign(_geometry_task, spec, totals, 64, checks)
-                for res in chunk]
+    outcomes = _campaign(_geometry_task, spec, totals, 64, checks)
     if spec.mode == "structured":
-        for name, e in structured_point_sets(field, d, spec.seed):
-            res = _geometry_checks(field, d, PointSet(field, d, e.bits[None]), checks)[0]
-            res["size"] = e.count
-            res["name"] = name
-            res["flats"] = e.flat_indices()
-            outcomes.append(res)
+        roster = structured_point_sets(field, d, spec.seed)
+        checked = _stacked_checks(field, d, np.stack([e.bits for _, e in roster]), checks)
+        for (name, e), res in zip(roster, checked):
+            res.update(size=e.count, name=name, flats=e.flat_indices())
+        outcomes += checked
 
     worst = _merge_geometry_outcomes(report, outcomes, checks)
     if not any(t["checked"] for t in report.tallies.values()):

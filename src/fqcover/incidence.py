@@ -9,13 +9,15 @@ Character sums enter only through the cross-validating spectral path and
 the hyperplane transform identity.
 
 The counts (nu, line counts, hyperplane sums) take a `PointSet` that may
-be a stack of sets of one size, and give one result per set along leading
-axes; each has one implementation, run in `fourier.stack_blocks`.  The
-read-outs of the remainder estimate, the hat identity and the second
-moment (`remainder_sides`, `remainder_verdicts`, `hat_identity_close`,
-`second_moment_sides`) work elementwise over leading axes too.  Their one
-caller, `harness._geometry_checks`, reads every set's verdicts off the
-counts of a stack; a single set is a stack of one.
+be a stack of sets of any sizes, and give one result per set along leading
+axes; each has one implementation, run in `fourier.stack_blocks`.  Sets
+are padded to the largest of the stack with copies of the origin, whose
+share each kernel takes off.  The read-outs of the remainder estimate,
+the hat identity and the second moment (`remainder_sides`,
+`remainder_verdicts`, `hat_identity_close`, `second_moment_sides`) work
+elementwise over leading axes too.  Their one caller,
+`harness._geometry_checks`, reads every set's verdicts off the counts of
+a stack; a single set is a stack of one.
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ class SpectralMismatchError(ArithmeticError):
 @dataclass(eq=False)
 class PointSet:
     """A subset of F_q^d as a dense membership array over flat indices, or
-    a stack of subsets of one size: `bits` then has leading stack axes and
-    `count` is the size of each set.  A scalar set, a subset of F_q, is a
-    PointSet with d = 1, whose flat indices are element indices.
+    a stack of subsets: `bits` then has leading stack axes, `sizes` holds
+    the size of each set over them and `count` is the largest.  For a
+    single set, `count` and `sizes` are its size.  A scalar set, a subset
+    of F_q, is a PointSet with d = 1, whose flat indices are element
+    indices.
 
     A set is not changed after construction, so its flat indices are
     computed once, on first use.  The named constructors,
@@ -64,18 +68,17 @@ class PointSet:
     d: int
     bits: np.ndarray
     count: int = dc_field(init=False)
+    sizes: int | np.ndarray = dc_field(init=False)
 
     def __post_init__(self):
         self.bits = np.asarray(self.bits, dtype=bool)
         if self.bits.shape[-1:] != (self.field.q ** self.d,):
             raise ValueError("bits must be a bool array of length q^d along its last axis")
         if self.bits.ndim == 1:
-            self.count = int(np.count_nonzero(self.bits))
+            self.count = self.sizes = int(np.count_nonzero(self.bits))
         else:
-            sizes = self.bits.sum(axis=-1)
-            if sizes.size and sizes.min() != sizes.max():
-                raise ValueError("the sets of a stack must have one size")
-            self.count = int(sizes.flat[0]) if sizes.size else 0
+            self.sizes = np.count_nonzero(self.bits, axis=-1)
+            self.count = int(self.sizes.max(initial=0))
 
     @classmethod
     def empty(cls, field: Field, d: int) -> "PointSet":
@@ -124,13 +127,18 @@ class PointSet:
 
     @cached_property
     def _flats(self) -> np.ndarray:
-        flats = np.nonzero(self.bits)[-1].reshape(self.bits.shape[:-1] + (self.count,))
+        if self.bits.ndim == 1:
+            flats = np.flatnonzero(self.bits)
+        else:
+            flats = np.zeros(self.bits.shape[:-1] + (self.count,), dtype=np.int64)
+            flats[np.arange(self.count) < self.sizes[..., None]] = np.nonzero(self.bits)[-1]
         flats.flags.writeable = False
         return flats
 
     def flat_indices(self) -> np.ndarray:
-        """The sorted flat indices of the set, one row per set of a stack
-        (read-only, because they are shared)."""
+        """The sorted flat indices of the set, or one row per set of a
+        stack, padded up to `count` with 0, the origin (read-only, because
+        they are shared)."""
         return self._flats
 
     @property
@@ -156,10 +164,11 @@ class PointSet:
 @dataclass
 class NuProfile:
     """nu(t) over t in F_q, with the exact remainder numerators.  The
-    counts of a stack carry its leading axes; the methods take one set."""
+    counts and sizes of a stack carry its leading axes; the methods take
+    one set."""
 
     q: int
-    set_size: int
+    set_size: int | np.ndarray
     counts: np.ndarray  # int64, length q along the last axis
 
     def r_numerator(self, t: int) -> int:
@@ -173,23 +182,27 @@ class NuProfile:
             writer.writerow([t, int(self.counts[t]), self.r_numerator(t)])
 
 
-def _flat_rows(e: PointSet) -> np.ndarray:
-    """The flat indices of e as a sets x count array."""
-    return e.flat_indices().reshape(e.bits[..., 0].size, e.count)
+def _flat_rows(e: PointSet) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of e as a sets x count array, padded with the
+    origin, and the size of each set."""
+    sizes = np.reshape(e.sizes, -1)
+    return e.flat_indices().reshape(len(sizes), e.count), sizes
 
 
 def nu_bruteforce(e: PointSet) -> NuProfile:
     """Exact nu by direct enumeration of all ordered pairs: one point_dot
     per block of (set, x) over all y of the set, and one bincount offset
-    by q per set of the block."""
+    by q per set of the block.  Padding a k-set to K points adds K^2 - k^2
+    pairs at t = 0."""
     field, q = e.field, e.field.q
-    flats = _flat_rows(e)
+    flats, sizes = _flat_rows(e)
     counts = np.zeros((len(flats), q), dtype=np.int64)
     for sets, items in stack_blocks(len(flats), e.count, e.count):
         dots = point_dot(field, e.d, flats[sets, items, None], flats[sets, None, :])
         dots += q * np.arange(len(dots))[:, None, None]
         counts[sets] += np.bincount(dots.ravel(), minlength=len(dots) * q).reshape(-1, q)
-    return NuProfile(q, e.count, counts.reshape(e.bits.shape[:-1] + (q,)))
+    counts[:, 0] -= e.count ** 2 - sizes ** 2
+    return NuProfile(q, e.sizes, counts.reshape(e.bits.shape[:-1] + (q,)))
 
 
 def nu_spectral(e: PointSet) -> NuProfile:
@@ -198,16 +211,19 @@ def nu_spectral(e: PointSet) -> NuProfile:
     nu(t) = q^{-1} sum_s chi(-s t) S(s) with
     S(s) = sum_{x,y in E} chi(s (x.y)) = q^d sum_{x in E} Ehat(-s x).
 
+    Padding a k-set to K points adds (K - k) k to every S(s), so to nu(0).
+
     Must reproduce the brute-force integers exactly after rounding; a
-    rounding defect or a mismatch against a sampled direct count raises
-    SpectralMismatchError.
+    rounding defect, a set whose counts do not sum to |E|^2, or a mismatch
+    against a sampled direct count (on each set of at most 300 points)
+    raises SpectralMismatchError.
     """
     field, d, q = e.field, e.d, e.field.q
     lead = e.bits.shape[:-1]
     if e.count == 0:
-        return NuProfile(q, 0, np.zeros(lead + (q,), dtype=np.int64))
+        return NuProfile(q, e.sizes, np.zeros(lead + (q,), dtype=np.int64))
     ehat = fourier_forward(e.indicator()).values.reshape(-1)
-    flats = _flat_rows(e)
+    flats, sizes = _flat_rows(e)
     rows = len(flats)
     s_sums = np.empty((rows, q), dtype=np.complex128)
     for sets, items in stack_blocks(rows, q, e.count):
@@ -222,23 +238,27 @@ def nu_spectral(e: PointSet) -> NuProfile:
     if defect > 1e-6 or imag > 1e-6:
         raise SpectralMismatchError(f"spectral counts not near integers "
                                     f"(defect {defect:.3g}, imag {imag:.3g})")
-    if np.any(counts.sum(axis=1) != e.count ** 2):
+    counts[:, 0] -= (e.count - sizes) * sizes
+    if np.any(counts.sum(axis=1) != sizes ** 2):
         raise SpectralMismatchError("spectral counts do not sum to |E|^2")
-    if e.count <= 300:
-        t_star = np.argmax(counts, axis=1)
-        direct = nu_bruteforce(e).counts.reshape(rows, q)[np.arange(rows), t_star]
-        bad = np.flatnonzero(direct != counts[np.arange(rows), t_star])
+    small = np.flatnonzero(sizes <= 300)
+    if len(small):
+        t_star = np.argmax(counts[small], axis=1)
+        recount = PointSet(field, d, e.bits.reshape(rows, -1)[small])
+        direct = nu_bruteforce(recount).counts[np.arange(len(small)), t_star]
+        bad = np.flatnonzero(direct != counts[small, t_star])
         if len(bad):
-            r = bad[0]
+            r, t = small[bad[0]], t_star[bad[0]]
             raise SpectralMismatchError(
-                f"spectral nu({t_star[r]}) = {counts[r, t_star[r]]}, direct count {direct[r]}")
-    return NuProfile(q, e.count, counts.reshape(lead + (q,)))
+                f"spectral nu({t}) = {counts[r, t]}, direct count {direct[bad[0]]}")
+    return NuProfile(q, e.sizes, counts.reshape(lead + (q,)))
 
 
 def nu(e: PointSet) -> NuProfile:
     # Per coordinate, brute force does |E|^2 pair steps and the transform
     # q^{d+1} multiply-adds, measured at about 40 times cheaper each (table
     # in CHANGES.md).  Up to 300 points nu_spectral recounts by brute force.
+    # A stack is judged by its largest set, to which both pad the others.
     if e.count <= 300 or 40 * e.count ** 2 <= e.field.q ** (e.d + 1):
         return nu_bruteforce(e)
     return nu_spectral(e)
@@ -291,13 +311,15 @@ def line_counts_all(e: PointSet) -> np.ndarray:
 
 
 def hyperplane_sum(e: PointSet) -> SpectralFn:
-    """F(m) = #{x in E : x.m = 0}, per set of a stack; F(0) = |E|."""
+    """F(m) = #{x in E : x.m = 0}, per set of a stack; F(0) = |E|.  The
+    origins that pad a set lie on every hyperplane."""
     field, d = e.field, e.d
-    flats, points = _flat_rows(e), np.arange(field.q ** d)
+    (flats, sizes), points = _flat_rows(e), np.arange(field.q ** d)
     out = np.empty((len(flats), len(points)), dtype=np.float64)
     for sets, items in stack_blocks(len(flats), len(points), e.count):
         dots = point_dot(field, d, points[items, None], flats[sets, None, :])
         out[sets, items] = np.count_nonzero(dots == 0, axis=2)
+    out -= (e.count - sizes)[:, None]
     return SpectralFn.from_real(field, d, out.reshape(e.bits.shape))
 
 

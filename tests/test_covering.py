@@ -179,6 +179,9 @@ def test_point_cover_threshold():
     assert point_cover_threshold(six)        # 36 > 27
     assert not point_cover_threshold(five)   # 25 < 27
     assert point_cover_threshold(PointSet.full(f3, 2))
+    # One verdict per set of a stack of several sizes.
+    stack = PointSet(f3, 2, np.stack([five.bits, six.bits, PointSet.empty(f3, 2).bits]))
+    assert point_cover_threshold(stack).tolist() == [False, True, False]
 
 
 def test_cover_verdict_fields():

@@ -1,4 +1,5 @@
 import ast
+import concurrent.futures
 import io
 import itertools
 import json
@@ -418,7 +419,7 @@ def test_run_sharpness_counterexamples(monkeypatch):
 def test_run_geometry_counterexamples(monkeypatch):
     # The cover check runs below the point threshold, and second_moment
     # is made to fail everywhere, so both kinds of entry are reported.
-    monkeypatch.setattr(harness, "point_cover_threshold", lambda e: True)
+    monkeypatch.setattr(harness, "point_cover_threshold", lambda e: e.sizes >= 0)
     monkeypatch.setattr(harness, "second_moment_sides",
                         lambda counts, size, max_line, q, d: (size + 1, size))
     field = get_field(5, 1)
@@ -734,10 +735,58 @@ def test_cover_exhaustive_starts_no_pool(monkeypatch):
     monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
     spec = ExperimentSpec(p=13, d=2, mode="exhaustive", sizes=(1, 13))
     single = canonical_json(run_cover_exhaustive(spec).to_dict())
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
+    # `_campaign` imports the pool class where it starts a pool.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     spec.workers = 3
     assert canonical_json(run_cover_exhaustive(spec).to_dict()) == single
     assert '"status":"counterexample"' in single
+
+
+def test_cli_import_loads_no_process_pool():
+    # `_campaign` imports the pool where it starts one, so a run that starts
+    # none does not pay for multiprocessing.
+    code = ("import sys, fqcover.cli; print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_campaign_tasks_span_sizes(monkeypatch):
+    # geometry-q9's 165 sets (sizes 28..60, 5 samples each) are cut into
+    # tasks of 64 consecutive sets, so its checks run on three stacks.
+    spec = ExperimentSpec(p=3, n=2, d=2, mode="sample", sizes=(28, 60), samples=5)
+    tasks = harness._campaign(lambda task: [task[5]], spec, dict.fromkeys(range(28, 61), 5), 64)
+    assert [sum(hi - lo for _, lo, hi in segments) for segments in tasks] == [64, 64, 37]
+    assert tasks[0][-1] == (40, 0, 4) and tasks[1][0] == (40, 4, 5)
+    assert [(s, i) for segments in tasks for s, lo, hi in segments for i in range(lo, hi)] == [
+        (s, i) for s in range(28, 61) for i in range(5)]
+    for totals, chunk in [({1: 0, 2: 3, 3: 0, 4: 130, 5: 1}, 64), ({2: 3, 4: 2}, 1),
+                          ({1: 64, 2: 64}, 64), ({1: 0}, 8)]:
+        tasks = harness._campaign(lambda task: [task[5]], spec, totals, chunk)
+        assert all(lo < hi for segments in tasks for _, lo, hi in segments)
+        lengths = [sum(hi - lo for _, lo, hi in segments) for segments in tasks]
+        assert lengths == [chunk] * (len(tasks) - 1) + lengths[-1:] and lengths[-1:] <= [chunk]
+        assert [(s, i) for segments in tasks for s, lo, hi in segments
+                for i in range(lo, hi)] == [(s, i) for s, t in totals.items() for i in range(t)]
+    stacks = []
+    real = harness._geometry_checks
+    monkeypatch.setattr(harness, "_geometry_checks",
+                        lambda field, d, e, checks: stacks.append(e.sizes.tolist())
+                        or real(field, d, e, checks))
+    report = run_geometry(spec)
+    assert [len(s) for s in stacks] == [64, 64, 37]
+    assert stacks[0][:6] == [28] * 5 + [29] and stacks[2][-1] == 60
+    assert report.tallies["cover"] == {"checked": 165, "passed": 165}
+
+
+def test_cover_sample_refuses_zero_samples_before_building_the_field(monkeypatch, capsys):
+    def build(*args, **kwargs):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr(harness, "make_field", build)
+    monkeypatch.setattr(harness, "_FIELD_CACHE", {})
+    assert cli.main(["cover-sample", "--p", "2", "--n", "20", "--samples", "0"]) == 3
+    assert "--samples 0 checks nothing" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("run,spec", [
@@ -745,6 +794,9 @@ def test_cover_exhaustive_starts_no_pool(monkeypatch):
     (run_cover_sample, ExperimentSpec(p=13, d=2, mode="sample", sizes=(4, 13),
                                       samples=300, seed=7)),
     (run_cover_exhaustive, ExperimentSpec(p=7, d=2, mode="exhaustive", sizes=(1, 7))),
+    # 91 sets in two tasks of 64 and 27, which span sizes and split size 37.
+    (run_geometry, ExperimentSpec(p=3, n=2, d=2, mode="sample", sizes=(28, 40),
+                                  samples=7, seed=3)),
 ])
 def test_campaign_reports_identical_across_workers(run, spec, monkeypatch):
     # With the cover threshold pretended down to size 1, failing sets are

@@ -8,7 +8,8 @@ q^d = 128 at the default cap, and coordinate by coordinate above it or
 under the patched cap, with the field-array calls of each path counted.  q = 4, 5 and 9 cover the XOR,
 prime and add-table paths of `Field.add_arrays`.  Stacks of sets, some
 holding the origin, are checked set by set against the same oracles, and
-their geometry verdicts against the paper's inequalities in Python integers.
+their geometry verdicts against the paper's inequalities in Python integers;
+stacks of sets of several sizes against the counts of each set alone.
 """
 
 import tracemalloc
@@ -36,6 +37,7 @@ from fqcover.fourier import (
 from fqcover.harness import get_field, stream
 from fqcover.incidence import (
     PointSet,
+    SpectralMismatchError,
     hyperplane_sum,
     line_counts_all,
     nu,
@@ -328,6 +330,62 @@ def test_stacked_counts_and_checks_match_per_set_oracles(monkeypatch, p, n, d, k
 
     got = harness._geometry_checks(field, d, stack, harness.POINT_CHECKS)
     assert got == [per_set_checks(field, d, row) for row in flats]
+
+
+@pytest.mark.parametrize("p,n,d,sizes,spectral", [
+    (3, 1, 2, (4, 0, 9, 1, 6, 6, 2), False),     # from the point tables
+    (13, 1, 2, (40, 7, 169, 0, 90, 1), False),   # coordinate by coordinate
+    (7, 1, 3, (300, 12, 150, 299, 0), False),    # nu's switch: brute force up to 300
+    (7, 1, 3, (301, 12, 150, 300, 0), True),     # and the transform above
+])
+@pytest.mark.parametrize("cap", [DENSE_BLOCK_BYTES, 1])
+def test_mixed_size_stacks_match_per_set_counts(monkeypatch, p, n, d, sizes, spectral, cap):
+    """A stack of sets of several sizes, the non-empty even rows holding the
+    origin: nu (by the path its largest set selects), both nu paths, the
+    line counts and the hyperplane sums give each set its own counts."""
+    monkeypatch.setattr(fourier, "DENSE_BLOCK_BYTES", cap)
+    field = get_field(p, n)
+    universe = field.q ** d
+    bits = np.zeros((len(sizes), universe), dtype=bool)
+    for r, k in enumerate(sizes):
+        origin = r % 2 == 0 and k > 0
+        rng = stream(82, r, k, 9)
+        bits[r, 1 + rng.choice(universe - 1, k - origin, replace=False)] = True
+        bits[r, 0] = origin
+    stack = PointSet(field, d, bits)
+    assert stack.sizes.tolist() == list(sizes) and stack.count == max(sizes)
+    singles = [PointSet(field, d, row) for row in bits]
+
+    seen = []
+    real_spectral = incidence.nu_spectral
+    monkeypatch.setattr(incidence, "nu_spectral", lambda e: seen.append(e) or real_spectral(e))
+    counts = nu(stack).counts.tolist()
+    assert seen == ([stack] if spectral else [])
+    assert counts == [nu_bruteforce(e).counts.tolist() for e in singles]
+    assert nu_bruteforce(stack).counts.tolist() == real_spectral(stack).counts.tolist() == counts
+    assert line_counts_all(stack).tolist() == [line_counts_all(e).tolist() for e in singles]
+    assert hyperplane_sum(stack).values.tolist() == [
+        hyperplane_sum(e).values.tolist() for e in singles]
+
+
+def test_nu_spectral_recounts_each_set_of_at_most_300_points(monkeypatch):
+    """The direct recount takes the sets of at most 300 points of a stack,
+    and a count it disagrees with is an error."""
+    field = get_field(7, 1)
+    bits = np.zeros((3, 343), dtype=bool)
+    bits[0, :301] = bits[1, 5:25] = True
+    real = incidence.nu_bruteforce
+    recounted = []
+
+    def off_by_one(e):
+        recounted.append(e.sizes.tolist())
+        prof = real(e)
+        prof.counts[0] += 1
+        return prof
+    monkeypatch.setattr(incidence, "nu_bruteforce", off_by_one)
+    with pytest.raises(SpectralMismatchError, match="direct count"):
+        nu_spectral(PointSet(field, 3, bits))
+    assert recounted == [[20, 0]]
 
 
 def test_stack_blocks_cover_every_pair_once(monkeypatch):
