@@ -1,9 +1,10 @@
 """Command line interface.
 
-Subcommands: selftest, cover-exhaustive, cover-sample, sharpness,
-geometry, d-of-eps.  The canonical JSON report goes to stdout (and to
---out when given); progress and wall-clock timing go to stderr so the
-JSON artifact stays byte-reproducible.
+Commands: selftest, cover-exhaustive, cover-sample, sharpness, geometry,
+d-of-eps; `fqcover --help` lists them and `fqcover <command> --help` shows
+the options of one.  The canonical JSON report goes to stdout (and to --out
+when given); progress and wall-clock timing go to stderr so the JSON
+artifact stays byte-reproducible.
 
 Exit codes: 0 ok, 2 theorem counterexample, 3 bad spec (a usage error
 included), 4 enumeration or memory budget exceeded.
@@ -39,30 +40,45 @@ from .harness import (
 
 
 def _parse_sizes(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    v = int(text)
-    return v, v
+    lo, sep, hi = text.partition("..")
+    return int(lo), int(hi if sep else lo)
 
 
 def _parse_checks(text: str) -> tuple[str, ...]:
     return tuple(c for c in text.split(",") if c)
 
 
-# Every option a subcommand can take; each subcommand takes only those it reads.
+# Every argument a command can take; each command takes only those it reads.
 _OPTIONS = {
-    "p": dict(type=int, required=True, help="field characteristic"),
-    "n": dict(type=int, default=1, help="extension degree"),
-    "d": dict(type=int, default=2, help="ambient dimension"),
-    "sizes": dict(type=_parse_sizes, default=None, metavar="a..b",
-                  help="size range for A or E"),
-    "samples": dict(type=int, default=100, help="samples per size"),
-    "seed": dict(type=int, default=0, help="64-bit RNG seed"),
-    "checks": dict(type=_parse_checks, default=(), help="comma list of checks to run"),
-    "workers": dict(type=int, default=1, help="worker processes"),
-    "out": dict(type=str, default=None, help="write JSON report here"),
-    "csv": dict(type=str, default=None, help="write nu profile CSV here"),
+    "--p": dict(type=int, required=True, help="field characteristic"),
+    "--n": dict(type=int, default=1, help="extension degree"),
+    "--d": dict(type=int, default=2, help="ambient dimension"),
+    "--sizes": dict(type=_parse_sizes, default=None, metavar="a..b",
+                    help="size range for A or E"),
+    "--samples": dict(type=int, default=100, help="samples per size"),
+    "--seed": dict(type=int, default=0, help="64-bit RNG seed"),
+    "--checks": dict(type=_parse_checks, default=(), help="comma list of checks to run"),
+    "--workers": dict(type=int, default=1, help="worker processes"),
+    "--out": dict(type=str, default=None, help="write JSON report here"),
+    "--csv": dict(type=str, default=None, help="write nu profile CSV here"),
+    "--structured": dict(action="store_true",
+                         help="also check the structured set roster (subfields, subgroups)"),
+    "--mode": dict(choices=["exhaustive", "sample", "structured"], default="sample"),
+    "eps": dict(type=str, help="epsilon as an exact rational, e.g. 1/4"),
+}
+
+# command -> (help line, the arguments it takes, in order)
+_COMMANDS = {
+    "selftest": ("identity and axiom suite on the field roster", "--seed --out"),
+    "cover-exhaustive": ("every A above the coverage threshold must cover the units",
+                         "--p --n --d --sizes --seed --workers --out"),
+    "cover-sample": (
+        "seeded randomized coverage campaign",
+        "--p --n --d --sizes --samples --seed --checks --workers --out --structured"),
+    "sharpness": ("subfield closure and other non-covering witnesses", "--p --n --d --out"),
+    "geometry": ("incidence bounds and identities on point sets",
+                 "--p --n --d --sizes --samples --seed --checks --workers --out --csv --mode"),
+    "d-of-eps": ("exact d guaranteeing coverage for |A| >= C q^(1/2+eps)", "eps --out"),
 }
 
 
@@ -75,48 +91,27 @@ class _Parser(argparse.ArgumentParser):
         raise BadSpecError(message)
 
 
-def _add_options(sub: argparse.ArgumentParser, names: str) -> None:
-    for name in names.split():
-        sub.add_argument(f"--{name}", **_OPTIONS[name])
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="fqcover",
-        description="exact finite-field coverage and incidence experiments")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    s = subs.add_parser("selftest", help="identity and axiom suite on the field roster")
-    _add_options(s, "seed out")
-
-    s = subs.add_parser("cover-exhaustive",
-                        help="every A above the coverage threshold must cover the units")
-    _add_options(s, "p n d sizes seed workers out")
-
-    s = subs.add_parser("cover-sample", help="seeded randomized coverage campaign")
-    _add_options(s, "p n d sizes samples seed checks workers out")
-    s.add_argument("--structured", action="store_true",
-                   help="also check the structured set roster (subfields, subgroups)")
-
-    s = subs.add_parser("sharpness",
-                        help="subfield closure and other non-covering witnesses")
-    _add_options(s, "p n d out")
-
-    s = subs.add_parser("geometry",
-                        help="incidence bounds and identities on point sets")
-    _add_options(s, "p n d sizes samples seed checks workers out csv")
-    s.add_argument("--mode", choices=["exhaustive", "sample", "structured"],
-                   default="sample")
-
-    s = subs.add_parser("d-of-eps",
-                        help="exact d guaranteeing coverage for |A| >= C q^(1/2+eps)")
-    s.add_argument("eps", type=str, help="epsilon as an exact rational, e.g. 1/4")
-    _add_options(s, "out")
-    return parser
+def _parse_args(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The command argv[0] and its arguments, read by that command's parser
+    alone; any other argv[0] gets the overview: help or a usage error."""
+    command = argv[0] if argv else None
+    if command not in _COMMANDS:
+        overview = _Parser(
+            prog="fqcover", formatter_class=argparse.RawDescriptionHelpFormatter,
+            description="exact finite-field coverage and incidence experiments",
+            epilog="commands:\n" + "".join(
+                f"  {name:<18}{line}\n" for name, (line, _) in _COMMANDS.items()))
+        overview.add_argument("command", choices=_COMMANDS,
+                              help="'fqcover <command> --help' lists its options")
+        overview.parse_args(argv[:1])  # argv[0] is no command: help or a usage error
+    parser = _Parser(prog=f"fqcover {command}")
+    for name in _COMMANDS[command][1].split():
+        parser.add_argument(name, **_OPTIONS[name])
+    return command, parser.parse_args(argv[1:])
 
 
 def _spec_from_args(args: argparse.Namespace, **fixed) -> ExperimentSpec:
-    """The spec of a run: the options the subcommand took, the spec's
+    """The spec of a run: the options the command took, the spec's
     defaults for the rest."""
     given = {k: v for k, v in vars(args).items() if k in ExperimentSpec.__dataclass_fields__}
     spec = ExperimentSpec(**{**given, **fixed})
@@ -140,28 +135,25 @@ def _emit(report, out_path: str | None, started: float) -> int:
 def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
-        args = build_parser().parse_args(argv)
-        if args.command == "selftest":
-            return _emit(run_selftest(_spec_from_args(args, p=2)), args.out, started)
-        if args.command == "d-of-eps":
+        command, args = _parse_args(sys.argv[1:] if argv is None else argv)
+        if command == "selftest":
+            report = run_selftest(_spec_from_args(args, p=2))
+        elif command == "d-of-eps":
             try:
                 eps = Fraction(args.eps)
             except (ValueError, ZeroDivisionError) as exc:
                 raise BadSpecError(f"cannot parse epsilon {args.eps!r}: {exc}")
-            return _emit(run_d_of_eps(eps), args.out, started)
-
-        if args.command == "cover-exhaustive":
-            spec = _spec_from_args(args, mode="exhaustive")
-            return _emit(run_cover_exhaustive(spec), args.out, started)
-        if args.command == "cover-sample":
-            spec = _spec_from_args(args, mode="structured" if args.structured else "sample")
-            return _emit(run_cover_sample(spec), args.out, started)
-        if args.command == "sharpness":
-            spec = _spec_from_args(args, mode="structured")
-            return _emit(run_sharpness(spec), args.out, started)
-        if args.command == "geometry":
-            return _emit(run_geometry(_spec_from_args(args)), args.out, started)
-        raise BadSpecError(f"unknown command {args.command!r}")
+            report = run_d_of_eps(eps)
+        elif command == "cover-exhaustive":
+            report = run_cover_exhaustive(_spec_from_args(args, mode="exhaustive"))
+        elif command == "cover-sample":
+            report = run_cover_sample(_spec_from_args(
+                args, mode="structured" if args.structured else "sample"))
+        elif command == "sharpness":
+            report = run_sharpness(_spec_from_args(args, mode="structured"))
+        else:
+            report = run_geometry(_spec_from_args(args))
+        return _emit(report, args.out, started)
     except (BadSpecError, BadEpsilonError, NotPrimeError,
             DegreeOutOfRangeError, FieldTooLargeError) as exc:
         print(f"[fqcover] bad spec: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
@@ -360,6 +361,15 @@ def _run_batch(worker, tasks: list) -> list:
     return [worker(t) for t in tasks]
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: more pool workers than that only
+    queue behind each other."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
 def _campaign(worker, spec: ExperimentSpec, totals: dict[int, int], chunk: int,
               *extra) -> list:
     """Run `worker` on the indices [0, totals[size]) of every size: colex
@@ -370,7 +380,8 @@ def _campaign(worker, spec: ExperimentSpec, totals: dict[int, int], chunk: int,
     (p, n, d, mode, seed, segments, *extra), segments being its (size, lo,
     hi) index ranges in order; the worker returns a list of results per
     task, and these come back concatenated in task order at any worker
-    count.  With w > 1 workers, the tasks are dealt round-robin
+    count.  w is --workers, capped at the tasks and at the CPUs this
+    process may use.  With w > 1 workers, the tasks are dealt round-robin
     into w batches and each worker runs one, so a run pays one round trip
     per worker, not per task, and the sizes of a `geometry` run, whose
     costs grow with the size, are spread evenly.
@@ -386,7 +397,7 @@ def _campaign(worker, spec: ExperimentSpec, totals: dict[int, int], chunk: int,
         start += total
     tasks = [(spec.p, spec.n, spec.d, spec.mode, spec.seed, segments, *extra)
              for segments in packed.values()]
-    w = min(spec.workers, len(tasks))
+    w = min(spec.workers, len(tasks), _usable_cpus())
     if w <= 1:
         out = _run_batch(worker, tasks)
     else:

@@ -4,6 +4,7 @@ import io
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import time
@@ -789,6 +790,23 @@ def test_cover_sample_refuses_zero_samples_before_building_the_field(monkeypatch
     assert "--samples 0 checks nothing" in capsys.readouterr().err
 
 
+def test_campaign_starts_no_pool_on_one_usable_cpu(monkeypatch):
+    # 91 sets in two tasks: --workers 3 would start a pool of two.
+    spec = ExperimentSpec(p=3, n=2, d=2, mode="sample", sizes=(28, 40), samples=7, seed=3)
+    single = canonical_json(run_geometry(spec).to_dict())
+
+    def pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+    spec.workers = 3
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert canonical_json(run_geometry(spec).to_dict()) == single
+    # Where the platform has no affinity call, the CPU count caps the pool.
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+    assert canonical_json(run_geometry(spec).to_dict()) == single
+
+
 @pytest.mark.parametrize("run,spec", [
     (run_geometry, ExperimentSpec(p=3, d=2, mode="exhaustive", sizes=(5, 9))),
     (run_cover_sample, ExperimentSpec(p=13, d=2, mode="sample", sizes=(4, 13),
@@ -801,8 +819,9 @@ def test_cover_sample_refuses_zero_samples_before_building_the_field(monkeypatch
 def test_campaign_reports_identical_across_workers(run, spec, monkeypatch):
     # With the cover threshold pretended down to size 1, failing sets are
     # reported: cover-exhaustive expands them from orbit representatives.
-    # Three workers get batches of unequal length.
+    # Three workers get batches of unequal length, on a host of any CPU count.
     monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
     reports = []
     for workers in (1, 2, 3):
         spec.workers = workers
@@ -848,6 +867,55 @@ def test_cli_usage_errors_exit_3_not_the_counterexample_code():
     assert res.stdout == ""
     assert run_cli("geometry", "--p", "five").returncode == 3
     assert run_cli("--help").returncode == 0
+
+
+COMMANDS = ["selftest", "cover-exhaustive", "cover-sample", "sharpness", "geometry", "d-of-eps"]
+
+
+def test_cli_help_lists_the_commands(capsys):
+    with pytest.raises(SystemExit) as exit:
+        cli.main(["--help"])
+    assert exit.value.code == 0
+    out = capsys.readouterr().out
+    for command in COMMANDS:
+        line = cli._COMMANDS[command][0]
+        assert re.search(rf"^  {command} +{re.escape(line)}$", out, re.M), command
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_cli_command_help_shows_its_usage(capsys, command):
+    with pytest.raises(SystemExit) as exit:
+        cli.main([command, "--help"])
+    assert exit.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: fqcover {command} ")
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["bogus", "--p", "5"], ["--p", "5", "sharpness"]])
+def test_cli_without_a_command_first_is_a_usage_error(capsys, argv):
+    assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fqcover [-h]")
+
+
+def test_cli_run_builds_only_its_commands_parser(monkeypatch, capsys):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    assert cli.main(["sharpness", "--p", "5"]) == 0
+    assert built == ["fqcover sharpness"]
+
+
+def test_cli_console_script_reads_sys_argv(monkeypatch, capsys):
+    assert cli.main(["sharpness", "--p", "5"]) == 0
+    report = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["fqcover", "sharpness", "--p", "5"])
+    assert cli.main() == 0
+    assert capsys.readouterr().out == report != ""
 
 
 @pytest.mark.parametrize("args", [
