@@ -26,7 +26,6 @@ from .fourier import (  # noqa: F401
     plancherel_check,
 )
 from .incidence import (  # noqa: F401
-    NuProfile,
     PointSet,
     hyperplane_sum,
     nu,

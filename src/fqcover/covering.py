@@ -80,7 +80,7 @@ def sumset_of_products(a: PointSet, d: int) -> PointSet:
 
 def dot_product_set(e: PointSet) -> PointSet:
     """{x.y : x, y in E}, the support of nu."""
-    return PointSet(e.field, 1, nu(e).counts > 0)
+    return PointSet(e.field, 1, nu(e) > 0)
 
 
 def missing_units(present: np.ndarray) -> list:

@@ -176,10 +176,6 @@ class SpectralFn:
         if self.values.shape[-1:] != (self.field.q ** self.d,):
             raise ValueError("values must be an array of length q^d along its last axis")
 
-    @classmethod
-    def from_real(cls, field: Field, d: int, real_values) -> "SpectralFn":
-        return cls(field, d, np.asarray(real_values, dtype=np.complex128))
-
     @property
     def size(self) -> int:
         return self.values.shape[-1]

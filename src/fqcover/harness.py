@@ -20,6 +20,7 @@ so the reports survive JSON readers that parse numbers as doubles.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -99,7 +100,6 @@ SELFTEST_ROSTER = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                    (2, 3), (3, 2), (13, 1), (2, 4), (5, 2))
 
 POINT_CHECKS = ("cover", "remainder", "identities", "second_moment", "keylowerbound")
-ALL_CHECKS = POINT_CHECKS + ("bilinear",)
 
 
 class BadSpecError(ValueError):
@@ -135,9 +135,8 @@ class ExperimentSpec:
             raise BadSpecError("seed must fit in 64 bits")
         if self.sizes is not None and self.sizes[0] > self.sizes[1]:
             raise BadSpecError(f"empty size range {self.sizes}")
-        bad = set(self.checks) - set(ALL_CHECKS)
-        if bad:
-            raise BadSpecError(f"unknown checks: {sorted(bad)}")
+        if len(set(self.checks)) < len(self.checks):
+            raise BadSpecError(f"repeated checks: {list(self.checks)}")
         if self.workers < 1:
             raise BadSpecError("workers must be >= 1")
 
@@ -150,6 +149,12 @@ class ExperimentSpec:
             "samples": self.samples, "seed": self.seed,
             "checks": list(self.checks),
         }
+
+
+def _require_checks(spec: ExperimentSpec, allowed: tuple[str, ...]) -> None:
+    bad = sorted(set(spec.checks) - set(allowed))
+    if bad:
+        raise BadSpecError(f"unknown checks {bad}: this command runs {', '.join(allowed)}")
 
 
 @dataclass
@@ -330,11 +335,8 @@ def colex_unrank(universe: int, k: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def enumeration_budget(universe: int, sizes: list[int]) -> int:
-    return sum(math.comb(universe, s) for s in sizes)
-
-
-def require_budget(universe: int, sizes: list[int]) -> None:
+def require_budget(universe: int, sizes: list[int]) -> int:
+    """The number of subsets of the given sizes, refused past the budget."""
     # Summed only until the budget is passed: over all the sizes of GF(4096),
     # the binomials alone take seconds.
     total = 0
@@ -344,6 +346,7 @@ def require_budget(universe: int, sizes: list[int]) -> None:
             raise BudgetExceededError(
                 f"exhaustive enumeration needs at least {total} subsets, over the "
                 f"budget of {EXHAUSTIVE_BUDGET}")
+    return total
 
 
 def _draw(mode: str, universe: int, size: int, lo: int, hi: int, seed: int,
@@ -715,14 +718,14 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
     if not sizes:
         raise BadSpecError(f"no size in 1..{q} is above the cover threshold at "
                            f"d={d}; give --sizes")
-    require_budget(q, sizes)
+    budget = require_budget(q, sizes)
     field = get_field(spec.p, spec.n)
     report = RunReport("cover-exhaustive", spec.echo(), field.descriptor())
     # Without --sizes, the sizes below the threshold are scanned too, from
     # s_min - 1 down for as long as they fit what is left of the budget.
     scan: list[int] = []
     if spec.sizes is None:
-        remaining = EXHAUSTIVE_BUDGET - enumeration_budget(q, sizes)
+        remaining = EXHAUSTIVE_BUDGET - budget
         for s in range(s_min - 1, 0, -1):
             remaining -= math.comb(q, s)
             if remaining < 0:
@@ -751,7 +754,7 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
     report.tallies = {str(s): tallies[str(s)] for s in sizes}
     report.counterexamples = sorted(failures, key=lambda c: (c["size"], c["subset"]))
 
-    extras = {"threshold_min_size": s_min, "budget": enumeration_budget(q, sizes)}
+    extras = {"threshold_min_size": s_min, "budget": budget}
     if spec.sizes is None and not failures:
         # The smallest size from which up to the threshold every subset
         # covers.  Reported, never asserted.
@@ -795,6 +798,7 @@ def _bilinear_campaign(field: Field, d: int, seed: int, samples: int) -> dict:
 
 
 def run_cover_sample(spec: ExperimentSpec) -> RunReport:
+    _require_checks(spec, ("bilinear",))
     if spec.mode == "sample" and spec.samples == 0:
         raise BadSpecError("sample mode with --samples 0 checks nothing")
     field = get_field(spec.p, spec.n)
@@ -892,19 +896,16 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
     set per row, of any sizes); per set, the per-check booleans plus the
     exact remainder sharpness fraction.
 
-    Every check reads a set with the origin stripped, its core.  nu and
-    the line counts are computed once, for the stack as drawn, and the
-    origin's share is taken off: its dot product with every point is 0
-    and it lies on every line, so it adds k^2 - |core|^2 pairs to nu(0)
-    and one point to each line count and each hyperplane sum.  The
-    coverage threshold is taken on each set as drawn; its verdict is the
-    same either way, because the origin adds only the dot product 0, which
-    coverage of the units ignores.
+    The coverage threshold is taken on each set as drawn; its verdict is
+    the same either way, because the origin adds only the dot product 0,
+    which coverage of the units ignores.  Every other count is taken once,
+    on the stack with the origin stripped, its core.
     """
-    q, k = field.q, e.sizes
-    origin = e.bits[:, 0].astype(np.int64)
-    size = k - origin
-    outs: list[dict] = [{} for _ in origin]
+    q = field.q
+    drawn_met = point_cover_threshold(e)
+    e = e.strip_origin()
+    size = e.sizes
+    outs: list[dict] = [{} for _ in size]
 
     def put(check, values) -> None:
         for out, v in zip(outs, values):
@@ -913,13 +914,12 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
     # nu and the line counts are looked up on their module, where tests
     # count the calls.
     if {"cover", "remainder", "second_moment", "keylowerbound"} & set(checks):
-        counts = incidence.nu(e).counts
-        counts[:, 0] -= k * k - size ** 2
+        counts = incidence.nu(e)
     if {"identities", "second_moment", "keylowerbound"} & set(checks):
-        lines = incidence.line_counts_all(e) - origin[:, None]
+        lines = incidence.line_counts_all(e)
         max_line = lines[:, 1:].max(axis=1)
     if "cover" in checks:
-        for out, met, missing in zip(outs, point_cover_threshold(e), missing_units(counts)):
+        for out, met, missing in zip(outs, drawn_met, missing_units(counts)):
             out["cover"] = not missing if met else None
             if met and missing:
                 out["cover_missing"] = missing[:MISSING_REPORT_LIMIT]
@@ -929,11 +929,9 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
         put("sharpness_frac", [(w ** 2, n ** 2 * q ** (d + 1))
                                for w, n in zip(worst.tolist(), size.tolist())])
     if "identities" in checks:
-        core = e.bits.astype(np.float64)
-        core[:, 0] = 0
-        hsum = hyperplane_sum(e).values.real - origin[:, None]
-        conv = convolve_diff(SpectralFn(field, d, core), SpectralFn(field, d, core)).values
-        hats = fourier_forward(SpectralFn(field, d, np.stack([hsum, conv, core]))).values
+        ind = e.indicator()
+        stacked = np.stack([hyperplane_sum(e), convolve_diff(ind, ind).values, ind.values])
+        hats = fourier_forward(SpectralFn(field, d, stacked)).values
         put("identities", (hat_identity_close(hats[0], lines, size, q)[0]
                            & diff_hat_close(hats[1], hats[2], q ** d)).tolist())
     if "second_moment" in checks:
@@ -994,10 +992,12 @@ def _merge_geometry_outcomes(report: RunReport, outcomes, checks) -> tuple:
 
 
 def run_geometry(spec: ExperimentSpec) -> RunReport:
-    """Run the point-set checks.  With spec.csv set, also write the nu
-    profile of the sharpest case, with the origin stripped, as CSV.  A space
-    whose q^d arrays or q x q character matrix pass the field layer's own
-    caps is refused before anything is built."""
+    """Run the point-set checks, all of them unless spec.checks names some.
+    With spec.csv set, also write the nu profile of the sharpest case, with
+    the origin stripped, as CSV.  A space whose q^d arrays or q x q
+    character matrix pass the field layer's own caps is refused before
+    anything is built."""
+    _require_checks(spec, POINT_CHECKS)
     q, d = spec.p ** spec.n, spec.d
     if q ** d > DEFAULT_SIZE_CAP or q > MUL_TABLE_MAX_Q:
         raise BudgetExceededError(
@@ -1006,7 +1006,7 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
             f"{DEFAULT_SIZE_CAP} points and q <= {MUL_TABLE_MAX_Q}")
     field = get_field(spec.p, spec.n)
     report = RunReport("geometry", spec.echo(), field.descriptor())
-    checks = tuple(c for c in spec.checks if c in POINT_CHECKS) or POINT_CHECKS
+    checks = spec.checks or POINT_CHECKS
     universe = q ** d
 
     if spec.sizes is not None:
@@ -1044,7 +1044,10 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
     if spec.csv and worst[2]:
         core = PointSet.from_flat(field, d, worst[3]).strip_origin()
         with open(spec.csv, "w", newline="") as fh:
-            nu_bruteforce(core).write_csv(fh)
+            writer = csv.writer(fh)
+            writer.writerow(["t_index", "nu", "r_numerator"])
+            writer.writerows([t, c, q * c - core.count ** 2]
+                             for t, c in enumerate(nu_bruteforce(core).tolist()))
     return report
 
 

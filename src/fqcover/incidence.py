@@ -8,11 +8,11 @@ is an inequality between integers, with floats confined to diagnostics.
 Character sums enter only through the cross-validating spectral path and
 the hyperplane transform identity.
 
-The counts (nu, line counts, hyperplane sums) take a `PointSet` that may
-be a stack of sets of any sizes, and give one result per set along leading
-axes; each has one implementation, run in `fourier.stack_blocks`.  Sets
-are padded to the largest of the stack with copies of the origin, whose
-share each kernel takes off.  The read-outs of the remainder estimate,
+The counts (nu, line counts, hyperplane sums) are plain int64 arrays.
+They take a `PointSet` that may be a stack of sets of any sizes, and give
+one result per set along leading axes; each has one implementation, run in
+`fourier.stack_blocks`.  Sets are padded to the largest of the stack with
+copies of the origin, whose share each kernel takes off.  The read-outs of the remainder estimate,
 the hat identity and the second moment (`remainder_sides`,
 `remainder_verdicts`, `hat_identity_close`, `second_moment_sides`) work
 elementwise over leading axes too.  Their one caller,
@@ -22,7 +22,6 @@ a stack; a single set is a stack of one.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -59,7 +58,7 @@ class PointSet:
 
     A set is not changed after construction, so its flat indices are
     computed once, on first use.  The named constructors,
-    `contains_origin`, `strip_origin` and `union` are for a single set.
+    `contains_origin` and `union` are for a single set.
     Two sets are equal when they have the same field object, the same d
     and equal bits.
     """
@@ -146,40 +145,20 @@ class PointSet:
         return bool(self.bits[0])
 
     def strip_origin(self) -> "PointSet":
+        """The set, or every set of a stack, without the origin."""
         bits = self.bits.copy()
-        bits[0] = False
+        bits[..., 0] = False
         return PointSet(self.field, self.d, bits)
 
     def union(self, other: "PointSet") -> "PointSet":
         return PointSet(self.field, self.d, self.bits | other.bits)
 
     def indicator(self) -> SpectralFn:
-        return SpectralFn.from_real(self.field, self.d, self.bits.astype(np.float64))
+        return SpectralFn(self.field, self.d, self.bits)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PointSet) and self.field is other.field
                 and self.d == other.d and np.array_equal(self.bits, other.bits))
-
-
-@dataclass
-class NuProfile:
-    """nu(t) over t in F_q, with the exact remainder numerators.  The
-    counts and sizes of a stack carry its leading axes; the methods take
-    one set."""
-
-    q: int
-    set_size: int | np.ndarray
-    counts: np.ndarray  # int64, length q along the last axis
-
-    def r_numerator(self, t: int) -> int:
-        """q*nu(t) - |E|^2, the remainder R(t) scaled by q (exact integer)."""
-        return self.q * int(self.counts[t]) - self.set_size ** 2
-
-    def write_csv(self, fileobj) -> None:
-        writer = csv.writer(fileobj)
-        writer.writerow(["t_index", "nu", "r_numerator"])
-        for t in range(self.q):
-            writer.writerow([t, int(self.counts[t]), self.r_numerator(t)])
 
 
 def _flat_rows(e: PointSet) -> tuple[np.ndarray, np.ndarray]:
@@ -189,11 +168,11 @@ def _flat_rows(e: PointSet) -> tuple[np.ndarray, np.ndarray]:
     return e.flat_indices().reshape(len(sizes), e.count), sizes
 
 
-def nu_bruteforce(e: PointSet) -> NuProfile:
-    """Exact nu by direct enumeration of all ordered pairs: one point_dot
-    per block of (set, x) over all y of the set, and one bincount offset
-    by q per set of the block.  Padding a k-set to K points adds K^2 - k^2
-    pairs at t = 0."""
+def nu_bruteforce(e: PointSet) -> np.ndarray:
+    """Exact nu, the int64 counts over t in F_q along the last axis, by
+    direct enumeration of all ordered pairs: one point_dot per block of
+    (set, x) over all y of the set, and one bincount offset by q per set of
+    the block.  Padding a k-set to K points adds K^2 - k^2 pairs at t = 0."""
     field, q = e.field, e.field.q
     flats, sizes = _flat_rows(e)
     counts = np.zeros((len(flats), q), dtype=np.int64)
@@ -202,10 +181,10 @@ def nu_bruteforce(e: PointSet) -> NuProfile:
         dots += q * np.arange(len(dots))[:, None, None]
         counts[sets] += np.bincount(dots.ravel(), minlength=len(dots) * q).reshape(-1, q)
     counts[:, 0] -= e.count ** 2 - sizes ** 2
-    return NuProfile(q, e.sizes, counts.reshape(e.bits.shape[:-1] + (q,)))
+    return counts.reshape(e.bits.shape[:-1] + (q,))
 
 
-def nu_spectral(e: PointSet) -> NuProfile:
+def nu_spectral(e: PointSet) -> np.ndarray:
     """nu via the character-sum representation.
 
     nu(t) = q^{-1} sum_s chi(-s t) S(s) with
@@ -221,7 +200,7 @@ def nu_spectral(e: PointSet) -> NuProfile:
     field, d, q = e.field, e.d, e.field.q
     lead = e.bits.shape[:-1]
     if e.count == 0:
-        return NuProfile(q, e.sizes, np.zeros(lead + (q,), dtype=np.int64))
+        return np.zeros(lead + (q,), dtype=np.int64)
     ehat = fourier_forward(e.indicator()).values.reshape(-1)
     flats, sizes = _flat_rows(e)
     rows = len(flats)
@@ -245,16 +224,16 @@ def nu_spectral(e: PointSet) -> NuProfile:
     if len(small):
         t_star = np.argmax(counts[small], axis=1)
         recount = PointSet(field, d, e.bits.reshape(rows, -1)[small])
-        direct = nu_bruteforce(recount).counts[np.arange(len(small)), t_star]
+        direct = nu_bruteforce(recount)[np.arange(len(small)), t_star]
         bad = np.flatnonzero(direct != counts[small, t_star])
         if len(bad):
             r, t = small[bad[0]], t_star[bad[0]]
             raise SpectralMismatchError(
                 f"spectral nu({t}) = {counts[r, t]}, direct count {direct[bad[0]]}")
-    return NuProfile(q, e.sizes, counts.reshape(lead + (q,)))
+    return counts.reshape(lead + (q,))
 
 
-def nu(e: PointSet) -> NuProfile:
+def nu(e: PointSet) -> np.ndarray:
     # Per coordinate, brute force does |E|^2 pair steps and the transform
     # q^{d+1} multiply-adds, measured at about 40 times cheaper each (table
     # in CHANGES.md).  Up to 300 points nu_spectral recounts by brute force.
@@ -310,17 +289,18 @@ def line_counts_all(e: PointSet) -> np.ndarray:
     return counts.reshape(e.bits.shape)
 
 
-def hyperplane_sum(e: PointSet) -> SpectralFn:
-    """F(m) = #{x in E : x.m = 0}, per set of a stack; F(0) = |E|.  The
-    origins that pad a set lie on every hyperplane."""
+def hyperplane_sum(e: PointSet) -> np.ndarray:
+    """F(m) = #{x in E : x.m = 0} as int64 counts over the flat indices m,
+    per set of a stack; F(0) = |E|.  The origins that pad a set lie on
+    every hyperplane."""
     field, d = e.field, e.d
     (flats, sizes), points = _flat_rows(e), np.arange(field.q ** d)
-    out = np.empty((len(flats), len(points)), dtype=np.float64)
+    out = np.empty((len(flats), len(points)), dtype=np.int64)
     for sets, items in stack_blocks(len(flats), len(points), e.count):
         dots = point_dot(field, d, points[items, None], flats[sets, None, :])
         out[sets, items] = np.count_nonzero(dots == 0, axis=2)
     out -= (e.count - sizes)[:, None]
-    return SpectralFn.from_real(field, d, out.reshape(e.bits.shape))
+    return out.reshape(e.bits.shape)
 
 
 def hat_identity_close(fhat: np.ndarray, line_counts: np.ndarray, size,

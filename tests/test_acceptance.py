@@ -119,8 +119,8 @@ def test_criterion_2_nu_consistency_500_sets():
         e = _random_pointset(field, d, size, i, 103)
         brute = nu_bruteforce(e)
         spectral = nu_spectral(e)
-        assert np.array_equal(brute.counts, spectral.counts)
-        assert brute.counts.sum() == e.count ** 2
+        assert np.array_equal(brute, spectral)
+        assert brute.sum() == e.count ** 2
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"nu consistency took {elapsed:.1f}s"
     _passline(2, "nu spectral == brute", f"500 sets, {elapsed:.1f}s")
@@ -134,12 +134,12 @@ def test_criterion_3_remainder_bound_exact():
     checked = 0
 
     def assert_bound(e, label):
-        prof = nu(e)
+        counts = nu(e)
         bound = e.count ** 2 * e.field.q ** (e.d + 1)
         for t in range(1, e.field.q):
-            num = prof.r_numerator(t) ** 2
+            num = (e.field.q * int(counts[t]) - e.count ** 2) ** 2
             assert num <= bound, f"violation on {label} at t={t}: {num} > {bound}"
-        assert remainder_verdicts(*remainder_sides(prof.counts, e.count, e.field.q, e.d))[0]
+        assert remainder_verdicts(*remainder_sides(counts, e.count, e.field.q, e.d))[0]
 
     for i in range(1000):
         p, n = ROSTER[i % len(ROSTER)]
@@ -211,7 +211,7 @@ def test_criterion_6_lower_bound_and_second_moment():
 
     def sides(e):
         """(second moment lhs, rhs, dot-set bound lhs, rhs) of one set."""
-        q, counts = e.field.q, nu(e).counts
+        q, counts = e.field.q, nu(e)
         max_line = int(line_counts_all(e)[1:].max())
         return (*second_moment_sides(counts, e.count, max_line, q, e.d),
                 *dot_set_lower_bound_sides(int((counts > 0).sum()), max_line, e.count, q, e.d))
@@ -246,7 +246,7 @@ def test_criterion_7_hyperplane_hat_identity():
         rng = stream(SEED, i, d, 108)
         size = int(rng.integers(1, min(field.q ** d - 1, 60) + 1))
         e = _random_origin_free(field, d, size, i, 109)
-        fhat = fourier_forward(hyperplane_sum(e)).values
+        fhat = fourier_forward(SpectralFn(field, d, hyperplane_sum(e))).values
         ok, err = hat_identity_close(fhat, line_counts_all(e), e.count, field.q)
         assert ok, f"identity failed at i={i}: err {err}"
     elapsed = time.monotonic() - started
@@ -284,7 +284,7 @@ def test_criterion_9_grid_dot_set_equals_scalar_pipeline():
         grid = PointSet.grid_of_scalars(field, d, idx)
         assert dot_product_set(grid) == sumset_of_products(a, d), \
             f"mismatch at i={i}, A={idx.tolist()}"
-        assert nu_bruteforce(grid).counts.tolist() == _grid_nu(field, idx, d), \
+        assert nu_bruteforce(grid).tolist() == _grid_nu(field, idx, d), \
             f"count mismatch at i={i}, A={idx.tolist()}"
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"grid comparison took {elapsed:.1f}s"

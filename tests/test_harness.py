@@ -1,6 +1,5 @@
 import ast
 import concurrent.futures
-import io
 import itertools
 import json
 import math
@@ -10,6 +9,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +31,6 @@ from fqcover.harness import (
     ExperimentSpec,
     canonical_json,
     colex_unrank,
-    enumeration_budget,
     require_budget,
     run_cover_exhaustive,
     run_cover_sample,
@@ -98,8 +97,7 @@ def test_colex_unrank_rejects_ranks_out_of_range():
 
 
 def test_budget_guard():
-    assert enumeration_budget(9, [6, 7, 8, 9]) == 130
-    require_budget(9, [6, 7, 8, 9])
+    assert require_budget(9, [6, 7, 8, 9]) == 130
     with pytest.raises(BudgetExceededError) as exc:
         require_budget(101, list(range(32, 102)))
     assert "subsets" in str(exc.value)
@@ -117,8 +115,8 @@ def test_spec_validation():
         ExperimentSpec(p=5, d=0).validate()
     with pytest.raises(BadSpecError):
         ExperimentSpec(p=5, sizes=(4, 2)).validate()
-    with pytest.raises(BadSpecError):
-        ExperimentSpec(p=5, checks=("nonsense",)).validate()
+    with pytest.raises(BadSpecError, match="repeated"):
+        ExperimentSpec(p=5, checks=("cover", "cover")).validate()
     with pytest.raises(BadSpecError):
         ExperimentSpec(p=5, seed=1 << 64).validate()
 
@@ -571,9 +569,10 @@ def test_run_geometry_csv_is_the_profile_of_the_sharpest_case(tmp_path, mode, si
             stream(2, index, size, harness.TAG_POINTS), 9, size))
     else:
         e = dict(structured_point_sets(field, 2, 2))[case]
-    expected = io.StringIO()
-    nu_bruteforce(e.strip_origin()).write_csv(expected)
-    assert path.read_bytes() == expected.getvalue().encode()
+    core = e.strip_origin()
+    rows = [f"{t},{c},{3 * c - core.count ** 2}\r\n"
+            for t, c in enumerate(nu_bruteforce(core).tolist())]
+    assert path.read_bytes() == ("t_index,nu,r_numerator\r\n" + "".join(rows)).encode()
 
 
 def test_run_d_of_eps():
@@ -898,6 +897,12 @@ def test_cli_without_a_command_first_is_a_usage_error(capsys, argv):
     assert captured.err.startswith("usage: fqcover [-h]")
 
 
+def test_readme_command_table_lists_every_command_and_its_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` +\| `([^`]*)` \|$", readme, re.MULTILINE)
+    assert rows == [(name, options) for name, (_, options) in cli._COMMANDS.items()]
+
+
 def test_cli_run_builds_only_its_commands_parser(monkeypatch, capsys):
     built = []
     init = cli._Parser.__init__
@@ -935,6 +940,24 @@ def test_cli_refuses_flags_the_command_does_not_read(args, tmp_path, monkeypatch
     assert cli.main(list(args)) == 3
     assert "unrecognized arguments" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ("geometry", "--p", "5", "--checks", "bilinear"),
+    ("geometry", "--p", "5", "--checks", "cover,cover"),
+    ("geometry", "--p", "5", "--checks", "cover,nonsense"),
+    ("cover-sample", "--p", "7", "--checks", "remainder"),
+    ("cover-sample", "--p", "7", "--checks", "bilinear,bilinear"),
+])
+def test_cli_refuses_checks_the_command_does_not_run(args, tmp_path, monkeypatch, capsys):
+    def build(*args):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr(harness, "get_field", build)
+    out = tmp_path / "report.json"
+    assert cli.main([*args, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "checks" in captured.err
+    assert not out.exists()
 
 
 def test_cli_cover_exhaustive_writes_report(tmp_path):

@@ -1,11 +1,10 @@
-import io
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fqcover.fourier import flat_to_coords, fourier_forward
+from fqcover.fourier import SpectralFn, flat_to_coords, fourier_forward
 from fqcover.gf import make_field
 from fqcover.harness import get_field, stream
 from fqcover.incidence import (
@@ -44,7 +43,7 @@ def random_pointset(field, d, size, trial, tag=31):
 
 def remainder(e):
     """(ok, r, B, worst r) of the remainder read-outs on one set."""
-    r, bound = remainder_sides(nu(e).counts, e.count, e.field.q, e.d)
+    r, bound = remainder_sides(nu(e), e.count, e.field.q, e.d)
     ok, _, worst = remainder_verdicts(r, bound)
     return bool(ok), r, int(bound), int(worst)
 
@@ -56,14 +55,14 @@ def max_line(e):
 
 def hat_identity(e):
     """(ok, err) of the hyperplane transform identity on one set."""
-    fhat = fourier_forward(hyperplane_sum(e)).values
+    fhat = fourier_forward(SpectralFn(e.field, e.d, hyperplane_sum(e))).values
     ok, err = hat_identity_close(fhat, line_counts_all(e), e.count, e.field.q)
     return bool(ok), float(err)
 
 
 def second_moment(e):
     """(lhs, rhs) of q sum nu^2 <= M |E|^2 q^d + |E|^4 on one set."""
-    return second_moment_sides(nu(e).counts, e.count, max_line(e), e.field.q, e.d)
+    return second_moment_sides(nu(e), e.count, max_line(e), e.field.q, e.d)
 
 
 def test_point_sets_are_equal_by_field_d_and_bits():
@@ -104,19 +103,19 @@ def test_point_set_sizes_of_single_sets_and_stacks():
 def test_nu_of_full_plane_f3():
     # each x != 0 hits every t exactly q^{d-1} times; x = 0 only feeds t = 0
     field = get_field(3, 1)
-    prof = nu_bruteforce(PointSet.full(field, 2))
-    assert prof.counts.tolist() == [33, 24, 24]
-    assert prof.counts.sum() == 81
-    assert prof.counts.tolist() == nu_oracle(field, 2, range(9))
+    counts = nu_bruteforce(PointSet.full(field, 2))
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [33, 24, 24]
+    assert counts.sum() == 81
+    assert counts.tolist() == nu_oracle(field, 2, range(9))
 
 
 def test_nu_singleton_and_empty():
     field = get_field(5, 1)
     v = 7  # (2, 1), v.v = 4 + 1 = 0
-    prof = nu_bruteforce(PointSet.from_flat(field, 2, [v]))
-    assert prof.counts.tolist() == [1, 0, 0, 0, 0]
-    assert nu_bruteforce(PointSet.empty(field, 2)).counts.tolist() == [0] * 5
-    assert nu_spectral(PointSet.empty(field, 2)).counts.tolist() == [0] * 5
+    assert nu_bruteforce(PointSet.from_flat(field, 2, [v])).tolist() == [1, 0, 0, 0, 0]
+    assert nu_bruteforce(PointSet.empty(field, 2)).tolist() == [0] * 5
+    assert nu_spectral(PointSet.empty(field, 2)).tolist() == [0] * 5
 
 
 @pytest.mark.parametrize("p,n,d", [(5, 1, 2), (2, 2, 2), (3, 1, 3)])
@@ -125,7 +124,7 @@ def test_nu_bruteforce_matches_oracle(p, n, d):
     for trial in range(5):
         size = 1 + trial * (field.q ** d - 1) // 5
         e = random_pointset(field, d, size, trial)
-        assert nu_bruteforce(e).counts.tolist() == \
+        assert nu_bruteforce(e).tolist() == \
             nu_oracle(field, d, e.flat_indices().tolist())
 
 
@@ -134,19 +133,19 @@ def test_nu_spectral_agrees_on_50_random_sets_f5():
     for trial in range(50):
         size = trial % 25 + 1
         e = random_pointset(field, 2, size, trial, tag=32)
-        assert np.array_equal(nu_spectral(e).counts, nu_bruteforce(e).counts)
+        assert np.array_equal(nu_spectral(e), nu_bruteforce(e))
 
 
 def test_nu_spectral_agrees_exhaustively_on_full_f3():
     field = get_field(3, 1)
     e = PointSet.full(field, 2)
-    assert np.array_equal(nu_spectral(e).counts, nu_bruteforce(e).counts)
+    assert np.array_equal(nu_spectral(e), nu_bruteforce(e))
 
 
 def test_nu_default_dispatch():
     field = get_field(3, 1)
     e = PointSet.full(field, 2)
-    assert np.array_equal(nu(e).counts, nu_bruteforce(e).counts)
+    assert np.array_equal(nu(e), nu_bruteforce(e))
 
 
 @given(st.sets(st.integers(0, 24), max_size=25))
@@ -154,18 +153,7 @@ def test_nu_total_is_size_squared(flats):
     field = get_field(5, 1)
     e = PointSet.from_flat(field, 2, sorted(flats)) if flats \
         else PointSet.empty(field, 2)
-    assert nu_bruteforce(e).counts.sum() == e.count ** 2
-
-
-def test_nu_profile_csv():
-    field = get_field(3, 1)
-    prof = nu_bruteforce(PointSet.full(field, 2))
-    buf = io.StringIO()
-    prof.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "t_index,nu,r_numerator"
-    assert lines[1] == "0,33,18"   # 3*33 - 81
-    assert lines[2] == "1,24,-9"
+    assert nu_bruteforce(e).sum() == e.count ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +164,10 @@ def test_remainder_full_space_exact():
     # full F_q^d: nu(t != 0) = (q^d - 1) q^{d-1}, numerator -q^{d-1} there
     field = get_field(3, 1)
     e = PointSet.full(field, 2)
-    ok, _, _, worst = remainder(e)
+    ok, r, _, worst = remainder(e)
     assert ok
-    prof = nu(e)
-    for t in [1, 2]:
-        # R(t) = -q^{d-1} = -3, so the numerator q*R(t) is -9
-        assert prof.r_numerator(t) == -9
-    assert prof.r_numerator(0) == 3 * 33 - 81
+    # R(t) = -q^{d-1} = -3 for t != 0, so the numerator q*R(t) is -9
+    assert r.tolist() == [3 * 33 - 81, -9, -9]
     assert worst ** 2 <= e.count ** 2 * 3 ** 3
 
 
@@ -211,10 +196,10 @@ def test_remainder_holds_on_100_random_sets_f7():
 def test_remainder_bound_property_f3(flats):
     field = get_field(3, 1)
     e = PointSet.from_flat(field, 2, sorted(flats))
-    prof = nu_bruteforce(e)
+    counts = nu_bruteforce(e)
     bound = e.count ** 2 * 3 ** 3
     for t in range(1, 3):
-        assert prof.r_numerator(t) ** 2 <= bound
+        assert (3 * int(counts[t]) - e.count ** 2) ** 2 <= bound
 
 
 def test_remainder_t_zero_is_genuinely_excluded():
@@ -222,22 +207,20 @@ def test_remainder_t_zero_is_genuinely_excluded():
     # self-orthogonal line in characteristic 2: every pair dots to 0
     f4 = get_field(2, 2)
     iso = PointSet.line(f4, 2, 1 + 4)  # direction (1, 1), (1,1).(1,1) = 0
-    prof = nu_bruteforce(iso)
-    assert prof.counts.tolist() == [16, 0, 0, 0]
-    assert prof.r_numerator(0) ** 2 == 2304
+    assert nu_bruteforce(iso).tolist() == [16, 0, 0, 0]
     assert iso.count ** 2 * 4 ** 3 == 1024           # bound overshot at t = 0
     ok, r, bound, _ = remainder(iso)
+    assert r[0] ** 2 == 2304
     assert ok and abs(r[0]) > bound                  # t != 0 still fine
 
     # cross of a line and its perp in F_3^2: off by exactly 1, a case float
     # arithmetic could misclassify
     f3 = get_field(3, 1)
     cross = PointSet.line(f3, 2, 1).union(PointSet.line(f3, 2, 3))
-    prof = nu_bruteforce(cross)
     assert cross.count == 5
-    assert prof.r_numerator(0) ** 2 == 676
     assert cross.count ** 2 * 3 ** 3 == 675
     ok, r, bound, _ = remainder(cross)
+    assert r[0] ** 2 == 676
     assert ok and abs(r[0]) > bound
 
 
@@ -283,7 +266,8 @@ def test_max_line_examples():
 
 def test_hyperplane_sum_full_space():
     field = get_field(3, 1)
-    f = hyperplane_sum(PointSet.full(field, 2)).values.real
+    f = hyperplane_sum(PointSet.full(field, 2))
+    assert f.dtype == np.int64
     assert f[0] == 9
     assert all(f[m] == 3 for m in range(1, 9))
 
@@ -291,27 +275,33 @@ def test_hyperplane_sum_full_space():
 def test_hyperplane_sum_singleton():
     field = get_field(3, 1)
     v = 4  # (1, 1)
-    f = hyperplane_sum(PointSet.from_flat(field, 2, [v])).values.real
+    f = hyperplane_sum(PointSet.from_flat(field, 2, [v]))
     for m in range(9):
         mc = flat_to_coords(3, 2, m)
-        expect = 1.0 if field.add(field.mul(1, mc[0]), field.mul(1, mc[1])) == 0 else 0.0
+        expect = 1 if field.add(field.mul(1, mc[0]), field.mul(1, mc[1])) == 0 else 0
         assert f[m] == expect
 
 
 def test_hyperplane_sum_matches_double_loop():
+    # Per set of a stack of sizes 5, 2, 0 and 9, with and without the origin.
     field = get_field(3, 1)
-    e = random_pointset(field, 2, 5, 1, tag=36)
-    f = hyperplane_sum(e).values.real
-    for m in range(9):
-        mc = flat_to_coords(3, 2, m)
-        count = 0
-        for x in e.flat_indices():
-            xc = flat_to_coords(3, 2, int(x))
-            t = 0
-            for i in range(2):
-                t = field.add(t, field.mul(xc[i], mc[i]))
-            count += t == 0
-        assert f[m] == count
+    sets = [random_pointset(field, 2, 5, 1, tag=36), PointSet.from_flat(field, 2, [0, 7]),
+            PointSet.empty(field, 2), PointSet.full(field, 2)]
+    f = hyperplane_sum(PointSet(field, 2, np.stack([e.bits for e in sets])))
+    assert f.dtype == np.int64 and f.shape == (4, 9)
+    for row, e in zip(f.tolist(), sets):
+        expect = []
+        for m in range(9):
+            mc = flat_to_coords(3, 2, m)
+            count = 0
+            for x in e.flat_indices():
+                xc = flat_to_coords(3, 2, int(x))
+                t = 0
+                for i in range(2):
+                    t = field.add(t, field.mul(xc[i], mc[i]))
+                count += t == 0
+            expect.append(count)
+        assert row == expect
 
 
 def test_hyperplane_mass_origin_free():
@@ -320,7 +310,7 @@ def test_hyperplane_mass_origin_free():
         field = get_field(p, n)
         e = random_pointset(field, d, min(8, field.q ** d - 1), 0, tag=37)
         e = e.strip_origin()
-        total = hyperplane_sum(e).values.real.sum()
+        total = hyperplane_sum(e).sum()
         assert total == e.count * field.q ** (d - 1)
 
 
@@ -364,8 +354,7 @@ def test_second_moment_grid():
     lhs, rhs = second_moment(e)
     assert lhs <= rhs
     assert max_line(e) == 3
-    prof = nu_bruteforce(e)
-    assert lhs == 7 * sum(int(c) ** 2 for c in prof.counts)
+    assert lhs == 7 * sum(int(c) ** 2 for c in nu_bruteforce(e))
 
 
 @pytest.mark.parametrize("p,n,d", [(5, 1, 2), (3, 1, 3)])
@@ -411,6 +400,16 @@ def test_pointset_strip_origin_and_count():
     e2 = e.strip_origin()
     assert e2.count == 2 and not e2.contains_origin
     assert e.count == 3  # original untouched
+
+
+def test_strip_origin_clears_the_origin_of_every_set_of_a_stack():
+    field = get_field(3, 1)
+    stack = PointSet.from_flat(field, 2, [[0, 1, 5], [2, 4, 8], [0, 3, 6]])
+    stripped = stack.strip_origin()
+    assert not stripped.bits[:, 0].any()
+    assert np.array_equal(stripped.bits[:, 1:], stack.bits[:, 1:])
+    assert stripped.sizes.tolist() == [2, 3, 2]
+    assert stack.sizes.tolist() == [3, 3, 3]  # original untouched
 
 
 def test_pointset_grid_matches_itertools():
