@@ -17,8 +17,6 @@ import locale  # noqa: F401
 
 from .gf import Field, make_field  # noqa: F401
 from .fourier import (  # noqa: F401
-    SpectralFn,
-    convolve_diff,
     dot,
     fourier_forward,
     fourier_forward_direct,
@@ -27,6 +25,7 @@ from .fourier import (  # noqa: F401
 )
 from .incidence import (  # noqa: F401
     PointSet,
+    difference_counts,
     hyperplane_sum,
     nu,
     nu_bruteforce,

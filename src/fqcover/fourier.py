@@ -1,10 +1,11 @@
-"""Fourier analysis on F_q^d: transform, inversion, Plancherel, convolution.
+"""Fourier analysis on F_q^d: transform, inversion, Plancherel.
 
-A function f: F_q^d -> C is stored densely as a length-q^d complex array
-(`SpectralFn`), and a stack of them as an array with leading stack axes;
-the transforms and the convolution act on the last axis only.  Points of
-F_q^d are flat indices: the point with coordinates (x_0, ..., x_{d-1}) has
-flat index sum_i x_i * q^i, where each x_i is a field element index.
+A function f: F_q^d -> C is a plain array of its q^d values, and a stack
+of them an array with leading stack axes; the transforms take any such
+array with the points on its last axis, act on that axis only and return
+complex128 arrays.  Points of F_q^d are flat indices: the point with
+coordinates (x_0, ..., x_{d-1}) has flat index sum_i x_i * q^i, where each
+x_i is a field element index.
 `point_dot`, `point_add` and `point_scale` are the one place that does
 arithmetic on flat indices.  Where the q^d x q^d pair grid fits one row
 block (`row_blocks`), that is q^d <= 128 at the default DENSE_BLOCK_BYTES,
@@ -25,7 +26,6 @@ this convention.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,52 +162,38 @@ def char_matrix(field: Field) -> np.ndarray:
     return field._char_matrix
 
 
-@dataclass(eq=False)
-class SpectralFn:
-    """A dense complex-valued function on F_q^d, or a stack of them: the
-    last axis of `values` runs over the q^d points."""
-
-    field: Field
-    d: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape[-1:] != (self.field.q ** self.d,):
-            raise ValueError("values must be an array of length q^d along its last axis")
-
-    @property
-    def size(self) -> int:
-        return self.values.shape[-1]
-
-
-def _transform(f: SpectralFn, w: np.ndarray, scale) -> SpectralFn:
-    """Apply the q x q kernel w along every coordinate axis of f, then scale.
+def _transform(field: Field, d: int, values, w: np.ndarray, scale) -> np.ndarray:
+    """Apply the q x q kernel w along every coordinate axis of values (the
+    points on its last axis), then scale.
 
     Each round transforms the leading coordinate (the most significant
     digit of the flat index) of every function of the stack with one
     matmul and rotates it to the end, so d rounds restore the order.
     """
-    q, d = f.field.q, f.d
-    arr = f.values.reshape(-1, q, q ** (d - 1))
+    q = field.q
+    values = np.asarray(values, dtype=np.complex128)
+    if values.shape[-1:] != (q ** d,):
+        raise ValueError("values must be an array of length q^d along its last axis")
+    arr = values.reshape(-1, q, q ** (d - 1))
     for _ in range(d):
         arr = np.matmul(w, arr).transpose(0, 2, 1).reshape(-1, q, q ** (d - 1))
-    return SpectralFn(f.field, d, arr.reshape(f.values.shape) * scale)
+    arr = arr.reshape(values.shape)
+    arr *= scale
+    return arr
 
 
-def fourier_forward(f: SpectralFn) -> SpectralFn:
+def fourier_forward(field: Field, d: int, values) -> np.ndarray:
     """fhat(m) = q^{-d} sum_x chi(-x.m) f(x), factorized axis by axis."""
-    return _transform(f, char_matrix(f.field), f.field.q ** (-f.d))
+    return _transform(field, d, values, char_matrix(field), field.q ** (-d))
 
 
-def fourier_invert(fhat: SpectralFn) -> SpectralFn:
+def fourier_invert(field: Field, d: int, values) -> np.ndarray:
     """f(x) = sum_m chi(x.m) fhat(m)."""
-    return _transform(fhat, np.conj(char_matrix(fhat.field)), 1)
+    return _transform(field, d, values, np.conj(char_matrix(field)), 1)
 
 
-def fourier_forward_direct(f: SpectralFn) -> SpectralFn:
+def fourier_forward_direct(field: Field, d: int, values) -> np.ndarray:
     """O(q^{2d}) direct double sum; retained as the oracle for the fast path."""
-    field, d = f.field, f.d
     q = field.q
     size = q ** d
     if size * size > 8_000_000:
@@ -216,49 +202,23 @@ def fourier_forward_direct(f: SpectralFn) -> SpectralFn:
     out = np.empty(size, dtype=np.complex128)
     for rows in row_blocks(size, size):
         dots = point_dot(field, d, flats[rows, None], flats)
-        out[rows] = field.chi_arrays(field.neg_table[dots]) @ f.values
-    return SpectralFn(field, d, out * q ** (-d))
+        out[rows] = field.chi_arrays(field.neg_table[dots]) @ values
+    return out * q ** (-d)
 
 
-def plancherel_check(f: SpectralFn, g: SpectralFn) -> tuple[complex, complex]:
+def plancherel_check(field: Field, d: int, f, g) -> tuple[complex, complex]:
     """Both sides of sum_m fhat conj(ghat) = q^{-d} sum_x f conj(g).
 
     Implemented as the sesquilinear form on both sides; for real-valued
     inputs (the indicator functions this library mostly feeds it) the
     conjugation on g is a no-op.
     """
-    fhat = fourier_forward(f)
-    ghat = fourier_forward(g)
-    lhs = complex(np.sum(fhat.values * np.conj(ghat.values)))
-    rhs = complex(np.sum(f.values * np.conj(g.values)) * f.field.q ** (-f.d))
+    f, g = (np.asarray(v, dtype=np.complex128) for v in (f, g))
+    fhat = fourier_forward(field, d, f)
+    ghat = fourier_forward(field, d, g)
+    lhs = complex(np.sum(fhat * np.conj(ghat)))
+    rhs = complex(np.sum(f * np.conj(g)) * field.q ** (-d))
     return lhs, rhs
-
-
-def convolve_diff(f: SpectralFn, g: SpectralFn) -> SpectralFn:
-    """Difference convolution (f*g)(m) = sum_{y - y' = m} f(y) g(y'), for
-    every function of the stacks f and g (of one shape).
-
-    Computed in the time domain, as sum over y' in supp g of
-    g(y') f(m + y'), so it stays an independent check against the
-    transform-side identity Ghat = q^d |Ehat|^2 rather than being derived
-    from it.  Each row's support is padded with zeros of g to the largest
-    support of the stack; their weight 0 masks them.
-    """
-    field, d, size = f.field, f.d, f.size
-    fv, gv = f.values.reshape(-1, size), g.values.reshape(-1, size)
-    nonzero = gv != 0
-    k = int(nonzero.sum(axis=1).max(initial=0))
-    supp = np.argsort(~nonzero, axis=1, kind="stable")[:, :k]
-    weights = np.take_along_axis(gv, supp, axis=1)
-    flats = np.arange(size)
-    out = np.empty(fv.shape, dtype=np.complex128)
-    for sets, items in stack_blocks(len(fv), size, k):
-        shifted = point_add(field, d, flats[items, None], supp[sets, None, :])
-        shifted += size * np.arange(sets.start, sets.start + len(shifted))[:, None, None]
-        # einsum, not a batched matmul: that goes to BLAS, whose idle thread
-        # pool took up to 0.5 s to wake on 2 CPUs for a product of 1 ms warm.
-        out[sets, items] = np.einsum("smk,sk->sm", fv.reshape(-1)[shifted], weights[sets])
-    return SpectralFn(field, d, out.reshape(f.values.shape))
 
 
 def diff_hat_close(ghat: np.ndarray, fhat: np.ndarray, qd: int) -> np.ndarray:
@@ -267,10 +227,3 @@ def diff_hat_close(ghat: np.ndarray, fhat: np.ndarray, qd: int) -> np.ndarray:
     expect = qd * np.abs(fhat) ** 2
     err = np.max(np.abs(ghat - expect), axis=-1)
     return err <= 1e-8 * np.maximum(1.0, np.max(expect, axis=-1))
-
-
-def diff_convolution_hat_check(f: SpectralFn) -> bool:
-    """Whether Ghat = q^d |fhat|^2 for G = f * f, the difference convolution
-    of a real-valued f with itself (the Fourier side of nu)."""
-    ghat = fourier_forward(convolve_diff(f, f)).values
-    return bool(diff_hat_close(ghat, fourier_forward(f).values, f.size))

@@ -393,7 +393,8 @@ def field_order(p: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> int:
         raise NotPrimeError(f"p={p} is not prime")
     if not isinstance(n, int) or n < 1:
         raise DegreeOutOfRangeError(f"extension degree n={n} must be >= 1")
-    if p ** n > size_cap:
+    # p^n >= 2^n: the bit length refuses a huge n before the power is taken.
+    if n >= size_cap.bit_length() or p ** n > size_cap:
         raise FieldTooLargeError(f"q = {p}^{n} exceeds the size cap {size_cap}")
     return p ** n
 

@@ -46,10 +46,7 @@ from .covering import (
     sumset_of_products,
 )
 from .fourier import (
-    SpectralFn,
     char_matrix,
-    convolve_diff,
-    diff_convolution_hat_check,
     diff_hat_close,
     fourier_forward,
     fourier_forward_direct,
@@ -67,6 +64,7 @@ from .gf import (
 )
 from .incidence import (
     PointSet,
+    difference_counts,
     hat_identity_close,
     hyperplane_sum,
     nu_bruteforce,
@@ -121,7 +119,6 @@ class ExperimentSpec:
     seed: int = 0
     checks: tuple[str, ...] = ()
     workers: int = 1
-    out: str | None = None
     csv: str | None = None
 
     def validate(self) -> None:
@@ -418,7 +415,7 @@ def _campaign(worker, spec: ExperimentSpec, totals: dict[int, int], chunk: int,
 # selftest
 # ----------------------------------------------------------------------
 
-def _selftest_field(field: Field, seed: int) -> dict:
+def _selftest_field(field: Field) -> dict:
     q = field.q
     results = {}
     a = np.arange(q)
@@ -465,27 +462,27 @@ def _selftest_transforms(field: Field, d: int, seed: int) -> dict:
     results = {}
     rng = stream(seed, field.q, d, TAG_SELFTEST)
 
-    f = SpectralFn(field, d, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    back = fourier_invert(fourier_forward(f)).values
+    f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    back = fourier_invert(field, d, fourier_forward(field, d, f))
     results["inversion_roundtrip"] = bool(
-        float(np.max(np.abs(back - f.values))) <= 1e-9 * max(1.0, float(np.max(np.abs(f.values)))))
+        float(np.max(np.abs(back - f))) <= 1e-9 * max(1.0, float(np.max(np.abs(f)))))
 
-    g = SpectralFn(field, d, rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    lhs, rhs = plancherel_check(f, g)
+    g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    lhs, rhs = plancherel_check(field, d, f, g)
     results["plancherel_random"] = bool(abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs)))
 
     e_bits = np.zeros(size, dtype=bool)
     e_bits[sample_indices(rng, size, max(1, min(size // 2, 48)))] = True
-    e = PointSet(field, d, e_bits)
-    ind = e.indicator()
-    lhs, rhs = plancherel_check(ind, ind)
+    lhs, rhs = plancherel_check(field, d, e_bits, e_bits)
     results["plancherel_indicator"] = bool(abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs)))
 
-    results["diff_convolution_hat"] = diff_convolution_hat_check(ind)
+    e = PointSet(field, d, e_bits)
+    hats = fourier_forward(field, d, np.stack([difference_counts(e), e_bits]))
+    results["diff_convolution_hat"] = bool(diff_hat_close(hats[0], hats[1], size))
 
     if size ** 2 <= 3 ** 12:
-        fast = fourier_forward(f).values
-        direct = fourier_forward_direct(f).values
+        fast = fourier_forward(field, d, f)
+        direct = fourier_forward_direct(field, d, f)
         results["forward_vs_direct"] = bool(float(np.max(np.abs(fast - direct))) <= 1e-9)
     return results
 
@@ -498,7 +495,7 @@ def run_selftest(spec: ExperimentSpec) -> RunReport:
     for p, n in SELFTEST_ROSTER:
         field = get_field(p, n)
         fields_meta.append(field.descriptor())
-        results = _selftest_field(field, spec.seed)
+        results = _selftest_field(field)
         for d in (1, 2, 3):
             for name, ok in _selftest_transforms(field, d, spec.seed).items():
                 results[f"{name}_d{d}"] = ok
@@ -929,9 +926,8 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
         put("sharpness_frac", [(w ** 2, n ** 2 * q ** (d + 1))
                                for w, n in zip(worst.tolist(), size.tolist())])
     if "identities" in checks:
-        ind = e.indicator()
-        stacked = np.stack([hyperplane_sum(e), convolve_diff(ind, ind).values, ind.values])
-        hats = fourier_forward(SpectralFn(field, d, stacked)).values
+        stacked = np.stack([hyperplane_sum(e), difference_counts(e), e.bits])
+        hats = fourier_forward(field, d, stacked)
         put("identities", (hat_identity_close(hats[0], lines, size, q)[0]
                            & diff_hat_close(hats[1], hats[2], q ** d)).tolist())
     if "second_moment" in checks:
@@ -998,15 +994,23 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
     character matrix pass the field layer's own caps is refused before
     anything is built."""
     _require_checks(spec, POINT_CHECKS)
-    q, d = spec.p ** spec.n, spec.d
-    if q ** d > DEFAULT_SIZE_CAP or q > MUL_TABLE_MAX_Q:
-        raise BudgetExceededError(
-            f"F_{q}^{d} needs {16 * q ** d} bytes per function on its {q ** d} points "
-            f"and {16 * q * q} for the q x q character matrix; the caps are "
-            f"{DEFAULT_SIZE_CAP} points and q <= {MUL_TABLE_MAX_Q}")
-    field = get_field(spec.p, spec.n)
+    p, n, d = spec.p, spec.n, spec.d
+    space = f"F_q^{d} for q = {p}^{n}"
+    caps = f"the caps are {DEFAULT_SIZE_CAP} points and q <= {MUL_TABLE_MAX_Q}"
+    if p >= 2 and n >= 1:  # get_field refuses any other p and n
+        # q >= p, q >= 2^n and q^d >= 2^d: a space this far over the caps
+        # is refused before a power is taken.
+        if max(n, d) >= DEFAULT_SIZE_CAP.bit_length() or p > DEFAULT_SIZE_CAP:
+            raise BudgetExceededError(f"{space} is too large: {caps}")
+        q = p ** n
+        if q ** d > DEFAULT_SIZE_CAP or q > MUL_TABLE_MAX_Q:
+            raise BudgetExceededError(
+                f"{space} needs {16 * q ** d} bytes per function on its q^d points "
+                f"and {16 * q * q} for the q x q character matrix; {caps}")
+    field = get_field(p, n)
     report = RunReport("geometry", spec.echo(), field.descriptor())
     checks = spec.checks or POINT_CHECKS
+    q = field.q
     universe = q ** d
 
     if spec.sizes is not None:

@@ -1,5 +1,6 @@
-"""Incidence counting on F_q^d: nu(t), line counts, hyperplane sums, and
-the read-outs of the geometric statements built on them.
+"""Incidence counting on F_q^d: nu(t), line counts, hyperplane sums,
+difference counts, and the read-outs of the geometric statements built on
+them.
 
 The central object is nu(t) = #{(x, y) in E x E : x.y = t} for a point
 set E.  Its deviation from the uniform count |E|^2/q is tracked as the
@@ -8,16 +9,17 @@ is an inequality between integers, with floats confined to diagnostics.
 Character sums enter only through the cross-validating spectral path and
 the hyperplane transform identity.
 
-The counts (nu, line counts, hyperplane sums) are plain int64 arrays.
-They take a `PointSet` that may be a stack of sets of any sizes, and give
-one result per set along leading axes; each has one implementation, run in
-`fourier.stack_blocks`.  Sets are padded to the largest of the stack with
-copies of the origin, whose share each kernel takes off.  The read-outs of the remainder estimate,
-the hat identity and the second moment (`remainder_sides`,
-`remainder_verdicts`, `hat_identity_close`, `second_moment_sides`) work
-elementwise over leading axes too.  Their one caller,
-`harness._geometry_checks`, reads every set's verdicts off the counts of
-a stack; a single set is a stack of one.
+The counts (nu, line counts, hyperplane sums, difference counts) are
+plain int64 arrays.  They take a `PointSet` that may be a stack of sets
+of any sizes, and give one result per set along leading axes; each has
+one implementation, run in `fourier.stack_blocks`.  Sets are padded to
+the largest of the stack with copies of the origin, whose share each
+kernel takes off.  The read-outs of the remainder estimate, the hat
+identity and the second moment (`remainder_sides`, `remainder_verdicts`,
+`hat_identity_close`, `second_moment_sides`) work elementwise over
+leading axes too.  Their one caller, `harness._geometry_checks`, reads
+every set's verdicts off the counts of a stack; a single set is a stack
+of one.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import (
-    SpectralFn,
     char_matrix,
     fourier_forward,
+    point_add,
     point_dot,
     point_scale,
     stack_blocks,
@@ -153,9 +155,6 @@ class PointSet:
     def union(self, other: "PointSet") -> "PointSet":
         return PointSet(self.field, self.d, self.bits | other.bits)
 
-    def indicator(self) -> SpectralFn:
-        return SpectralFn(self.field, self.d, self.bits)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, PointSet) and self.field is other.field
                 and self.d == other.d and np.array_equal(self.bits, other.bits))
@@ -201,7 +200,7 @@ def nu_spectral(e: PointSet) -> np.ndarray:
     lead = e.bits.shape[:-1]
     if e.count == 0:
         return np.zeros(lead + (q,), dtype=np.int64)
-    ehat = fourier_forward(e.indicator()).values.reshape(-1)
+    ehat = fourier_forward(field, d, e.bits).reshape(-1)
     flats, sizes = _flat_rows(e)
     rows = len(flats)
     s_sums = np.empty((rows, q), dtype=np.complex128)
@@ -300,6 +299,22 @@ def hyperplane_sum(e: PointSet) -> np.ndarray:
         dots = point_dot(field, d, points[items, None], flats[sets, None, :])
         out[sets, items] = np.count_nonzero(dots == 0, axis=2)
     out -= (e.count - sizes)[:, None]
+    return out.reshape(e.bits.shape)
+
+
+def difference_counts(e: PointSet) -> np.ndarray:
+    """D(m) = #{(y, y') in E x E : y - y' = m} as int64 counts over the flat
+    indices m, per set of a stack: the sum over y' in E of E(m + y').
+    D(0) = |E|.  Each origin that pads a set adds E(m) to D(m)."""
+    field, d = e.field, e.d
+    (flats, sizes), points = _flat_rows(e), np.arange(field.q ** d)
+    bits = e.bits.reshape(len(flats), len(points))
+    out = np.empty(bits.shape, dtype=np.int64)
+    for sets, items in stack_blocks(len(flats), len(points), e.count):
+        shifted = point_add(field, d, points[items, None], flats[sets, None, :])
+        shifted += len(points) * np.arange(sets.start, sets.start + len(shifted))[:, None, None]
+        out[sets, items] = np.count_nonzero(bits.reshape(-1)[shifted], axis=2)
+    out -= (e.count - sizes)[:, None] * bits
     return out.reshape(e.bits.shape)
 
 

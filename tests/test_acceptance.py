@@ -23,10 +23,11 @@ from fqcover.covering import (
     sqrt_subfield,
     sumset_of_products,
 )
-from fqcover.fourier import SpectralFn, convolve_diff, fourier_forward, fourier_invert, plancherel_check
+from fqcover.fourier import fourier_forward, fourier_invert, plancherel_check
 from fqcover.harness import get_field, stream, structured_point_sets
 from fqcover.incidence import (
     PointSet,
+    difference_counts,
     hat_identity_close,
     hyperplane_sum,
     line_counts_all,
@@ -84,23 +85,20 @@ def test_criterion_1_fourier_identity_suite():
             size = q ** d
             rng = stream(SEED, q, d, 101)
             vals = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
-            f = SpectralFn(field, d, vals)
-            back = fourier_invert(fourier_forward(f)).values
+            back = fourier_invert(field, d, fourier_forward(field, d, vals))
             assert np.max(np.abs(back - vals)) <= 1e-9
 
-            g = SpectralFn(field, d,
-                           rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size))
-            lhs, rhs = plancherel_check(f, g)
+            g = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
+            lhs, rhs = plancherel_check(field, d, vals, g)
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
             e = PointSet.from_flat(
                 field, d, np.sort(rng.choice(size, max(1, min(size // 2, 64)),
                                              replace=False)))
-            ind = e.indicator()
-            lhs, rhs = plancherel_check(ind, ind)
+            lhs, rhs = plancherel_check(field, d, e.bits, e.bits)
             assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
-            ghat = fourier_forward(convolve_diff(ind, ind)).values
-            expect = size * np.abs(fourier_forward(ind).values) ** 2
+            ghat = fourier_forward(field, d, difference_counts(e))
+            expect = size * np.abs(fourier_forward(field, d, e.bits)) ** 2
             assert np.max(np.abs(ghat - expect)) <= 1e-8 * max(1.0, float(np.max(expect)))
             cases += 1
     elapsed = time.monotonic() - started
@@ -246,7 +244,7 @@ def test_criterion_7_hyperplane_hat_identity():
         rng = stream(SEED, i, d, 108)
         size = int(rng.integers(1, min(field.q ** d - 1, 60) + 1))
         e = _random_origin_free(field, d, size, i, 109)
-        fhat = fourier_forward(SpectralFn(field, d, hyperplane_sum(e))).values
+        fhat = fourier_forward(field, d, hyperplane_sum(e))
         ok, err = hat_identity_close(fhat, line_counts_all(e), e.count, field.q)
         assert ok, f"identity failed at i={i}: err {err}"
     elapsed = time.monotonic() - started

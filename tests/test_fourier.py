@@ -6,8 +6,6 @@ from hypothesis import given, strategies as st
 
 from fqcover.fourier import (
     DimensionMismatchError,
-    SpectralFn,
-    convolve_diff,
     coords_to_flat,
     dot,
     flat_to_coords,
@@ -17,14 +15,14 @@ from fqcover.fourier import (
     plancherel_check,
 )
 from fqcover.harness import get_field, stream
-from fqcover.incidence import PointSet
+from fqcover.incidence import PointSet, difference_counts
 
 
 def delta(field, d, flat):
-    """The indicator of one point as a SpectralFn."""
+    """The indicator of one point."""
     v = np.zeros(field.q ** d, dtype=np.complex128)
     v[flat] = 1.0
-    return SpectralFn(field, d, v)
+    return v
 
 
 def dft_oracle(field, d, values):
@@ -79,16 +77,16 @@ def test_dot_symmetric_gf4():
 
 def test_forward_of_origin_indicator_is_flat():
     field = get_field(5, 1)
-    fhat = fourier_forward(delta(field, 2, 0))
-    assert np.allclose(fhat.values, 1 / 25)
+    fhat = fourier_forward(field, 2, delta(field, 2, 0))
+    assert np.allclose(fhat, 1 / 25)
 
 
 def test_forward_of_constant_is_delta_at_zero():
     # orthogonality in transform form: the constant function concentrates at 0
     field = get_field(3, 2)
-    fhat = fourier_forward(SpectralFn(field, 2, np.ones(81)))
-    assert abs(fhat.values[0] - 1) <= 1e-12
-    assert np.max(np.abs(fhat.values[1:])) <= 1e-12
+    fhat = fourier_forward(field, 2, np.ones(81))
+    assert abs(fhat[0] - 1) <= 1e-12
+    assert np.max(np.abs(fhat[1:])) <= 1e-12
 
 
 @pytest.mark.parametrize("p,n,d", [(3, 1, 2), (2, 2, 2), (5, 1, 2),
@@ -97,7 +95,7 @@ def test_forward_matches_independent_oracle(p, n, d):
     field = get_field(p, n)
     rng = stream(99, field.q, d, 17)
     vals = rng.standard_normal(field.q ** d) + 1j * rng.standard_normal(field.q ** d)
-    fast = fourier_forward(SpectralFn(field, d, vals)).values
+    fast = fourier_forward(field, d, vals)
     assert np.max(np.abs(fast - dft_oracle(field, d, vals))) <= 1e-9
 
 
@@ -106,9 +104,8 @@ def test_forward_matches_retained_direct_evaluator(p, n, d):
     field = get_field(p, n)
     rng = stream(7, field.q, d, 18)
     vals = rng.standard_normal(field.q ** d) + 1j * rng.standard_normal(field.q ** d)
-    f = SpectralFn(field, d, vals)
-    assert np.max(np.abs(fourier_forward(f).values
-                         - fourier_forward_direct(f).values)) <= 1e-9
+    assert np.max(np.abs(fourier_forward(field, d, vals)
+                         - fourier_forward_direct(field, d, vals))) <= 1e-9
 
 
 @pytest.mark.parametrize("p,n,d", [(3, 1, 2), (2, 2, 2), (3, 1, 3), (5, 1, 1)])
@@ -119,12 +116,12 @@ def test_stacked_forward_matches_direct_evaluator_per_function(p, n, d):
     size = field.q ** d
     rng = stream(8, field.q, d, 19)
     vals = rng.standard_normal((2, 3, size)) + 1j * rng.standard_normal((2, 3, size))
-    fast = fourier_forward(SpectralFn(field, d, vals)).values
+    fast = fourier_forward(field, d, vals)
     assert fast.shape == vals.shape
     for idx in np.ndindex(2, 3):
-        direct = fourier_forward_direct(SpectralFn(field, d, vals[idx])).values
+        direct = fourier_forward_direct(field, d, vals[idx])
         assert np.max(np.abs(fast[idx] - direct)) <= 1e-9
-    back = fourier_invert(SpectralFn(field, d, fast)).values
+    back = fourier_invert(field, d, fast)
     assert np.max(np.abs(back - vals)) <= 1e-9
 
 
@@ -136,8 +133,8 @@ def test_inversion_recovers_singletons_exactly():
     field = get_field(7, 1)
     for v in [0, 3, 6]:
         f = delta(field, 1, v)
-        back = fourier_invert(fourier_forward(f)).values
-        assert np.max(np.abs(back - f.values)) <= 1e-12
+        back = fourier_invert(field, 1, fourier_forward(field, 1, f))
+        assert np.max(np.abs(back - f)) <= 1e-12
 
 
 @pytest.mark.parametrize("p,n,d", [(7, 1, 1), (2, 2, 2)])
@@ -147,15 +144,13 @@ def test_inversion_roundtrip_random(p, n, d):
     for trial in range(10):
         rng = stream(5, trial, d, 19)
         vals = rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)
-        f = SpectralFn(field, d, vals)
-        back = fourier_invert(fourier_forward(f)).values
+        back = fourier_invert(field, d, fourier_forward(field, d, vals))
         assert np.max(np.abs(back - vals)) <= 1e-9
 
 
-def test_invert_of_flat_spectrum_is_origin_indicator():
+def test_invert_of_flat_spectrum_is_origin_delta():
     field = get_field(5, 1)
-    flat = SpectralFn(field, 2, np.full(25, 1 / 25))
-    back = fourier_invert(flat).values
+    back = fourier_invert(field, 2, np.full(25, 1 / 25))
     expect = np.zeros(25, dtype=complex)
     expect[0] = 1
     assert np.max(np.abs(back - expect)) <= 1e-12
@@ -168,16 +163,14 @@ def test_invert_of_flat_spectrum_is_origin_indicator():
 def test_plancherel_indicator_mass():
     field = get_field(5, 1)
     e = PointSet.from_flat(field, 2, [1, 2, 3, 5, 8, 13, 21, 24])
-    ind = e.indicator()
-    lhs, rhs = plancherel_check(ind, ind)
+    lhs, rhs = plancherel_check(field, 2, e.bits, e.bits)
     assert rhs == pytest.approx(8 / 25)
     assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
 
 def test_plancherel_constants():
     field = get_field(3, 1)
-    one = SpectralFn(field, 2, np.ones(9))
-    lhs, rhs = plancherel_check(one, one)
+    lhs, rhs = plancherel_check(field, 2, np.ones(9), np.ones(9))
     assert lhs == pytest.approx(1)
     assert rhs == pytest.approx(1)
 
@@ -186,47 +179,42 @@ def test_plancherel_random_pairs():
     field = get_field(3, 1)
     for trial in range(20):
         rng = stream(11, trial, 2, 20)
-        f = SpectralFn(field, 2, rng.standard_normal(9) + 1j * rng.standard_normal(9))
-        g = SpectralFn(field, 2, rng.standard_normal(9) + 1j * rng.standard_normal(9))
-        lhs, rhs = plancherel_check(f, g)
+        f = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        g = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        lhs, rhs = plancherel_check(field, 2, f, g)
         assert abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs))
 
 
 # ---------------------------------------------------------------------------
-# difference convolution
+# difference counts
 # ---------------------------------------------------------------------------
 
-def convolve_oracle(field, d, f_vals, g_vals):
-    # direct double loop over the definition sum_{y - y' = m} f(y) g(y')
+def difference_oracle(field, d, flats):
+    # direct double loop over the definition #{(y, y') in E x E : y - y' = m}
     q = field.q
-    size = q ** d
-    out = [0j] * size
-    for y in range(size):
+    out = [0] * q ** d
+    for y in flats:
         yc = flat_to_coords(q, d, y)
-        for y2 in range(size):
+        for y2 in flats:
             y2c = flat_to_coords(q, d, y2)
-            m = coords_to_flat(q, [field.sub(a, b) for a, b in zip(yc, y2c)])
-            out[m] += complex(f_vals[y]) * complex(g_vals[y2])
-    return np.array(out)
+            out[coords_to_flat(q, [field.sub(a, b) for a, b in zip(yc, y2c)])] += 1
+    return out
 
 
 def test_convolve_singleton():
     field = get_field(5, 1)
-    e = PointSet.from_flat(field, 2, [7])
-    g = convolve_diff(e.indicator(), e.indicator()).values
-    expect = np.zeros(25, dtype=complex)
-    expect[0] = 1
-    assert np.max(np.abs(g - expect)) <= 1e-12
+    counts = difference_counts(PointSet.from_flat(field, 2, [7]))
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [1] + [0] * 24
 
 
 def test_convolve_diagonal_and_mass():
     field = get_field(5, 1)
     rng = stream(3, 0, 2, 21)
-    e = PointSet.from_flat(field, 2, np.sort(rng.choice(25, 6, replace=False)))
-    g = convolve_diff(e.indicator(), e.indicator()).values
-    assert g[0].real == pytest.approx(6)      # y = y' pairs
-    assert g.sum().real == pytest.approx(36)  # all ordered pairs
-    assert np.max(np.abs(g.imag)) <= 1e-12
+    counts = difference_counts(
+        PointSet.from_flat(field, 2, np.sort(rng.choice(25, 6, replace=False))))
+    assert counts[0] == 6       # y = y' pairs
+    assert counts.sum() == 36   # all ordered pairs
 
 
 @pytest.mark.parametrize("p,n,d", [(5, 1, 2), (2, 2, 2), (3, 1, 2)])
@@ -234,37 +222,35 @@ def test_convolve_matches_double_loop_oracle(p, n, d):
     field = get_field(p, n)
     size = field.q ** d
     rng = stream(4, field.q, d, 22)
-    f_vals = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    g_vals = np.zeros(size, dtype=complex)
-    support = rng.choice(size, min(size, 7), replace=False)
-    g_vals[support] = rng.standard_normal(len(support))
-    got = convolve_diff(SpectralFn(field, d, f_vals), SpectralFn(field, d, g_vals))
-    assert np.max(np.abs(got.values - convolve_oracle(field, d, f_vals, g_vals))) <= 1e-9
+    flats = np.sort(rng.choice(size, min(size, 7), replace=False))
+    got = difference_counts(PointSet.from_flat(field, d, flats))
+    assert got.tolist() == difference_oracle(field, d, flats.tolist())
 
 
 @pytest.mark.parametrize("p,n,d", [(3, 1, 2), (2, 2, 2), (5, 1, 2), (2, 1, 3)])
 def test_autoconvolution_hat_identity(p, n, d):
-    """Ghat(k) = q^d |Ehat(k)|^2 for G the difference self-convolution of an
-    indicator."""
+    """Dhat(k) = q^d |Ehat(k)|^2 for D the difference counts of E."""
     field = get_field(p, n)
     size = field.q ** d
     rng = stream(12, field.q, d, 23)
     e = PointSet.from_flat(field, d,
                            np.sort(rng.choice(size, max(1, size // 3), replace=False)))
-    ind = e.indicator()
-    ghat = fourier_forward(convolve_diff(ind, ind)).values
-    expect = size * np.abs(fourier_forward(ind).values) ** 2
-    assert np.max(np.abs(ghat - expect)) <= 1e-8 * max(1.0, float(np.max(expect)))
+    dhat = fourier_forward(field, d, difference_counts(e))
+    expect = size * np.abs(fourier_forward(field, d, e.bits)) ** 2
+    assert np.max(np.abs(dhat - expect)) <= 1e-8 * max(1.0, float(np.max(expect)))
 
 
 # ---------------------------------------------------------------------------
 # misc
 # ---------------------------------------------------------------------------
 
-def test_spectralfn_rejects_wrong_length():
+def test_transforms_reject_wrong_length():
     field = get_field(3, 1)
-    with pytest.raises(ValueError):
-        SpectralFn(field, 2, np.zeros(8))
+    for transform in (fourier_forward, fourier_invert):
+        with pytest.raises(ValueError, match="length q\\^d"):
+            transform(field, 2, np.zeros(8))
+        with pytest.raises(ValueError, match="length q\\^d"):
+            transform(field, 2, np.zeros((2, 10)))
 
 
 @given(st.lists(st.complex_numbers(max_magnitude=1, allow_nan=False,
@@ -272,6 +258,6 @@ def test_spectralfn_rejects_wrong_length():
                 min_size=9, max_size=9))
 def test_roundtrip_property_f32(vals):
     field = get_field(3, 1)
-    f = SpectralFn(field, 2, np.array(vals))
-    back = fourier_invert(fourier_forward(f)).values
-    assert np.max(np.abs(back - f.values)) <= 1e-9
+    f = np.array(vals, dtype=np.complex128)
+    back = fourier_invert(field, 2, fourier_forward(field, 2, f))
+    assert np.max(np.abs(back - f)) <= 1e-9

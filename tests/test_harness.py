@@ -122,9 +122,9 @@ def test_spec_validation():
 
 
 def test_spec_echo_excludes_execution_fields():
-    spec = ExperimentSpec(p=5, workers=8, out="x.json", csv="y.csv")
+    spec = ExperimentSpec(p=5, workers=8, csv="y.csv")
     echo = spec.echo()
-    assert "workers" not in echo and "out" not in echo and "csv" not in echo
+    assert "workers" not in echo and "csv" not in echo
 
 
 # ---------------------------------------------------------------------------
@@ -604,6 +604,21 @@ def test_cli_budget_exit_4():
     res = run_cli("cover-exhaustive", "--p", "101", "--n", "1", "--d", "2")
     assert res.returncode == 4
     assert "budget" in res.stderr
+
+
+@pytest.mark.parametrize("args,code", [
+    (("cover-exhaustive", "--p", "3", "--n", "100000000"), 3),
+    (("sharpness", "--p", "3", "--n", "100000000"), 3),
+    (("geometry", "--p", "2", "--n", "15000", "--d", "1"), 4),
+    (("geometry", "--p", "3", "--d", "100000000"), 4),
+])
+def test_cli_refuses_a_huge_degree_or_dimension_at_once(args, code):
+    """The bit length of a cap refuses n or d before p^n or q^d is taken;
+    2^15000 has more digits than Python prints."""
+    res = subprocess.run([sys.executable, "-m", "fqcover", *args],
+                         capture_output=True, text=True, timeout=10)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr and res.stdout == ""
 
 
 @pytest.mark.parametrize("args,code", [

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fqcover.fourier import SpectralFn, flat_to_coords, fourier_forward
+from fqcover.fourier import flat_to_coords, fourier_forward
 from fqcover.gf import make_field
 from fqcover.harness import get_field, stream
 from fqcover.incidence import (
@@ -55,7 +55,7 @@ def max_line(e):
 
 def hat_identity(e):
     """(ok, err) of the hyperplane transform identity on one set."""
-    fhat = fourier_forward(SpectralFn(e.field, e.d, hyperplane_sum(e))).values
+    fhat = fourier_forward(e.field, e.d, hyperplane_sum(e))
     ok, err = hat_identity_close(fhat, line_counts_all(e), e.count, e.field.q)
     return bool(ok), float(err)
 

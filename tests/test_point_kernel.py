@@ -22,8 +22,6 @@ import fqcover.harness as harness
 import fqcover.incidence as incidence
 from fqcover.fourier import (
     DENSE_BLOCK_BYTES,
-    SpectralFn,
-    convolve_diff,
     coords_to_flat,
     dot,
     flat_to_coords,
@@ -38,6 +36,7 @@ from fqcover.harness import get_field, stream
 from fqcover.incidence import (
     PointSet,
     SpectralMismatchError,
+    difference_counts,
     hyperplane_sum,
     line_counts_all,
     nu,
@@ -65,6 +64,15 @@ def translate(field, d, x, y):
 
 def fdot(field, d, x, y):
     return dot(field, flat_to_coords(field.q, d, x), flat_to_coords(field.q, d, y))
+
+
+def differences(field, d, flats):
+    """D(m) = #{(x, y) : x - y = m} over pairs of the flats, by a double loop."""
+    out = [0] * field.q ** d
+    for x in flats:
+        for y in flats:
+            out[translate(field, d, x, scale(field, d, field.neg(1), y))] += 1
+    return out
 
 
 @pytest.fixture
@@ -158,14 +166,7 @@ def test_blocked_counts_match_integer_oracles(one_row_blocks, p, n, d):
     assert line_counts_all(e).tolist() == [
         sum(e.bits[scale(field, d, t, k)] for t in range(q)) for k in range(size)]
 
-    rng = stream(78, q, d, 6)
-    f_vals = rng.integers(-3, 4, size)
-    g_vals = np.where(e.bits, rng.integers(1, 4, size), 0)
-    got = convolve_diff(SpectralFn(field, d, f_vals),
-                        SpectralFn(field, d, g_vals)).values
-    want = [sum(int(g_vals[y]) * int(f_vals[translate(field, d, m, y)]) for y in flats)
-            for m in range(size)]
-    assert got.real.tolist() == want and not got.imag.any()
+    assert difference_counts(e).tolist() == differences(field, d, flats)
 
 
 def count_calls(monkeypatch, field, d, flats):
@@ -219,7 +220,7 @@ def test_patched_cap_leaves_the_tables_of_a_field(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(want, got))
 
 
-@pytest.mark.parametrize("fn", [nu_bruteforce, hyperplane_sum])
+@pytest.mark.parametrize("fn", [nu_bruteforce, hyperplane_sum, difference_counts])
 def test_blocked_kernel_peak_memory_stays_near_the_cap(fn):
     field = get_field(101, 1)
     e = PointSet.from_flat(field, 2, random_flats(101, 2, 2000, 4))
@@ -261,11 +262,10 @@ def per_set_checks(field, d, flats):
     q, size = field.q, field.q ** d
     core = [x for x in flats.tolist() if x != 0]
     members, n = set(core), len(core)
-    nu_ref, diff = [0] * q, [0] * size
+    nu_ref = [0] * q
     for x in core:
         for y in core:
             nu_ref[fdot(field, d, x, y)] += 1
-            diff[translate(field, d, x, scale(field, d, field.neg(1), y))] += 1
     lines = [n] + [sum(scale(field, d, t, m) in members for t in range(1, q))
                    for m in range(1, size)]
     max_line = max(lines[1:])
@@ -280,14 +280,15 @@ def per_set_checks(field, d, flats):
     out["sharpness_frac"] = (worst, n * n * q ** (d + 1))
 
     def direct_hat(values):
-        return fourier_forward_direct(SpectralFn(field, d, values)).values
+        return fourier_forward_direct(field, d, values)
 
     # Fhat(k) = |E intersect l_k| / q for k != 0 and |E| / q at 0, and the
     # transform of the difference counts is q^d |Ehat|^2.
     hsum = [sum(fdot(field, d, x, m) == 0 for x in core) for m in range(size)]
     ehat = direct_hat([x in members for x in range(size)])
+    dhat = direct_hat(differences(field, d, core))
     out["identities"] = bool(close(direct_hat(hsum), np.array(lines) / q)
-                             and close(direct_hat(diff), size * np.abs(ehat) ** 2))
+                             and close(dhat, size * np.abs(ehat) ** 2))
     out["second_moment"] = (q * sum(c * c for c in nu_ref)
                             <= max_line * n * n * q ** d + n ** 4)
     dots = sum(c > 0 for c in nu_ref)
@@ -310,10 +311,7 @@ def test_stacked_counts_and_checks_match_per_set_oracles(monkeypatch, p, n, d, k
 
     brute, spectral = nu_bruteforce(stack), nu_spectral(stack)
     hsum, lines = hyperplane_sum(stack), line_counts_all(stack)
-    weights = np.where(stack.bits, 1 + np.arange(size) % 3, 0)
-    values = stream(81, q, d, 8).integers(-3, 4, (5, size))
-    conv = convolve_diff(SpectralFn(field, d, values),
-                         SpectralFn(field, d, weights)).values
+    diffs = difference_counts(stack)
     for r, row in enumerate(flats.tolist()):
         nu_ref = [0] * q
         for x in row:
@@ -324,9 +322,7 @@ def test_stacked_counts_and_checks_match_per_set_oracles(monkeypatch, p, n, d, k
             sum(fdot(field, d, x, m) == 0 for x in row) for m in range(size)]
         assert lines[r].tolist() == [
             sum(stack.bits[r, scale(field, d, t, m)] for t in range(q)) for m in range(size)]
-        assert conv[r].real.tolist() == [
-            sum(int(weights[r, y]) * int(values[r, translate(field, d, m, y)]) for y in row)
-            for m in range(size)]
+        assert diffs[r].tolist() == differences(field, d, row)
 
     got = harness._geometry_checks(field, d, stack, harness.POINT_CHECKS)
     assert got == [per_set_checks(field, d, row) for row in flats]
@@ -342,7 +338,8 @@ def test_stacked_counts_and_checks_match_per_set_oracles(monkeypatch, p, n, d, k
 def test_mixed_size_stacks_match_per_set_counts(monkeypatch, p, n, d, sizes, spectral, cap):
     """A stack of sets of several sizes, the non-empty even rows holding the
     origin: nu (by the path its largest set selects), both nu paths, the
-    line counts and the hyperplane sums give each set its own counts."""
+    line counts, the hyperplane sums and the difference counts give each set
+    its own counts."""
     monkeypatch.setattr(fourier, "DENSE_BLOCK_BYTES", cap)
     field = get_field(p, n)
     universe = field.q ** d
@@ -365,6 +362,7 @@ def test_mixed_size_stacks_match_per_set_counts(monkeypatch, p, n, d, sizes, spe
     assert nu_bruteforce(stack).tolist() == real_spectral(stack).tolist() == counts
     assert line_counts_all(stack).tolist() == [line_counts_all(e).tolist() for e in singles]
     assert hyperplane_sum(stack).tolist() == [hyperplane_sum(e).tolist() for e in singles]
+    assert difference_counts(stack).tolist() == [difference_counts(e).tolist() for e in singles]
 
 
 def test_nu_spectral_recounts_each_set_of_at_most_300_points(monkeypatch):
