@@ -297,11 +297,13 @@ class Field:
         if not np.all(self.mul_arrays(nz, self.inv_table[nz]) == 1):
             raise AssertionError("inverse table failed a*inv(a) == 1")
         # The trace table is linear by construction; check it against the
-        # Frobenius sum on every element, or on a fixed sample above
-        # MUL_TABLE_MAX_Q.
+        # Frobenius sum on every element, or above MUL_TABLE_MAX_Q on the
+        # elements k * 2654435761 mod q for k < MUL_TABLE_MAX_Q.  That stride
+        # is a prime near 2^32 / golden ratio, so the elements are distinct
+        # and scattered over the digits of every q under the size cap.
         a = np.arange(q, dtype=np.int64)
         if q > MUL_TABLE_MAX_Q:
-            a = np.random.default_rng(0).integers(0, q, MUL_TABLE_MAX_Q)
+            a = a[:MUL_TABLE_MAX_Q] * 2654435761 % q
         if not np.array_equal(self._frobenius_trace(a), self.trace_table[a]):
             raise AssertionError("trace table disagrees with the Frobenius sum")
         counts = np.bincount(self.trace_table)
@@ -389,13 +391,16 @@ class Field:
 def field_order(p: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> int:
     """q = p^n, after the argument checks of `make_field`, which build
     nothing: p prime, n >= 1 and q within size_cap."""
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or p < 2:
         raise NotPrimeError(f"p={p} is not prime")
     if not isinstance(n, int) or n < 1:
         raise DegreeOutOfRangeError(f"extension degree n={n} must be >= 1")
-    # p^n >= 2^n: the bit length refuses a huge n before the power is taken.
-    if n >= size_cap.bit_length() or p ** n > size_cap:
+    # q = p^n >= p and q >= 2^n: a p or n this large is refused before
+    # trial division tries p and before the power is taken.
+    if p > size_cap or n >= size_cap.bit_length() or p ** n > size_cap:
         raise FieldTooLargeError(f"q = {p}^{n} exceeds the size cap {size_cap}")
+    if not is_prime(p):
+        raise NotPrimeError(f"p={p} is not prime")
     return p ** n
 
 

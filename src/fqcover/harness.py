@@ -6,7 +6,10 @@ things make that work:
 
 * the RNG is Philox (counter-based): every sampled object gets its own
   stream keyed by (seed; sample index, size, purpose tag), so sharding
-  the sample indices over workers cannot change what is drawn;
+  the sample indices over workers cannot change what is drawn.  The
+  campaigns draw their sets through `sampling.sample_rows`, which computes
+  the rows of numpy's Philox and `Generator.choice` bit for bit without
+  loading numpy.random;
 * the tasks, runs of consecutive (size, index) pairs, are dealt
   round-robin into one batch per worker, and the results are put back in
   task order and merged by addition / sorted concatenation, both
@@ -81,6 +84,10 @@ STRUCTURED_PAIR_BUDGET = 10 ** 9
 # search.
 SUBSET_CHUNK = 2048
 JSON_INT_LIMIT = 1 << 53
+# Bits of the largest threshold power q^(2d) a scalar command may take:
+# quick to compute, and under the 4300 digits (14,284 bits) that Python
+# converts to a decimal string by default.
+THRESHOLD_POWER_BITS = 14_000
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 2
@@ -220,7 +227,9 @@ def get_field(p: int, n: int) -> Field:
 
 
 def stream(seed: int, index: int, size: int, tag: int) -> np.random.Generator:
-    """An independent Philox stream for one sampled object."""
+    """numpy's Philox stream for one sampled object, keyed by seed, with the
+    counter [index, size, tag, 0].  `selftest` and the bilinear check draw
+    from it; the campaigns draw the same sets through `sampling.sample_rows`."""
     return np.random.Generator(np.random.Philox(key=seed,
                                                 counter=[index, size, tag, 0]))
 
@@ -290,8 +299,9 @@ def structured_point_sets(field: Field, d: int, seed: int) -> list[tuple[str, Po
         h = max(h for h in _divisors(q - 1) if h < q - 1)
         sub = field.exp_table[::(q - 1) // h]
         out.append((f"subgroup_grid_{h}", PointSet.grid_of_scalars(field, d, sub)))
-    rng = stream(seed, 0, 0, TAG_STRUCTURED)
-    extra = sample_indices(rng, q ** d, min(q ** d, max(2, q // 2)))
+    from .sampling import sample_rows
+    extra = sample_rows(seed, q ** d, [(0, 0, TAG_STRUCTURED)],
+                        [min(q ** d, max(2, q // 2))])[0]
     out.append(("line_plus_random", PointSet.line(field, d, 1).union(
         PointSet.from_flat(field, d, extra))))
     if q ** d <= 512:
@@ -346,15 +356,23 @@ def require_budget(universe: int, sizes: list[int]) -> int:
     return total
 
 
-def _draw(mode: str, universe: int, size: int, lo: int, hi: int, seed: int,
-          tag: int) -> np.ndarray:
-    """The size-`size` subsets of range(universe) with indices lo..hi-1, one
-    sorted subset per row: colex ranks in exhaustive mode, otherwise one
-    Philox stream per sample index."""
+def _draw(mode: str, universe: int, segments, seed: int, tag: int) -> list[np.ndarray]:
+    """Per (size, lo, hi) segment, the size-`size` subsets of range(universe)
+    with indices lo..hi-1, one sorted subset per row of an int64 array:
+    colex ranks in exhaustive mode, otherwise one `sample_rows` call for all
+    the segments, with one Philox stream per (sample index, size, tag)."""
     if mode == "exhaustive":
-        return colex_unrank(universe, size, lo, hi)
-    return np.array([sample_indices(stream(seed, i, size, tag), universe, size)
-                     for i in range(lo, hi)], dtype=np.int64).reshape(hi - lo, size)
+        return [colex_unrank(universe, size, lo, hi) for size, lo, hi in segments]
+    # Imported here, as the process pool is: a run that draws nothing does
+    # not load the sampler.
+    from .sampling import sample_rows
+    jobs = [(i, size, tag) for size, lo, hi in segments for i in range(lo, hi)]
+    rows = sample_rows(seed, universe, jobs, [size for _, size, _ in jobs])
+    out, at = [], 0
+    for size, lo, hi in segments:
+        out.append(np.array(rows[at:at + hi - lo], dtype=np.int64).reshape(hi - lo, size))
+        at += hi - lo
+    return out
 
 
 def _run_batch(worker, tasks: list) -> list:
@@ -542,8 +560,7 @@ def _cover_task(task) -> list[dict]:
     p, n, d, mode, seed, segments = task
     field = get_field(p, n)
     out = []
-    for size, lo, hi in segments:
-        subsets = _draw(mode, field.q, size, lo, hi, seed, TAG_COVER)
+    for (size, lo, hi), subsets in zip(segments, _draw(mode, field.q, segments, seed, TAG_COVER)):
         covers = _covers(field, d, subsets)
         failing = np.flatnonzero(~covers & (size >= min_threshold_size(field.q, d)))
         failures = [{**_oracle_failure(field, d, subsets[i].tolist()), "sample_index": lo + i}
@@ -689,6 +706,19 @@ def _orbit_tallies(field: Field, d: int, sizes: list[int], results: list,
     return tallies, [_oracle_failure(field, d, list(subset)) for subset in sorted(orbits)]
 
 
+def _scalar_order(spec: ExperimentSpec) -> int:
+    """q = p^n for a scalar command, after the checks of `field_order`.  Its
+    exact threshold powers |A|^(2d) <= q^(2d) are taken, and reported, as
+    integers: a d that would put q^(2d) past THRESHOLD_POWER_BITS is refused
+    by its bit length, before any power is taken."""
+    q = field_order(spec.p, spec.n)
+    if 2 * spec.d * q.bit_length() > THRESHOLD_POWER_BITS:
+        raise BudgetExceededError(
+            f"d={spec.d} is too large for q = {spec.p}^{spec.n}: the exact threshold "
+            f"powers up to q^(2d) would pass {THRESHOLD_POWER_BITS} bits")
+    return q
+
+
 def _clip_sizes(sizes: tuple[int, int], universe: int) -> list[int]:
     """An explicit size range clipped to 0..universe.  A range holding no
     size in 1..universe is refused, so a run cannot pass having checked
@@ -709,7 +739,7 @@ def _scalar_sizes(spec: ExperimentSpec, q: int, s_min: int) -> list[int]:
 
 def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
     # The budget is applied to q before any table of the field is built.
-    q, d = field_order(spec.p, spec.n), spec.d
+    q, d = _scalar_order(spec), spec.d
     s_min = min_threshold_size(q, d)
     sizes = _scalar_sizes(spec, q, s_min)
     if not sizes:
@@ -798,6 +828,7 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     _require_checks(spec, ("bilinear",))
     if spec.mode == "sample" and spec.samples == 0:
         raise BadSpecError("sample mode with --samples 0 checks nothing")
+    _scalar_order(spec)
     field = get_field(spec.p, spec.n)
     q, d = field.q, spec.d
     report = RunReport("cover-sample", spec.echo(), field.descriptor())
@@ -841,6 +872,7 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
 # ----------------------------------------------------------------------
 
 def run_sharpness(spec: ExperimentSpec) -> RunReport:
+    _scalar_order(spec)
     field = get_field(spec.p, spec.n)
     q, d = field.q, spec.d
     report = RunReport("sharpness", spec.echo(), field.descriptor())
@@ -950,8 +982,10 @@ def _stacked_checks(field: Field, d: int, bits: np.ndarray, checks) -> list[dict
 def _geometry_task(task) -> list[dict]:
     p, n, d, mode, seed, segments, checks = task
     field = get_field(p, n)
-    drawn = [(size, i, flats) for size, lo, hi in segments for i, flats in
-             enumerate(_draw(mode, field.q ** d, size, lo, hi, seed, TAG_POINTS), lo)]
+    drawn = [(size, i, flats)
+             for (size, lo, _), rows in zip(segments, _draw(mode, field.q ** d, segments,
+                                                            seed, TAG_POINTS))
+             for i, flats in enumerate(rows, lo)]
     bits = np.zeros((len(drawn), field.q ** d), dtype=bool)
     for row, (_, _, flats) in zip(bits, drawn):
         row[flats] = True

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -480,3 +482,14 @@ def test_scalar_ops_agree_with_arrays_gf25(a, b, c):
     assert field.add(a, b) == int(field.add_arrays(np.array([a]), np.array([b]))[0])
     assert field.mul(a, b) == int(field.mul_arrays(np.array([a]), np.array([b]))[0])
     assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
+
+
+def test_large_field_construction_leaves_numpy_random_unloaded():
+    # Above MUL_TABLE_MAX_Q the trace table is checked on a fixed stride of
+    # elements, not on a random sample.
+    code = ("import sys; from fqcover.gf import make_field; make_field(2, 13); "
+            "print('numpy.random' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

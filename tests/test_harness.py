@@ -11,12 +11,14 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fqcover.cli as cli
 import fqcover.covering as covering
 import fqcover.harness as harness
 import fqcover.incidence as incidence
+import fqcover.sampling as sampling
 from fqcover.covering import (
     cover_verdict,
     covers_units,
@@ -158,6 +160,121 @@ def test_streams_reproducible_and_disjoint():
     assert a1.tolist() == a2.tolist()
     assert a1.tolist() != b.tolist()
     assert a1.tolist() != c.tolist()
+
+
+def _numpy_choice(seed, universe, counter, size):
+    """numpy's own draw, the oracle of `sample_rows`.  The counter goes in as
+    a uint64 array: numpy reads a list holding a word >= 2^63 through
+    float64."""
+    rng = np.random.Generator(np.random.Philox(
+        key=seed, counter=np.array([*counter, 0], dtype=np.uint64)))
+    return np.sort(rng.choice(universe, size, replace=False)).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("universe,sizes", [
+    (2, [0, 1, 2]),                       # Floyd's algorithm
+    (9, list(range(10))),
+    (81, [1, 28, 45, 60, 80, 81]),
+    (4096, [1, 81, 513, 4095]),
+    (2 ** 18, [1, 20, 24, 5242, 5243]),   # 5243 > 2^18 // 50: the tail shuffle
+    (20000, [401, 1000, 19999, 20000]),   # the tail shuffle, and a whole universe
+])
+def test_sample_rows_match_numpy_choice(seed, universe, sizes):
+    jobs = [((i, size, tag), size) for size in sizes for i, tag in ((0, 1), (7, 2))]
+    # Word 0 of the counter carries into word 1, and all three words carry.
+    jobs += [((2 ** 64 - 1, sizes[-1], 2), sizes[-1]), ((2 ** 64 - 1,) * 3, sizes[-1])]
+    counters, sizes = zip(*jobs)
+    rows = sampling.sample_rows(seed, universe, counters, sizes)
+    assert rows == [_numpy_choice(seed, universe, c, k) for c, k in jobs]
+
+
+def test_sample_rows_match_numpy_through_rejections(monkeypatch):
+    # At 2^20 a draw rejects an output about once in 4000 steps, and one of
+    # these jobs rejects more outputs than its spare block holds, so the
+    # draws are made again with more spare blocks.
+    spares = []
+
+    def spy(*args):
+        spares.append(args[-1])
+        return bounded(*args)
+    bounded = sampling._bounded_draws
+    monkeypatch.setattr(sampling, "_bounded_draws", spy)
+    counters = [(i, 50000, 2) for i in range(3)]
+    rows = sampling.sample_rows(12345, 2 ** 20, counters, [50000] * 3)
+    assert spares == [1, 8]
+    assert rows == [_numpy_choice(12345, 2 ** 20, c, 50000) for c in counters]
+
+
+def test_sample_rows_refuses_what_numpy_choice_would_draw_otherwise():
+    with pytest.raises(ValueError):
+        sampling.sample_rows(0, 2 ** 32 + 1, [(0, 1, 1)], [1])
+    with pytest.raises(ValueError):
+        sampling.sample_rows(0, 9, [(0, 10, 1)], [10])
+
+
+@pytest.mark.parametrize("spec,tag,chunk", [
+    (ExperimentSpec(p=3, n=2, d=2, sizes=(28, 60), samples=5), harness.TAG_POINTS, 64),
+    (ExperimentSpec(p=101, d=2, sizes=(33, 40), samples=40), harness.TAG_COVER, 256),
+    (ExperimentSpec(p=2, n=12, d=2, sizes=(513, 516), samples=5), harness.TAG_COVER, 256),
+])
+def test_campaign_draws_match_the_per_stream_draws(spec, tag, chunk):
+    # The rows of every task of the geometry-q9 and cover-sample campaigns,
+    # one sample_rows call per task, against one numpy stream per set.
+    universe = spec.p ** (spec.n * (spec.d if tag == harness.TAG_POINTS else 1))
+    totals = dict.fromkeys(range(spec.sizes[0], spec.sizes[1] + 1), spec.samples)
+    tasks = harness._campaign(lambda task: [task[5]], spec, totals, chunk)
+    for seed in range(20):
+        for segments in tasks:
+            drawn = harness._draw("sample", universe, segments, seed, tag)
+            assert [rows.tolist() for rows in drawn] == [
+                [sample_indices(stream(seed, i, size, tag), universe, size).tolist()
+                 for i in range(lo, hi)] for size, lo, hi in segments]
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 2, 2), (5, 1, 3), (3, 2, 2)])
+def test_structured_random_points_match_the_numpy_stream(p, n, d):
+    field = get_field(p, n)
+    q = field.q
+    line = set(PointSet.line(field, d, 1).flat_indices().tolist())
+    for seed in range(20):
+        roster = dict(structured_point_sets(field, d, seed))
+        extra = sample_indices(stream(seed, 0, 0, harness.TAG_STRUCTURED), q ** d,
+                               min(q ** d, max(2, q // 2)))
+        assert roster["line_plus_random"].flat_indices().tolist() == sorted(
+            line | set(extra.tolist()))
+
+
+def test_sampling_commands_leave_numpy_random_unloaded():
+    # Every roster spec of `geometry` in sample or structured mode, and of
+    # `cover-sample` without the bilinear check, in one fresh process: the
+    # reports keep their recorded digests, and numpy.random is never loaded.
+    entries = [e for e in json.loads((Path(__file__).parent / "report_digests.json")
+                                     .read_text())
+               if (e["argv"][0] == "geometry" and "exhaustive" not in e["argv"])
+               or (e["argv"][0] == "cover-sample" and "bilinear" not in e["argv"])]
+    code = """
+import contextlib, hashlib, io, json, os, sys, tempfile
+import fqcover.cli as cli
+out = []
+with tempfile.TemporaryDirectory() as tmp:
+    for argv, csv in json.loads(sys.argv[1]):
+        path = os.path.join(tmp, "profile.csv")
+        report = io.StringIO()
+        with contextlib.redirect_stdout(report), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv + (["--csv", path] if csv else []))
+        digest = lambda data: hashlib.sha256(data).hexdigest()
+        out.append([code, digest(report.getvalue().encode()),
+                    digest(open(path, "rb").read()) if csv else None])
+print(json.dumps([out, "numpy.random" in sys.modules]))
+"""
+    res = subprocess.run([sys.executable, "-c", code,
+                          json.dumps([[e["argv"], "csv" in e] for e in entries])],
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
+    results, loaded = json.loads(res.stdout)
+    assert len(entries) >= 10 and not loaded
+    assert results == [[e["exit_code"], e["report"], e.get("csv")] for e in entries]
 
 
 # ---------------------------------------------------------------------------
@@ -611,10 +728,16 @@ def test_cli_budget_exit_4():
     (("sharpness", "--p", "3", "--n", "100000000"), 3),
     (("geometry", "--p", "2", "--n", "15000", "--d", "1"), 4),
     (("geometry", "--p", "3", "--d", "100000000"), 4),
+    (("cover-exhaustive", "--p", "2305843009213693951"), 3),
+    (("cover-exhaustive", "--p", "7", "--d", "100000000"), 4),
+    (("cover-sample", "--p", "7", "--d", "100000000"), 4),
+    (("sharpness", "--p", "3", "--n", "2", "--d", "100000000"), 4),
 ])
 def test_cli_refuses_a_huge_degree_or_dimension_at_once(args, code):
-    """The bit length of a cap refuses n or d before p^n or q^d is taken;
-    2^15000 has more digits than Python prints."""
+    """The bit length of a cap refuses n or d before p^n, q^d or the
+    threshold power q^(2d) is taken; 2^15000 has more digits than Python
+    prints.  A p over the field size cap (here 2^61 - 1) is refused before
+    trial division tries it."""
     res = subprocess.run([sys.executable, "-m", "fqcover", *args],
                          capture_output=True, text=True, timeout=10)
     assert res.returncode == code, res.stderr
@@ -759,9 +882,10 @@ def test_cover_exhaustive_starts_no_pool(monkeypatch):
 
 def test_cli_import_loads_no_process_pool():
     # `_campaign` imports the pool where it starts one, so a run that starts
-    # none does not pay for multiprocessing.
+    # none does not pay for multiprocessing; nor does a run that draws
+    # nothing load the sampler.
     code = ("import sys, fqcover.cli; print(sorted(m for m in sys.modules if m in "
-            "('concurrent.futures.process', 'multiprocessing')))")
+            "('concurrent.futures.process', 'multiprocessing', 'fqcover.sampling')))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
