@@ -86,10 +86,15 @@ def dot_product_set(e: PointSet) -> PointSet:
 def missing_units(present: np.ndarray) -> list:
     """The nonzero field elements absent from `present`, a membership mask
     or count array over the field (last axis): one list, or a list per row
-    of a stack."""
-    if present.ndim > 1:
-        return [missing_units(row) for row in present]
-    return (np.flatnonzero(present[1:] == 0) + 1).tolist()
+    of a stack, split from one nonzero scan of the whole stack."""
+    if present.ndim > 2:
+        return [missing_units(rows) for rows in present]
+    absent = present[..., 1:] == 0
+    units = (np.nonzero(absent)[-1] + 1).tolist()
+    if present.ndim == 1:
+        return units
+    ends = np.cumsum(np.count_nonzero(absent, axis=1)).tolist()
+    return [units[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def covers_units(s: PointSet) -> tuple[bool, list[int]]:

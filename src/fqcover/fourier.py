@@ -11,7 +11,10 @@ arithmetic on flat indices.  Where the q^d x q^d pair grid fits one row
 block (`row_blocks`), that is q^d <= 128 at the default DENSE_BLOCK_BYTES,
 each is one gather from a table of F_q^d built on first use; above it,
 each works coordinate by coordinate, and callers split the pair grid into
-row blocks (`row_blocks`, `stack_blocks`).
+row blocks (`row_blocks`, `stack_blocks`).  Beside those tables sit two
+uint8 tables built from them, the level sets x.m = 0 and x.m = 1 of the
+dot table and the line table #{t : t k = z}, with which `incidence`
+counts on such spaces by integer contractions of membership bits.
 
 Normalization: the forward transform carries the q^{-d} factor,
 
@@ -84,11 +87,13 @@ def _map_coords(field: Field, d: int, op, x, y, *, scalar: bool = False):
 
 
 def _point_table(field: Field, d: int, name: str) -> np.ndarray | None:
-    """The int64 table `name` of F_q^d: dot[x, y] = x.y, add[x, y] =
-    flat(x + y) and scale[x, s] = flat(s * x).  None unless the q^d x q^d
-    pair grid fits one row block under DENSE_BLOCK_BYTES, which is tested
-    on every call, so that a patched cap takes effect on a field that
-    already holds the tables.  All three are built together on first use,
+    """The table `name` of F_q^d: the int64 dot[x, y] = x.y, add[x, y] =
+    flat(x + y) and scale[x, s] = flat(s * x), and the uint8
+    levels[x, j q^d + m] = [x.m = j] for j = 0, 1 and lines[z, k] =
+    #{t in F_q : t k = z}.  None unless the q^d x q^d pair grid fits one
+    row block under DENSE_BLOCK_BYTES, which is tested on every call, so
+    that a patched cap takes effect on a field that already holds the
+    tables.  All five are built together on first use, the first three
     coordinate by coordinate, and kept on the field."""
     size = field.q ** d
     if 16 * size * size > DENSE_BLOCK_BYTES:
@@ -96,10 +101,13 @@ def _point_table(field: Field, d: int, name: str) -> np.ndarray | None:
     tables = field._coords_cache
     if (d, name) not in tables:
         flats = np.arange(size)
-        tables[d, "dot"] = _dot_coords(field, d, flats[:, None], flats)
+        dots = tables[d, "dot"] = _dot_coords(field, d, flats[:, None], flats)
         tables[d, "add"] = _map_coords(field, d, field.add_arrays, flats[:, None], flats)
-        tables[d, "scale"] = _map_coords(field, d, field.mul_arrays, flats[:, None],
-                                         np.arange(field.q), scalar=True)
+        scale = tables[d, "scale"] = _map_coords(field, d, field.mul_arrays, flats[:, None],
+                                                 np.arange(field.q), scalar=True)
+        tables[d, "levels"] = np.concatenate([dots == 0, dots == 1], axis=1).view(np.uint8)
+        lines = np.bincount((scale * size + flats[:, None]).reshape(-1), minlength=size * size)
+        tables[d, "lines"] = lines.reshape(size, size).astype(np.uint8)
     return tables[d, name]
 
 
@@ -132,11 +140,12 @@ def point_scale(field: Field, d: int, x, s):
     return _gather(table, x, s)
 
 
-def row_blocks(rows: int, cols: int) -> list[slice]:
+def row_blocks(rows: int, cols: int, itemsize: int = 16) -> list[slice]:
     """Row slices of a rows x cols pair grid such that every pairwise array
-    over a block, of int64 element indices or complex128 values, stays
-    under DENSE_BLOCK_BYTES; at least one row."""
-    step = max(1, DENSE_BLOCK_BYTES // (16 * max(cols, 1)))
+    over a block, of int64 element indices or complex128 values, or of
+    elements of itemsize bytes, stays under DENSE_BLOCK_BYTES; at least
+    one row."""
+    step = max(1, DENSE_BLOCK_BYTES // (itemsize * max(cols, 1)))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
 
 

@@ -230,8 +230,8 @@ def stream(seed: int, index: int, size: int, tag: int) -> np.random.Generator:
     """numpy's Philox stream for one sampled object, keyed by seed, with the
     counter [index, size, tag, 0].  `selftest` and the bilinear check draw
     from it; the campaigns draw the same sets through `sampling.sample_rows`."""
-    return np.random.Generator(np.random.Philox(key=seed,
-                                                counter=[index, size, tag, 0]))
+    counter = np.array([index, size, tag, 0], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
 
 
 def sample_indices(rng: np.random.Generator, universe: int, size: int) -> np.ndarray:

@@ -11,9 +11,18 @@ the hyperplane transform identity.
 
 The counts (nu, line counts, hyperplane sums, difference counts) are
 plain int64 arrays.  They take a `PointSet` that may be a stack of sets
-of any sizes, and give one result per set along leading axes; each has
-one implementation, run in `fourier.stack_blocks`.  Sets are padded to
-the largest of the stack with copies of the origin, whose share each
+of any sizes, and give one result per set along leading axes.  Each has
+two regimes, chosen by whether `fourier` holds the point tables of F_q^d
+(q^d <= 128 at the default cap).  With them, a count is one or two exact
+integer contractions of the stack's membership bits with a fixed table:
+F = bits . Z0 for the hyperplane sums, Z0[x, m] = [x.m = 0]; the line
+counts bits . L, L[z, k] = #{t : t k = z}; the difference counts one
+gather of the bits through the add table; and nu(0) = sum_x E(x) F(x)
+and, by dilation, nu(t) = sum_x E(x) A1(x / t) for t != 0, where
+A1 = bits . Z1, Z1[x, m] = [x.m = 1], since x.y = t exactly when
+(x / t).y = 1.  Bits carry no padding.  Without the tables, each count
+pairs flat indices in `fourier.stack_blocks` blocks, with every set padded
+to the largest of the stack by copies of the origin, whose share each
 kernel takes off.  The read-outs of the remainder estimate, the hat
 identity and the second moment (`remainder_sides`, `remainder_verdicts`,
 `hat_identity_close`, `second_moment_sides`) work elementwise over
@@ -31,11 +40,13 @@ from functools import cached_property
 import numpy as np
 
 from .fourier import (
+    _point_table,
     char_matrix,
     fourier_forward,
     point_add,
     point_dot,
     point_scale,
+    row_blocks,
     stack_blocks,
 )
 from .gf import Field
@@ -167,12 +178,38 @@ def _flat_rows(e: PointSet) -> tuple[np.ndarray, np.ndarray]:
     return e.flat_indices().reshape(len(sizes), e.count), sizes
 
 
+def _bit_rows(e: PointSet) -> np.ndarray:
+    """The bits of e as a sets x q^d uint8 array (a view)."""
+    return e.bits.reshape(-1, e.bits.shape[-1]).view(np.uint8)
+
+
+def _contract(e: PointSet, table: np.ndarray) -> np.ndarray:
+    """sum_z E(z) table[z, k] per set of e, as int64 counts over k; exact in
+    uint8 while each count is below 256."""
+    return np.einsum("sz,zk->sk", _bit_rows(e), table).astype(np.int64).reshape(e.bits.shape)
+
+
 def nu_bruteforce(e: PointSet) -> np.ndarray:
     """Exact nu, the int64 counts over t in F_q along the last axis, by
-    direct enumeration of all ordered pairs: one point_dot per block of
-    (set, x) over all y of the set, and one bincount offset by q per set of
-    the block.  Padding a k-set to K points adds K^2 - k^2 pairs at t = 0."""
+    counting all ordered pairs.  With the point tables, from the level sets
+    of the dot table, per row block of sets: F and A1 in one contraction,
+    nu(0) = sum_x E(x) F(x) and nu(t) = sum_x E(x) A1(x / t).  Without
+    them, by direct enumeration: one point_dot per block of (set, x) over
+    all y of the set, and one bincount offset by q per set of the block;
+    padding a k-set to K points adds K^2 - k^2 pairs at t = 0."""
     field, q = e.field, e.field.q
+    levels = _point_table(field, e.d, "levels")
+    if levels is not None:
+        bits, size = _bit_rows(e), len(levels)
+        over = _point_table(field, e.d, "scale")[:, field.inv_table[1:]]  # flat(x / t)
+        counts = np.empty((len(bits), q), dtype=np.int64)
+        for sets in row_blocks(len(bits), size * q, itemsize=1):
+            hyper = np.einsum("sx,xm->sm", bits[sets], levels)
+            # Exact in int16: nu(t) <= |E|^2 <= 128^2 < 2^15.
+            counts[sets, 0] = np.einsum("sx,sx->s", bits[sets], hyper[:, :size], dtype=np.int16)
+            counts[sets, 1:] = np.einsum("sx,sxt->st", bits[sets], hyper[:, size:][:, over],
+                                         dtype=np.int16)
+        return counts.reshape(e.bits.shape[:-1] + (q,))
     flats, sizes = _flat_rows(e)
     counts = np.zeros((len(flats), q), dtype=np.int64)
     for sets, items in stack_blocks(len(flats), e.count, e.count):
@@ -236,7 +273,9 @@ def nu(e: PointSet) -> np.ndarray:
     # Per coordinate, brute force does |E|^2 pair steps and the transform
     # q^{d+1} multiply-adds, measured at about 40 times cheaper each (table
     # in CHANGES.md).  Up to 300 points nu_spectral recounts by brute force.
-    # A stack is judged by its largest set, to which both pad the others.
+    # A stack is judged by its largest set, to which both pad the others,
+    # except on spaces with point tables (q^d <= 128, so at most 128 points),
+    # where brute force contracts the unpadded bits in O(q^{2d}) per set.
     if e.count <= 300 or 40 * e.count ** 2 <= e.field.q ** (e.d + 1):
         return nu_bruteforce(e)
     return nu_spectral(e)
@@ -272,9 +311,13 @@ def line_counts_all(e: PointSet) -> np.ndarray:
     shared by the sets of a block.
 
     Entry 0 is not a line count (it accumulates q copies of the origin
-    membership); callers must ignore it.
+    membership); callers must ignore it.  With the point tables, one
+    contraction of the bits with the line table instead.
     """
     field, d, q = e.field, e.d, e.field.q
+    lines = _point_table(field, d, "lines")
+    if lines is not None:
+        return _contract(e, lines)
     bits = e.bits.reshape(-1, q ** d)
     flats = np.arange(q ** d)
     t = np.arange(q)
@@ -290,9 +333,13 @@ def line_counts_all(e: PointSet) -> np.ndarray:
 
 def hyperplane_sum(e: PointSet) -> np.ndarray:
     """F(m) = #{x in E : x.m = 0} as int64 counts over the flat indices m,
-    per set of a stack; F(0) = |E|.  The origins that pad a set lie on
-    every hyperplane."""
+    per set of a stack; F(0) = |E|.  With the point tables, one
+    contraction of the bits with the level set x.m = 0; without them, the
+    origins that pad a set lie on every hyperplane."""
     field, d = e.field, e.d
+    levels = _point_table(field, d, "levels")
+    if levels is not None:
+        return _contract(e, levels[:, :len(levels)])
     (flats, sizes), points = _flat_rows(e), np.arange(field.q ** d)
     out = np.empty((len(flats), len(points)), dtype=np.int64)
     for sets, items in stack_blocks(len(flats), len(points), e.count):
@@ -305,8 +352,17 @@ def hyperplane_sum(e: PointSet) -> np.ndarray:
 def difference_counts(e: PointSet) -> np.ndarray:
     """D(m) = #{(y, y') in E x E : y - y' = m} as int64 counts over the flat
     indices m, per set of a stack: the sum over y' in E of E(m + y').
-    D(0) = |E|.  Each origin that pads a set adds E(m) to D(m)."""
+    D(0) = |E|.  With the point tables, the bits gathered through the add
+    table and contracted with the bits, per row block of sets; without
+    them, each origin that pads a set adds E(m) to D(m)."""
     field, d = e.field, e.d
+    add = _point_table(field, d, "add")
+    if add is not None:
+        bits = _bit_rows(e)
+        out = np.empty(bits.shape, dtype=np.int64)
+        for sets in row_blocks(len(bits), add.size, itemsize=1):
+            out[sets] = np.einsum("sy,smy->sm", bits[sets], bits[sets][:, add])
+        return out.reshape(e.bits.shape)
     (flats, sizes), points = _flat_rows(e), np.arange(field.q ** d)
     bits = e.bits.reshape(len(flats), len(points))
     out = np.empty(bits.shape, dtype=np.int64)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -160,6 +161,16 @@ def test_streams_reproducible_and_disjoint():
     assert a1.tolist() == a2.tolist()
     assert a1.tolist() != b.tolist()
     assert a1.tolist() != c.tolist()
+
+
+@pytest.mark.parametrize("index", [2 ** 53 + 1, 2 ** 63, 2 ** 64 - 1])
+def test_stream_takes_counter_words_past_2_63_exactly(index):
+    # numpy would read such a word in a list counter through float64.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed, size, tag in [(3, 5, 2), (0, 28, harness.TAG_POINTS)]:
+            drawn = sample_indices(stream(seed, index, size, tag), 81, size).tolist()
+            assert drawn == sampling.sample_rows(seed, 81, [(index, size, tag)], [size])[0]
 
 
 def _numpy_choice(seed, universe, counter, size):

@@ -9,7 +9,10 @@ under the patched cap, with the field-array calls of each path counted.  q = 4, 
 prime and add-table paths of `Field.add_arrays`.  Stacks of sets, some
 holding the origin, are checked set by set against the same oracles, and
 their geometry verdicts against the paper's inequalities in Python integers;
-stacks of sets of several sizes against the counts of each set alone.
+stacks of sets of several sizes against the counts of each set alone.  On
+every space with point tables the counts are contractions of membership
+bits; there they are checked against the gather kernels, forced by a cap
+just below the tables, and against Python-integer counts.
 """
 
 import tracemalloc
@@ -32,6 +35,7 @@ from fqcover.fourier import (
     row_blocks,
     stack_blocks,
 )
+from fqcover.gf import is_prime
 from fqcover.harness import get_field, stream
 from fqcover.incidence import (
     PointSet,
@@ -233,6 +237,103 @@ def test_blocked_kernel_peak_memory_stays_near_the_cap(fn):
         tracemalloc.stop()
     # One unblocked 2000 x 2000 int64 array alone would be 32 MB, 122 caps.
     assert peak <= 4 * DENSE_BLOCK_BYTES
+
+
+# Every space with point tables at the default cap: q^d <= 128.
+TABLE_SPACES = sorted(
+    {(2, 1, d) for d in range(1, 8)} | {(3, 1, d) for d in range(1, 5)}
+    | {(2, 2, d) for d in range(1, 4)} | {(5, 1, d) for d in range(1, 4)}
+    | {(7, 1, 2), (2, 3, 2), (3, 2, 2), (11, 1, 2)}
+    | {(p, n, 1) for p in range(2, 128) if is_prime(p)
+       for n in range(1, 8) if p ** n <= 128})
+
+
+def table_stack(field, d):
+    """A stack of F_q^d: the empty set, the origin alone, one other point,
+    sets of about a third and a half of the space with and without the
+    origin, the space without the origin, and the full set."""
+    universe = field.q ** d
+    sizes = [(0, False), (1, True), (1, False), (universe // 3 + 1, True),
+             (universe // 3, False), (universe // 2 + 1, True), (universe - 1, False),
+             (universe, True)]
+    bits = np.zeros((len(sizes), universe), dtype=bool)
+    for r, (k, origin) in enumerate(sizes):
+        rng = stream(83, r, k, 11)
+        bits[r, 1 + rng.choice(universe - 1, k - origin, replace=False)] = True
+        bits[r, 0] = origin
+    return PointSet(field, d, bits)
+
+
+def integer_counts(field, d, flats):
+    """nu, the hyperplane sums, the line counts (entry 0 included) and the
+    difference counts of each set of flats, in Python integers, from tables
+    of F_q^d built point by point with the scalar `dot`, `field.add` and
+    `scale`."""
+    q, points = field.q, range(field.q ** d)
+    coords = [flat_to_coords(q, d, x) for x in points]
+    dots = [[dot(field, cx, cy) for cy in coords] for cx in coords]
+    sums = [[coords_to_flat(q, map(field.add, cx, cy)) for cy in coords] for cx in coords]
+    scaled = [[scale(field, d, t, x) for t in range(q)] for x in points]
+    minus = [scale(field, d, field.neg(1), y) for y in points]
+    nus, hsums, lines, diffs = [], [], [], []
+    for row in flats:
+        members, nu_ref, diff = set(row), [0] * q, [0] * len(points)
+        for x in row:
+            for y in row:
+                nu_ref[dots[x][y]] += 1
+                diff[sums[x][minus[y]]] += 1
+        nus.append(nu_ref)
+        hsums.append([sum(dots[x][m] == 0 for x in row) for m in points])
+        lines.append([sum(s in members for s in scaled[k]) for k in points])
+        diffs.append(diff)
+    return nus, hsums, lines, diffs
+
+
+@pytest.mark.parametrize("p,n,d", TABLE_SPACES)
+def test_table_counts_match_gather_kernels_and_integer_oracles(monkeypatch, p, n, d):
+    """On every space with point tables, the four counts of a mixed stack
+    by contractions of its bits (no gather kernel is called), by the gather
+    kernels under a cap just below the tables, and per set in Python
+    integers agree array for array."""
+    field = get_field(p, n)
+    size = field.q ** d
+    assert tabled(field, d)
+    e = table_stack(field, d)
+    kernels = (nu_bruteforce, hyperplane_sum, line_counts_all, difference_counts)
+    with monkeypatch.context() as m:
+        for name in ("point_dot", "point_add", "point_scale"):
+            m.setattr(incidence, name, None)
+        tables = [fn(e) for fn in kernels]
+        assert nu(e).tolist() == tables[0].tolist()
+    monkeypatch.setattr(fourier, "DENSE_BLOCK_BYTES", 16 * size * size - 1)
+    assert not tabled(field, d)
+    for fn, want in zip(kernels, tables):
+        got = fn(e)
+        assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want), fn.__name__
+    flats = [np.flatnonzero(row).tolist() for row in e.bits]
+    assert [t.tolist() for t in tables] == list(integer_counts(field, d, flats))
+
+
+@pytest.mark.parametrize("fn", [nu_bruteforce, hyperplane_sum, line_counts_all,
+                                difference_counts])
+def test_table_kernel_peak_memory_stays_near_the_cap(fn):
+    """64 sets of F_2^7, 20 to 128 points: the difference counts gather the
+    bits through the add table in row blocks, where the whole 64 x 128 x 128
+    gather would be 4 caps."""
+    field = get_field(2, 1)
+    rows = [random_flats(2, 7, 20 + i * 108 // 63, 20 + i) for i in range(64)]
+    bits = np.zeros((64, 128), dtype=bool)
+    for row, flats in zip(bits, rows):
+        row[flats] = True
+    e = PointSet(field, 7, bits)
+    fn(e)  # builds the field's point tables
+    tracemalloc.start()
+    try:
+        out = fn(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= 4 * DENSE_BLOCK_BYTES
 
 
 def mixed_stack(field, d, k, rows, trial):
