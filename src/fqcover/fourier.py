@@ -7,14 +7,10 @@ complex128 arrays.  Points of F_q^d are flat indices: the point with
 coordinates (x_0, ..., x_{d-1}) has flat index sum_i x_i * q^i, where each
 x_i is a field element index.
 `point_dot`, `point_add` and `point_scale` are the one place that does
-arithmetic on flat indices.  Where the q^d x q^d pair grid fits one row
-block (`row_blocks`), that is q^d <= 128 at the default DENSE_BLOCK_BYTES,
-each is one gather from a table of F_q^d built on first use; above it,
-each works coordinate by coordinate, and callers split the pair grid into
-row blocks (`row_blocks`, `stack_blocks`).  Beside those tables sit two
-uint8 tables built from them, the level sets x.m = 0 and x.m = 1 of the
-dot table and the line table #{t : t k = z}, with which `incidence`
-counts on such spaces by integer contractions of membership bits.
+arithmetic on flat indices.  Each works coordinate by coordinate with the
+field's array operations, and callers split a pair grid into row blocks
+(`row_blocks`, `stack_blocks`).  The point tables of small spaces, built
+from these kernels, belong to `incidence`.
 
 Normalization: the forward transform carries the q^{-d} factor,
 
@@ -68,7 +64,8 @@ def _coord(q: int, flats, i: int):
     return flats // q ** i % q
 
 
-def _dot_coords(field: Field, d: int, x, y):
+def point_dot(field: Field, d: int, x, y):
+    """x.y for broadcastable arrays x and y of flat indices."""
     q = field.q
     acc = field.mul_arrays(_coord(q, x, 0), _coord(q, y, 0))
     for i in range(1, d):
@@ -86,58 +83,15 @@ def _map_coords(field: Field, d: int, op, x, y, *, scalar: bool = False):
     return out
 
 
-def _point_table(field: Field, d: int, name: str) -> np.ndarray | None:
-    """The table `name` of F_q^d: the int64 dot[x, y] = x.y, add[x, y] =
-    flat(x + y) and scale[x, s] = flat(s * x), and the uint8
-    levels[x, j q^d + m] = [x.m = j] for j = 0, 1 and lines[z, k] =
-    #{t in F_q : t k = z}.  None unless the q^d x q^d pair grid fits one
-    row block under DENSE_BLOCK_BYTES, which is tested on every call, so
-    that a patched cap takes effect on a field that already holds the
-    tables.  All five are built together on first use, the first three
-    coordinate by coordinate, and kept on the field."""
-    size = field.q ** d
-    if 16 * size * size > DENSE_BLOCK_BYTES:
-        return None
-    tables = field._coords_cache
-    if (d, name) not in tables:
-        flats = np.arange(size)
-        dots = tables[d, "dot"] = _dot_coords(field, d, flats[:, None], flats)
-        tables[d, "add"] = _map_coords(field, d, field.add_arrays, flats[:, None], flats)
-        scale = tables[d, "scale"] = _map_coords(field, d, field.mul_arrays, flats[:, None],
-                                                 np.arange(field.q), scalar=True)
-        tables[d, "levels"] = np.concatenate([dots == 0, dots == 1], axis=1).view(np.uint8)
-        lines = np.bincount((scale * size + flats[:, None]).reshape(-1), minlength=size * size)
-        tables[d, "lines"] = lines.reshape(size, size).astype(np.uint8)
-    return tables[d, name]
-
-
-def _gather(table: np.ndarray, x, y) -> np.ndarray:
-    return table.reshape(-1)[np.asarray(x) * table.shape[1] + y]
-
-
-def point_dot(field: Field, d: int, x, y):
-    """x.y for broadcastable arrays x and y of flat indices."""
-    table = _point_table(field, d, "dot")
-    if table is None:
-        return _dot_coords(field, d, x, y)
-    return _gather(table, x, y)
-
-
 def point_add(field: Field, d: int, x, y):
     """flat(x + y) for broadcastable arrays x and y of flat indices."""
-    table = _point_table(field, d, "add")
-    if table is None:
-        return _map_coords(field, d, field.add_arrays, x, y)
-    return _gather(table, x, y)
+    return _map_coords(field, d, field.add_arrays, x, y)
 
 
 def point_scale(field: Field, d: int, x, s):
     """flat(s * x) for broadcastable arrays x of flat indices and s of
     field elements."""
-    table = _point_table(field, d, "scale")
-    if table is None:
-        return _map_coords(field, d, field.mul_arrays, x, s, scalar=True)
-    return _gather(table, x, s)
+    return _map_coords(field, d, field.mul_arrays, x, s, scalar=True)
 
 
 def row_blocks(rows: int, cols: int, itemsize: int = 16) -> list[slice]:

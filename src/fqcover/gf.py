@@ -174,8 +174,10 @@ class Field:
         self._validate()
 
         self._char_matrix = None
-        # The point tables of F_q^d that fourier builds on first use, keyed
-        # by (d, table name); perfbench/child.py sums their bytes.
+        # The tables of F_q^d that incidence builds on first use, keyed by
+        # (d, name): "levels", "add" and "over" where q^d <= 128 at the
+        # default cap, "direction" on every space; perfbench/child.py sums
+        # their bytes.
         self._coords_cache: dict[tuple[int, str], np.ndarray] = {}
 
     # -- construction internals ---------------------------------------

@@ -878,6 +878,8 @@ def run_sharpness(spec: ExperimentSpec) -> RunReport:
     report = RunReport("sharpness", spec.echo(), field.descriptor())
     extras: dict = {}
     roster = structured_scalar_sets(field)
+    if not roster and field.n % 2:
+        raise BadSpecError(f"checked nothing: F_{q} has no structured set and no sqrt(q) subfield")
     _require_pair_budget(roster)
 
     if field.n % 2 == 0:
@@ -1024,10 +1026,14 @@ def _merge_geometry_outcomes(report: RunReport, outcomes, checks) -> tuple:
 def run_geometry(spec: ExperimentSpec) -> RunReport:
     """Run the point-set checks, all of them unless spec.checks names some.
     With spec.csv set, also write the nu profile of the sharpest case, with
-    the origin stripped, as CSV.  A space whose q^d arrays or q x q
+    the origin stripped, as CSV; the remainder check finds that case, so
+    without it spec.csv is refused.  A space whose q^d arrays or q x q
     character matrix pass the field layer's own caps is refused before
     anything is built."""
     _require_checks(spec, POINT_CHECKS)
+    checks = spec.checks or POINT_CHECKS
+    if spec.csv and "remainder" not in checks:
+        raise BadSpecError("--csv writes the sharpest remainder case: it needs that check")
     p, n, d = spec.p, spec.n, spec.d
     space = f"F_q^{d} for q = {p}^{n}"
     caps = f"the caps are {DEFAULT_SIZE_CAP} points and q <= {MUL_TABLE_MAX_Q}"
@@ -1043,7 +1049,6 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
                 f"and {16 * q * q} for the q x q character matrix; {caps}")
     field = get_field(p, n)
     report = RunReport("geometry", spec.echo(), field.descriptor())
-    checks = spec.checks or POINT_CHECKS
     q = field.q
     universe = q ** d
 

@@ -11,36 +11,36 @@ the hyperplane transform identity.
 
 The counts (nu, line counts, hyperplane sums, difference counts) are
 plain int64 arrays.  They take a `PointSet` that may be a stack of sets
-of any sizes, and give one result per set along leading axes.  Each has
-two regimes, chosen by whether `fourier` holds the point tables of F_q^d
-(q^d <= 128 at the default cap).  With them, a count is one or two exact
-integer contractions of the stack's membership bits with a fixed table:
-F = bits . Z0 for the hyperplane sums, Z0[x, m] = [x.m = 0]; the line
-counts bits . L, L[z, k] = #{t : t k = z}; the difference counts one
-gather of the bits through the add table; and nu(0) = sum_x E(x) F(x)
+of any sizes, and give one result per set along leading axes.  Only this
+module tests for the point tables of F_q^d (`_table`: q^d <= 128 at the
+default cap).  With them, nu, the hyperplane sums and the difference
+counts are exact integer contractions of the stack's membership bits,
+which carry no padding: F = bits . Z0, Z0[x, m] = [x.m = 0];
+D(m) = sum_y E(y) E(m + y) through the add table; nu(0) = sum_x E(x) F(x)
 and, by dilation, nu(t) = sum_x E(x) A1(x / t) for t != 0, where
-A1 = bits . Z1, Z1[x, m] = [x.m = 1], since x.y = t exactly when
-(x / t).y = 1.  Bits carry no padding.  Without the tables, each count
-pairs flat indices in `fourier.stack_blocks` blocks, with every set padded
-to the largest of the stack by copies of the origin, whose share each
-kernel takes off.  The read-outs of the remainder estimate, the hat
-identity and the second moment (`remainder_sides`, `remainder_verdicts`,
-`hat_identity_close`, `second_moment_sides`) work elementwise over
-leading axes too.  Their one caller, `harness._geometry_checks`, reads
-every set's verdicts off the counts of a stack; a single set is a stack
-of one.
+A1 = bits . Z1, Z1[x, m] = [x.m = 1].  Without them, nu and the
+difference counts count the pairs x.y and y - y' (`_pair_counts`) and the
+hyperplane sums pair every point with each set, in `fourier.stack_blocks`
+blocks, with every set padded to the largest of the stack by copies of
+the origin, whose share each kernel takes off.  The line counts read the
+direction of each point (`_directions`) on every space.  The read-outs of
+the remainder estimate, the hat identity and the second moment
+(`remainder_sides`, `remainder_verdicts`, `hat_identity_close`,
+`second_moment_sides`) work elementwise over leading axes too.  Their one
+caller, `harness._geometry_checks`, reads every set's verdicts off the
+counts of a stack; a single set is a stack of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
+from . import fourier
 from .fourier import (
-    _point_table,
     char_matrix,
     fourier_forward,
     point_add,
@@ -183,10 +183,53 @@ def _bit_rows(e: PointSet) -> np.ndarray:
     return e.bits.reshape(-1, e.bits.shape[-1]).view(np.uint8)
 
 
-def _contract(e: PointSet, table: np.ndarray) -> np.ndarray:
-    """sum_z E(z) table[z, k] per set of e, as int64 counts over k; exact in
-    uint8 while each count is below 256."""
-    return np.einsum("sz,zk->sk", _bit_rows(e), table).astype(np.int64).reshape(e.bits.shape)
+def _table(field: Field, d: int, name: str) -> np.ndarray | None:
+    """The point table `name` of F_q^d: the uint8 levels[x, j q^d + m] =
+    [x.m = j] for j = 0, 1, and the int64 add[x, y] = flat(x + y) and
+    over[x, t - 1] = flat(x / t).  None unless the q^d x q^d pair grid
+    fits one row block, tested on every call so that a patched cap takes
+    effect on a field that holds the tables.  All three are built on first
+    use and kept on the field."""
+    size = field.q ** d
+    if 16 * size * size > fourier.DENSE_BLOCK_BYTES:
+        return None
+    tables = field._coords_cache
+    if (d, name) not in tables:
+        flats = np.arange(size)
+        dots = point_dot(field, d, flats[:, None], flats)
+        tables[d, "levels"] = np.concatenate([dots == 0, dots == 1], axis=1).view(np.uint8)
+        tables[d, "add"] = point_add(field, d, flats[:, None], flats)
+        tables[d, "over"] = point_scale(field, d, flats[:, None], field.inv_table[1:])
+    return tables[d, name]
+
+
+def _directions(field: Field, d: int) -> np.ndarray:
+    """j[x] = flat(x / c) for every flat index x, c the last nonzero
+    coordinate of x: the point of the line through x and the origin whose
+    last nonzero coordinate is 1, so that j(s x) = j(x) for every unit s;
+    j[0] = 0.  Built on first use on every space, coordinate by coordinate,
+    and kept on the field."""
+    tables = field._coords_cache
+    if (d, "direction") not in tables:
+        flats = lead = np.arange(field.q ** d)
+        for _ in range(d - 1):
+            lead = np.where(lead >= field.q, lead // field.q, lead)
+        tables[d, "direction"] = point_scale(field, d, flats, field.inv_table[lead])
+    return tables[d, "direction"]
+
+
+def _pair_counts(e: PointSet, op, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per set of e, the int64 counts over range(width) of op(x, y) for the
+    ordered pairs (x, y) of its flat indices, padded up to e.count with the
+    origin, by one op and one bincount offset by width per `stack_blocks`
+    block; and the size of each set."""
+    flats, sizes = _flat_rows(e)
+    counts = np.zeros((len(flats), width), dtype=np.int64)
+    for sets, items in stack_blocks(len(flats), e.count, e.count):
+        keys = op(flats[sets, items, None], flats[sets, None, :])
+        keys += width * np.arange(len(keys))[:, None, None]
+        counts[sets] += np.bincount(keys.ravel(), minlength=len(keys) * width).reshape(-1, width)
+    return counts, sizes
 
 
 def nu_bruteforce(e: PointSet) -> np.ndarray:
@@ -194,14 +237,12 @@ def nu_bruteforce(e: PointSet) -> np.ndarray:
     counting all ordered pairs.  With the point tables, from the level sets
     of the dot table, per row block of sets: F and A1 in one contraction,
     nu(0) = sum_x E(x) F(x) and nu(t) = sum_x E(x) A1(x / t).  Without
-    them, by direct enumeration: one point_dot per block of (set, x) over
-    all y of the set, and one bincount offset by q per set of the block;
-    padding a k-set to K points adds K^2 - k^2 pairs at t = 0."""
+    them, by direct enumeration of the pairs x.y (`_pair_counts`); padding
+    a k-set to K points adds K^2 - k^2 pairs at t = 0."""
     field, q = e.field, e.field.q
-    levels = _point_table(field, e.d, "levels")
+    levels = _table(field, e.d, "levels")
     if levels is not None:
-        bits, size = _bit_rows(e), len(levels)
-        over = _point_table(field, e.d, "scale")[:, field.inv_table[1:]]  # flat(x / t)
+        bits, size, over = _bit_rows(e), len(levels), _table(field, e.d, "over")
         counts = np.empty((len(bits), q), dtype=np.int64)
         for sets in row_blocks(len(bits), size * q, itemsize=1):
             hyper = np.einsum("sx,xm->sm", bits[sets], levels)
@@ -210,12 +251,7 @@ def nu_bruteforce(e: PointSet) -> np.ndarray:
             counts[sets, 1:] = np.einsum("sx,sxt->st", bits[sets], hyper[:, size:][:, over],
                                          dtype=np.int16)
         return counts.reshape(e.bits.shape[:-1] + (q,))
-    flats, sizes = _flat_rows(e)
-    counts = np.zeros((len(flats), q), dtype=np.int64)
-    for sets, items in stack_blocks(len(flats), e.count, e.count):
-        dots = point_dot(field, e.d, flats[sets, items, None], flats[sets, None, :])
-        dots += q * np.arange(len(dots))[:, None, None]
-        counts[sets] += np.bincount(dots.ravel(), minlength=len(dots) * q).reshape(-1, q)
+    counts, sizes = _pair_counts(e, partial(point_dot, field, e.d), q)
     counts[:, 0] -= e.count ** 2 - sizes ** 2
     return counts.reshape(e.bits.shape[:-1] + (q,))
 
@@ -274,8 +310,9 @@ def nu(e: PointSet) -> np.ndarray:
     # q^{d+1} multiply-adds, measured at about 40 times cheaper each (table
     # in CHANGES.md).  Up to 300 points nu_spectral recounts by brute force.
     # A stack is judged by its largest set, to which both pad the others,
-    # except on spaces with point tables (q^d <= 128, so at most 128 points),
-    # where brute force contracts the unpadded bits in O(q^{2d}) per set.
+    # except on spaces with point tables (`_table`: q^d <= 128, so at most
+    # 128 points), where brute force contracts the unpadded bits in
+    # O(q^{2d}) per set and never pads.
     if e.count <= 300 or 40 * e.count ** 2 <= e.field.q ** (e.d + 1):
         return nu_bruteforce(e)
     return nu_spectral(e)
@@ -307,39 +344,38 @@ def remainder_verdicts(r: np.ndarray, bound) -> tuple[np.ndarray, np.ndarray, np
 
 def line_counts_all(e: PointSet) -> np.ndarray:
     """|E intersect l_k| for every flat index k simultaneously, per set of
-    a stack: one gather of the bits at the scaled flats {t k : t in F_q},
-    shared by the sets of a block.
+    a stack: E(0) plus the points of E without the origin in the direction
+    j(k) of k (`_directions`), from one bincount of the directions of the
+    points of a row block of sets.
 
-    Entry 0 is not a line count (it accumulates q copies of the origin
-    membership); callers must ignore it.  With the point tables, one
-    contraction of the bits with the line table instead.
+    Entry 0 is not a line count (it is q E(0), q copies of the origin
+    membership); callers must ignore it.
     """
-    field, d, q = e.field, e.d, e.field.q
-    lines = _point_table(field, d, "lines")
-    if lines is not None:
-        return _contract(e, lines)
-    bits = e.bits.reshape(-1, q ** d)
-    flats = np.arange(q ** d)
-    t = np.arange(q)
+    j = _directions(e.field, e.d)
+    size = len(j)
+    bits = e.bits.reshape(-1, size)
     counts = np.empty(bits.shape, dtype=np.int64)
-    scaled, items_at = None, None
-    for sets, items in stack_blocks(len(bits), q ** d, q):
-        if items != items_at:
-            scaled = point_scale(field, d, flats[items, None], t)
-            items_at = items
-        counts[sets, items] = bits[sets][:, scaled].sum(axis=2)
+    for sets in row_blocks(len(bits), size):
+        block = bits[sets]
+        rows, points = np.nonzero(block)
+        # hits[s, 0] is E(0): no point but the origin has direction 0.
+        hits = np.bincount(rows * size + j[points], minlength=block.size).reshape(-1, size)
+        counts[sets] = hits[:, j] + hits[:, :1]
+    counts[:, 0] = e.field.q * bits[:, 0]
     return counts.reshape(e.bits.shape)
 
 
 def hyperplane_sum(e: PointSet) -> np.ndarray:
     """F(m) = #{x in E : x.m = 0} as int64 counts over the flat indices m,
     per set of a stack; F(0) = |E|.  With the point tables, one
-    contraction of the bits with the level set x.m = 0; without them, the
-    origins that pad a set lie on every hyperplane."""
+    contraction of the bits with the level set x.m = 0, exact in uint8
+    since F(m) <= 128; without them, the origins that pad a set lie on
+    every hyperplane."""
     field, d = e.field, e.d
-    levels = _point_table(field, d, "levels")
+    levels = _table(field, d, "levels")
     if levels is not None:
-        return _contract(e, levels[:, :len(levels)])
+        hyper = np.einsum("sz,zm->sm", _bit_rows(e), levels[:, :len(levels)])
+        return hyper.astype(np.int64).reshape(e.bits.shape)
     (flats, sizes), points = _flat_rows(e), np.arange(field.q ** d)
     out = np.empty((len(flats), len(points)), dtype=np.int64)
     for sets, items in stack_blocks(len(flats), len(points), e.count):
@@ -353,25 +389,25 @@ def difference_counts(e: PointSet) -> np.ndarray:
     """D(m) = #{(y, y') in E x E : y - y' = m} as int64 counts over the flat
     indices m, per set of a stack: the sum over y' in E of E(m + y').
     D(0) = |E|.  With the point tables, the bits gathered through the add
-    table and contracted with the bits, per row block of sets; without
-    them, each origin that pads a set adds E(m) to D(m)."""
+    table and contracted with the bits, per row block of sets.  Without
+    them, the pairs y - y' (`_pair_counts`), less the padding's: the
+    K - k origins that pad a k-set add (K - k)(E(m) + E(-m)) to every
+    D(m), and (K - k)^2 more to D(0)."""
     field, d = e.field, e.d
-    add = _point_table(field, d, "add")
+    add = _table(field, d, "add")
     if add is not None:
         bits = _bit_rows(e)
         out = np.empty(bits.shape, dtype=np.int64)
         for sets in row_blocks(len(bits), add.size, itemsize=1):
             out[sets] = np.einsum("sy,smy->sm", bits[sets], bits[sets][:, add])
         return out.reshape(e.bits.shape)
-    (flats, sizes), points = _flat_rows(e), np.arange(field.q ** d)
-    bits = e.bits.reshape(len(flats), len(points))
-    out = np.empty(bits.shape, dtype=np.int64)
-    for sets, items in stack_blocks(len(flats), len(points), e.count):
-        shifted = point_add(field, d, points[items, None], flats[sets, None, :])
-        shifted += len(points) * np.arange(sets.start, sets.start + len(shifted))[:, None, None]
-        out[sets, items] = np.count_nonzero(bits.reshape(-1)[shifted], axis=2)
-    out -= (e.count - sizes)[:, None] * bits
-    return out.reshape(e.bits.shape)
+    size, minus = field.q ** d, field.neg_table[1]
+    counts, sizes = _pair_counts(
+        e, lambda x, y: point_add(field, d, x, point_scale(field, d, y, minus)), size)
+    pad, bits = (e.count - sizes)[:, None], e.bits.reshape(counts.shape)
+    counts -= pad * bits + pad * bits[:, point_scale(field, d, np.arange(size), minus)]
+    counts[:, 0] -= pad[:, 0] ** 2
+    return counts.reshape(e.bits.shape)
 
 
 def hat_identity_close(fhat: np.ndarray, line_counts: np.ndarray, size,

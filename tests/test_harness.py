@@ -1134,6 +1134,29 @@ def test_cli_geometry_csv(tmp_path):
     assert len(lines) == 6
 
 
+def test_cli_geometry_csv_needs_the_remainder_check(tmp_path, monkeypatch, capsys):
+    """Only the remainder check finds the sharpest case whose profile --csv
+    writes: without it the run is refused before a field is built."""
+    def build(*args):
+        raise AssertionError("a field was built")
+    monkeypatch.setattr(harness, "get_field", build)
+    csv_path, out = tmp_path / "nu.csv", tmp_path / "report.json"
+    assert cli.main(["geometry", "--p", "3", "--d", "2", "--checks", "cover",
+                     "--sizes", "9..9", "--samples", "1", "--csv", str(csv_path),
+                     "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "remainder" in captured.err
+    assert not csv_path.exists() and not out.exists()
+
+
+def test_cli_sharpness_on_f2_checked_nothing(capsys):
+    """F_2 has no structured family and no subfield of size sqrt(2), so a
+    sharpness run there would check nothing: it is refused, not reported ok."""
+    assert cli.main(["sharpness", "--p", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "checked nothing" in captured.err
+
+
 def test_cli_selftest_roster_covers_non_prime_fields():
     res = run_cli("selftest")
     assert res.returncode == 0

@@ -2,17 +2,19 @@
 
 Every blocked count is compared with a Python-integer oracle built from the
 scalar `field.add` and `field.mul`, with the byte cap patched down so that
-each kernel runs in many one-row blocks.  The kernels themselves are
-checked on both of their paths: from the point tables of spaces up to
-q^d = 128 at the default cap, and coordinate by coordinate above it or
-under the patched cap, with the field-array calls of each path counted.  q = 4, 5 and 9 cover the XOR,
+each kernel runs in many one-row blocks.  The kernels themselves work
+coordinate by coordinate on every space and under every cap, and keep no
+table; their field-array calls are counted.  q = 4, 5 and 9 cover the XOR,
 prime and add-table paths of `Field.add_arrays`.  Stacks of sets, some
 holding the origin, are checked set by set against the same oracles, and
 their geometry verdicts against the paper's inequalities in Python integers;
 stacks of sets of several sizes against the counts of each set alone.  On
-every space with point tables the counts are contractions of membership
-bits; there they are checked against the gather kernels, forced by a cap
-just below the tables, and against Python-integer counts.
+every space where `incidence` keeps point tables (q^d <= 128 at the default
+cap) nu, the hyperplane sums and the difference counts are contractions of
+membership bits; there they are checked against the pair kernels, forced by
+a cap just below the tables, and against Python-integer counts.  The line
+counts read the direction table on every space, which is checked against
+its defining properties on both sides of the cap.
 """
 
 import tracemalloc
@@ -97,17 +99,18 @@ def count_field_calls(monkeypatch, field):
 
 
 def tabled(field, d):
-    """Whether the point kernels of F_q^d are served from tables: the
-    q^d x q^d pair grid fits one row block."""
+    """Whether `incidence` counts on F_q^d from point tables: the q^d x q^d
+    pair grid fits one row block."""
     return len(row_blocks(field.q ** d, field.q ** d)) == 1
 
 
 def check_kernels_against_scalar_ops(monkeypatch, p, n, d):
     """point_dot, point_add and point_scale against the scalar field ops,
-    with the field-array calls of a second round counted: none from the
-    tables, d multiplications and d - 1 additions per dot product, d
-    additions per sum and d multiplications per scaling without them."""
+    with the field-array calls of a second round counted: d multiplications
+    and d - 1 additions per dot product, d additions per sum and d
+    multiplications per scaling.  Neither round adds a table to the field."""
     field = get_field(p, n)
+    cached = set(field._coords_cache)
     q = field.q
     x = random_flats(q, d, 12, 0)
     y = random_flats(q, d, 9, 1)
@@ -127,25 +130,21 @@ def check_kernels_against_scalar_ops(monkeypatch, p, n, d):
         assert dots[i].tolist() == [fdot(field, d, a, b) for b in y.tolist()]
         assert sums[i].tolist() == [translate(field, d, a, b) for b in y.tolist()]
         assert scaled[i].tolist() == [scale(field, d, t, a) for t in range(q)]
-    if tabled(field, d):
-        assert calls == {"add_arrays": 0, "mul_arrays": 0}
-        assert all(field._coords_cache[d, name].dtype == np.int64
-                   for name in ("dot", "add", "scale"))
-    else:
-        assert calls == {"add_arrays": 2 * d - 1, "mul_arrays": 2 * d}
+    assert calls == {"add_arrays": 2 * d - 1, "mul_arrays": 2 * d}
+    assert set(field._coords_cache) == cached
 
 
 @pytest.mark.parametrize("p,n,d", SPACES)
 def test_kernel_matches_scalar_field_ops(monkeypatch, p, n, d):
-    """At the default cap every space up to q^d = 128 uses its tables."""
-    assert tabled(get_field(p, n), d) == ((p, n, d) != (3, 2, 3))
+    """At the default cap the kernels work coordinate by coordinate, on the
+    spaces up to q^d = 128 where `incidence` keeps point tables too."""
     check_kernels_against_scalar_ops(monkeypatch, p, n, d)
 
 
 @pytest.mark.parametrize("p,n,d", SPACES)
 def test_kernel_matches_scalar_field_ops_in_one_row_blocks(one_row_blocks, monkeypatch,
                                                            p, n, d):
-    """Under a one-byte cap no space uses tables, even where they exist."""
+    """Under a one-byte cap no space has point tables."""
     assert not tabled(get_field(p, n), d)
     check_kernels_against_scalar_ops(monkeypatch, p, n, d)
 
@@ -178,10 +177,10 @@ def count_calls(monkeypatch, field, d, flats):
     blocks of its pair grid."""
     e = PointSet.from_flat(field, d, flats)
     grids = {nu_bruteforce: (e.count, e.count), hyperplane_sum: (field.q ** d, e.count),
-             line_counts_all: (field.q ** d, field.q)}
+             line_counts_all: (field.q ** d, field.q), difference_counts: (e.count, e.count)}
     out = {}
     for fn, (rows, cols) in grids.items():
-        fn(e)  # builds the field's point tables where it has them
+        fn(e)  # builds the field's point and direction tables
         with monkeypatch.context() as m:
             calls = count_field_calls(m, field)
             fn(e)
@@ -193,35 +192,58 @@ def count_calls(monkeypatch, field, d, flats):
                                    (2, 1, 7), (11, 1, 2), (2, 1, 8), (13, 1, 2)])
 def test_kernel_calls_do_not_grow_with_the_set(monkeypatch, p, n, d):
     """With the tables of F_4^3, F_9^2, F_2^7 and F_11^2 (q^d <= 128), no
-    field-array call at all; on F_9^3, F_2^8 and F_13^2, d multiplications
-    per row block, and d - 1 additions per block of dot products."""
+    field-array call at all.  On F_9^3, F_2^8 and F_13^2, per row block,
+    d multiplications and d - 1 additions for the dot products of nu and
+    the hyperplane sums, and d additions and d multiplications for the
+    differences, which also negate every point once.  The line counts read
+    the direction table and make no call on any space."""
     field = get_field(p, n)
     assert tabled(field, d) == (p ** (n * d) <= 128)
     for size in (5, 40):
         got = count_calls(monkeypatch, field, d, random_flats(field.q, d, size, 3))
         for name, (calls, blocks) in got.items():
-            if tabled(field, d):
+            if tabled(field, d) or name == "line_counts_all":
                 assert calls == {"add_arrays": 0, "mul_arrays": 0}, name
+            elif name == "difference_counts":
+                assert calls == {"add_arrays": d * blocks, "mul_arrays": d * blocks + d}, name
             else:
-                adds = 0 if name == "line_counts_all" else d - 1
-                assert calls == {"add_arrays": adds * blocks, "mul_arrays": d * blocks}, name
+                assert calls == {"add_arrays": (d - 1) * blocks, "mul_arrays": d * blocks}, name
 
 
 def test_patched_cap_leaves_the_tables_of_a_field(monkeypatch):
-    """A cap patched to 1 after F_9^2 has its tables sends every kernel back
-    to the per-coordinate path, with the same counts."""
+    """A cap patched to 1 after F_9^2 has its tables sends nu, the hyperplane
+    sums and the difference counts back to the pair kernels, with the same
+    counts; the line counts keep reading the direction table."""
     field = get_field(3, 2)
     flats = random_flats(9, 2, 20, 5)
     before = count_calls(monkeypatch, field, 2, flats)
-    assert (2, "dot") in field._coords_cache
+    assert (2, "levels") in field._coords_cache
     assert all(calls["mul_arrays"] == 0 for calls, _ in before.values())
     e = PointSet.from_flat(field, 2, flats)
-    want = [nu_bruteforce(e), hyperplane_sum(e), line_counts_all(e)]
+    kernels = (nu_bruteforce, hyperplane_sum, line_counts_all, difference_counts)
+    want = [fn(e) for fn in kernels]
     monkeypatch.setattr(fourier, "DENSE_BLOCK_BYTES", 1)
     for name, (calls, blocks) in count_calls(monkeypatch, field, 2, flats).items():
-        assert blocks > 1 and calls["mul_arrays"] == 2 * blocks, name
-    got = [nu_bruteforce(e), hyperplane_sum(e), line_counts_all(e)]
+        muls = {"line_counts_all": 0, "difference_counts": 2 * blocks + 2}.get(name, 2 * blocks)
+        assert blocks > 1 and calls["mul_arrays"] == muls, name
+    got = [fn(e) for fn in kernels]
     assert all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
+@pytest.mark.parametrize("p,n,d", [(2, 1, 7), (3, 2, 2), (13, 1, 2), (2, 1, 8)])
+def test_direction_table_names_each_line_once(p, n, d):
+    """j(c x) = j(x) for every unit c, j(j(x)) = j(x), and one value of j
+    per line through the origin, (q^d - 1)/(q - 1) of them, on F_2^7 and
+    F_9^2, which have point tables, and on F_13^2 and F_2^8, which do not."""
+    field = get_field(p, n)
+    q, size = field.q, field.q ** d
+    assert tabled(field, d) == (size <= 128)
+    j = incidence._directions(field, d).tolist()
+    assert j[0] == 0
+    for x in range(1, size):
+        assert {j[scale(field, d, c, x)] for c in range(1, q)} == {j[x]}
+        assert j[j[x]] == j[x]
+    assert len(set(j[1:])) == (size - 1) // (q - 1)
 
 
 @pytest.mark.parametrize("fn", [nu_bruteforce, hyperplane_sum, difference_counts])
@@ -292,14 +314,16 @@ def integer_counts(field, d, flats):
 @pytest.mark.parametrize("p,n,d", TABLE_SPACES)
 def test_table_counts_match_gather_kernels_and_integer_oracles(monkeypatch, p, n, d):
     """On every space with point tables, the four counts of a mixed stack
-    by contractions of its bits (no gather kernel is called), by the gather
-    kernels under a cap just below the tables, and per set in Python
-    integers agree array for array."""
+    from the tables (built first; then no point kernel is called), by the
+    pair and gather kernels under a cap just below the tables, and per set
+    in Python integers agree array for array."""
     field = get_field(p, n)
     size = field.q ** d
     assert tabled(field, d)
     e = table_stack(field, d)
     kernels = (nu_bruteforce, hyperplane_sum, line_counts_all, difference_counts)
+    for fn in kernels:
+        fn(e)  # builds the field's point and direction tables
     with monkeypatch.context() as m:
         for name in ("point_dot", "point_add", "point_scale"):
             m.setattr(incidence, name, None)
