@@ -13,9 +13,9 @@ included), 4 enumeration or memory budget exceeded.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from fractions import Fraction
 
 from .covering import BadEpsilonError
 from .gf import (
@@ -113,18 +113,30 @@ def _parse_args(argv: list[str]) -> tuple[str, argparse.Namespace]:
 def _spec_from_args(args: argparse.Namespace, **fixed) -> ExperimentSpec:
     """The spec of a run: the options the command took, the spec's
     defaults for the rest."""
-    given = {k: v for k, v in vars(args).items() if k in ExperimentSpec.__dataclass_fields__}
+    given = {k: v for k, v in vars(args).items() if k in ExperimentSpec.__slots__}
     spec = ExperimentSpec(**{**given, **fixed})
     spec.validate()
     return spec
 
 
+def _require_writable(path: str) -> None:
+    """Refuse an output path whose directory is missing or not writable,
+    before the run it would end."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise BadSpecError(f"cannot write {path}: {folder} is not a writable directory")
+
+
 def _emit(report, out_path: str | None, started: float) -> int:
     text = canonical_json(report.to_dict())
-    sys.stdout.write(text)
+    # The file first: a report that cannot be written leaves stdout empty.
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BadSpecError(f"cannot write {out_path}: {exc}") from exc
+    sys.stdout.write(text)
     elapsed = time.monotonic() - started
     stats = "".join(f" {k}={v}" for k, v in report.stats.items())
     print(f"[fqcover] {report.command}: status={report.status}{stats} "
@@ -136,9 +148,13 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     try:
         command, args = _parse_args(sys.argv[1:] if argv is None else argv)
+        for path in (args.out, vars(args).get("csv")):
+            if path:
+                _require_writable(path)
         if command == "selftest":
             report = run_selftest(_spec_from_args(args, p=2))
         elif command == "d-of-eps":
+            from fractions import Fraction  # loads decimal; only d-of-eps reads a rational
             try:
                 eps = Fraction(args.eps)
             except (ValueError, ZeroDivisionError) as exc:

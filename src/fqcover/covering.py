@@ -13,8 +13,6 @@ sit exactly at these boundaries and float powers misclassify them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 import numpy as np
 
@@ -128,17 +126,18 @@ def point_cover_threshold(e: PointSet):
     return e.sizes ** 2 > e.field.q ** (e.d + 1)
 
 
-@dataclass
 class CoverageVerdict:
     """Outcome of a coverage or lower-bound check, with the exact witness."""
 
-    set_size: int
-    covers_units: bool
-    missing: list[int]
-    threshold_met: bool | None
-    lhs: int
-    rhs: int
-    extras: dict = dc_field(default_factory=dict)
+    def __init__(self, set_size: int, covers_units: bool, missing: list[int],
+                 threshold_met: bool | None, lhs: int, rhs: int, extras: dict):
+        self.set_size = set_size
+        self.covers_units = covers_units
+        self.missing = missing
+        self.threshold_met = threshold_met
+        self.lhs = lhs
+        self.rhs = rhs
+        self.extras = extras
 
     def to_report_dict(self) -> dict:
         return {
@@ -338,13 +337,17 @@ def bilinear_cover(a_sets: list[PointSet], b_sets: list[PointSet]) -> CoverageVe
     )
 
 
-def d_for_epsilon(eps: Fraction) -> tuple[int, int]:
+def d_for_epsilon(eps) -> tuple[int, int]:
     """Exact rational ceilings: d for full coverage of the units and d for
-    a positive proportion, given |A| >= C q^{1/2 + eps}.
+    a positive proportion, given |A| >= C q^{1/2 + eps}, eps a Fraction or
+    anything `Fraction` reads.
 
     Coverage needs d = ceil(1/(2 eps)); a positive proportion needs
     d = ceil(1/2 + 1/(4 eps)).
     """
+    # Imported here: fractions loads decimal, and only d-of-eps reads a
+    # rational.
+    from fractions import Fraction
     eps = Fraction(eps)
     if not (0 < eps <= Fraction(1, 2)):
         raise BadEpsilonError(f"epsilon must lie in (0, 1/2], got {eps}")

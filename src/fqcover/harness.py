@@ -19,16 +19,25 @@ things make that work:
 
 Integers with absolute value >= 2^53 are serialized as decimal strings
 so the reports survive JSON readers that parse numbers as doubles.
+
+Each CLI run is a cold process, often without a bytecode cache, so this
+module loads at import only what a run of the main commands executes.
+The spec and the report are plain classes, not dataclasses, whose
+methods would be generated and compiled on every import.  `fractions`
+(which loads `decimal`) and `csv` are imported inside `run_d_of_eps` and
+the `--csv` branch of `run_geometry`, `sampling` where a run draws, and
+the process pool where one starts.
+
+Runs are refused before they start work they cannot finish: exhaustive
+enumeration past EXHAUSTIVE_BUDGET subsets, and structured and sampled
+sets whose per-set verdicts would form more than PAIR_BUDGET pairs.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
-from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 import numpy as np
 
@@ -77,9 +86,11 @@ from .incidence import (
 )
 
 EXHAUSTIVE_BUDGET = 10 ** 7
-# Products a*a' (the sum of |A|^2) that the structured sets of one run may
-# form.  The roster of GF(2^14) needs 3.7e8, that of GF(2^16) 6.1e9.
-STRUCTURED_PAIR_BUDGET = 10 ** 9
+# Pairs that the sets one run checks one at a time may form: the products
+# a*a' of its structured sets (the roster of GF(2^14) needs 3.7e8, that of
+# GF(2^16) 6.1e9), and a bound on the products and sums of its sampled sets
+# that take the per-set `cover_verdict` (sample-q4096 needs 3.4e8).
+PAIR_BUDGET = 10 ** 9
 # Candidate orbit representatives per verdict block of the cover-exhaustive
 # search.
 SUBSET_CHUNK = 2048
@@ -115,18 +126,24 @@ class BudgetExceededError(RuntimeError):
     pass
 
 
-@dataclass
 class ExperimentSpec:
-    p: int
-    n: int = 1
-    d: int = 2
-    mode: str = "sample"            # exhaustive | sample | structured
-    sizes: tuple[int, int] | None = None
-    samples: int = 100
-    seed: int = 0
-    checks: tuple[str, ...] = ()
-    workers: int = 1
-    csv: str | None = None
+    # The spec's fields, which the CLI fills from the options of a command.
+    __slots__ = ("p", "n", "d", "mode", "sizes", "samples", "seed", "checks", "workers", "csv")
+
+    def __init__(self, p: int, n: int = 1, d: int = 2,
+                 mode: str = "sample",  # exhaustive | sample | structured
+                 sizes: tuple[int, int] | None = None, samples: int = 100, seed: int = 0,
+                 checks: tuple[str, ...] = (), workers: int = 1, csv: str | None = None):
+        self.p = p
+        self.n = n
+        self.d = d
+        self.mode = mode
+        self.sizes = sizes
+        self.samples = samples
+        self.seed = seed
+        self.checks = checks
+        self.workers = workers
+        self.csv = csv
 
     def validate(self) -> None:
         if self.mode not in ("exhaustive", "sample", "structured"):
@@ -161,18 +178,18 @@ def _require_checks(spec: ExperimentSpec, allowed: tuple[str, ...]) -> None:
         raise BadSpecError(f"unknown checks {bad}: this command runs {', '.join(allowed)}")
 
 
-@dataclass
 class RunReport:
-    command: str
-    spec: dict
-    field: dict | None
-    tallies: dict = dc_field(default_factory=dict)
-    counterexamples: list = dc_field(default_factory=list)
-    extras: dict = dc_field(default_factory=dict)
-    status: str = "ok"
-    exit_code: int = EXIT_OK
-    # Counts of the work done, for the CLI's stderr line; never serialized.
-    stats: dict = dc_field(default_factory=dict)
+    def __init__(self, command: str, spec: dict, field: dict | None):
+        self.command = command
+        self.spec = spec
+        self.field = field
+        self.tallies: dict = {}
+        self.counterexamples: list = []
+        self.extras: dict = {}
+        self.status = "ok"
+        self.exit_code = EXIT_OK
+        # Counts of the work done, for the CLI's stderr line; never serialized.
+        self.stats: dict = {}
 
     def flag_counterexamples(self) -> None:
         if self.counterexamples:
@@ -270,14 +287,42 @@ def structured_scalar_sets(field: Field) -> list[tuple[str, PointSet]]:
     return out
 
 
-def _require_pair_budget(roster: list[tuple[str, PointSet]]) -> None:
-    """Refuse a structured roster whose product sets would take more than
-    STRUCTURED_PAIR_BUDGET products, before any is formed."""
-    pairs = sum(a.count ** 2 for _, a in roster)
-    if pairs > STRUCTURED_PAIR_BUDGET:
+def _verdict_pairs(q: int, k: int, d: int) -> int:
+    """An upper bound on the pairs `cover_verdict` forms for a k-set A in
+    F_q: its k^2 products, then m min(q, m^j) sums at sumset step j < d,
+    for m = min(k^2, q) >= |A*A|."""
+    m = min(k * k, q)
+    pairs, level = k * k, m
+    for j in range(1, d):
+        if level >= q or m <= 1:  # every later step pairs as many
+            return pairs + (d - j) * m * level
+        pairs += m * level
+        level = min(q, level * m)
+    return pairs
+
+
+def _sampled_pairs(field: Field, d: int, sizes: list[int], samples: int, chunk: int) -> int:
+    """The `_verdict_pairs` bound summed over the `samples` sets of each
+    size that `_covers`, given tasks of `chunk` sets, sends to the per-set
+    `cover_verdict`; the sum stops once it passes PAIR_BUDGET."""
+    pairs = 0
+    for k in sizes:
+        if pairs > PAIR_BUDGET:
+            break
+        if not dense_block_rows(field, k, d, min(samples, chunk)):
+            pairs += samples * _verdict_pairs(field.q, k, d)
+    return pairs
+
+
+def _require_pair_budget(roster: list[tuple[str, PointSet]], sampled: int = 0) -> None:
+    """Refuse a run whose structured sets need more than PAIR_BUDGET
+    products a*a' together with the `sampled` pairs of its sampled sets,
+    before any set is formed or drawn."""
+    pairs = sum(a.count ** 2 for _, a in roster) + sampled
+    if pairs > PAIR_BUDGET:
         raise BudgetExceededError(
-            f"the structured sets need {pairs} products, over the budget of "
-            f"{STRUCTURED_PAIR_BUDGET}")
+            f"the sets checked one at a time may form {pairs} or more products and "
+            f"sums, over the budget of {PAIR_BUDGET}")
 
 
 def structured_point_sets(field: Field, d: int, seed: int) -> list[tuple[str, PointSet]]:
@@ -834,12 +879,12 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     report = RunReport("cover-sample", spec.echo(), field.descriptor())
 
     roster = structured_scalar_sets(field) if spec.mode == "structured" else []
-    _require_pair_budget(roster)
-
     s_min = min_threshold_size(q, d)
     sizes = _scalar_sizes(spec, q, s_min)
+    chunk = 256
+    _require_pair_budget(roster, _sampled_pairs(field, d, sizes, spec.samples, chunk))
     report.tallies, failures = _scalar_tallies(
-        _campaign(_cover_task, spec, dict.fromkeys(sizes, spec.samples), 256), s_min)
+        _campaign(_cover_task, spec, dict.fromkeys(sizes, spec.samples), chunk), s_min)
 
     extras = {"threshold_min_size": s_min}
     if spec.mode == "structured":
@@ -1085,12 +1130,17 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
     report.counterexamples.sort(key=lambda c: (c["check"], str(c["case"])))
     report.flag_counterexamples()
     if spec.csv and worst[2]:
+        import csv  # only a --csv run writes one
         core = PointSet.from_flat(field, d, worst[3]).strip_origin()
-        with open(spec.csv, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t_index", "nu", "r_numerator"])
-            writer.writerows([t, c, q * c - core.count ** 2]
-                             for t, c in enumerate(nu_bruteforce(core).tolist()))
+        rows = [[t, c, q * c - core.count ** 2]
+                for t, c in enumerate(nu_bruteforce(core).tolist())]
+        try:
+            with open(spec.csv, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["t_index", "nu", "r_numerator"])
+                writer.writerows(rows)
+        except OSError as exc:
+            raise BadSpecError(f"cannot write {spec.csv}: {exc}") from exc
     return report
 
 
@@ -1098,7 +1148,9 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
 # d-of-eps
 # ----------------------------------------------------------------------
 
-def run_d_of_eps(eps: Fraction) -> RunReport:
+def run_d_of_eps(eps) -> RunReport:
+    """d-of-eps for eps a Fraction, or anything `Fraction` reads."""
+    from fractions import Fraction  # as in d_for_epsilon
     d_cover, d_proportion = d_for_epsilon(eps)
     report = RunReport("d-of-eps", {"eps": str(Fraction(eps))}, None)
     report.extras = {"d_cover": d_cover, "d_proportion": d_proportion}

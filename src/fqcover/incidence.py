@@ -34,7 +34,6 @@ counts of a stack; a single set is a stack of one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
 
 import numpy as np
@@ -60,7 +59,6 @@ class SpectralMismatchError(ArithmeticError):
     pass
 
 
-@dataclass(eq=False)
 class PointSet:
     """A subset of F_q^d as a dense membership array over flat indices, or
     a stack of subsets: `bits` then has leading stack axes, `sizes` holds
@@ -76,15 +74,11 @@ class PointSet:
     and equal bits.
     """
 
-    field: Field
-    d: int
-    bits: np.ndarray
-    count: int = dc_field(init=False)
-    sizes: int | np.ndarray = dc_field(init=False)
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=bool)
-        if self.bits.shape[-1:] != (self.field.q ** self.d,):
+    def __init__(self, field: Field, d: int, bits: np.ndarray):
+        self.field = field
+        self.d = d
+        self.bits = np.asarray(bits, dtype=bool)
+        if self.bits.shape[-1:] != (field.q ** d,):
             raise ValueError("bits must be a bool array of length q^d along its last axis")
         if self.bits.ndim == 1:
             self.count = self.sizes = int(np.count_nonzero(self.bits))

@@ -3,6 +3,7 @@ import concurrent.futures
 import itertools
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -853,7 +854,28 @@ def test_structured_roster_over_the_pair_budget_is_refused(capsys, command):
     assert code == 4
     assert elapsed < 1
     assert peak < 4 << 20
-    assert f"{harness.STRUCTURED_PAIR_BUDGET}" in capsys.readouterr().err
+    assert f"{harness.PAIR_BUDGET}" in capsys.readouterr().err
+
+
+def test_cli_cover_sample_refuses_per_set_verdicts_over_the_pair_budget(capsys):
+    # Three sampled 5000-sets of GF(2^18) take the per-set verdict, whose
+    # sumset step would pair about 2.6e5 x 2.6e5 elements; refused before
+    # the draw.
+    t0 = time.perf_counter()
+    code = cli.main(["cover-sample", "--p", "2", "--n", "18", "--d", "2",
+                     "--sizes", "5000..5000", "--samples", "3"])
+    assert code == 4 and time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{harness.PAIR_BUDGET}" in captured.err
+
+
+@pytest.mark.parametrize("q,d", [(7, 1), (7, 3), (13, 2), (7, 40), (4096, 2), (4096, 5),
+                                 (2 ** 18, 3)])
+def test_verdict_pairs_is_the_stated_bound(q, d):
+    for k in (0, 1, 2, 3, 10, 64, 513, q):
+        m = min(k * k, q)
+        assert harness._verdict_pairs(q, k, d) == k * k + m * sum(
+            min(q, m ** j) for j in range(1, d))
 
 
 def test_cover_exhaustive_refuses_no_threshold_size_before_the_scan(monkeypatch):
@@ -900,6 +922,28 @@ def test_cli_import_loads_no_process_pool():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def test_cli_runs_load_no_module_they_do_not_execute():
+    # Specs, reports, verdicts and point sets are plain classes, and
+    # fractions (which loads decimal) and csv are imported where d-of-eps
+    # and --csv use them, so neither the import nor a run of the gated
+    # commands loads these.
+    code = (
+        "import contextlib, io, sys, fqcover.cli, fqcover.harness\n"
+        "unused = ('dataclasses', 'fractions', 'decimal', 'csv', 'numpy.random', "
+        "'concurrent.futures')\n"
+        "print([m for m in unused if m in sys.modules])\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [fqcover.cli.main(argv.split()) for argv in (\n"
+        "        'cover-exhaustive --p 17 --d 2 --workers 2',\n"
+        "        'geometry --p 3 --n 2 --sizes 5..6 --samples 2')]\n"
+        "print(codes, [m for m in unused if m in sys.modules])\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n[0, 0] []\n"
 
 
 def test_campaign_tasks_span_sizes(monkeypatch):
@@ -1108,6 +1152,27 @@ def test_cli_refuses_checks_the_command_does_not_run(args, tmp_path, monkeypatch
     captured = capsys.readouterr()
     assert captured.out == "" and "checks" in captured.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["d-of-eps", "1/4", "--out"],
+    ["cover-exhaustive", "--p", "5", "--out"],
+    ["geometry", "--p", "3", "--sizes", "5..6", "--samples", "2", "--csv"],
+])
+@pytest.mark.parametrize("missing", [True, False])
+def test_cli_refuses_an_unwritable_output_path(args, missing, tmp_path, monkeypatch, capsys):
+    # A path in a missing directory is refused before any field is built;
+    # one that cannot be opened, here a directory, when it is written.
+    # Both are bad specs: exit 3, no traceback, nothing on stdout.
+    if missing:
+        def build(*args):
+            raise AssertionError("a field was built")
+        monkeypatch.setattr(harness, "get_field", build)
+    path = tmp_path / "missing" / "x" if missing else tmp_path
+    assert cli.main(args + [str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"bad spec: cannot write {path}" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_cover_exhaustive_writes_report(tmp_path):
