@@ -29,8 +29,10 @@ the `--csv` branch of `run_geometry`, `sampling` where a run draws, and
 the process pool where one starts.
 
 Runs are refused before they start work they cannot finish: exhaustive
-enumeration past EXHAUSTIVE_BUDGET subsets, and structured and sampled
-sets whose per-set verdicts would form more than PAIR_BUDGET pairs.
+enumeration past EXHAUSTIVE_BUDGET subsets and campaigns that would draw
+more than EXHAUSTIVE_BUDGET sets (the bilinear samples counted in), both
+before the field is built, and structured and sampled sets whose per-set
+verdicts would form more than PAIR_BUDGET pairs.
 """
 
 from __future__ import annotations
@@ -301,7 +303,7 @@ def _verdict_pairs(q: int, k: int, d: int) -> int:
     return pairs
 
 
-def _sampled_pairs(field: Field, d: int, sizes: list[int], samples: int, chunk: int) -> int:
+def _sampled_pairs(field: Field, d: int, sizes: range, samples: int, chunk: int) -> int:
     """The `_verdict_pairs` bound summed over the `samples` sets of each
     size that `_covers`, given tasks of `chunk` sets, sends to the per-set
     `cover_verdict`; the sum stops once it passes PAIR_BUDGET."""
@@ -387,7 +389,7 @@ def colex_unrank(universe: int, k: int, lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def require_budget(universe: int, sizes: list[int]) -> int:
+def require_budget(universe: int, sizes: range | list[int]) -> int:
     """The number of subsets of the given sizes, refused past the budget."""
     # Summed only until the budget is passed: over all the sizes of GF(4096),
     # the binomials alone take seconds.
@@ -399,6 +401,14 @@ def require_budget(universe: int, sizes: list[int]) -> int:
                 f"exhaustive enumeration needs at least {total} subsets, over the "
                 f"budget of {EXHAUSTIVE_BUDGET}")
     return total
+
+
+def _require_draw_budget(sets: int) -> None:
+    """Refuse a run that would draw more than EXHAUSTIVE_BUDGET sets, the
+    budget of enumerated subsets, before its tasks are packed."""
+    if sets > EXHAUSTIVE_BUDGET:
+        raise BudgetExceededError(
+            f"the run would draw {sets} sets, over the budget of {EXHAUSTIVE_BUDGET}")
 
 
 def _draw(mode: str, universe: int, segments, seed: int, tag: int) -> list[np.ndarray]:
@@ -713,44 +723,6 @@ def _scalar_tallies(results: list, s_min: int) -> tuple[dict, list]:
     return {str(s): tallies[s] for s in sorted(tallies)}, failures
 
 
-def _orbit_tallies(field: Field, d: int, sizes: list[int], results: list,
-                   s_min: int) -> tuple[dict, list]:
-    """The per-size tallies and the failures of every subset of F_q of the
-    given sizes, from per-size records of the orbit representatives: the
-    covering ones without 0 and with 0, and at a threshold size the failing
-    ones.
-
-    Coverage does not change under A -> cA for c != 0, and a k-set A with m
-    units has exactly m images cA that contain 1.  So the covering k-sets
-    without 0 number (q - 1)/k times the covering representatives without
-    0, and those with 0 (q - 1)/(k - 1) times those with 0.  The sets with
-    no unit, {} and {0}, cover nothing.  A failing set is in the orbit
-    {cB} of a failing representative B; each orbit is listed once.
-    """
-    q = field.q
-    covered = {s: [0, 0] for s in sizes}
-    reps = {u for u in ((), (0,)) if len(u) in covered and len(u) >= s_min}
-    for res in results:
-        for i, count in enumerate(res["covered"]):
-            covered[res["size"]][i] += count
-        reps.update(map(tuple, res["failing"]))
-    tallies = {}
-    for s in sizes:
-        total = 0
-        for count, units in zip(covered[s], (s, s - 1)):
-            if count:
-                sets, remainder = divmod((q - 1) * count, units)
-                if remainder:
-                    raise RuntimeError(f"orbit counts {covered[s]} of size {s} are not whole")
-                total += sets
-        tallies[str(s)] = {"checked": math.comb(q, s), "covered": total,
-                           "threshold": s >= s_min}
-    units = np.arange(1, q)[:, None]
-    orbits = {tuple(row) for rep in reps for row in np.sort(
-        field.mul_arrays(units, np.array(rep, dtype=np.int64)), axis=1).tolist()}
-    return tallies, [_oracle_failure(field, d, list(subset)) for subset in sorted(orbits)]
-
-
 def _scalar_order(spec: ExperimentSpec) -> int:
     """q = p^n for a scalar command, after the checks of `field_order`.  Its
     exact threshold powers |A|^(2d) <= q^(2d) are taken, and reported, as
@@ -764,25 +736,27 @@ def _scalar_order(spec: ExperimentSpec) -> int:
     return q
 
 
-def _clip_sizes(sizes: tuple[int, int], universe: int) -> list[int]:
+def _clip_sizes(sizes: tuple[int, int], universe: int) -> range:
     """An explicit size range clipped to 0..universe.  A range holding no
     size in 1..universe is refused, so a run cannot pass having checked
     nothing."""
     lo, hi = sizes
     if hi < 1 or lo > universe:
         raise BadSpecError(f"size range {lo}..{hi} holds no size in 1..{universe}")
-    return list(range(max(lo, 0), min(hi, universe) + 1))
+    return range(max(lo, 0), min(hi, universe) + 1)
 
 
-def _scalar_sizes(spec: ExperimentSpec, q: int, s_min: int) -> list[int]:
+def _scalar_sizes(spec: ExperimentSpec, q: int, s_min: int) -> range:
     """The sizes of A a cover command checks: spec.sizes clipped to 0..q,
     or every size from the threshold up."""
     if spec.sizes is None:
-        return list(range(min(s_min, q + 1), q + 1))
+        return range(min(s_min, q + 1), q + 1)
     return _clip_sizes(spec.sizes, q)
 
 
 def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
+    """Tally every subset of F_q of the sizes asked for from the kept
+    levels of `_noncovering_levels`, the sets that miss a unit."""
     # The budget is applied to q before any table of the field is built.
     q, d = _scalar_order(spec), spec.d
     s_min = min_threshold_size(q, d)
@@ -793,52 +767,50 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
     budget = require_budget(q, sizes)
     field = get_field(spec.p, spec.n)
     report = RunReport("cover-exhaustive", spec.echo(), field.descriptor())
-    # Without --sizes, the sizes below the threshold are scanned too, from
-    # s_min - 1 down for as long as they fit what is left of the budget.
-    scan: list[int] = []
-    if spec.sizes is None:
-        remaining = EXHAUSTIVE_BUDGET - budget
-        for s in range(s_min - 1, 0, -1):
-            remaining -= math.comb(q, s)
-            if remaining < 0:
-                break
-            scan.append(s)
-    def record(k: int, kept: list[np.ndarray]) -> dict:
-        # Of the representatives of size k, C(q - 2, k - 1) lack 0 and
-        # C(q - 2, k - 2) hold it; those not kept cover.
-        count = sum(map(len, kept))
-        with_zero = sum(int((rest[:, :1] == 0).sum()) for rest in kept)
-        return {"size": k, "covered": [
-            math.comb(q - 2, k - 1) - (count - with_zero),
-            (math.comb(q - 2, k - 2) if k > 1 else 0) - with_zero],
-            "failing": [row for rest in kept for row in _representatives(rest).tolist()]
-            if k >= s_min else []}
-
-    results = {k: record(k, []) for k in sizes + scan if k > 0}
-    # The search runs in this process at any --workers: a whole run's
+    # The sets that miss a unit, per size: {} and {0}, which hold none, and
+    # the orbits {cA : c != 0} of the kept representatives.  Failing sets
+    # are listed from the failing representatives at a threshold size.
+    first = max(sizes[0], s_min)
+    noncovering = {0: 1, 1: 1}
+    failing = [u for u in ([], [0]) if len(u) >= first]
+    # Without --sizes the search starts at size 1, for the sizes below the
+    # threshold.  It runs in this process at any --workers: a whole run's
     # verdicts take less time than a pool takes to start.
+    lo = 1 if spec.sizes is None else max(sizes[0], 1)
     verdicts = 0
-    for k, level, kept in _noncovering_levels(field, d, min(results), max(results)):
+    for k, level, kept in _noncovering_levels(field, d, lo, sizes[-1]):
         verdicts += level
-        if k in results:
-            results[k] = record(k, kept)
-    tallies, failures = _orbit_tallies(field, d, sizes + scan, results.values(), s_min)
-    report.tallies = {str(s): tallies[str(s)] for s in sizes}
-    report.counterexamples = sorted(failures, key=lambda c: (c["size"], c["subset"]))
+        # Coverage does not change under A -> cA, and a k-set with m units
+        # has m images cA that hold 1, so a representative stands for
+        # (q - 1)/m sets: m = k without 0, k - 1 with 0.
+        with_zero = sum(int((rest[:, :1] == 0).sum()) for rest in kept)
+        for reps, units in ((sum(map(len, kept)) - with_zero, k), (with_zero, k - 1)):
+            if reps:
+                sets, remainder = divmod((q - 1) * reps, units)
+                if remainder:
+                    raise RuntimeError(f"{reps} representatives of size {k} with "
+                                       f"{units} units are not whole orbits")
+                noncovering[k] = noncovering.get(k, 0) + sets
+        if k >= first:
+            failing += [row for rest in kept for row in _representatives(rest).tolist()]
+    report.tallies = {str(s): {"checked": math.comb(q, s),
+                               "covered": math.comb(q, s) - noncovering.get(s, 0),
+                               "threshold": s >= s_min} for s in sizes}
+    # Each orbit is listed once.
+    units = np.arange(1, q)[:, None]
+    orbits = {tuple(row) for rep in failing for row in np.sort(
+        field.mul_arrays(units, np.array(rep, dtype=np.int64)), axis=1).tolist()}
+    report.counterexamples = [_oracle_failure(field, d, list(subset))
+                              for subset in sorted(orbits, key=lambda s: (len(s), s))]
 
     extras = {"threshold_min_size": s_min, "budget": budget}
-    if spec.sizes is None and not failures:
+    if spec.sizes is None and not failing:
         # The smallest size from which up to the threshold every subset
-        # covers.  Reported, never asserted.
-        empirical = s_min
-        for s in scan:
-            if tallies[str(s)]["covered"] < tallies[str(s)]["checked"]:
-                break
-            empirical = s
-        extras["empirical_all_cover_min_size"] = empirical
-        # The lowest size the scan vouches for is that minimum itself; the
-        # key stays because it is part of the report.
-        extras["empirical_scan_floor"] = empirical
+        # covers: one past the largest size that holds a set missing a
+        # unit.  Reported, never asserted.  The floor key holds the same
+        # value; it stays because it is part of the report.
+        extras["empirical_all_cover_min_size"] = extras["empirical_scan_floor"] = \
+            max(noncovering) + 1
     report.extras = extras
     report.stats = {"verdicts": verdicts}
     report.flag_counterexamples()
@@ -873,14 +845,15 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     _require_checks(spec, ("bilinear",))
     if spec.mode == "sample" and spec.samples == 0:
         raise BadSpecError("sample mode with --samples 0 checks nothing")
-    _scalar_order(spec)
+    q, d = _scalar_order(spec), spec.d
+    s_min = min_threshold_size(q, d)
+    sizes = _scalar_sizes(spec, q, s_min)
+    # The bilinear check draws spec.samples more sets.
+    _require_draw_budget(spec.samples * (len(sizes) + ("bilinear" in spec.checks)))
     field = get_field(spec.p, spec.n)
-    q, d = field.q, spec.d
     report = RunReport("cover-sample", spec.echo(), field.descriptor())
 
     roster = structured_scalar_sets(field) if spec.mode == "structured" else []
-    s_min = min_threshold_size(q, d)
-    sizes = _scalar_sizes(spec, q, s_min)
     chunk = 256
     _require_pair_budget(roster, _sampled_pairs(field, d, sizes, spec.samples, chunk))
     report.tallies, failures = _scalar_tallies(
@@ -1082,7 +1055,7 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
     p, n, d = spec.p, spec.n, spec.d
     space = f"F_q^{d} for q = {p}^{n}"
     caps = f"the caps are {DEFAULT_SIZE_CAP} points and q <= {MUL_TABLE_MAX_Q}"
-    if p >= 2 and n >= 1:  # get_field refuses any other p and n
+    if p >= 2 and n >= 1:  # field_order refuses any other p and n
         # q >= p, q >= 2^n and q^d >= 2^d: a space this far over the caps
         # is refused before a power is taken.
         if max(n, d) >= DEFAULT_SIZE_CAP.bit_length() or p > DEFAULT_SIZE_CAP:
@@ -1092,24 +1065,25 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
             raise BudgetExceededError(
                 f"{space} needs {16 * q ** d} bytes per function on its q^d points "
                 f"and {16 * q * q} for the q x q character matrix; {caps}")
-    field = get_field(p, n)
-    report = RunReport("geometry", spec.echo(), field.descriptor())
-    q = field.q
+    q = field_order(p, n)
     universe = q ** d
 
     if spec.sizes is not None:
         sizes = _clip_sizes(spec.sizes, universe)
     elif spec.mode == "exhaustive":
         # From the least size with |E|^2 > q^{d+1}, the point cover threshold.
-        sizes = list(range(math.isqrt(q ** (d + 1)) + 1, universe + 1))
+        sizes = range(math.isqrt(q ** (d + 1)) + 1, universe + 1)
     else:
-        sizes = list(range(1, min(universe, 100) + 1))
+        sizes = range(1, min(universe, 100) + 1)
 
     if spec.mode == "exhaustive":
         require_budget(universe, sizes)
         totals = {s: math.comb(universe, s) for s in sizes}
     else:
+        _require_draw_budget(len(sizes) * spec.samples)
         totals = dict.fromkeys(sizes, spec.samples)
+    field = get_field(p, n)
+    report = RunReport("geometry", spec.echo(), field.descriptor())
     outcomes = _campaign(_geometry_task, spec, totals, 64, checks)
     if spec.mode == "structured":
         roster = structured_point_sets(field, d, spec.seed)

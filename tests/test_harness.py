@@ -373,6 +373,27 @@ def test_cover_exhaustive_scan_matches_the_per_set_oracle(p, n, d):
         assert extras["empirical_scan_floor"] == expect
 
 
+@pytest.mark.parametrize("p,d,verdicts", [(17, 2, 1009), (13, 3, 108)])
+def test_cover_exhaustive_verdict_count_is_pinned(p, d, verdicts):
+    # The search decides {1} and the children of the non-covering sets
+    # holding 1 at every size below the threshold and above; 1,009 is the
+    # README's figure for --p 17 --d 2.
+    report = run_cover_exhaustive(ExperimentSpec(p=p, d=d, mode="exhaustive"))
+    assert report.stats["verdicts"] == verdicts
+
+
+def test_empirical_minimum_does_not_depend_on_the_budget(monkeypatch):
+    # The threshold sizes 7..13 of F_13 hold 4,096 subsets.  With nothing
+    # left of the budget for the smaller sizes, the search still decides
+    # them: every subset of 5..13 covers at d = 2, and some 4-set does not.
+    expect = run_cover_exhaustive(ExperimentSpec(p=13, d=2, mode="exhaustive")).extras
+    monkeypatch.setattr(harness, "EXHAUSTIVE_BUDGET", 4096)
+    extras = run_cover_exhaustive(ExperimentSpec(p=13, d=2, mode="exhaustive")).extras
+    assert extras == expect
+    assert extras["budget"] == 4096 and extras["threshold_min_size"] == 7
+    assert extras["empirical_all_cover_min_size"] == extras["empirical_scan_floor"] == 5
+
+
 def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
     # With the threshold pretended down to size 1, sub-threshold sets that
     # miss a unit are reported as counterexamples, with the oracle's lists.
@@ -855,6 +876,33 @@ def test_structured_roster_over_the_pair_budget_is_refused(capsys, command):
     assert elapsed < 1
     assert peak < 4 << 20
     assert f"{harness.PAIR_BUDGET}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["geometry", "--p", "5", "--d", "2", "--samples", "10000000000"],
+    ["geometry", "--p", "5", "--d", "2", "--mode", "structured", "--sizes", "1..11",
+     "--samples", "1000000"],
+    ["cover-sample", "--p", "7", "--sizes", "1..7", "--samples", "2000000"],
+    # 6e6 sampled sets fit the budget; the bilinear samples take the run
+    # past it.
+    ["cover-sample", "--p", "7", "--sizes", "1..1", "--samples", "6000000",
+     "--checks", "bilinear"],
+])
+def test_sample_counts_over_the_budget_are_refused_before_the_field(monkeypatch, capsys,
+                                                                    args):
+    def refuse(*args):
+        raise AssertionError("the run went on")
+    monkeypatch.setattr(harness, "get_field", refuse)
+    monkeypatch.setattr(harness, "_campaign", refuse)
+    assert cli.main(args) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{harness.EXHAUSTIVE_BUDGET}" in captured.err
+
+
+def test_draw_budget_is_the_exhaustive_budget():
+    harness._require_draw_budget(harness.EXHAUSTIVE_BUDGET)
+    with pytest.raises(harness.BudgetExceededError, match="draw"):
+        harness._require_draw_budget(harness.EXHAUSTIVE_BUDGET + 1)
 
 
 def test_cli_cover_sample_refuses_per_set_verdicts_over_the_pair_budget(capsys):
