@@ -6,10 +6,8 @@ things make that work:
 
 * the RNG is Philox (counter-based): every sampled object gets its own
   stream keyed by (seed; sample index, size, purpose tag), so sharding
-  the sample indices over workers cannot change what is drawn.  The
-  campaigns draw their sets through `sampling.sample_rows`, which computes
-  the rows of numpy's Philox and `Generator.choice` bit for bit without
-  loading numpy.random;
+  the sample indices over workers cannot change what is drawn.  Every
+  draw is numpy's, computed by `sampling` without numpy.random;
 * the tasks, runs of consecutive (size, index) pairs, are dealt
   round-robin into one batch per worker, and the results are put back in
   task order and merged by addition / sorted concatenation, both
@@ -31,8 +29,9 @@ the process pool where one starts.
 Runs are refused before they start work they cannot finish: exhaustive
 enumeration past EXHAUSTIVE_BUDGET subsets and campaigns that would draw
 more than EXHAUSTIVE_BUDGET sets (the bilinear samples counted in), both
-before the field is built, and structured and sampled sets whose per-set
-verdicts would form more than PAIR_BUDGET pairs.
+before the field is built, and structured sets, sampled sets and
+bilinear samples whose per-set verdicts would form more than PAIR_BUDGET
+pairs.
 """
 
 from __future__ import annotations
@@ -91,7 +90,8 @@ EXHAUSTIVE_BUDGET = 10 ** 7
 # Pairs that the sets one run checks one at a time may form: the products
 # a*a' of its structured sets (the roster of GF(2^14) needs 3.7e8, that of
 # GF(2^16) 6.1e9), and a bound on the products and sums of its sampled sets
-# that take the per-set `cover_verdict` (sample-q4096 needs 3.4e8).
+# that take the per-set `cover_verdict` (sample-q4096 needs 3.4e8) and of its
+# bilinear samples.
 PAIR_BUDGET = 10 ** 9
 # Candidate orbit representatives per verdict block of the cover-exhaustive
 # search.
@@ -231,7 +231,7 @@ def canonical_json(obj) -> str:
 
 
 # ----------------------------------------------------------------------
-# RNG streams and sampling
+# Fields
 # ----------------------------------------------------------------------
 
 _FIELD_CACHE: dict[tuple[int, int], Field] = {}
@@ -243,18 +243,6 @@ def get_field(p: int, n: int) -> Field:
         f = make_field(p, n)
         _FIELD_CACHE[(p, n)] = f
     return f
-
-
-def stream(seed: int, index: int, size: int, tag: int) -> np.random.Generator:
-    """numpy's Philox stream for one sampled object, keyed by seed, with the
-    counter [index, size, tag, 0].  `selftest` and the bilinear check draw
-    from it; the campaigns draw the same sets through `sampling.sample_rows`."""
-    counter = np.array([index, size, tag, 0], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=seed, counter=counter))
-
-
-def sample_indices(rng: np.random.Generator, universe: int, size: int) -> np.ndarray:
-    return np.sort(rng.choice(universe, size=size, replace=False))
 
 
 # ----------------------------------------------------------------------
@@ -529,23 +517,24 @@ def _selftest_field(field: Field) -> dict:
     return results
 
 
-def _selftest_transforms(field: Field, d: int, seed: int) -> dict:
+def _selftest_transforms(field: Field, d: int, draws: np.ndarray) -> dict:
     q = field.q
     size = q ** d
     results = {}
-    rng = stream(seed, field.q, d, TAG_SELFTEST)
-
-    f = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    # The four bytes of a point's first draw are the real and imaginary
+    # parts of f and g there.
+    parts = (draws[:size, None] >> np.arange(0, 32, 8)) % 256 - 127.5
+    f, g = parts[:, 0] + 1j * parts[:, 1], parts[:, 2] + 1j * parts[:, 3]
     back = fourier_invert(field, d, fourier_forward(field, d, f))
     results["inversion_roundtrip"] = bool(
         float(np.max(np.abs(back - f))) <= 1e-9 * max(1.0, float(np.max(np.abs(f)))))
 
-    g = rng.standard_normal(size) + 1j * rng.standard_normal(size)
     lhs, rhs = plancherel_check(field, d, f, g)
     results["plancherel_random"] = bool(abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs)))
 
+    # The subset: the points of the least second draws.
     e_bits = np.zeros(size, dtype=bool)
-    e_bits[sample_indices(rng, size, max(1, min(size // 2, 48)))] = True
+    e_bits[np.argsort(draws[size:], kind="stable")[:max(1, min(size // 2, 48))]] = True
     lhs, rhs = plancherel_check(field, d, e_bits, e_bits)
     results["plancherel_indicator"] = bool(abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs)))
 
@@ -565,12 +554,18 @@ def run_selftest(spec: ExperimentSpec) -> RunReport:
     fields_meta = []
     failures = []
     passed = checked = 0
+    # Two draws per point of every space, from one stream in one call: a
+    # call costs about as much for one draw as for thousands.
+    from .sampling import Streams
+    sizes = [2 * p ** (n * d) for p, n in SELFTEST_ROSTER for d in (1, 2, 3)]
+    draws = iter(np.split(Streams(spec.seed, [(0, 0, TAG_SELFTEST)]).integers(
+        0, 1 << 32, sum(sizes))[0], np.cumsum(sizes)[:-1]))
     for p, n in SELFTEST_ROSTER:
         field = get_field(p, n)
         fields_meta.append(field.descriptor())
         results = _selftest_field(field)
         for d in (1, 2, 3):
-            for name, ok in _selftest_transforms(field, d, spec.seed).items():
+            for name, ok in _selftest_transforms(field, d, next(draws)).items():
                 results[f"{name}_d{d}"] = ok
         for name, ok in results.items():
             checked += 1
@@ -818,24 +813,26 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
 
 
 def _bilinear_campaign(field: Field, d: int, seed: int, samples: int) -> dict:
+    from .sampling import Streams
     covered_count = 0
     min_cover_ratio = None
     max_noncover_ratio = None
-    for i in range(samples):
-        rng = stream(seed, i, 0, TAG_BILINEAR)
-        a_sets, b_sets = [], []
-        for _ in range(2 * d):
-            size = int(rng.integers(1, field.q))
-            (a_sets if len(a_sets) < d else b_sets).append(
-                PointSet.from_flat(field, 1, sample_indices(rng, field.q, size)))
-        verdict = bilinear_cover(a_sets, b_sets)
-        ratio = verdict.extras["ratio"]
-        if verdict.covers_units:
-            covered_count += 1
-            if min_cover_ratio is None or ratio < min_cover_ratio:
-                min_cover_ratio = ratio
-        elif max_noncover_ratio is None or ratio > max_noncover_ratio:
-            max_noncover_ratio = ratio
+    # The samples are drawn in step, 2^16 / q at a time, to bound the draws'
+    # arrays.
+    chunk = max(1, (1 << 16) // field.q)
+    for lo in range(0, samples, chunk):
+        streams = Streams(seed, [(i, 0, TAG_BILINEAR) for i in range(lo, min(samples, lo + chunk))])
+        drawn = [streams.choice(field.q, streams.integers(1, field.q)[:, 0]) for _ in range(2 * d)]
+        for rows in zip(*drawn):
+            sets = [PointSet.from_flat(field, 1, row) for row in rows]
+            verdict = bilinear_cover(sets[:d], sets[d:])
+            ratio = verdict.extras["ratio"]
+            if verdict.covers_units:
+                covered_count += 1
+                if min_cover_ratio is None or ratio < min_cover_ratio:
+                    min_cover_ratio = ratio
+            elif max_noncover_ratio is None or ratio > max_noncover_ratio:
+                max_noncover_ratio = ratio
     return {"samples": samples, "covered": covered_count,
             "min_covering_ratio": min_cover_ratio,
             "max_noncovering_ratio": max_noncover_ratio}
@@ -848,14 +845,19 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     q, d = _scalar_order(spec), spec.d
     s_min = min_threshold_size(q, d)
     sizes = _scalar_sizes(spec, q, s_min)
-    # The bilinear check draws spec.samples more sets.
-    _require_draw_budget(spec.samples * (len(sizes) + ("bilinear" in spec.checks)))
+    # The bilinear check draws spec.samples more sets, and a sample forms at
+    # most d (q - 1)^2 products and (d - 1) q^2 sumset pairs.
+    bilinear = "bilinear" in spec.checks
+    _require_draw_budget(spec.samples * (len(sizes) + bilinear))
+    bilinear_pairs = bilinear * spec.samples * (d * (q - 1) ** 2 + (d - 1) * q * q)
+    _require_pair_budget([], bilinear_pairs)
     field = get_field(spec.p, spec.n)
     report = RunReport("cover-sample", spec.echo(), field.descriptor())
 
     roster = structured_scalar_sets(field) if spec.mode == "structured" else []
     chunk = 256
-    _require_pair_budget(roster, _sampled_pairs(field, d, sizes, spec.samples, chunk))
+    _require_pair_budget(
+        roster, bilinear_pairs + _sampled_pairs(field, d, sizes, spec.samples, chunk))
     report.tallies, failures = _scalar_tallies(
         _campaign(_cover_task, spec, dict.fromkeys(sizes, spec.samples), chunk), s_min)
 
@@ -869,7 +871,7 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
                 failures.append({"size": a.count, "structured": name,
                                  "missing": verdict.missing[:MISSING_REPORT_LIMIT]})
         extras["structured"] = structured
-    if "bilinear" in spec.checks:
+    if bilinear:
         extras["bilinear"] = _bilinear_campaign(field, d, spec.seed, spec.samples)
 
     if not (sum(t["checked"] for t in report.tallies.values())

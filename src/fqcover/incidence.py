@@ -20,15 +20,15 @@ D(m) = sum_y E(y) E(m + y) through the add table; nu(0) = sum_x E(x) F(x)
 and, by dilation, nu(t) = sum_x E(x) A1(x / t) for t != 0, where
 A1 = bits . Z1, Z1[x, m] = [x.m = 1].  Without them, nu and the
 difference counts count the pairs x.y and y - y' (`_pair_counts`) and the
-hyperplane sums pair every point with each set, in `fourier.stack_blocks`
-blocks, with every set padded to the largest of the stack by copies of
-the origin, whose share each kernel takes off.  The line counts read the
-direction of each point (`_directions`) on every space.  The read-outs of
-the remainder estimate, the hat identity and the second moment
-(`remainder_sides`, `remainder_verdicts`, `hat_identity_close`,
-`second_moment_sides`) work elementwise over leading axes too.  Their one
-caller, `harness._geometry_checks`, reads every set's verdicts off the
-counts of a stack; a single set is a stack of one.
+hyperplane sums pair each set with one point per line through the origin,
+in `fourier.stack_blocks` blocks, with every set padded to the largest of
+the stack by copies of the origin, whose share each kernel takes off.
+The line counts read the direction of each point (`_directions`) on every
+space.  The read-outs of the remainder estimate, the hat identity and the
+second moment (`remainder_sides`, `remainder_verdicts`,
+`hat_identity_close`, `second_moment_sides`) work elementwise over leading
+axes too.  Their one caller, `harness._geometry_checks`, reads every
+set's verdicts off the counts of a stack; a single set is a stack of one.
 """
 
 from __future__ import annotations
@@ -363,20 +363,22 @@ def hyperplane_sum(e: PointSet) -> np.ndarray:
     """F(m) = #{x in E : x.m = 0} as int64 counts over the flat indices m,
     per set of a stack; F(0) = |E|.  With the point tables, one
     contraction of the bits with the level set x.m = 0, exact in uint8
-    since F(m) <= 128; without them, the origins that pad a set lie on
-    every hyperplane."""
+    since F(m) <= 128.  Without them, each set is dotted only with the
+    origin and the fixed points of j = `_directions`, and F(m) = F(j(m));
+    the origins that pad a set lie on every hyperplane."""
     field, d = e.field, e.d
     levels = _table(field, d, "levels")
     if levels is not None:
         hyper = np.einsum("sz,zm->sm", _bit_rows(e), levels[:, :len(levels)])
         return hyper.astype(np.int64).reshape(e.bits.shape)
-    (flats, sizes), points = _flat_rows(e), np.arange(field.q ** d)
-    out = np.empty((len(flats), len(points)), dtype=np.int64)
-    for sets, items in stack_blocks(len(flats), len(points), e.count):
-        dots = point_dot(field, d, points[items, None], flats[sets, None, :])
+    (flats, sizes), j = _flat_rows(e), _directions(field, d)
+    lines = np.flatnonzero(j == np.arange(len(j)))
+    out = np.empty((len(flats), len(lines)), dtype=np.int64)
+    for sets, items in stack_blocks(len(flats), len(lines), e.count):
+        dots = point_dot(field, d, lines[items, None], flats[sets, None, :])
         out[sets, items] = np.count_nonzero(dots == 0, axis=2)
     out -= (e.count - sizes)[:, None]
-    return out.reshape(e.bits.shape)
+    return out[:, np.searchsorted(lines, j)].reshape(e.bits.shape)
 
 
 def difference_counts(e: PointSet) -> np.ndarray:

@@ -24,7 +24,7 @@ from fqcover.covering import (
     sumset_of_products,
 )
 from fqcover.fourier import fourier_forward, fourier_invert, plancherel_check
-from fqcover.harness import get_field, stream, structured_point_sets
+from fqcover.harness import get_field, structured_point_sets
 from fqcover.incidence import (
     PointSet,
     difference_counts,
@@ -38,6 +38,7 @@ from fqcover.incidence import (
     remainder_verdicts,
     second_moment_sides,
 )
+from numpy_oracle import stream
 
 ROSTER = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
           (2, 3), (3, 2), (13, 1), (2, 4), (5, 2)]

@@ -6,8 +6,8 @@ apart from a short allowlist: the scalar reference code that the tests
 build their oracles from, and two checks that open ROADMAP items put to
 use.  A helper that only tests reach is a second path to a result; the
 tests call what the package calls instead.  A private helper that nothing
-calls is left over from a deletion.  And no module imports a name it does
-not use.
+calls is left over from a deletion.  No module imports a name it does
+not use, and none loads numpy.random.
 """
 
 import ast
@@ -85,3 +85,22 @@ def test_every_public_name_has_a_caller_and_every_import_is_used():
         unused += [f"{path.name}:{line} {name}" for name, line in bound.items()
                    if name not in uses[path][0]]
     assert unused == []
+
+
+def test_no_module_loads_numpy_random():
+    # `sampling` draws every sampled value, so no module of the package
+    # imports numpy.random or refers to np.random.
+    found = []
+    for path in sorted((ROOT / "src" / "fqcover").glob("*.py")):
+        for n in ast.walk(_tree(path)):
+            if isinstance(n, ast.Import):
+                names = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                names = [f"{n.module}.{a.name}" for a in n.names]
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+                names = [f"{n.value.id}.{n.attr}"]
+            else:
+                continue
+            found += [f"{path.name}:{n.lineno} {name}" for name in names
+                      if name.split(".")[:2] in (["numpy", "random"], ["np", "random"])]
+    assert found == []

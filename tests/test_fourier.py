@@ -14,8 +14,9 @@ from fqcover.fourier import (
     fourier_invert,
     plancherel_check,
 )
-from fqcover.harness import get_field, stream
+from fqcover.harness import get_field
 from fqcover.incidence import PointSet, difference_counts
+from numpy_oracle import stream
 
 
 def delta(field, d, flat):

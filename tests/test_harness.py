@@ -42,12 +42,11 @@ from fqcover.harness import (
     run_geometry,
     run_selftest,
     run_sharpness,
-    sample_indices,
-    stream,
     structured_point_sets,
     structured_scalar_sets,
     get_field,
 )
+from numpy_oracle import sample_indices, stream
 
 
 def run_cli(*args):
@@ -155,13 +154,12 @@ def test_canonical_json_sorted_and_stable():
 # ---------------------------------------------------------------------------
 
 def test_streams_reproducible_and_disjoint():
-    a1 = stream(42, 3, 10, 1).integers(0, 1 << 30, size=4)
-    a2 = stream(42, 3, 10, 1).integers(0, 1 << 30, size=4)
-    b = stream(42, 4, 10, 1).integers(0, 1 << 30, size=4)
-    c = stream(43, 3, 10, 1).integers(0, 1 << 30, size=4)
-    assert a1.tolist() == a2.tolist()
-    assert a1.tolist() != b.tolist()
-    assert a1.tolist() != c.tolist()
+    def draw(seed, counter):
+        return sampling.Streams(seed, [counter]).integers(0, 1 << 30, 4).tolist()
+    a1, a2 = draw(42, (3, 10, 1)), draw(42, (3, 10, 1))
+    assert a1 == a2
+    assert a1 != draw(42, (4, 10, 1))
+    assert a1 != draw(43, (3, 10, 1))
 
 
 @pytest.mark.parametrize("index", [2 ** 53 + 1, 2 ** 63, 2 ** 64 - 1])
@@ -175,12 +173,7 @@ def test_stream_takes_counter_words_past_2_63_exactly(index):
 
 
 def _numpy_choice(seed, universe, counter, size):
-    """numpy's own draw, the oracle of `sample_rows`.  The counter goes in as
-    a uint64 array: numpy reads a list holding a word >= 2^63 through
-    float64."""
-    rng = np.random.Generator(np.random.Philox(
-        key=seed, counter=np.array([*counter, 0], dtype=np.uint64)))
-    return np.sort(rng.choice(universe, size, replace=False)).tolist()
+    return sample_indices(stream(seed, *counter), universe, size).tolist()
 
 
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
@@ -207,9 +200,9 @@ def test_sample_rows_match_numpy_through_rejections(monkeypatch):
     # draws are made again with more spare blocks.
     spares = []
 
-    def spy(*args):
-        spares.append(args[-1])
-        return bounded(*args)
+    def spy(*args, spare=1):
+        spares.append(spare)
+        return bounded(*args, spare=spare)
     bounded = sampling._bounded_draws
     monkeypatch.setattr(sampling, "_bounded_draws", spy)
     counters = [(i, 50000, 2) for i in range(3)]
@@ -223,6 +216,49 @@ def test_sample_rows_refuses_what_numpy_choice_would_draw_otherwise():
         sampling.sample_rows(0, 2 ** 32 + 1, [(0, 1, 1)], [1])
     with pytest.raises(ValueError):
         sampling.sample_rows(0, 9, [(0, 10, 1)], [10])
+
+
+def _numpy_bilinear_draws(seed, counter, q, sets):
+    """numpy's draws of the bilinear check on one stream: integers(1, q),
+    then a choice of that size, `sets` times."""
+    rng = stream(seed, *counter)
+    return [sample_indices(rng, q, int(rng.integers(1, q))).tolist() for _ in range(sets)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 27, 101, 4096, 12000, 65536])
+def test_streams_match_numpy_integers_between_choices(q):
+    # At q = 2 the integers take no output; past q = 10,000 most choices
+    # take the tail-shuffle branch, the others shuffle the set after
+    # Floyd's algorithm.  Word 0 of a counter carries into word 1, and all
+    # three words carry.
+    counters = [(0, 0, 3), (5, 0, 3), (2 ** 63, 0, 3), (2 ** 64 - 1, 0, 3), (2 ** 64 - 1,) * 3]
+    for seed in (0, 2 ** 64 - 1):
+        streams = sampling.Streams(seed, counters)
+        drawn = [streams.choice(q, streams.integers(1, q)[:, 0]) for _ in range(4)]
+        assert [list(rows) for rows in zip(*drawn)] == [
+            _numpy_bilinear_draws(seed, c, q, 4) for c in counters]
+
+
+def test_streams_match_numpy_after_a_rejection_retry(monkeypatch):
+    # The tail-shuffle draws of test_sample_rows_match_numpy_through_rejections,
+    # which reject past the spare block, and later draws on the same streams.
+    spares = []
+
+    def spy(*args, spare=1):
+        spares.append(spare)
+        return bounded(*args, spare=spare)
+    bounded = sampling._bounded_draws
+    monkeypatch.setattr(sampling, "_bounded_draws", spy)
+    counters = [(i, 50000, 2) for i in range(3)]
+    streams = sampling.Streams(12345, counters)
+    rows = streams.choice(2 ** 20, [50000] * 3)
+    after = streams.integers(0, 1 << 32, 3).tolist(), streams.choice(81, [40] * 3)
+    assert spares[:2] == [1, 8]
+    for k, counter in enumerate(counters):
+        rng = stream(12345, *counter)
+        assert rows[k] == sample_indices(rng, 2 ** 20, 50000).tolist()
+        assert after[0][k] == rng.integers(0, 1 << 32, 3).tolist()
+        assert after[1][k] == sample_indices(rng, 81, 40).tolist()
 
 
 @pytest.mark.parametrize("spec,tag,chunk", [
@@ -258,13 +294,10 @@ def test_structured_random_points_match_the_numpy_stream(p, n, d):
 
 
 def test_sampling_commands_leave_numpy_random_unloaded():
-    # Every roster spec of `geometry` in sample or structured mode, and of
-    # `cover-sample` without the bilinear check, in one fresh process: the
-    # reports keep their recorded digests, and numpy.random is never loaded.
-    entries = [e for e in json.loads((Path(__file__).parent / "report_digests.json")
-                                     .read_text())
-               if (e["argv"][0] == "geometry" and "exhaustive" not in e["argv"])
-               or (e["argv"][0] == "cover-sample" and "bilinear" not in e["argv"])]
+    # Every roster spec, `selftest` and the bilinear check included, in one
+    # fresh process: the reports keep their recorded digests, and
+    # numpy.random is never loaded.
+    entries = json.loads((Path(__file__).parent / "report_digests.json").read_text())
     code = """
 import contextlib, hashlib, io, json, os, sys, tempfile
 import fqcover.cli as cli
@@ -913,6 +946,20 @@ def test_cli_cover_sample_refuses_per_set_verdicts_over_the_pair_budget(capsys):
     code = cli.main(["cover-sample", "--p", "2", "--n", "18", "--d", "2",
                      "--sizes", "5000..5000", "--samples", "3"])
     assert code == 4 and time.perf_counter() - t0 < 5
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{harness.PAIR_BUDGET}" in captured.err
+
+
+def test_bilinear_samples_over_the_pair_budget_are_refused_before_the_field(monkeypatch,
+                                                                           capsys):
+    # 8e6 drawn sets fit the draw budget, but each bilinear sample of
+    # GF(2^12) may form 2 * 4095^2 products and 4096^2 sumset pairs.
+    def refuse(*args):
+        raise AssertionError("the run went on")
+    monkeypatch.setattr(harness, "get_field", refuse)
+    monkeypatch.setattr(harness, "_campaign", refuse)
+    assert cli.main(["cover-sample", "--p", "2", "--n", "12", "--sizes", "1..1",
+                     "--samples", "4000000", "--checks", "bilinear"]) == 4
     captured = capsys.readouterr()
     assert captured.out == "" and f"{harness.PAIR_BUDGET}" in captured.err
 

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from fqcover.fourier import flat_to_coords, fourier_forward
 from fqcover.gf import make_field
-from fqcover.harness import get_field, stream
+from fqcover.harness import get_field
 from fqcover.incidence import (
     PointSet,
     ZeroDirectionError,
@@ -20,6 +20,7 @@ from fqcover.incidence import (
     remainder_verdicts,
     second_moment_sides,
 )
+from numpy_oracle import stream
 
 
 def nu_oracle(field, d, flats):

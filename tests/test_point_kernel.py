@@ -38,7 +38,7 @@ from fqcover.fourier import (
     stack_blocks,
 )
 from fqcover.gf import is_prime
-from fqcover.harness import get_field, stream
+from fqcover.harness import get_field
 from fqcover.incidence import (
     PointSet,
     SpectralMismatchError,
@@ -49,6 +49,7 @@ from fqcover.incidence import (
     nu_bruteforce,
     nu_spectral,
 )
+from numpy_oracle import stream
 
 SPACES = [(2, 2, 2), (2, 2, 3), (5, 1, 2), (5, 1, 3), (3, 2, 2), (3, 2, 3)]
 
@@ -174,9 +175,11 @@ def test_blocked_counts_match_integer_oracles(one_row_blocks, p, n, d):
 
 def count_calls(monkeypatch, field, d, flats):
     """Per count of the set of flats, its field-array calls and the row
-    blocks of its pair grid."""
+    blocks of its pair grid: the hyperplane sums pair the set with the
+    origin and the (q^d - 1)/(q - 1) directions."""
     e = PointSet.from_flat(field, d, flats)
-    grids = {nu_bruteforce: (e.count, e.count), hyperplane_sum: (field.q ** d, e.count),
+    lines = 1 + (field.q ** d - 1) // (field.q - 1)
+    grids = {nu_bruteforce: (e.count, e.count), hyperplane_sum: (lines, e.count),
              line_counts_all: (field.q ** d, field.q), difference_counts: (e.count, e.count)}
     out = {}
     for fn, (rows, cols) in grids.items():
