@@ -9,9 +9,9 @@ things make that work:
   the sample indices over workers cannot change what is drawn.  Every
   draw is numpy's, computed by `sampling` without numpy.random;
 * the tasks, runs of consecutive (size, index) pairs, are dealt
-  round-robin into one batch per worker, and the results are put back in
-  task order and merged by addition / sorted concatenation, both
-  order-independent;
+  round-robin into one batch per worker, which draws them in sampler calls
+  of up to DRAW_CAP values; the results are put back in task order and
+  merged by addition / sorted concatenation, both order-independent;
 * wall-clock timing is printed to stderr by the CLI and never enters the
   JSON body.
 
@@ -96,6 +96,7 @@ PAIR_BUDGET = 10 ** 9
 # Candidate orbit representatives per verdict block of the cover-exhaustive
 # search.
 SUBSET_CHUNK = 2048
+DRAW_CAP = 1 << 16  # values one sampler call draws, unless one task alone holds more
 JSON_INT_LIMIT = 1 << 53
 # Bits of the largest threshold power q^(2d) a scalar command may take:
 # quick to compute, and under the 4300 digits (14,284 bits) that Python
@@ -399,27 +400,31 @@ def _require_draw_budget(sets: int) -> None:
             f"the run would draw {sets} sets, over the budget of {EXHAUSTIVE_BUDGET}")
 
 
-def _draw(mode: str, universe: int, segments, seed: int, tag: int) -> list[np.ndarray]:
-    """Per (size, lo, hi) segment, the size-`size` subsets of range(universe)
-    with indices lo..hi-1, one sorted subset per row of an int64 array:
-    colex ranks in exhaustive mode, otherwise one `sample_rows` call for all
-    the segments, with one Philox stream per (sample index, size, tag)."""
+def _draw(mode: str, universe: int, tasks, seed: int, tag: int):
+    """Per task in turn, per (size, lo, hi) segment, the size-`size` subsets
+    of range(universe) with indices lo..hi-1, one sorted subset per row of
+    an int64 array: colex ranks in exhaustive mode, otherwise one
+    `sample_rows` call per run of tasks, cut only where its values would
+    pass DRAW_CAP, on one Philox stream per (sample index, size, tag)."""
     if mode == "exhaustive":
-        return [colex_unrank(universe, size, lo, hi) for size, lo, hi in segments]
+        yield from ([colex_unrank(universe, *segment) for segment in task] for task in tasks)
+        return
     # Imported here, as the process pool is: a run that draws nothing does
     # not load the sampler.
     from .sampling import sample_rows
-    jobs = [(i, size, tag) for size, lo, hi in segments for i in range(lo, hi)]
-    rows = sample_rows(seed, universe, jobs, [size for _, size, _ in jobs])
-    out, at = [], 0
-    for size, lo, hi in segments:
-        out.append(np.array(rows[at:at + hi - lo], dtype=np.int64).reshape(hi - lo, size))
-        at += hi - lo
-    return out
-
-
-def _run_batch(worker, tasks: list) -> list:
-    return [worker(t) for t in tasks]
+    calls, held = [], 0
+    for task in tasks:
+        values = sum(size * (hi - lo) for size, lo, hi in task)
+        if not calls or held + values > DRAW_CAP:
+            calls.append([])
+            held = 0
+        calls[-1].append(task)
+        held += values
+    for call in calls:
+        jobs = [(i, size, tag) for task in call for size, lo, hi in task for i in range(lo, hi)]
+        rows = iter(sample_rows(seed, universe, jobs, [k for _, k, _ in jobs]))
+        for task in call:
+            yield [np.array([next(rows) for _ in range(lo, hi)], np.int64) for _, lo, hi in task]
 
 
 def _usable_cpus() -> int:
@@ -437,15 +442,13 @@ def _campaign(worker, spec: ExperimentSpec, totals: dict[int, int], chunk: int,
     ranks in exhaustive mode, otherwise sample indices.
 
     The (size, index) pairs of all sizes in order are cut into tasks of
-    `chunk` consecutive pairs, so a task may span sizes.  Each task is
-    (p, n, d, mode, seed, segments, *extra), segments being its (size, lo,
-    hi) index ranges in order; the worker returns a list of results per
-    task, and these come back concatenated in task order at any worker
-    count.  w is --workers, capped at the tasks and at the CPUs this
-    process may use.  With w > 1 workers, the tasks are dealt round-robin
-    into w batches and each worker runs one, so a run pays one round trip
-    per worker, not per task, and the sizes of a `geometry` run, whose
-    costs grow with the size, are spread evenly.
+    `chunk` consecutive pairs, each its (size, lo, hi) index ranges in
+    order, so a task may span sizes.  The tasks are dealt round-robin into
+    w batches, w being --workers capped at the tasks and at the CPUs this
+    process may use, so the sizes of a `geometry` run, whose costs grow
+    with the size, are spread evenly.  The worker runs once per batch (p,
+    n, d, mode, seed, tasks, *extra), inline or in a pool, and returns a
+    list of results per task; these come back concatenated in task order.
     """
     # Task i holds the pairs i*chunk .. (i+1)*chunk - 1; a size is cut where
     # its pairs cross a multiple of chunk.
@@ -456,20 +459,18 @@ def _campaign(worker, spec: ExperimentSpec, totals: dict[int, int], chunk: int,
         for lo, hi in zip(cuts, cuts[1:]):
             packed.setdefault((start + lo) // chunk, []).append((s, lo, hi))
         start += total
-    tasks = [(spec.p, spec.n, spec.d, spec.mode, spec.seed, segments, *extra)
-             for segments in packed.values()]
-    w = min(spec.workers, len(tasks), _usable_cpus())
-    if w <= 1:
-        out = _run_batch(worker, tasks)
+    tasks = list(packed.values())
+    w = max(1, min(spec.workers, len(tasks), _usable_cpus()))
+    batches = [(spec.p, spec.n, spec.d, spec.mode, spec.seed, tasks[i::w], *extra)
+               for i in range(w)]
+    if w == 1:
+        results = [worker(batches[0])]
     else:
         # Imported here: a run that starts no pool does not load multiprocessing.
         from concurrent.futures import ProcessPoolExecutor
-        out = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=w) as pool:
-            for i, batch in enumerate(pool.map(_run_batch, [worker] * w,
-                                               [tasks[i::w] for i in range(w)])):
-                out[i::w] = batch
-    return [res for results in out for res in results]
+            results = list(pool.map(worker, batches))
+    return [res for i in range(len(tasks)) for res in results[i % w][i // w]]
 
 
 # ----------------------------------------------------------------------
@@ -605,18 +606,18 @@ def _oracle_failure(field: Field, d: int, subset: list) -> dict:
             "missing": verdict.missing[:MISSING_REPORT_LIMIT]}
 
 
-def _cover_task(task) -> list[dict]:
-    """One result per (size, lo, hi) segment of a `_campaign` task."""
-    p, n, d, mode, seed, segments = task
+def _cover_task(batch) -> list[list[dict]]:
+    """Per task of a `_campaign` batch, one result per (size, lo, hi) segment."""
+    p, n, d, mode, seed, tasks = batch
     field = get_field(p, n)
-    out = []
-    for (size, lo, hi), subsets in zip(segments, _draw(mode, field.q, segments, seed, TAG_COVER)):
-        covers = _covers(field, d, subsets)
-        failing = np.flatnonzero(~covers & (size >= min_threshold_size(field.q, d)))
-        failures = [{**_oracle_failure(field, d, subsets[i].tolist()), "sample_index": lo + i}
-                    for i in failing.tolist()]
-        out.append({"size": size, "checked": hi - lo, "covered": int(covers.sum()),
-                    "failures": failures})
+    out = [[] for _ in tasks]
+    for results, task, drawn in zip(out, tasks, _draw(mode, field.q, tasks, seed, TAG_COVER)):
+        for (size, lo, hi), subsets in zip(task, drawn):
+            covers = _covers(field, d, subsets)
+            failing = np.flatnonzero(~covers & (size >= min_threshold_size(field.q, d)))
+            results.append({"size": size, "checked": hi - lo, "covered": int(covers.sum()),
+                            "failures": [{**_oracle_failure(field, d, subsets[i].tolist()),
+                                          "sample_index": lo + i} for i in failing.tolist()]})
     return out
 
 
@@ -817,9 +818,9 @@ def _bilinear_campaign(field: Field, d: int, seed: int, samples: int) -> dict:
     covered_count = 0
     min_cover_ratio = None
     max_noncover_ratio = None
-    # The samples are drawn in step, 2^16 / q at a time, to bound the draws'
-    # arrays.
-    chunk = max(1, (1 << 16) // field.q)
+    # The samples are drawn in step, DRAW_CAP / q at a time, to bound the
+    # draws' arrays.
+    chunk = max(1, DRAW_CAP // field.q)
     for lo in range(0, samples, chunk):
         streams = Streams(seed, [(i, 0, TAG_BILINEAR) for i in range(lo, min(samples, lo + chunk))])
         drawn = [streams.choice(field.q, streams.integers(1, field.q)[:, 0]) for _ in range(2 * d)]
@@ -1001,23 +1002,21 @@ def _stacked_checks(field: Field, d: int, bits: np.ndarray, checks) -> list[dict
             for res in _geometry_checks(field, d, PointSet(field, d, bits[rows]), checks)]
 
 
-def _geometry_task(task) -> list[dict]:
-    p, n, d, mode, seed, segments, checks = task
+def _geometry_task(batch) -> list[list[dict]]:
+    p, n, d, mode, seed, tasks, checks = batch
     field = get_field(p, n)
-    drawn = [(size, i, flats)
-             for (size, lo, _), rows in zip(segments, _draw(mode, field.q ** d, segments,
-                                                            seed, TAG_POINTS))
-             for i, flats in enumerate(rows, lo)]
-    bits = np.zeros((len(drawn), field.q ** d), dtype=bool)
-    for row, (_, _, flats) in zip(bits, drawn):
-        row[flats] = True
-    outcomes = _stacked_checks(field, d, bits, checks)
-    for res, (size, i, flats) in zip(outcomes, drawn):
-        res["size"] = size
-        res["name"] = (f"size{size}_colex{tuple(flats.tolist())}" if mode == "exhaustive"
-                       else f"size{size}#{i}")
-        res["flats"] = flats
-    return outcomes
+    out = []
+    for task, drawn in zip(tasks, _draw(mode, field.q ** d, tasks, seed, TAG_POINTS)):
+        bits = np.zeros((sum(map(len, drawn)), field.q ** d), dtype=bool)
+        for rows, at in zip(drawn, np.cumsum([0, *map(len, drawn)])):  # sets of one size
+            bits[np.arange(at, at + len(rows))[:, None], rows] = True
+        out.append(_stacked_checks(field, d, bits, checks))
+        outcomes = iter(out[-1])
+        for (size, lo, _), rows in zip(task, drawn):
+            for i, flats in enumerate(rows, lo):
+                name = f"_colex{tuple(flats.tolist())}" if mode == "exhaustive" else f"#{i}"
+                next(outcomes).update(size=size, name=f"size{size}{name}", flats=flats)
+    return out
 
 
 def _merge_geometry_outcomes(report: RunReport, outcomes, checks) -> tuple:

@@ -160,6 +160,6 @@ class Streams:
 
 
 def sample_rows(seed: int, universe: int, counters, sizes) -> list[list[int]]:
-    """The sets of the campaigns, one call per task: the sorted choice of
-    sizes[k] values on the stream of counters[k], for row k."""
+    """The sets of the campaigns, one call per run of tasks: the sorted
+    choice of sizes[k] values on the stream of counters[k], for row k."""
     return Streams(seed, counters).choice(universe, sizes, shuffle=False)

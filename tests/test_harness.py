@@ -261,21 +261,29 @@ def test_streams_match_numpy_after_a_rejection_retry(monkeypatch):
         assert after[1][k] == sample_indices(rng, 81, 40).tolist()
 
 
+def _tasks_of(batch):
+    """A `_campaign` worker whose result per task is the task itself."""
+    return [[task] for task in batch[5]]
+
+
 @pytest.mark.parametrize("spec,tag,chunk", [
     (ExperimentSpec(p=3, n=2, d=2, sizes=(28, 60), samples=5), harness.TAG_POINTS, 64),
     (ExperimentSpec(p=101, d=2, sizes=(33, 40), samples=40), harness.TAG_COVER, 256),
     (ExperimentSpec(p=2, n=12, d=2, sizes=(513, 516), samples=5), harness.TAG_COVER, 256),
 ])
-def test_campaign_draws_match_the_per_stream_draws(spec, tag, chunk):
+def test_campaign_draws_match_the_per_stream_draws(spec, tag, chunk, monkeypatch):
     # The rows of every task of the geometry-q9 and cover-sample campaigns,
-    # one sample_rows call per task, against one numpy stream per set.
+    # drawn for the whole batch in one sample_rows call, then in one call
+    # per task under a cap of one value, against one numpy stream per set.
     universe = spec.p ** (spec.n * (spec.d if tag == harness.TAG_POINTS else 1))
     totals = dict.fromkeys(range(spec.sizes[0], spec.sizes[1] + 1), spec.samples)
-    tasks = harness._campaign(lambda task: [task[5]], spec, totals, chunk)
-    for seed in range(20):
-        for segments in tasks:
-            drawn = harness._draw("sample", universe, segments, seed, tag)
-            assert [rows.tolist() for rows in drawn] == [
+    tasks = harness._campaign(_tasks_of, spec, totals, chunk)
+    for cap, seed in itertools.product((harness.DRAW_CAP, 1), range(20)):
+        monkeypatch.setattr(harness, "DRAW_CAP", cap)
+        drawn = list(harness._draw("sample", universe, tasks, seed, tag))
+        assert len(drawn) == len(tasks)
+        for segments, rows_of in zip(tasks, drawn):
+            assert [rows.tolist() for rows in rows_of] == [
                 [sample_indices(stream(seed, i, size, tag), universe, size).tolist()
                  for i in range(lo, hi)] for size, lo, hi in segments]
 
@@ -1045,14 +1053,14 @@ def test_campaign_tasks_span_sizes(monkeypatch):
     # geometry-q9's 165 sets (sizes 28..60, 5 samples each) are cut into
     # tasks of 64 consecutive sets, so its checks run on three stacks.
     spec = ExperimentSpec(p=3, n=2, d=2, mode="sample", sizes=(28, 60), samples=5)
-    tasks = harness._campaign(lambda task: [task[5]], spec, dict.fromkeys(range(28, 61), 5), 64)
+    tasks = harness._campaign(_tasks_of, spec, dict.fromkeys(range(28, 61), 5), 64)
     assert [sum(hi - lo for _, lo, hi in segments) for segments in tasks] == [64, 64, 37]
     assert tasks[0][-1] == (40, 0, 4) and tasks[1][0] == (40, 4, 5)
     assert [(s, i) for segments in tasks for s, lo, hi in segments for i in range(lo, hi)] == [
         (s, i) for s in range(28, 61) for i in range(5)]
     for totals, chunk in [({1: 0, 2: 3, 3: 0, 4: 130, 5: 1}, 64), ({2: 3, 4: 2}, 1),
                           ({1: 64, 2: 64}, 64), ({1: 0}, 8)]:
-        tasks = harness._campaign(lambda task: [task[5]], spec, totals, chunk)
+        tasks = harness._campaign(_tasks_of, spec, totals, chunk)
         assert all(lo < hi for segments in tasks for _, lo, hi in segments)
         lengths = [sum(hi - lo for _, lo, hi in segments) for segments in tasks]
         assert lengths == [chunk] * (len(tasks) - 1) + lengths[-1:] and lengths[-1:] <= [chunk]
@@ -1067,6 +1075,46 @@ def test_campaign_tasks_span_sizes(monkeypatch):
     assert [len(s) for s in stacks] == [64, 64, 37]
     assert stacks[0][:6] == [28] * 5 + [29] and stacks[2][-1] == 60
     assert report.tallies["cover"] == {"checked": 165, "passed": 165}
+
+
+def _count_sample_rows(monkeypatch) -> list:
+    """Patch `sampling.sample_rows` to log the sets of each call."""
+    calls = []
+
+    def spy(seed, universe, counters, sizes):
+        calls.append(len(sizes))
+        return draw(seed, universe, counters, sizes)
+    draw = sampling.sample_rows
+    monkeypatch.setattr(sampling, "sample_rows", spy)
+    return calls
+
+
+def test_geometry_q9_draws_its_sets_in_one_sampler_call(monkeypatch, tmp_path):
+    # The 165 sets of its three tasks, 7,260 values, are under DRAW_CAP.
+    calls = _count_sample_rows(monkeypatch)
+    out = tmp_path / "report.json"
+    assert cli.main(["geometry", "--p", "3", "--n", "2", "--sizes", "28..60", "--samples", "5",
+                     "--workers", "1", "--out", str(out)]) == 0
+    assert calls == [165]
+
+
+def test_campaign_draws_split_at_the_cap_with_identical_reports(monkeypatch):
+    # geometry-q9's tasks hold 2170, 2989 and 2101 values.  A call takes the
+    # next task unless that would pass the cap; a task over it is drawn
+    # alone.  The reports stay byte-identical at every cap and worker count.
+    spec = ExperimentSpec(p=3, n=2, d=2, mode="sample", sizes=(28, 60), samples=5)
+    single = canonical_json(run_geometry(spec).to_dict())
+    calls = _count_sample_rows(monkeypatch)
+    for cap, sets in [(7260, [165]), (7259, [128, 37]), (5158, [64, 101]),
+                      (5089, [64, 64, 37]), (1, [64, 64, 37])]:
+        monkeypatch.setattr(harness, "DRAW_CAP", cap)
+        calls.clear()
+        assert canonical_json(run_geometry(spec).to_dict()) == single
+        assert calls == sets
+    monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
+    for workers in (2, 3):
+        spec.workers = workers
+        assert canonical_json(run_geometry(spec).to_dict()) == single
 
 
 def test_cover_sample_refuses_zero_samples_before_building_the_field(monkeypatch, capsys):
