@@ -13,12 +13,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from fqcover.harness import (
-    ExperimentSpec,
-    canonical_json,
-    run_cover_exhaustive,
-    run_geometry,
-)
+from fqcover.geometry import run_geometry
+from fqcover.harness import ExperimentSpec, canonical_json
+from fqcover.scalar import run_cover_exhaustive
 
 ROSTER = [(3, 1, 2), (2, 2, 2), (5, 1, 2), (7, 1, 2), (2, 3, 2), (3, 2, 2), (3, 1, 3)]
 

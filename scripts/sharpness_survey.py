@@ -15,7 +15,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from fqcover.harness import ExperimentSpec, canonical_json, run_sharpness
+from fqcover.harness import ExperimentSpec, canonical_json
+from fqcover.scalar import run_sharpness
 
 FIELDS = [(2, 2), (3, 2), (2, 4), (5, 2), (7, 2), (2, 6)]
 

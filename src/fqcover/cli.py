@@ -18,6 +18,7 @@ import sys
 import time
 
 from .covering import BadEpsilonError
+from .geometry import run_geometry
 from .gf import (
     DegreeOutOfRangeError,
     FieldTooLargeError,
@@ -30,13 +31,9 @@ from .harness import (
     BudgetExceededError,
     ExperimentSpec,
     canonical_json,
-    run_cover_exhaustive,
-    run_cover_sample,
-    run_d_of_eps,
-    run_geometry,
-    run_selftest,
-    run_sharpness,
 )
+from .scalar import run_cover_exhaustive, run_cover_sample, run_d_of_eps, run_sharpness
+from .selftest import run_selftest
 
 
 def _parse_sizes(text: str) -> tuple[int, int]:

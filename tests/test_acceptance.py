@@ -24,7 +24,8 @@ from fqcover.covering import (
     sumset_of_products,
 )
 from fqcover.fourier import fourier_forward, fourier_invert, plancherel_check
-from fqcover.harness import get_field, structured_point_sets
+from fqcover.geometry import structured_point_sets
+from fqcover.harness import get_field
 from fqcover.incidence import (
     PointSet,
     difference_counts,

@@ -7,11 +7,13 @@ build their oracles from, and two checks that open ROADMAP items put to
 use.  A helper that only tests reach is a second path to a result; the
 tests call what the package calls instead.  A private helper that nothing
 calls is left over from a deletion.  No module imports a name it does
-not use, and none loads numpy.random.
+not use, and none loads numpy.random.  No module takes more than
+COMPILE_PEAK_BYTES to compile.
 """
 
 import ast
 import pathlib
+import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 # The package modules but `__init__`, whose imports are re-exports.
@@ -27,6 +29,12 @@ UNCALLED_ALLOWLIST = {
     "gf.Field.chi",
     "covering.positive_proportion_check", "covering.dot_product_set",
 }
+
+# Every cold CLI run without a bytecode cache compiles each module from
+# source, and the largest compile peak raises the run's peak RSS.  Under
+# CPython 3.11 the largest are scalar (1.27 MB) and incidence (1.22 MB);
+# harness took 3.56 MB while it held the commands.
+COMPILE_PEAK_BYTES = 3 << 19  # 1.5 MB
 
 
 def _tree(path):
@@ -104,3 +112,16 @@ def test_no_module_loads_numpy_random():
             found += [f"{path.name}:{n.lineno} {name}" for name in names
                       if name.split(".")[:2] in (["numpy", "random"], ["np", "random"])]
     assert found == []
+
+
+def test_no_module_compiles_past_the_peak_limit():
+    peaks = {}
+    for path in sorted((ROOT / "src" / "fqcover").glob("*.py")):
+        source = path.read_text()
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert {name: peak for name, peak in peaks.items() if peak > COMPILE_PEAK_BYTES} == {}

@@ -30,8 +30,9 @@ from fqcover.covering import (
     sqrt_subfield,
     sumset_of_products,
 )
-from fqcover.harness import SUBSET_CHUNK, get_field
+from fqcover.harness import get_field
 from fqcover.incidence import PointSet, line_counts_all
+from fqcover.scalar import SUBSET_CHUNK
 from numpy_oracle import stream
 
 

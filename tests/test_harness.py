@@ -18,9 +18,12 @@ import pytest
 
 import fqcover.cli as cli
 import fqcover.covering as covering
+import fqcover.geometry as geometry
 import fqcover.harness as harness
 import fqcover.incidence as incidence
 import fqcover.sampling as sampling
+import fqcover.scalar as scalar
+import fqcover.selftest as selftest
 from fqcover.covering import (
     cover_verdict,
     covers_units,
@@ -29,29 +32,39 @@ from fqcover.covering import (
 )
 from fqcover.incidence import PointSet, line_counts_all, nu_bruteforce
 
+from fqcover.geometry import run_geometry, structured_point_sets
 from fqcover.harness import (
     BadSpecError,
     BudgetExceededError,
     ExperimentSpec,
     canonical_json,
     colex_unrank,
+    get_field,
     require_budget,
+)
+from fqcover.scalar import (
     run_cover_exhaustive,
     run_cover_sample,
     run_d_of_eps,
-    run_geometry,
-    run_selftest,
     run_sharpness,
-    structured_point_sets,
     structured_scalar_sets,
-    get_field,
 )
+from fqcover.selftest import run_selftest
 from numpy_oracle import sample_indices, stream
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "fqcover", *args],
                           capture_output=True, text=True)
+
+
+def _patch_commands(monkeypatch, name, value):
+    """Set `name` to `value` in every command module that imports it, the
+    modules whose code looks it up."""
+    found = [m for m in (selftest, scalar, geometry) if hasattr(m, name)]
+    assert found, name
+    for module in found:
+        monkeypatch.setattr(module, name, value)
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +451,9 @@ def test_empirical_minimum_does_not_depend_on_the_budget(monkeypatch):
 def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
     # With the threshold pretended down to size 1, sub-threshold sets that
     # miss a unit are reported as counterexamples, with the oracle's lists.
-    monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
+    monkeypatch.setattr(scalar, "min_threshold_size", lambda q, d: 1)
     calls = {"block": 0, "per_set": 0}
-    block, per_set = harness.covers_units_block, harness.cover_verdict
+    block, per_set = scalar.covers_units_block, scalar.cover_verdict
 
     def counted_block(*args):
         calls["block"] += 1
@@ -450,8 +463,8 @@ def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
         calls["per_set"] += 1
         return per_set(*args)
 
-    monkeypatch.setattr(harness, "covers_units_block", counted_block)
-    monkeypatch.setattr(harness, "cover_verdict", counted_per_set)
+    monkeypatch.setattr(scalar, "covers_units_block", counted_block)
+    monkeypatch.setattr(scalar, "cover_verdict", counted_per_set)
     field = get_field(7, 1)
     report = run_cover_exhaustive(ExperimentSpec(p=7, d=2, mode="exhaustive", sizes=(1, 7)))
     expect = []
@@ -487,15 +500,15 @@ def _check_search(p, n, d, monkeypatch, lo=0):
     verdicts = {a: cover_verdict(PointSet.from_flat(field, 1, a), d)
                 for k in range(q + 1) for a in itertools.combinations(range(q), k)}
     rows = {k: [] for k in range(q + 1)}
-    covers = harness._covers
+    covers = scalar._covers
 
     def counted(field, d, subsets):
-        assert 0 < len(subsets) <= harness.SUBSET_CHUNK
+        assert 0 < len(subsets) <= scalar.SUBSET_CHUNK
         assert (subsets == 1).any(axis=1).all()
         rows[subsets.shape[1]] += (tuple(sorted(a)) for a in subsets.tolist())
         return covers(field, d, subsets)
 
-    monkeypatch.setattr(harness, "_covers", counted)
+    monkeypatch.setattr(scalar, "_covers", counted)
     report = run_cover_exhaustive(ExperimentSpec(p=p, n=n, d=d, mode="exhaustive",
                                                  sizes=(lo, q)))
     reps = {k: [a for a in verdicts if len(a) == k and 1 in a] for k in range(q + 1)}
@@ -514,7 +527,7 @@ def _check_search(p, n, d, monkeypatch, lo=0):
             expect = []
         assert sorted(rows[k]) == sorted(expect), k
     assert sum(map(len, rows.values())) <= 2 * sum(len(reps[k]) for k in range(first, q + 1))
-    s_min = harness.min_threshold_size(q, d)
+    s_min = scalar.min_threshold_size(q, d)
     assert report.tallies == {str(k): {
         "checked": math.comb(q, k),
         "covered": sum(v.covers_units for a, v in verdicts.items() if len(a) == k),
@@ -543,9 +556,9 @@ def test_cover_exhaustive_search_splits_levels_across_blocks(p, threshold, lo, m
     # searching all of sizes 1..8 would decide more sets than the 794
     # representatives of sizes 9..13: the search stops after size 5, and
     # every representative of size 9 is decided.
-    monkeypatch.setattr(harness, "SUBSET_CHUNK", 7)
+    monkeypatch.setattr(scalar, "SUBSET_CHUNK", 7)
     if threshold:
-        monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: threshold)
+        monkeypatch.setattr(scalar, "min_threshold_size", lambda q, d: threshold)
     rows, report = _check_search(p, 1, 1, monkeypatch, lo)
     assert max(len(r) for r in rows.values()) > 20 * 7
     assert report.status == ("counterexample" if threshold else "ok")
@@ -566,7 +579,7 @@ def test_run_cover_sample_counterexamples_from_samples_and_structured_sets(monke
     # sampled one.  Sampled entries carry their sample index; at one size,
     # structured entries come first.
     monkeypatch.setattr(covering, "scalar_cover_threshold", lambda a, d: True)
-    monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
+    monkeypatch.setattr(scalar, "min_threshold_size", lambda q, d: 1)
     field = get_field(3, 2)
     report = run_cover_sample(ExperimentSpec(p=3, n=2, d=2, mode="structured",
                                              sizes=(1, 9), samples=3, seed=1))
@@ -594,7 +607,7 @@ def test_run_cover_sample_counterexamples_from_samples_and_structured_sets(monke
 def test_run_sharpness_counterexamples(monkeypatch):
     # The subfield is reported when it covers, and every non-covering
     # family when it is taken as above the threshold.
-    monkeypatch.setattr(harness, "covers_units", lambda s: (True, []))
+    monkeypatch.setattr(scalar, "covers_units", lambda s: (True, []))
     monkeypatch.setattr(covering, "scalar_cover_threshold", lambda a, d: True)
     field = get_field(3, 2)
     report = run_sharpness(ExperimentSpec(p=3, n=2, d=2, mode="structured"))
@@ -609,8 +622,8 @@ def test_run_sharpness_counterexamples(monkeypatch):
 def test_run_geometry_counterexamples(monkeypatch):
     # The cover check runs below the point threshold, and second_moment
     # is made to fail everywhere, so both kinds of entry are reported.
-    monkeypatch.setattr(harness, "point_cover_threshold", lambda e: e.sizes >= 0)
-    monkeypatch.setattr(harness, "second_moment_sides",
+    monkeypatch.setattr(geometry, "point_cover_threshold", lambda e: e.sizes >= 0)
+    monkeypatch.setattr(geometry, "second_moment_sides",
                         lambda counts, size, max_line, q, d: (size + 1, size))
     field = get_field(5, 1)
     report = run_geometry(ExperimentSpec(p=5, d=2, mode="sample", sizes=(2, 10), samples=2,
@@ -633,7 +646,7 @@ def test_run_geometry_counterexamples(monkeypatch):
 
 def test_run_cover_exhaustive_small_sets_in_a_large_field_stay_per_set():
     field = get_field(2, 12)
-    assert dense_block_rows(field, 1, 2, harness.SUBSET_CHUNK) == 0
+    assert dense_block_rows(field, 1, 2, scalar.SUBSET_CHUNK) == 0
     report = run_cover_exhaustive(ExperimentSpec(p=2, n=12, d=2, mode="exhaustive",
                                                  sizes=(1, 1)))
     assert report.tallies == {"1": {"checked": 4096, "covered": 0, "threshold": False}}
@@ -718,9 +731,9 @@ def test_geometry_check_counts_nu_and_lines_once_per_set(monkeypatch):
     field = get_field(3, 2)
     for i in range(3):
         e = PointSet.from_flat(field, 2, stream(5, i, 40, 0).choice(81, 40, replace=False))
-        out = harness._geometry_checks(field, 2, PointSet(field, 2, e.bits[None]),
-                                       harness.POINT_CHECKS)[0]
-        assert set(harness.POINT_CHECKS) <= set(out)
+        out = geometry._geometry_checks(field, 2, PointSet(field, 2, e.bits[None]),
+                                        geometry.POINT_CHECKS)[0]
+        assert set(geometry.POINT_CHECKS) <= set(out)
         assert calls == {"nu": i + 1, "line_counts_all": i + 1}
 
 
@@ -729,15 +742,15 @@ def test_geometry_max_line_is_that_of_each_core(monkeypatch):
     # for a set with the origin; M is the largest count over the lines only.
     seen = {}
     for name, pos in (("second_moment_sides", 2), ("dot_set_lower_bound_sides", 1)):
-        def record(*args, real=getattr(harness, name), name=name, pos=pos):
+        def record(*args, real=getattr(geometry, name), name=name, pos=pos):
             seen[name] = args[pos].tolist()
             return real(*args)
-        monkeypatch.setattr(harness, name, record)
+        monkeypatch.setattr(geometry, name, record)
     field, q, k = get_field(5, 1), 5, 6
     rows = [sorted(([0] if i % 2 == 0 else []) + stream(3, i, k, 0).choice(
         range(1, q ** 2), k - (i % 2 == 0), replace=False).tolist()) for i in range(8)]
-    harness._geometry_checks(field, 2, PointSet.from_flat(field, 2, rows),
-                             harness.POINT_CHECKS)
+    geometry._geometry_checks(field, 2, PointSet.from_flat(field, 2, rows),
+                              geometry.POINT_CHECKS)
     expect = [int(line_counts_all(PointSet.from_flat(field, 2, r).strip_origin())[1:].max())
               for r in rows]
     assert max(expect[::2]) < q - 1
@@ -887,7 +900,7 @@ def test_cover_sample_below_threshold_runs_when_it_checks_sets(extra, checked):
 def test_geometry_refuses_an_oversized_space_before_allocating(monkeypatch, capsys, d):
     def build(*args):
         raise AssertionError("a field was built")
-    monkeypatch.setattr(harness, "get_field", build)
+    _patch_commands(monkeypatch, "get_field", build)
     tracemalloc.start()
     try:
         code = cli.main(["geometry", "--p", "2", "--n", "20", "--d", d])
@@ -916,7 +929,7 @@ def test_structured_roster_over_the_pair_budget_is_refused(capsys, command):
     assert code == 4
     assert elapsed < 1
     assert peak < 4 << 20
-    assert f"{harness.PAIR_BUDGET}" in capsys.readouterr().err
+    assert f"{scalar.PAIR_BUDGET}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -933,8 +946,8 @@ def test_sample_counts_over_the_budget_are_refused_before_the_field(monkeypatch,
                                                                     args):
     def refuse(*args):
         raise AssertionError("the run went on")
-    monkeypatch.setattr(harness, "get_field", refuse)
-    monkeypatch.setattr(harness, "_campaign", refuse)
+    _patch_commands(monkeypatch, "get_field", refuse)
+    _patch_commands(monkeypatch, "_campaign", refuse)
     assert cli.main(args) == 4
     captured = capsys.readouterr()
     assert captured.out == "" and f"{harness.EXHAUSTIVE_BUDGET}" in captured.err
@@ -955,7 +968,7 @@ def test_cli_cover_sample_refuses_per_set_verdicts_over_the_pair_budget(capsys):
                      "--sizes", "5000..5000", "--samples", "3"])
     assert code == 4 and time.perf_counter() - t0 < 5
     captured = capsys.readouterr()
-    assert captured.out == "" and f"{harness.PAIR_BUDGET}" in captured.err
+    assert captured.out == "" and f"{scalar.PAIR_BUDGET}" in captured.err
 
 
 def test_bilinear_samples_over_the_pair_budget_are_refused_before_the_field(monkeypatch,
@@ -964,12 +977,12 @@ def test_bilinear_samples_over_the_pair_budget_are_refused_before_the_field(monk
     # GF(2^12) may form 2 * 4095^2 products and 4096^2 sumset pairs.
     def refuse(*args):
         raise AssertionError("the run went on")
-    monkeypatch.setattr(harness, "get_field", refuse)
-    monkeypatch.setattr(harness, "_campaign", refuse)
+    _patch_commands(monkeypatch, "get_field", refuse)
+    _patch_commands(monkeypatch, "_campaign", refuse)
     assert cli.main(["cover-sample", "--p", "2", "--n", "12", "--sizes", "1..1",
                      "--samples", "4000000", "--checks", "bilinear"]) == 4
     captured = capsys.readouterr()
-    assert captured.out == "" and f"{harness.PAIR_BUDGET}" in captured.err
+    assert captured.out == "" and f"{scalar.PAIR_BUDGET}" in captured.err
 
 
 @pytest.mark.parametrize("q,d", [(7, 1), (7, 3), (13, 2), (7, 40), (4096, 2), (4096, 5),
@@ -977,14 +990,14 @@ def test_bilinear_samples_over_the_pair_budget_are_refused_before_the_field(monk
 def test_verdict_pairs_is_the_stated_bound(q, d):
     for k in (0, 1, 2, 3, 10, 64, 513, q):
         m = min(k * k, q)
-        assert harness._verdict_pairs(q, k, d) == k * k + m * sum(
+        assert scalar._verdict_pairs(q, k, d) == k * k + m * sum(
             min(q, m ** j) for j in range(1, d))
 
 
 def test_cover_exhaustive_refuses_no_threshold_size_before_the_scan(monkeypatch):
     def scan(*args):
         raise AssertionError("the empirical scan ran")
-    monkeypatch.setattr(harness, "_covers", scan)
+    monkeypatch.setattr(scalar, "_covers", scan)
     with pytest.raises(BadSpecError, match="threshold"):
         run_cover_exhaustive(ExperimentSpec(p=5, d=1, mode="exhaustive"))
 
@@ -1006,7 +1019,7 @@ def test_cover_exhaustive_search_peak_memory():
 def test_cover_exhaustive_starts_no_pool(monkeypatch):
     def pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
-    monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
+    monkeypatch.setattr(scalar, "min_threshold_size", lambda q, d: 1)
     spec = ExperimentSpec(p=13, d=2, mode="exhaustive", sizes=(1, 13))
     single = canonical_json(run_cover_exhaustive(spec).to_dict())
     # `_campaign` imports the pool class where it starts a pool.
@@ -1019,12 +1032,26 @@ def test_cover_exhaustive_starts_no_pool(monkeypatch):
 def test_cli_import_loads_no_process_pool():
     # `_campaign` imports the pool where it starts one, so a run that starts
     # none does not pay for multiprocessing; nor does a run that draws
-    # nothing load the sampler.
-    code = ("import sys, fqcover.cli; print(sorted(m for m in sys.modules if m in "
-            "('concurrent.futures.process', 'multiprocessing', 'fqcover.sampling')))")
+    # nothing load the sampler.  The command modules load with the CLI, so
+    # that no run compiles one inside its timed part; `harness` loads none.
+    commands = ("selftest", "scalar", "geometry")
+    code = ("import sys, fqcover.harness\n"
+            f"commands = {tuple(f'fqcover.{m}' for m in commands)}\n"
+            "print([m for m in commands if m in sys.modules])\n"
+            "import fqcover.cli\n"
+            "print([m for m in commands if m not in sys.modules])\n"
+            "print(sorted(m for m in sys.modules if m in "
+            "('concurrent.futures.process', 'multiprocessing', 'fqcover.sampling')))\n")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout == "[]\n"
+    assert res.stdout == "[]\n[]\n[]\n"
+    # The dependency goes one way: no import in `harness`, at module level
+    # or inside a function, names a command module.
+    tree = ast.parse(Path(harness.__file__).read_text())
+    named = {f"{n.module or ''}.{a.name}".strip(".") for n in ast.walk(tree)
+             if isinstance(n, ast.ImportFrom) for a in n.names}
+    named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names}
+    assert not {part for name in named for part in name.split(".")} & set(commands)
 
 
 def test_cli_runs_load_no_module_they_do_not_execute():
@@ -1067,8 +1094,8 @@ def test_campaign_tasks_span_sizes(monkeypatch):
         assert [(s, i) for segments in tasks for s, lo, hi in segments
                 for i in range(lo, hi)] == [(s, i) for s, t in totals.items() for i in range(t)]
     stacks = []
-    real = harness._geometry_checks
-    monkeypatch.setattr(harness, "_geometry_checks",
+    real = geometry._geometry_checks
+    monkeypatch.setattr(geometry, "_geometry_checks",
                         lambda field, d, e, checks: stacks.append(e.sizes.tolist())
                         or real(field, d, e, checks))
     report = run_geometry(spec)
@@ -1156,7 +1183,7 @@ def test_campaign_reports_identical_across_workers(run, spec, monkeypatch):
     # With the cover threshold pretended down to size 1, failing sets are
     # reported: cover-exhaustive expands them from orbit representatives.
     # Three workers get batches of unequal length, on a host of any CPU count.
-    monkeypatch.setattr(harness, "min_threshold_size", lambda q, d: 1)
+    monkeypatch.setattr(scalar, "min_threshold_size", lambda q, d: 1)
     monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
     reports = []
     for workers in (1, 2, 3):
@@ -1289,7 +1316,7 @@ def test_cli_refuses_flags_the_command_does_not_read(args, tmp_path, monkeypatch
 def test_cli_refuses_checks_the_command_does_not_run(args, tmp_path, monkeypatch, capsys):
     def build(*args):
         raise AssertionError("a field was built")
-    monkeypatch.setattr(harness, "get_field", build)
+    _patch_commands(monkeypatch, "get_field", build)
     out = tmp_path / "report.json"
     assert cli.main([*args, "--out", str(out)]) == 3
     captured = capsys.readouterr()
@@ -1310,7 +1337,7 @@ def test_cli_refuses_an_unwritable_output_path(args, missing, tmp_path, monkeypa
     if missing:
         def build(*args):
             raise AssertionError("a field was built")
-        monkeypatch.setattr(harness, "get_field", build)
+        _patch_commands(monkeypatch, "get_field", build)
     path = tmp_path / "missing" / "x" if missing else tmp_path
     assert cli.main(args + [str(path)]) == 3
     captured = capsys.readouterr()
@@ -1347,7 +1374,7 @@ def test_cli_geometry_csv_needs_the_remainder_check(tmp_path, monkeypatch, capsy
     writes: without it the run is refused before a field is built."""
     def build(*args):
         raise AssertionError("a field was built")
-    monkeypatch.setattr(harness, "get_field", build)
+    _patch_commands(monkeypatch, "get_field", build)
     csv_path, out = tmp_path / "nu.csv", tmp_path / "report.json"
     assert cli.main(["geometry", "--p", "3", "--d", "2", "--checks", "cover",
                      "--sizes", "9..9", "--samples", "1", "--csv", str(csv_path),

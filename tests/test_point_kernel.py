@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 import fqcover.fourier as fourier
-import fqcover.harness as harness
+import fqcover.geometry as geometry
 import fqcover.incidence as incidence
 from fqcover.fourier import (
     DENSE_BLOCK_BYTES,
@@ -452,7 +452,7 @@ def test_stacked_counts_and_checks_match_per_set_oracles(monkeypatch, p, n, d, k
             sum(stack.bits[r, scale(field, d, t, m)] for t in range(q)) for m in range(size)]
         assert diffs[r].tolist() == differences(field, d, row)
 
-    got = harness._geometry_checks(field, d, stack, harness.POINT_CHECKS)
+    got = geometry._geometry_checks(field, d, stack, geometry.POINT_CHECKS)
     assert got == [per_set_checks(field, d, row) for row in flats]
 
 

@@ -6,12 +6,8 @@ import runpy
 import subprocess
 import sys
 
-from fqcover.harness import (
-    ExperimentSpec,
-    canonical_json,
-    run_cover_exhaustive,
-    run_sharpness,
-)
+from fqcover.harness import ExperimentSpec, canonical_json
+from fqcover.scalar import run_cover_exhaustive, run_sharpness
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(ROOT, "scripts")
