@@ -83,10 +83,9 @@ def dot_product_set(e: PointSet) -> PointSet:
 
 def missing_units(present: np.ndarray) -> list:
     """The nonzero field elements absent from `present`, a membership mask
-    or count array over the field (last axis): one list, or a list per row
-    of a stack, split from one nonzero scan of the whole stack."""
-    if present.ndim > 2:
-        return [missing_units(rows) for rows in present]
+    or count array over the field (last axis), of one set or of a stack of
+    sets in rows: one list, or a list per row, split from one nonzero scan
+    of the whole stack."""
     absent = present[..., 1:] == 0
     units = (np.nonzero(absent)[-1] + 1).tolist()
     if present.ndim == 1:
@@ -310,9 +309,12 @@ def positive_proportion_check(a: PointSet, d: int) -> CoverageVerdict:
 def bilinear_cover(a_sets: list[PointSet], b_sets: list[PointSet]) -> CoverageVerdict:
     """Coverage by A_1*B_1 + ... + A_d*B_d, with the size-product ratio.
 
-    There is no exact threshold here (the sufficient condition carries an
-    unspecified constant), so threshold_met is None and the measured
-    ratio prod |A_j||B_j| / q^{d+1} is reported for calibration.
+    The sumset is the dot-product set of the grids A_1 x ... x A_d and
+    B_1 x ... x B_d, so the two-set remainder estimate makes
+    prod |A_j||B_j| > q^{d+1} sufficient, with constant 1 (Hart, Iosevich,
+    Koh and Rudnev, Trans. AMS 363, 2011).  threshold_met stays None, and
+    only the ratio prod |A_j||B_j| / q^{d+1} is reported, until the report
+    carries that exact comparison.
     """
     if len(a_sets) != len(b_sets) or not a_sets:
         raise ArityMismatchError("need equally many A_j and B_j, at least one pair")

@@ -9,8 +9,8 @@ x_i is a field element index.
 `point_dot`, `point_add` and `point_scale` are the one place that does
 arithmetic on flat indices.  Each works coordinate by coordinate with the
 field's array operations, and callers split a pair grid into row blocks
-(`row_blocks`, `stack_blocks`).  The point tables of small spaces, built
-from these kernels, belong to `incidence`.
+(`row_blocks`), each set of a stack on its own.  The point tables of small
+spaces, built from these kernels, belong to `incidence`.
 
 Normalization: the forward transform carries the q^{-d} factor,
 
@@ -23,8 +23,6 @@ this convention.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterator
 
 import numpy as np
 
@@ -101,19 +99,6 @@ def row_blocks(rows: int, cols: int, itemsize: int = 16) -> list[slice]:
     one row."""
     step = max(1, DENSE_BLOCK_BYTES // (itemsize * max(cols, 1)))
     return [slice(lo, lo + step) for lo in range(0, rows, step)]
-
-
-def stack_blocks(rows: int, k: int, cols: int) -> Iterator[tuple[slice, slice]]:
-    """(sets, items) slices of a rows x k x cols pair grid (rows sets of k
-    items, each item paired with cols values) such that every pairwise
-    array over a block stays under DENSE_BLOCK_BYTES, as in `row_blocks`:
-    whole sets at a time where one set fits, otherwise the item blocks of
-    one set at a time."""
-    items = row_blocks(k, cols)
-    if len(items) > 1:
-        yield from ((slice(r, r + 1), i) for r in range(rows) for i in items)
-    else:
-        yield from ((sets, slice(0, k)) for sets in row_blocks(rows, k * cols))
 
 
 def char_matrix(field: Field) -> np.ndarray:

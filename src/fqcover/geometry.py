@@ -30,6 +30,7 @@ from .harness import (
     _draw,
     _require_checks,
     _require_draw_budget,
+    _streams,
     get_field,
     require_budget,
 )
@@ -66,9 +67,7 @@ def structured_point_sets(field: Field, d: int, seed: int) -> list[tuple[str, Po
         h = max(h for h in _divisors(q - 1) if h < q - 1)
         sub = field.exp_table[::(q - 1) // h]
         out.append((f"subgroup_grid_{h}", PointSet.grid_of_scalars(field, d, sub)))
-    from .sampling import sample_rows
-    extra = sample_rows(seed, q ** d, [(0, 0, TAG_STRUCTURED)],
-                        [min(q ** d, max(2, q // 2))])[0]
+    extra = _streams(seed, TAG_STRUCTURED, [(0, 0)], q ** d, [min(q ** d, max(2, q // 2))])[0]
     out.append(("line_plus_random", PointSet.line(field, d, 1).union(
         PointSet.from_flat(field, d, extra))))
     if q ** d <= 512:

@@ -8,13 +8,13 @@ byte-identical JSON report across runs and across worker counts.  Three
 things make that work:
 
 * the RNG is Philox (counter-based): every sampled object gets its own
-  stream keyed by (seed; sample index, size, purpose tag), so sharding
-  the sample indices over workers cannot change what is drawn.  Every
-  draw is numpy's, computed by `sampling` without numpy.random.  The
-  streams are not independent: the sample index sits in Philox counter
-  word 0, the word that Philox increments, so streams of adjacent indices
-  share values (12 of the first 20 draws of (5, 10, 1) are also drawn by
-  (6, 10, 1));
+  stream keyed by (seed; sample index, size, purpose tag), laid out in
+  one place, `_streams`, so sharding the sample indices over workers
+  cannot change what is drawn.  Every draw is numpy's, computed by
+  `sampling` without numpy.random.  The streams are not independent: the
+  sample index sits in Philox counter word 0, the word that Philox
+  increments, so streams of adjacent indices share values (12 of the
+  first 20 draws of (5, 10, 1) are also drawn by (6, 10, 1));
 * the tasks, runs of consecutive (size, index) pairs, are dealt
   round-robin into one batch per worker, which draws them in sampler calls
   of up to DRAW_CAP values; the results are put back in task order and
@@ -30,8 +30,8 @@ package loads at import only what a run of the main commands executes.
 The spec and the report are plain classes, not dataclasses, whose
 methods would be generated and compiled on every import.  `fractions`
 (which loads `decimal`) and `csv` are imported inside `scalar.run_d_of_eps`
-and the `--csv` branch of `geometry.run_geometry`, `sampling` where a run
-draws, and the process pool where one starts.  The CLI imports the
+and the `--csv` branch of `geometry.run_geometry`, `sampling` inside
+`_streams`, where a run draws, and the process pool where one starts.  The CLI imports the
 command modules eagerly: one loaded on demand would compile in the run.
 
 Runs are refused before they start work they cannot finish: exhaustive
@@ -267,18 +267,31 @@ def _require_draw_budget(sets: int) -> None:
             f"the run would draw {sets} sets, over the budget of {EXHAUSTIVE_BUDGET}")
 
 
+def _streams(seed: int, tag: int, keys, universe: int | None = None, sizes=None):
+    """The Philox streams of the (sample index, size) pairs keys for one
+    purpose tag, each keyed by the counter (index, size, tag): the one
+    place that lays out a stream's key.  With a universe, row k is the
+    sorted subset of range(universe) of size sizes[k] drawn on stream k,
+    all from one `sample_rows` call; without, the `Streams` themselves,
+    for draws in step."""
+    # Imported here, as the process pool is: a run that draws nothing does
+    # not load the sampler.
+    from . import sampling
+    counters = [(i, size, tag) for i, size in keys]
+    if universe is None:
+        return sampling.Streams(seed, counters)
+    return sampling.sample_rows(seed, universe, counters, sizes)
+
+
 def _draw(mode: str, universe: int, tasks, seed: int, tag: int):
     """Per task in turn, per (size, lo, hi) segment, the size-`size` subsets
     of range(universe) with indices lo..hi-1, one sorted subset per row of
     an int64 array: colex ranks in exhaustive mode, otherwise one
-    `sample_rows` call per run of tasks, cut only where its values would
-    pass DRAW_CAP, on one Philox stream per (sample index, size, tag)."""
+    `_streams` draw per run of tasks, cut only where its values would pass
+    DRAW_CAP, on one Philox stream per (sample index, size)."""
     if mode == "exhaustive":
         yield from ([colex_unrank(universe, *segment) for segment in task] for task in tasks)
         return
-    # Imported here, as the process pool is: a run that draws nothing does
-    # not load the sampler.
-    from .sampling import sample_rows
     calls, held = [], 0
     for task in tasks:
         values = sum(size * (hi - lo) for size, lo, hi in task)
@@ -288,8 +301,8 @@ def _draw(mode: str, universe: int, tasks, seed: int, tag: int):
         calls[-1].append(task)
         held += values
     for call in calls:
-        jobs = [(i, size, tag) for task in call for size, lo, hi in task for i in range(lo, hi)]
-        rows = iter(sample_rows(seed, universe, jobs, [k for _, k, _ in jobs]))
+        keys = [(i, size) for task in call for size, lo, hi in task for i in range(lo, hi)]
+        rows = iter(_streams(seed, tag, keys, universe, [k for _, k in keys]))
         for task in call:
             yield [np.array([next(rows) for _ in range(lo, hi)], np.int64) for _, lo, hi in task]
 

@@ -14,21 +14,21 @@ plain int64 arrays.  They take a `PointSet` that may be a stack of sets
 of any sizes, and give one result per set along leading axes.  Only this
 module tests for the point tables of F_q^d (`_table`: q^d <= 128 at the
 default cap).  With them, nu, the hyperplane sums and the difference
-counts are exact integer contractions of the stack's membership bits,
-which carry no padding: F = bits . Z0, Z0[x, m] = [x.m = 0];
-D(m) = sum_y E(y) E(m + y) through the add table; nu(0) = sum_x E(x) F(x)
-and, by dilation, nu(t) = sum_x E(x) A1(x / t) for t != 0, where
-A1 = bits . Z1, Z1[x, m] = [x.m = 1].  Without them, nu and the
-difference counts count the pairs x.y and y - y' (`_pair_counts`) and the
-hyperplane sums pair each set with one point per line through the origin,
-in `fourier.stack_blocks` blocks, with every set padded to the largest of
-the stack by copies of the origin, whose share each kernel takes off.
-The line counts read the direction of each point (`_directions`) on every
-space.  The read-outs of the remainder estimate, the hat identity and the
-second moment (`remainder_sides`, `remainder_verdicts`,
-`hat_identity_close`, `second_moment_sides`) work elementwise over leading
-axes too.  Their one caller, `harness._geometry_checks`, reads every
-set's verdicts off the counts of a stack; a single set is a stack of one.
+counts are exact integer contractions of the stack's membership bits:
+F = bits . Z0, Z0[x, m] = [x.m = 0]; D(m) = sum_y E(y) E(m + y) through
+the add table; nu(0) = sum_x E(x) F(x) and, by dilation,
+nu(t) = sum_x E(x) A1(x / t) for t != 0, where A1 = bits . Z1,
+Z1[x, m] = [x.m = 1].  Without them, each set is counted in turn on its
+own flat indices (`_set_blocks`): nu and the difference counts count the
+pairs x.y and y - y', the hyperplane sums pair the set with one point per
+line through the origin, and the spectral path scales the set by every
+field element.  The line counts read the direction of each point
+(`_directions`) on every space.  The read-outs of the remainder estimate,
+the hat identity and the second moment (`remainder_sides`,
+`remainder_verdicts`, `hat_identity_close`, `second_moment_sides`) work
+elementwise over leading axes too.  Their one caller,
+`geometry._geometry_checks`, reads every set's verdicts off the counts of
+a stack; a single set is a stack of one.
 """
 
 from __future__ import annotations
@@ -39,15 +39,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import fourier
-from .fourier import (
-    char_matrix,
-    fourier_forward,
-    point_add,
-    point_dot,
-    point_scale,
-    row_blocks,
-    stack_blocks,
-)
+from .fourier import fourier_forward, point_add, point_dot, point_scale, row_blocks
 from .gf import Field
 
 
@@ -67,9 +59,9 @@ class PointSet:
     of F_q, is a PointSet with d = 1, whose flat indices are element
     indices.
 
-    A set is not changed after construction, so its flat indices are
-    computed once, on first use.  The named constructors,
-    `contains_origin` and `union` are for a single set.
+    A set is not changed after construction, so the flat indices of a
+    single set are computed once, on first use.  The named constructors,
+    `flat_indices`, `contains_origin` and `union` are for a single set.
     Two sets are equal when they have the same field object, the same d
     and equal bits.
     """
@@ -133,18 +125,15 @@ class PointSet:
 
     @cached_property
     def _flats(self) -> np.ndarray:
-        if self.bits.ndim == 1:
-            flats = np.flatnonzero(self.bits)
-        else:
-            flats = np.zeros(self.bits.shape[:-1] + (self.count,), dtype=np.int64)
-            flats[np.arange(self.count) < self.sizes[..., None]] = np.nonzero(self.bits)[-1]
+        if self.bits.ndim != 1:
+            raise ValueError("flat indices are those of a single set, not of a stack")
+        flats = np.flatnonzero(self.bits)
         flats.flags.writeable = False
         return flats
 
     def flat_indices(self) -> np.ndarray:
-        """The sorted flat indices of the set, or one row per set of a
-        stack, padded up to `count` with 0, the origin (read-only, because
-        they are shared)."""
+        """The sorted flat indices of the set (read-only, because they are
+        shared)."""
         return self._flats
 
     @property
@@ -163,13 +152,6 @@ class PointSet:
     def __eq__(self, other) -> bool:
         return (isinstance(other, PointSet) and self.field is other.field
                 and self.d == other.d and np.array_equal(self.bits, other.bits))
-
-
-def _flat_rows(e: PointSet) -> tuple[np.ndarray, np.ndarray]:
-    """The flat indices of e as a sets x count array, padded with the
-    origin, and the size of each set."""
-    sizes = np.reshape(e.sizes, -1)
-    return e.flat_indices().reshape(len(sizes), e.count), sizes
 
 
 def _bit_rows(e: PointSet) -> np.ndarray:
@@ -212,18 +194,25 @@ def _directions(field: Field, d: int) -> np.ndarray:
     return tables[d, "direction"]
 
 
-def _pair_counts(e: PointSet, op, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per set of e, the int64 counts over range(width) of op(x, y) for the
-    ordered pairs (x, y) of its flat indices, padded up to e.count with the
-    origin, by one op and one bincount offset by width per `stack_blocks`
-    block; and the size of each set."""
-    flats, sizes = _flat_rows(e)
-    counts = np.zeros((len(flats), width), dtype=np.int64)
-    for sets, items in stack_blocks(len(flats), e.count, e.count):
-        keys = op(flats[sets, items, None], flats[sets, None, :])
-        keys += width * np.arange(len(keys))[:, None, None]
-        counts[sets] += np.bincount(keys.ravel(), minlength=len(keys) * width).reshape(-1, width)
-    return counts, sizes
+def _set_blocks(e: PointSet, grid):
+    """(i, rows, x, y) for each set i of e (over its leading axes,
+    flattened) in turn: x, y = grid(flats) are the rows and the columns of
+    that set's pair grid, from its own flat indices, and x is cut to the
+    `row_blocks` slice rows of that grid."""
+    for i, bits in enumerate(_bit_rows(e)):
+        x, y = grid(np.flatnonzero(bits))
+        for rows in row_blocks(len(x), len(y)):
+            yield i, rows, x[rows], y
+
+
+def _pair_counts(e: PointSet, grid, op, width: int) -> np.ndarray:
+    """Per set of e, the int64 counts over range(width) of op(x, y) for
+    the pairs (x, y) of its pair grid (`_set_blocks`), by one op and one
+    bincount per row block."""
+    counts = np.zeros((len(_bit_rows(e)), width), dtype=np.int64)
+    for i, _, x, y in _set_blocks(e, grid):
+        counts[i] += np.bincount(op(x[:, None], y).ravel(), minlength=width)
+    return counts.reshape(e.bits.shape[:-1] + (width,))
 
 
 def nu_bruteforce(e: PointSet) -> np.ndarray:
@@ -231,8 +220,7 @@ def nu_bruteforce(e: PointSet) -> np.ndarray:
     counting all ordered pairs.  With the point tables, from the level sets
     of the dot table, per row block of sets: F and A1 in one contraction,
     nu(0) = sum_x E(x) F(x) and nu(t) = sum_x E(x) A1(x / t).  Without
-    them, by direct enumeration of the pairs x.y (`_pair_counts`); padding
-    a k-set to K points adds K^2 - k^2 pairs at t = 0."""
+    them, by direct enumeration of the pairs x.y (`_pair_counts`)."""
     field, q = e.field, e.field.q
     levels = _table(field, e.d, "levels")
     if levels is not None:
@@ -245,9 +233,7 @@ def nu_bruteforce(e: PointSet) -> np.ndarray:
             counts[sets, 1:] = np.einsum("sx,sxt->st", bits[sets], hyper[:, size:][:, over],
                                          dtype=np.int16)
         return counts.reshape(e.bits.shape[:-1] + (q,))
-    counts, sizes = _pair_counts(e, partial(point_dot, field, e.d), q)
-    counts[:, 0] -= e.count ** 2 - sizes ** 2
-    return counts.reshape(e.bits.shape[:-1] + (q,))
+    return _pair_counts(e, lambda flats: (flats, flats), partial(point_dot, field, e.d), q)
 
 
 def nu_spectral(e: PointSet) -> np.ndarray:
@@ -256,26 +242,18 @@ def nu_spectral(e: PointSet) -> np.ndarray:
     nu(t) = q^{-1} sum_s chi(-s t) S(s) with
     S(s) = sum_{x,y in E} chi(s (x.y)) = q^d sum_{x in E} Ehat(-s x).
 
-    Padding a k-set to K points adds (K - k) k to every S(s), so to nu(0).
-
     Must reproduce the brute-force integers exactly after rounding; a
     rounding defect, a set whose counts do not sum to |E|^2, or a mismatch
     against a sampled direct count (on each set of at most 300 points)
     raises SpectralMismatchError.
     """
     field, d, q = e.field, e.d, e.field.q
-    lead = e.bits.shape[:-1]
-    if e.count == 0:
-        return np.zeros(lead + (q,), dtype=np.int64)
-    ehat = fourier_forward(field, d, e.bits).reshape(-1)
-    flats, sizes = _flat_rows(e)
-    rows = len(flats)
-    s_sums = np.empty((rows, q), dtype=np.complex128)
-    for sets, items in stack_blocks(rows, q, e.count):
-        scaled = point_scale(field, d, flats[sets, None, :], field.neg_table[items, None])
-        scaled += q ** d * np.arange(sets.start, sets.start + len(scaled))[:, None, None]
-        s_sums[sets, items] = q ** d * ehat[scaled].sum(axis=2)
-    nu_c = s_sums @ char_matrix(field).T / q
+    ehat = fourier_forward(field, d, e.bits).reshape(-1, q ** d)
+    sizes = np.reshape(e.sizes, -1)
+    s_sums = np.empty((len(sizes), q), dtype=np.complex128)
+    for i, s, x, y in _set_blocks(e, lambda flats: (field.neg_table, flats)):
+        s_sums[i, s] = q ** d * ehat[i, point_scale(field, d, y, x[:, None])].sum(axis=1)
+    nu_c = fourier_forward(field, 1, s_sums)
     counts_f = nu_c.real
     counts = np.rint(counts_f).astype(np.int64)
     defect = float(np.max(np.abs(counts_f - counts)))
@@ -283,30 +261,29 @@ def nu_spectral(e: PointSet) -> np.ndarray:
     if defect > 1e-6 or imag > 1e-6:
         raise SpectralMismatchError(f"spectral counts not near integers "
                                     f"(defect {defect:.3g}, imag {imag:.3g})")
-    counts[:, 0] -= (e.count - sizes) * sizes
     if np.any(counts.sum(axis=1) != sizes ** 2):
         raise SpectralMismatchError("spectral counts do not sum to |E|^2")
     small = np.flatnonzero(sizes <= 300)
     if len(small):
         t_star = np.argmax(counts[small], axis=1)
-        recount = PointSet(field, d, e.bits.reshape(rows, -1)[small])
+        recount = PointSet(field, d, e.bits.reshape(len(sizes), -1)[small])
         direct = nu_bruteforce(recount)[np.arange(len(small)), t_star]
         bad = np.flatnonzero(direct != counts[small, t_star])
         if len(bad):
             r, t = small[bad[0]], t_star[bad[0]]
             raise SpectralMismatchError(
                 f"spectral nu({t}) = {counts[r, t]}, direct count {direct[bad[0]]}")
-    return counts.reshape(lead + (q,))
+    return counts.reshape(e.bits.shape[:-1] + (q,))
 
 
 def nu(e: PointSet) -> np.ndarray:
     # Per coordinate, brute force does |E|^2 pair steps and the transform
     # q^{d+1} multiply-adds, measured at about 40 times cheaper each (table
     # in CHANGES.md).  Up to 300 points nu_spectral recounts by brute force.
-    # A stack is judged by its largest set, to which both pad the others,
-    # except on spaces with point tables (`_table`: q^d <= 128, so at most
-    # 128 points), where brute force contracts the unpadded bits in
-    # O(q^{2d}) per set and never pads.
+    # A stack is judged by its largest set; both paths count each set on
+    # its own points, and on spaces with point tables (`_table`: q^d <= 128,
+    # so at most 128 points) brute force contracts the bits in O(q^{2d})
+    # per set.
     if e.count <= 300 or 40 * e.count ** 2 <= e.field.q ** (e.d + 1):
         return nu_bruteforce(e)
     return nu_spectral(e)
@@ -364,20 +341,17 @@ def hyperplane_sum(e: PointSet) -> np.ndarray:
     per set of a stack; F(0) = |E|.  With the point tables, one
     contraction of the bits with the level set x.m = 0, exact in uint8
     since F(m) <= 128.  Without them, each set is dotted only with the
-    origin and the fixed points of j = `_directions`, and F(m) = F(j(m));
-    the origins that pad a set lie on every hyperplane."""
+    origin and the fixed points of j = `_directions`, and F(m) = F(j(m))."""
     field, d = e.field, e.d
     levels = _table(field, d, "levels")
     if levels is not None:
         hyper = np.einsum("sz,zm->sm", _bit_rows(e), levels[:, :len(levels)])
         return hyper.astype(np.int64).reshape(e.bits.shape)
-    (flats, sizes), j = _flat_rows(e), _directions(field, d)
+    j = _directions(field, d)
     lines = np.flatnonzero(j == np.arange(len(j)))
-    out = np.empty((len(flats), len(lines)), dtype=np.int64)
-    for sets, items in stack_blocks(len(flats), len(lines), e.count):
-        dots = point_dot(field, d, lines[items, None], flats[sets, None, :])
-        out[sets, items] = np.count_nonzero(dots == 0, axis=2)
-    out -= (e.count - sizes)[:, None]
+    out = np.empty((len(_bit_rows(e)), len(lines)), dtype=np.int64)
+    for i, rows, x, y in _set_blocks(e, lambda flats: (lines, flats)):
+        out[i, rows] = np.count_nonzero(point_dot(field, d, x[:, None], y) == 0, axis=1)
     return out[:, np.searchsorted(lines, j)].reshape(e.bits.shape)
 
 
@@ -386,9 +360,8 @@ def difference_counts(e: PointSet) -> np.ndarray:
     indices m, per set of a stack: the sum over y' in E of E(m + y').
     D(0) = |E|.  With the point tables, the bits gathered through the add
     table and contracted with the bits, per row block of sets.  Without
-    them, the pairs y - y' (`_pair_counts`), less the padding's: the
-    K - k origins that pad a k-set add (K - k)(E(m) + E(-m)) to every
-    D(m), and (K - k)^2 more to D(0)."""
+    them, the pairs y - y' (`_pair_counts`), with the points of each set
+    negated once."""
     field, d = e.field, e.d
     add = _table(field, d, "add")
     if add is not None:
@@ -397,13 +370,9 @@ def difference_counts(e: PointSet) -> np.ndarray:
         for sets in row_blocks(len(bits), add.size, itemsize=1):
             out[sets] = np.einsum("sy,smy->sm", bits[sets], bits[sets][:, add])
         return out.reshape(e.bits.shape)
-    size, minus = field.q ** d, field.neg_table[1]
-    counts, sizes = _pair_counts(
-        e, lambda x, y: point_add(field, d, x, point_scale(field, d, y, minus)), size)
-    pad, bits = (e.count - sizes)[:, None], e.bits.reshape(counts.shape)
-    counts -= pad * bits + pad * bits[:, point_scale(field, d, np.arange(size), minus)]
-    counts[:, 0] -= pad[:, 0] ** 2
-    return counts.reshape(e.bits.shape)
+    minus = field.neg_table[1]
+    return _pair_counts(e, lambda flats: (flats, point_scale(field, d, flats, minus)),
+                        partial(point_add, field, d), field.q ** d)
 
 
 def hat_identity_close(fhat: np.ndarray, line_counts: np.ndarray, size,

@@ -36,6 +36,7 @@ from .harness import (
     _draw,
     _require_checks,
     _require_draw_budget,
+    _streams,
     colex_unrank,
     get_field,
     require_budget,
@@ -340,7 +341,6 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
 
 
 def _bilinear_campaign(field: Field, d: int, seed: int, samples: int) -> dict:
-    from .sampling import Streams
     covered_count = 0
     min_cover_ratio = None
     max_noncover_ratio = None
@@ -348,7 +348,7 @@ def _bilinear_campaign(field: Field, d: int, seed: int, samples: int) -> dict:
     # draws' arrays.
     chunk = max(1, DRAW_CAP // field.q)
     for lo in range(0, samples, chunk):
-        streams = Streams(seed, [(i, 0, TAG_BILINEAR) for i in range(lo, min(samples, lo + chunk))])
+        streams = _streams(seed, TAG_BILINEAR, [(i, 0) for i in range(lo, min(samples, lo + chunk))])
         drawn = [streams.choice(field.q, streams.integers(1, field.q)[:, 0]) for _ in range(2 * d)]
         for rows in zip(*drawn):
             sets = [PointSet.from_flat(field, 1, row) for row in rows]

@@ -14,7 +14,7 @@ from .fourier import (
     plancherel_check,
 )
 from .gf import Field
-from .harness import TAG_SELFTEST, ExperimentSpec, RunReport, get_field
+from .harness import TAG_SELFTEST, ExperimentSpec, RunReport, _streams, get_field
 from .incidence import PointSet, difference_counts
 
 SELFTEST_ROSTER = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
@@ -101,9 +101,8 @@ def run_selftest(spec: ExperimentSpec) -> RunReport:
     passed = checked = 0
     # Two draws per point of every space, from one stream in one call: a
     # call costs about as much for one draw as for thousands.
-    from .sampling import Streams
     sizes = [2 * p ** (n * d) for p, n in SELFTEST_ROSTER for d in (1, 2, 3)]
-    draws = iter(np.split(Streams(spec.seed, [(0, 0, TAG_SELFTEST)]).integers(
+    draws = iter(np.split(_streams(spec.seed, TAG_SELFTEST, [(0, 0)]).integers(
         0, 1 << 32, sum(sizes))[0], np.cumsum(sizes)[:-1]))
     for p, n in SELFTEST_ROSTER:
         field = get_field(p, n)

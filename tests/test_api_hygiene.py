@@ -7,8 +7,8 @@ build their oracles from, and two checks that open ROADMAP items put to
 use.  A helper that only tests reach is a second path to a result; the
 tests call what the package calls instead.  A private helper that nothing
 calls is left over from a deletion.  No module imports a name it does
-not use, and none loads numpy.random.  No module takes more than
-COMPILE_PEAK_BYTES to compile.
+not use, and none loads numpy.random.  Only `harness` imports the
+sampler.  No module takes more than COMPILE_PEAK_BYTES to compile.
 """
 
 import ast
@@ -32,7 +32,7 @@ UNCALLED_ALLOWLIST = {
 
 # Every cold CLI run without a bytecode cache compiles each module from
 # source, and the largest compile peak raises the run's peak RSS.  Under
-# CPython 3.11 the largest are scalar (1.27 MB) and incidence (1.22 MB);
+# CPython 3.11 the largest are scalar (1.27 MB) and gf (1.17 MB);
 # harness took 3.56 MB while it held the commands.
 COMPILE_PEAK_BYTES = 3 << 19  # 1.5 MB
 
@@ -112,6 +112,23 @@ def test_no_module_loads_numpy_random():
             found += [f"{path.name}:{n.lineno} {name}" for name in names
                       if name.split(".")[:2] in (["numpy", "random"], ["np", "random"])]
     assert found == []
+
+
+def test_only_harness_imports_the_sampler():
+    # `harness._streams` is the one place that keys a Philox stream, so no
+    # other module of the package imports `sampling`.
+    importers = set()
+    for path in sorted((ROOT / "src" / "fqcover").glob("*.py")):
+        for n in ast.walk(_tree(path)):
+            if isinstance(n, ast.Import):
+                names = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                names = [f"{n.module}.{a.name}" for a in n.names]
+            else:
+                continue
+            if any("sampling" in name.split(".") for name in names):
+                importers.add(path.name)
+    assert importers == {"harness.py"}
 
 
 def test_no_module_compiles_past_the_peak_limit():

@@ -161,8 +161,6 @@ def test_missing_units_per_row_of_counts():
     assert missing_units(counts[0]) == [2]
     assert missing_units(counts > 0) == missing_units(counts)
     assert missing_units(counts[:0]) == []
-    assert missing_units(np.stack([counts, counts[::-1]])) == [
-        [[2], [], [1, 2, 3, 4]], [[1, 2, 3, 4], [], [2]]]
 
 
 def test_scalar_cover_threshold_exact_integers():

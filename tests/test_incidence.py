@@ -87,13 +87,14 @@ def test_point_set_sizes_of_single_sets_and_stacks():
                                    [False, True, False, False, True],
                                    [False, False, False, True, True]]
     assert stack.sizes.tolist() == [2, 2, 2]
-    # A stack may hold sets of several sizes: count is the largest, and the
-    # flat-index rows are padded up to it with the origin.
+    # A stack may hold sets of several sizes: count is the largest.  Flat
+    # indices are those of a single set.
     mixed = PointSet(field, 1, [[True, False, True, False, False],
                                 [False, False, False, False, False],
                                 [False, True, True, False, True]])
     assert mixed.sizes.tolist() == [2, 0, 3] and mixed.count == 3
-    assert mixed.flat_indices().tolist() == [[0, 2, 0], [0, 0, 0], [1, 2, 4]]
+    with pytest.raises(ValueError, match="single set"):
+        mixed.flat_indices()
     assert PointSet(field, 1, np.zeros((2, 0, 5), dtype=bool)).count == 0
 
 

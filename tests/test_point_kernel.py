@@ -35,7 +35,6 @@ from fqcover.fourier import (
     point_dot,
     point_scale,
     row_blocks,
-    stack_blocks,
 )
 from fqcover.gf import is_prime
 from fqcover.harness import get_field
@@ -187,7 +186,7 @@ def count_calls(monkeypatch, field, d, flats):
         with monkeypatch.context() as m:
             calls = count_field_calls(m, field)
             fn(e)
-        out[fn.__name__] = (calls, len(list(stack_blocks(1, rows, cols))))
+        out[fn.__name__] = (calls, len(row_blocks(rows, cols)))
     return out
 
 
@@ -197,9 +196,9 @@ def test_kernel_calls_do_not_grow_with_the_set(monkeypatch, p, n, d):
     """With the tables of F_4^3, F_9^2, F_2^7 and F_11^2 (q^d <= 128), no
     field-array call at all.  On F_9^3, F_2^8 and F_13^2, per row block,
     d multiplications and d - 1 additions for the dot products of nu and
-    the hyperplane sums, and d additions and d multiplications for the
-    differences, which also negate every point once.  The line counts read
-    the direction table and make no call on any space."""
+    the hyperplane sums, and d additions for the differences, which negate
+    every point of the set once, by d multiplications.  The line counts
+    read the direction table and make no call on any space."""
     field = get_field(p, n)
     assert tabled(field, d) == (p ** (n * d) <= 128)
     for size in (5, 40):
@@ -208,7 +207,7 @@ def test_kernel_calls_do_not_grow_with_the_set(monkeypatch, p, n, d):
             if tabled(field, d) or name == "line_counts_all":
                 assert calls == {"add_arrays": 0, "mul_arrays": 0}, name
             elif name == "difference_counts":
-                assert calls == {"add_arrays": d * blocks, "mul_arrays": d * blocks + d}, name
+                assert calls == {"add_arrays": d * blocks, "mul_arrays": d}, name
             else:
                 assert calls == {"add_arrays": (d - 1) * blocks, "mul_arrays": d * blocks}, name
 
@@ -227,7 +226,7 @@ def test_patched_cap_leaves_the_tables_of_a_field(monkeypatch):
     want = [fn(e) for fn in kernels]
     monkeypatch.setattr(fourier, "DENSE_BLOCK_BYTES", 1)
     for name, (calls, blocks) in count_calls(monkeypatch, field, 2, flats).items():
-        muls = {"line_counts_all": 0, "difference_counts": 2 * blocks + 2}.get(name, 2 * blocks)
+        muls = {"line_counts_all": 0, "difference_counts": 2}.get(name, 2 * blocks)
         assert blocks > 1 and calls["mul_arrays"] == muls, name
     got = [fn(e) for fn in kernels]
     assert all(np.array_equal(a, b) for a, b in zip(want, got))
@@ -435,7 +434,8 @@ def test_stacked_counts_and_checks_match_per_set_oracles(monkeypatch, p, n, d, k
     q, size = field.q, field.q ** d
     flats = mixed_stack(field, d, k, 5, k)
     stack = PointSet.from_flat(field, d, flats)
-    assert stack.count == k and stack.flat_indices().tolist() == flats.tolist()
+    assert stack.count == k and np.nonzero(stack.bits)[1].reshape(flats.shape).tolist() == \
+        flats.tolist()
 
     brute, spectral = nu_bruteforce(stack), nu_spectral(stack)
     hsum, lines = hyperplane_sum(stack), line_counts_all(stack)
@@ -513,25 +513,12 @@ def test_nu_spectral_recounts_each_set_of_at_most_300_points(monkeypatch):
     assert recounted == [[20, 0]]
 
 
-def test_stack_blocks_cover_every_pair_once(monkeypatch):
-    for cap, rows, k, cols in [(1, 3, 4, 5), (16 * 5 * 4, 7, 4, 5), (16 * 5 * 3, 2, 7, 5),
-                               (DENSE_BLOCK_BYTES, 64, 81, 9)]:
-        monkeypatch.setattr(fourier, "DENSE_BLOCK_BYTES", cap)
-        seen = np.zeros((rows, k), dtype=np.int64)
-        for sets, items in stack_blocks(rows, k, cols):
-            block = seen[sets, items]
-            assert block.size * cols * 16 <= max(cap, 16 * cols)
-            seen[sets, items] += 1
-        assert (seen == 1).all()
-
-
 def test_stacked_kernel_peak_memory_stays_near_the_cap():
     """64 sets of 2000 points in F_101^2: each set's 4e6 pairs are split
-    into (set, x) blocks, and a line-count block gathers for a few points."""
+    into row blocks, and a line-count block gathers for a few points."""
     field = get_field(101, 1)
     flats = np.stack([random_flats(101, 2, 2000, 10 + i) for i in range(64)])
     e = PointSet.from_flat(field, 2, flats)
-    e.flat_indices()  # computed once and shared, like the field's caches
     warm = PointSet.from_flat(field, 2, flats[:2, :50])
     for fn in (nu_bruteforce, line_counts_all):
         fn(warm)
