@@ -32,9 +32,7 @@ from .incidence import (  # noqa: F401
     nu_spectral,
 )
 from .covering import (  # noqa: F401
-    CoverageVerdict,
     bilinear_cover,
-    covers_units,
     d_for_epsilon,
     dot_product_set,
     iterated_sumset,

@@ -94,12 +94,6 @@ def missing_units(present: np.ndarray) -> list:
     return [units[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
-def covers_units(s: PointSet) -> tuple[bool, list[int]]:
-    """Whether every nonzero field element lies in S, plus the missing ones."""
-    missing = missing_units(s.bits)
-    return not missing, missing
-
-
 def scalar_cover_threshold(a: PointSet, d: int) -> bool:
     """|A|^{2d} > q^{d+1}, the exact form of |A| > q^{1/2 + 1/(2d)}.
 
@@ -112,11 +106,15 @@ def scalar_cover_threshold(a: PointSet, d: int) -> bool:
 
 def min_threshold_size(q: int, d: int) -> int:
     """The least size of A in 1..q that meets `scalar_cover_threshold` in
-    F_q, or q + 1 if none does."""
-    s = 1
-    while s <= q and s ** (2 * d) <= q ** (d + 1):
+    F_q, or q + 1 if none does (d = 1): one past the integer 2d-th root of
+    q^{d+1}, estimated in floats and corrected by exact comparisons."""
+    bound = q ** (d + 1)
+    s = int(q ** ((d + 1) / (2 * d)))
+    while s ** (2 * d) > bound:
+        s -= 1
+    while (s + 1) ** (2 * d) <= bound:
         s += 1
-    return s
+    return s + 1
 
 
 def point_cover_threshold(e: PointSet):
@@ -125,46 +123,28 @@ def point_cover_threshold(e: PointSet):
     return e.sizes ** 2 > e.field.q ** (e.d + 1)
 
 
-class CoverageVerdict:
-    """Outcome of a coverage or lower-bound check, with the exact witness."""
-
-    def __init__(self, set_size: int, covers_units: bool, missing: list[int],
-                 threshold_met: bool | None, lhs: int, rhs: int, extras: dict):
-        self.set_size = set_size
-        self.covers_units = covers_units
-        self.missing = missing
-        self.threshold_met = threshold_met
-        self.lhs = lhs
-        self.rhs = rhs
-        self.extras = extras
-
-    def to_report_dict(self) -> dict:
-        return {
-            "set_size": self.set_size,
-            "covers_units": self.covers_units,
-            "missing": self.missing[:MISSING_REPORT_LIMIT],
-            "missing_count": len(self.missing),
-            "threshold_met": self.threshold_met,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            **self.extras,
-        }
+def _verdict(s: PointSet, threshold_met: bool | None, lhs: int, rhs: int, **extras) -> dict:
+    """The report entry of a check whose sumset is S, with the exact witness
+    lhs vs rhs."""
+    missing = missing_units(s.bits)
+    return {
+        "set_size": s.count,
+        "covers_units": not missing,
+        "missing": missing[:MISSING_REPORT_LIMIT],
+        "missing_count": len(missing),
+        "threshold_met": threshold_met,
+        "lhs": lhs,
+        "rhs": rhs,
+        **extras,
+    }
 
 
-def cover_verdict(a: PointSet, d: int) -> CoverageVerdict:
+def cover_verdict(a: PointSet, d: int) -> dict:
     """Coverage of the units by the d-fold sumset of A*A, with the exact
     threshold witness |A|^{2d} vs q^{d+1}."""
     s = sumset_of_products(a, d)
-    covered, missing = covers_units(s)
-    return CoverageVerdict(
-        set_size=s.count,
-        covers_units=covered,
-        missing=missing,
-        threshold_met=scalar_cover_threshold(a, d),
-        lhs=a.count ** (2 * d),
-        rhs=a.field.q ** (d + 1),
-        extras={"input_size": a.count, "zero_covered": bool(s.bits[0])},
-    )
+    return _verdict(s, scalar_cover_threshold(a, d), a.count ** (2 * d), a.field.q ** (d + 1),
+                    input_size=a.count, zero_covered=bool(s.bits[0]))
 
 
 # The block kernel packs the rows of a block 64 to a word: a set family is
@@ -227,7 +207,7 @@ def _or_of_ands(u: np.ndarray, v: np.ndarray, xs: np.ndarray, sol,
 def covers_units_block(field: Field, subsets: np.ndarray, d: int) -> np.ndarray:
     """Whether the d-fold sumset of A*A covers the units, for every row A
     of the rows x k index array `subsets`; the same verdict as
-    `cover_verdict(A, d).covers_units`.
+    `cover_verdict(A, d)["covers_units"]`.
 
     The rows are bit-sliced 64 to a uint64 word (see LANES), so every
     step is the word-wide image of two set families under a group table,
@@ -268,7 +248,7 @@ def dot_set_lower_bound_sides(dot_set_size, max_line, size, q: int, d: int):
     return dot_set_size * (max_line * q ** d + size ** 2), q * size ** 2
 
 
-def positive_proportion_check(a: PointSet, d: int) -> CoverageVerdict:
+def positive_proportion_check(a: PointSet, d: int) -> dict:
     """Exact check of |dA^2| * (m q^d + m^{2d}) >= q m^{2d} with m = |A \\ {0}|.
 
     This is the grid specialization of the dot-set lower bound
@@ -287,26 +267,13 @@ def positive_proportion_check(a: PointSet, d: int) -> CoverageVerdict:
     s = sumset_of_products(core, d) if m else PointSet.empty(field, 1)
     lhs = s.count * (m * q ** d + m ** (2 * d))
     rhs = q * m ** (2 * d)
-    covered, missing = covers_units(s)
     c_size = m ** d / q ** (d / 2 + d / (2 * (2 * d - 1)))
     c_pow = c_size ** (2 - 1 / d)
-    return CoverageVerdict(
-        set_size=s.count,
-        covers_units=covered,
-        missing=missing,
-        threshold_met=lhs >= rhs,
-        lhs=lhs,
-        rhs=rhs,
-        extras={
-            "input_size": m,
-            "zero_stripped": stripped,
-            "c_size": c_size,
-            "implied_proportion": c_pow / (c_pow + 1),
-        },
-    )
+    return _verdict(s, lhs >= rhs, lhs, rhs, input_size=m, zero_stripped=stripped,
+                    c_size=c_size, implied_proportion=c_pow / (c_pow + 1))
 
 
-def bilinear_cover(a_sets: list[PointSet], b_sets: list[PointSet]) -> CoverageVerdict:
+def bilinear_cover(a_sets: list[PointSet], b_sets: list[PointSet]) -> dict:
     """Coverage by A_1*B_1 + ... + A_d*B_d, with the size-product ratio.
 
     The sumset is the dot-product set of the grids A_1 x ... x A_d and
@@ -318,7 +285,6 @@ def bilinear_cover(a_sets: list[PointSet], b_sets: list[PointSet]) -> CoverageVe
     """
     if len(a_sets) != len(b_sets) or not a_sets:
         raise ArityMismatchError("need equally many A_j and B_j, at least one pair")
-    field = a_sets[0].field
     d = len(a_sets)
     total = None
     size_product = 1
@@ -326,17 +292,8 @@ def bilinear_cover(a_sets: list[PointSet], b_sets: list[PointSet]) -> CoverageVe
         term = pairwise_product_set(aj, bj)
         size_product *= aj.count * bj.count
         total = term if total is None else sumset(total, term)
-    covered, missing = covers_units(total)
-    rhs = field.q ** (d + 1)
-    return CoverageVerdict(
-        set_size=total.count,
-        covers_units=covered,
-        missing=missing,
-        threshold_met=None,
-        lhs=size_product,
-        rhs=rhs,
-        extras={"ratio": size_product / rhs},
-    )
+    rhs = a_sets[0].field.q ** (d + 1)
+    return _verdict(total, None, size_product, rhs, ratio=size_product / rhs)
 
 
 def d_for_epsilon(eps) -> tuple[int, int]:

@@ -165,7 +165,7 @@ class RunReport:
 
 def _jsonable(obj):
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+        return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, list):
         return [_jsonable(v) for v in obj]
     if obj is None or isinstance(obj, (bool, float, str)):
@@ -316,30 +316,41 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _pack(totals, chunk: int):
+    """Yield the tasks of `_campaign` in order, given (size, total) pairs:
+    task i holds the pairs i*chunk .. (i+1)*chunk - 1 of the (size, index)
+    pairs of all sizes in order, index in [0, total), as its (size, lo, hi)
+    index ranges in order.  Lazily, so that the pair budget of `scalar`
+    can stop counting early."""
+    # A task ends, and a size is cut, where the running pair index
+    # start + lo reaches a multiple of chunk.
+    task, start = [], 0
+    for s, total in totals:
+        cuts = [0, *range(-start % chunk or chunk, total, chunk), total] if total else []
+        for lo, hi in zip(cuts, cuts[1:]):
+            if task and (start + lo) % chunk == 0:
+                yield task
+                task = []
+            task.append((s, lo, hi))
+        start += total
+    if task:
+        yield task
+
+
 def _campaign(worker, spec: ExperimentSpec, totals: dict[int, int], chunk: int,
               *extra) -> list:
     """Run `worker` on the indices [0, totals[size]) of every size: colex
     ranks in exhaustive mode, otherwise sample indices.
 
-    The (size, index) pairs of all sizes in order are cut into tasks of
-    `chunk` consecutive pairs, each its (size, lo, hi) index ranges in
-    order, so a task may span sizes.  The tasks are dealt round-robin into
-    w batches, w being --workers capped at the tasks and at the CPUs this
-    process may use, so the sizes of a `geometry` run, whose costs grow
-    with the size, are spread evenly.  The worker runs once per batch (p,
-    n, d, mode, seed, tasks, *extra), inline or in a pool, and returns a
-    list of results per task; these come back concatenated in task order.
+    The tasks are those of `_pack`, so a task may span sizes.  They are
+    dealt round-robin into w batches, w being --workers capped at the tasks
+    and at the CPUs this process may use, so the sizes of a `geometry` run,
+    whose costs grow with the size, are spread evenly.  The worker runs once
+    per batch (p, n, d, mode, seed, tasks, *extra), inline or in a pool, and
+    returns a list of results per task; these come back concatenated in
+    task order.
     """
-    # Task i holds the pairs i*chunk .. (i+1)*chunk - 1; a size is cut where
-    # its pairs cross a multiple of chunk.
-    packed: dict[int, list[tuple[int, int, int]]] = {}
-    start = 0
-    for s, total in totals.items():
-        cuts = [0, *range(-start % chunk or chunk, total, chunk), total] if total else []
-        for lo, hi in zip(cuts, cuts[1:]):
-            packed.setdefault((start + lo) // chunk, []).append((s, lo, hi))
-        start += total
-    tasks = list(packed.values())
+    tasks = list(_pack(totals.items(), chunk))
     w = max(1, min(spec.workers, len(tasks), _usable_cpus()))
     batches = [(spec.p, spec.n, spec.d, spec.mode, spec.seed, tasks[i::w], *extra)
                for i in range(w)]

@@ -10,14 +10,13 @@ import math
 import numpy as np
 
 from .covering import (
-    MISSING_REPORT_LIMIT,
     bilinear_cover,
     cover_verdict,
-    covers_units,
     covers_units_block,
     d_for_epsilon,
     dense_block_rows,
     min_threshold_size,
+    missing_units,
     sqrt_subfield,
     sumset_of_products,
 )
@@ -34,6 +33,7 @@ from .harness import (
     _clip_sizes,
     _divisors,
     _draw,
+    _pack,
     _require_checks,
     _require_draw_budget,
     _streams,
@@ -94,15 +94,17 @@ def _verdict_pairs(q: int, k: int, d: int) -> int:
 
 
 def _sampled_pairs(field: Field, d: int, sizes: range, samples: int, chunk: int) -> int:
-    """The `_verdict_pairs` bound summed over the `samples` sets of each
-    size that `_covers`, given tasks of `chunk` sets, sends to the per-set
+    """The `_verdict_pairs` bound summed over the sets of the (size, lo, hi)
+    segments that `_campaign`, given `samples` sets of each size and tasks
+    of `chunk` sets, packs and `_covers` sends to the per-set
     `cover_verdict`; the sum stops once it passes PAIR_BUDGET."""
     pairs = 0
-    for k in sizes:
+    tasks = _pack(((k, samples) for k in sizes), chunk)
+    for size, lo, hi in (segment for task in tasks for segment in task):
         if pairs > PAIR_BUDGET:
             break
-        if not dense_block_rows(field, k, d, min(samples, chunk)):
-            pairs += samples * _verdict_pairs(field.q, k, d)
+        if not dense_block_rows(field, size, d, hi - lo):
+            pairs += (hi - lo) * _verdict_pairs(field.q, size, d)
     return pairs
 
 
@@ -129,7 +131,7 @@ def _covers(field: Field, d: int, subsets: np.ndarray) -> np.ndarray:
     if rows:
         return np.concatenate([covers_units_block(field, subsets[r:r + rows], d)
                                for r in range(0, len(subsets), rows)])
-    return np.array([cover_verdict(PointSet.from_flat(field, 1, a), d).covers_units
+    return np.array([cover_verdict(PointSet.from_flat(field, 1, a), d)["covers_units"]
                      for a in subsets], dtype=bool)
 
 
@@ -137,21 +139,20 @@ def _oracle_failure(field: Field, d: int, subset: list) -> dict:
     """The report entry of a set that `_covers` found not covering.  Its
     missing list comes from the per-set oracle, which must agree."""
     verdict = cover_verdict(PointSet.from_flat(field, 1, subset), d)
-    if verdict.covers_units:
+    if verdict["covers_units"]:
         raise RuntimeError(f"block verdict and cover_verdict disagree on {subset}")
-    return {"size": len(subset), "subset": subset,
-            "missing": verdict.missing[:MISSING_REPORT_LIMIT]}
+    return {"size": len(subset), "subset": subset, "missing": verdict["missing"]}
 
 
 def _cover_task(batch) -> list[list[dict]]:
     """Per task of a `_campaign` batch, one result per (size, lo, hi) segment."""
-    p, n, d, mode, seed, tasks = batch
+    p, n, d, mode, seed, tasks, s_min = batch
     field = get_field(p, n)
     out = [[] for _ in tasks]
     for results, task, drawn in zip(out, tasks, _draw(mode, field.q, tasks, seed, TAG_COVER)):
         for (size, lo, hi), subsets in zip(task, drawn):
             covers = _covers(field, d, subsets)
-            failing = np.flatnonzero(~covers & (size >= min_threshold_size(field.q, d)))
+            failing = np.flatnonzero(~covers & (size >= s_min))
             results.append({"size": size, "checked": hi - lo, "covered": int(covers.sum()),
                             "failures": [{**_oracle_failure(field, d, subsets[i].tolist()),
                                           "sample_index": lo + i} for i in failing.tolist()]})
@@ -353,8 +354,8 @@ def _bilinear_campaign(field: Field, d: int, seed: int, samples: int) -> dict:
         for rows in zip(*drawn):
             sets = [PointSet.from_flat(field, 1, row) for row in rows]
             verdict = bilinear_cover(sets[:d], sets[d:])
-            ratio = verdict.extras["ratio"]
-            if verdict.covers_units:
+            ratio = verdict["ratio"]
+            if verdict["covers_units"]:
                 covered_count += 1
                 if min_cover_ratio is None or ratio < min_cover_ratio:
                     min_cover_ratio = ratio
@@ -386,17 +387,17 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     _require_pair_budget(
         roster, bilinear_pairs + _sampled_pairs(field, d, sizes, spec.samples, chunk))
     report.tallies, failures = _scalar_tallies(
-        _campaign(_cover_task, spec, dict.fromkeys(sizes, spec.samples), chunk), s_min)
+        _campaign(_cover_task, spec, dict.fromkeys(sizes, spec.samples), chunk, s_min), s_min)
 
     extras = {"threshold_min_size": s_min}
     if spec.mode == "structured":
         structured = []
         for name, a in roster:
             verdict = cover_verdict(a, d)
-            structured.append({"name": name, **verdict.to_report_dict()})
-            if verdict.threshold_met and not verdict.covers_units:
+            structured.append({"name": name, **verdict})
+            if verdict["threshold_met"] and not verdict["covers_units"]:
                 failures.append({"size": a.count, "structured": name,
-                                 "missing": verdict.missing[:MISSING_REPORT_LIMIT]})
+                                 "missing": verdict["missing"]})
         extras["structured"] = structured
     if bilinear:
         extras["bilinear"] = _bilinear_campaign(field, d, spec.seed, spec.samples)
@@ -432,7 +433,7 @@ def run_sharpness(spec: ExperimentSpec) -> RunReport:
     if field.n % 2 == 0:
         sub = sqrt_subfield(field)
         closure_ok = all(sumset_of_products(sub, dd) == sub for dd in range(1, 7))
-        covered, _ = covers_units(sumset_of_products(sub, d))
+        covered = not missing_units(sumset_of_products(sub, d).bits)
         extras["sqrt_subfield"] = {
             "size": sub.count,
             "closed_up_to_d6": closure_ok,
@@ -450,12 +451,12 @@ def run_sharpness(spec: ExperimentSpec) -> RunReport:
     for name, a in roster:
         verdict = cover_verdict(a, d)
         entry = {"name": name, "size": a.count,
-                 "covers_units": verdict.covers_units,
+                 "covers_units": verdict["covers_units"],
                  "ratio": a.count / q ** ((d + 1) / (2 * d))}
         families.append(entry)
-        if not verdict.covers_units and (best is None or a.count > best["size"]):
+        if not verdict["covers_units"] and (best is None or a.count > best["size"]):
             best = entry
-        if verdict.threshold_met and not verdict.covers_units:
+        if verdict["threshold_met"] and not verdict["covers_units"]:
             report.counterexamples.append({"structured": name, "size": a.count})
     extras["families"] = families
     extras["largest_noncovering"] = best

@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 
 from fqcover.covering import (
-    covers_units,
     dot_product_set,
     dot_set_lower_bound_sides,
+    missing_units,
     scalar_cover_threshold,
     sqrt_subfield,
     sumset_of_products,
@@ -39,6 +39,7 @@ from fqcover.incidence import (
     remainder_verdicts,
     second_moment_sides,
 )
+from conftest import src_env
 from numpy_oracle import stream
 
 ROSTER = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
@@ -174,8 +175,8 @@ def test_criterion_4_cover_theorem_exhaustive():
             for combo in combinations(range(q), size):
                 a = PointSet.from_flat(field, 1, combo)
                 assert scalar_cover_threshold(a, d)
-                covered, missing = covers_units(sumset_of_products(a, d))
-                assert covered, f"counterexample q={q} d={d} A={combo} missing={missing}"
+                missing = missing_units(sumset_of_products(a, d).bits)
+                assert not missing, f"counterexample q={q} d={d} A={combo} missing={missing}"
                 checked += 1
         per_field[(q, d)] = checked
     assert per_field[(5, 2)] == 6
@@ -196,8 +197,8 @@ def test_criterion_5_dot_cover_exhaustive_q3():
         for combo in combinations(range(9), size):
             e = PointSet.from_flat(field, 2, list(combo))
             assert e.count ** 2 > 27
-            covered, missing = covers_units(dot_product_set(e))
-            assert covered, f"counterexample E={combo} missing={missing}"
+            missing = missing_units(dot_product_set(e).bits)
+            assert not missing, f"counterexample E={combo} missing={missing}"
             checked += 1
     assert checked == 130
     elapsed = time.monotonic() - started
@@ -263,8 +264,7 @@ def test_criterion_8_sqrt_subfield_obstruction():
         for d in range(1, 7):
             image = sumset_of_products(sub, d)
             assert image == sub, f"q={field.q} d={d}: subfield not closed"
-            covered, _ = covers_units(image)
-            assert not covered
+            assert missing_units(image.bits)
     elapsed = time.monotonic() - started
     assert elapsed < 10, f"subfield check took {elapsed:.1f}s"
     _passline(8, "sqrt(q) subfield never covers", f"q in 4, 9, 16, 25, {elapsed:.1f}s")
@@ -320,7 +320,7 @@ def test_criterion_10_report_determinism_across_workers(tmp_path):
             [sys.executable, "-m", "fqcover", "cover-sample",
              "--p", "13", "--n", "1", "--d", "2", "--samples", "40",
              "--seed", "42", "--workers", str(workers), "--out", str(out)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert res.returncode == 0, res.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1], "reports differ across worker counts"

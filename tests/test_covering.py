@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -14,13 +15,13 @@ from fqcover.covering import (
     DENSE_BLOCK_BYTES,
     bilinear_cover,
     cover_verdict,
-    covers_units,
     covers_units_block,
     d_for_epsilon,
     dense_block_rows,
     dot_product_set,
     dot_set_lower_bound_sides,
     iterated_sumset,
+    min_threshold_size,
     missing_units,
     pairwise_product_set,
     point_cover_threshold,
@@ -106,7 +107,7 @@ def test_sumset_of_products_examples():
     f9 = get_field(3, 2)
     f3 = PointSet.from_flat(f9, 1, [0, 1, 2])
     assert sumset_of_products(f3, 3) == f3
-    assert not covers_units(sumset_of_products(f3, 3))[0]
+    assert missing_units(sumset_of_products(f3, 3).bits)
 
 
 # ---------------------------------------------------------------------------
@@ -146,12 +147,11 @@ def test_grid_dot_set_equals_sumset_property_f7(indices):
 # coverage and thresholds
 # ---------------------------------------------------------------------------
 
-def test_covers_units():
+def test_missing_units_of_one_set():
     f5 = get_field(5, 1)
-    assert covers_units(PointSet.full(f5, 1)) == (True, [])
-    covered, missing = covers_units(PointSet.from_flat(f5, 1, [0, 2, 3, 4]))
-    assert not covered and missing == [1]
-    assert covers_units(PointSet.empty(f5, 1)) == (False, [1, 2, 3, 4])
+    assert missing_units(PointSet.full(f5, 1).bits) == []
+    assert missing_units(PointSet.from_flat(f5, 1, [0, 2, 3, 4]).bits) == [1]
+    assert missing_units(PointSet.empty(f5, 1).bits) == [1, 2, 3, 4]
 
 
 def test_missing_units_per_row_of_counts():
@@ -174,6 +174,33 @@ def test_scalar_cover_threshold_exact_integers():
     assert not scalar_cover_threshold(PointSet.full(f4, 1), 1)
 
 
+def _threshold_scan(q, d):
+    """The least s in 1..q with s^{2d} > q^{d+1}, or q + 1, by scanning."""
+    s = 1
+    while s <= q and s ** (2 * d) <= q ** (d + 1):
+        s += 1
+    return s
+
+
+def _prime_powers(top):
+    primes = [p for p in range(2, top + 1) if all(p % r for r in range(2, math.isqrt(p) + 1))]
+    return sorted(p ** n for p in primes for n in range(1, top.bit_length())
+                  if p ** n <= top)
+
+
+def test_min_threshold_size_matches_the_scan():
+    for q in _prime_powers(4096):
+        for d in range(1, 7):
+            assert min_threshold_size(q, d) == _threshold_scan(q, d), (q, d)
+    for q in (2 ** 18, 2 ** 20, 3 ** 12):
+        for d in range(1, 5):
+            assert min_threshold_size(q, d) == _threshold_scan(q, d), (q, d)
+    # Exact powers: at q = 16, 81 and 256 (d = 2) the sizes 8, 27 and 64
+    # reach q^3 exactly, which is not above it.
+    assert [min_threshold_size(q, 2) for q in (16, 81, 256)] == [9, 28, 65]
+    assert min_threshold_size(4096, 1) == 4097
+
+
 def test_point_cover_threshold():
     f3 = get_field(3, 1)
     rng = stream(71, 0, 0, 43)
@@ -190,11 +217,10 @@ def test_point_cover_threshold():
 def test_cover_verdict_fields():
     f5 = get_field(5, 1)
     v = cover_verdict(PointSet.from_flat(f5, 1, [1, 2, 3, 4]), 2)
-    assert v.covers_units and v.threshold_met
-    assert v.lhs == 4 ** 4 and v.rhs == 5 ** 3
-    assert v.missing == []
-    d = v.to_report_dict()
-    assert d["set_size"] == 5 and d["missing_count"] == 0
+    assert v["covers_units"] and v["threshold_met"]
+    assert v["lhs"] == 4 ** 4 and v["rhs"] == 5 ** 3
+    assert v["missing"] == []
+    assert v["set_size"] == 5 and v["missing_count"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -236,27 +262,27 @@ def test_dot_set_lower_bound_singleton():
 def test_positive_proportion_examples():
     f5 = get_field(5, 1)
     v = positive_proportion_check(PointSet.from_flat(f5, 1, [1, 2, 3, 4]), 2)
-    assert v.threshold_met and v.set_size == 5
-    assert v.lhs == 5 * (4 * 25 + 4 ** 4) and v.rhs == 5 * 4 ** 4
+    assert v["threshold_met"] and v["set_size"] == 5
+    assert v["lhs"] == 5 * (4 * 25 + 4 ** 4) and v["rhs"] == 5 * 4 ** 4
     single = positive_proportion_check(PointSet.from_flat(f5, 1, [1]), 2)
-    assert single.threshold_met and single.set_size == 1
-    assert 0 < v.extras["implied_proportion"] < 1
+    assert single["threshold_met"] and single["set_size"] == 1
+    assert 0 < v["implied_proportion"] < 1
 
 
 def test_positive_proportion_strips_zero():
     f5 = get_field(5, 1)
     with_zero = positive_proportion_check(PointSet.from_flat(f5, 1, [0, 1, 2, 3, 4]), 2)
     without = positive_proportion_check(PointSet.from_flat(f5, 1, [1, 2, 3, 4]), 2)
-    assert with_zero.extras["zero_stripped"]
-    assert not without.extras["zero_stripped"]
-    assert with_zero.lhs == without.lhs and with_zero.rhs == without.rhs
+    assert with_zero["zero_stripped"]
+    assert not without["zero_stripped"]
+    assert with_zero["lhs"] == without["lhs"] and with_zero["rhs"] == without["rhs"]
 
 
 def test_positive_proportion_prime_subfield_of_p2():
     f9 = get_field(3, 2)
     v = positive_proportion_check(PointSet.from_flat(f9, 1, [1, 2]), 2)
-    assert isinstance(v.extras["c_size"], float)
-    assert v.threshold_met  # the exact inequality is unconditional
+    assert isinstance(v["c_size"], float)
+    assert v["threshold_met"]  # the exact inequality is unconditional
 
 
 # ---------------------------------------------------------------------------
@@ -267,16 +293,16 @@ def test_bilinear_full_sets():
     f5 = get_field(5, 1)
     full = PointSet.full(f5, 1)
     v = bilinear_cover([full, full], [full, full])
-    assert v.covers_units
-    assert v.extras["ratio"] == pytest.approx(5.0)  # q^{d-1}
+    assert v["covers_units"]
+    assert v["ratio"] == pytest.approx(5.0)  # q^{d-1}
 
 
 def test_bilinear_matches_sumset_of_products():
     f5 = get_field(5, 1)
     a = PointSet.from_flat(f5, 1, [1, 2, 3, 4])
     v = bilinear_cover([a, a], [a, a])
-    assert v.covers_units
-    assert v.extras["ratio"] == pytest.approx(4 ** 4 / 5 ** 3)
+    assert v["covers_units"]
+    assert v["ratio"] == pytest.approx(4 ** 4 / 5 ** 3)
 
 
 def test_bilinear_annihilator():
@@ -284,10 +310,10 @@ def test_bilinear_annihilator():
     zero = PointSet.from_flat(f5, 1, [0])
     full = PointSet.full(f5, 1)
     v = bilinear_cover([zero], [full])
-    assert not v.covers_units and v.set_size == 1
+    assert not v["covers_units"] and v["set_size"] == 1
     # a second full term restores coverage
     v2 = bilinear_cover([zero, full], [full, full])
-    assert v2.covers_units
+    assert v2["covers_units"]
 
 
 def test_bilinear_arity_mismatch():
@@ -365,7 +391,7 @@ def test_exhaustive_theorem_check_tiny():
     assert admitted == [3]
     for combo in itertools.combinations(range(3), 3):
         v = cover_verdict(PointSet.from_flat(f3, 1, combo), 2)
-        assert v.threshold_met and v.covers_units
+        assert v["threshold_met"] and v["covers_units"]
 
 
 def test_pairwise_product_set_oracle():
@@ -396,7 +422,7 @@ def test_block_verdict_matches_cover_verdict(pn, d, data):
     rows = data.draw(st.integers(1, 130))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     subsets = np.array([np.sort(rng.choice(q, k, replace=False)) for _ in range(rows)])
-    expect = [cover_verdict(PointSet.from_flat(field, 1, a), d).covers_units
+    expect = [cover_verdict(PointSet.from_flat(field, 1, a), d)["covers_units"]
               for a in subsets]
     assert covers_units_block(field, subsets, d).tolist() == expect
 
@@ -410,7 +436,7 @@ def test_block_verdict_matches_cover_verdict_on_every_subset_of_a_small_field(pn
     for k in range(1, q + 1):
         subsets = np.array(list(itertools.combinations(range(q), k)), dtype=np.int64)
         for d in (1, 2, 3):
-            expect = [cover_verdict(PointSet.from_flat(field, 1, a), d).covers_units
+            expect = [cover_verdict(PointSet.from_flat(field, 1, a), d)["covers_units"]
                       for a in subsets]
             assert covers_units_block(field, subsets, d).tolist() == expect
 
@@ -453,7 +479,7 @@ def test_block_verdict_sees_non_covering_rows():
     f9 = get_field(3, 2)
     subsets = np.array([[0, 1, 2], [0, 1, 3], [1, 2, 4]], dtype=np.int64)
     for d in (1, 2, 3):
-        expect = [cover_verdict(PointSet.from_flat(f9, 1, a), d).covers_units
+        expect = [cover_verdict(PointSet.from_flat(f9, 1, a), d)["covers_units"]
                   for a in subsets]
         assert covers_units_block(f9, subsets, d).tolist() == expect
         assert expect[0] is False

@@ -25,6 +25,7 @@ from fqcover.gf import (
     subfield_indices,
 )
 from fqcover.harness import get_field
+from conftest import src_env
 
 TABLE_DIGESTS_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                   "field_table_digests.json")
@@ -490,6 +491,6 @@ def test_large_field_construction_leaves_numpy_random_unloaded():
     code = ("import sys; from fqcover.gf import make_field; make_field(2, 13); "
             "print('numpy.random' in sys.modules)")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         timeout=60)
+                         timeout=60, env=src_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"

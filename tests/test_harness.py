@@ -3,7 +3,6 @@ import concurrent.futures
 import itertools
 import json
 import math
-import os
 import re
 import subprocess
 import sys
@@ -26,9 +25,9 @@ import fqcover.scalar as scalar
 import fqcover.selftest as selftest
 from fqcover.covering import (
     cover_verdict,
-    covers_units,
     dense_block_rows,
     dot_product_set,
+    missing_units,
 )
 from fqcover.incidence import PointSet, line_counts_all, nu_bruteforce
 
@@ -50,12 +49,13 @@ from fqcover.scalar import (
     structured_scalar_sets,
 )
 from fqcover.selftest import run_selftest
+from conftest import src_env
 from numpy_oracle import sample_indices, stream
 
 
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "fqcover", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=src_env())
 
 
 def _patch_commands(monkeypatch, name, value):
@@ -336,7 +336,7 @@ print(json.dumps([out, "numpy.random" in sys.modules]))
 """
     res = subprocess.run([sys.executable, "-c", code,
                           json.dumps([[e["argv"], "csv" in e] for e in entries])],
-                         capture_output=True, text=True, timeout=120)
+                         capture_output=True, text=True, timeout=120, env=src_env())
     assert res.returncode == 0, res.stderr
     results, loaded = json.loads(res.stdout)
     assert len(entries) >= 10 and not loaded
@@ -415,7 +415,7 @@ def test_cover_exhaustive_scan_matches_the_per_set_oracle(p, n, d):
     assert 2 ** q <= harness.EXHAUSTIVE_BUDGET
     expect = s_min = min(s for s in range(1, q + 1) if s ** (2 * d) > q ** (d + 1))
     for s in range(s_min - 1, 0, -1):
-        if not all(cover_verdict(PointSet.from_flat(field, 1, a), d).covers_units
+        if not all(cover_verdict(PointSet.from_flat(field, 1, a), d)["covers_units"]
                    for a in itertools.combinations(range(q), s)):
             break
         expect = s
@@ -471,9 +471,9 @@ def test_run_cover_exhaustive_counterexamples_come_from_the_oracle(monkeypatch):
     for k in range(1, 8):
         for subset in _colex_reference(7, k):
             verdict = cover_verdict(PointSet.from_flat(field, 1, subset), 2)
-            if not verdict.covers_units:
+            if not verdict["covers_units"]:
                 expect.append({"size": k, "subset": list(subset),
-                               "missing": verdict.missing[:32]})
+                               "missing": verdict["missing"]})
     # Both verdict paths are reached: the block kernel decides the search's
     # larger levels, the per-set oracle the lone {1}.  Every counterexample
     # takes one more oracle call.
@@ -514,7 +514,7 @@ def _check_search(p, n, d, monkeypatch, lo=0):
     reps = {k: [a for a in verdicts if len(a) == k and 1 in a] for k in range(q + 1)}
     children = {k: [] for k in range(q + 2)}
     children[1] = [(1,)]
-    for a in (a for a, v in verdicts.items() if 1 in a and not v.covers_units):
+    for a in (a for a, v in verdicts.items() if 1 in a and not v["covers_units"]):
         top = max((x for x in a if x != 1), default=-1)
         children[len(a) + 1] += [tuple(sorted(a + (x,))) for x in range(top + 1, q) if x != 1]
     first = max(lo, 1)
@@ -530,12 +530,12 @@ def _check_search(p, n, d, monkeypatch, lo=0):
     s_min = scalar.min_threshold_size(q, d)
     assert report.tallies == {str(k): {
         "checked": math.comb(q, k),
-        "covered": sum(v.covers_units for a, v in verdicts.items() if len(a) == k),
+        "covered": sum(v["covers_units"] for a, v in verdicts.items() if len(a) == k),
         "threshold": k >= s_min} for k in range(lo, q + 1)}
     assert report.counterexamples == [
-        {"size": len(a), "subset": list(a), "missing": v.missing[:32]}
+        {"size": len(a), "subset": list(a), "missing": v["missing"]}
         for a, v in sorted(verdicts.items(), key=lambda av: (len(av[0]), av[0]))
-        if len(a) >= max(s_min, lo, 1) and not v.covers_units]
+        if len(a) >= max(s_min, lo, 1) and not v["covers_units"]]
     return rows, report
 
 
@@ -586,16 +586,16 @@ def test_run_cover_sample_counterexamples_from_samples_and_structured_sets(monke
     structured, sampled = [], []
     for name, a in structured_scalar_sets(field):
         verdict = cover_verdict(a, 2)
-        if not verdict.covers_units:
+        if not verdict["covers_units"]:
             structured.append({"size": a.count, "structured": name,
-                               "missing": verdict.missing[:32]})
+                               "missing": verdict["missing"]})
     for k in range(1, 10):
         for i in range(3):
             subset = sample_indices(stream(1, i, k, harness.TAG_COVER), 9, k).tolist()
             verdict = cover_verdict(PointSet.from_flat(field, 1, subset), 2)
-            if not verdict.covers_units:
+            if not verdict["covers_units"]:
                 sampled.append({"size": k, "subset": subset,
-                                "missing": verdict.missing[:32], "sample_index": i})
+                                "missing": verdict["missing"], "sample_index": i})
     assert any(c["structured"] == "subfield_3^1" for c in structured)
     assert report.counterexamples == sorted(
         structured + sampled, key=lambda c: (c["size"], c.get("sample_index", -1), str(c)))
@@ -607,13 +607,13 @@ def test_run_cover_sample_counterexamples_from_samples_and_structured_sets(monke
 def test_run_sharpness_counterexamples(monkeypatch):
     # The subfield is reported when it covers, and every non-covering
     # family when it is taken as above the threshold.
-    monkeypatch.setattr(scalar, "covers_units", lambda s: (True, []))
+    monkeypatch.setattr(scalar, "missing_units", lambda present: [])
     monkeypatch.setattr(covering, "scalar_cover_threshold", lambda a, d: True)
     field = get_field(3, 2)
     report = run_sharpness(ExperimentSpec(p=3, n=2, d=2, mode="structured"))
     expect = [{"structured": "sqrt_subfield", "size": 3}] + [
         {"structured": name, "size": a.count} for name, a in structured_scalar_sets(field)
-        if not cover_verdict(a, 2).covers_units]
+        if not cover_verdict(a, 2)["covers_units"]]
     assert len(expect) > 1 and report.counterexamples == expect
     assert report.extras["sqrt_subfield"]["covers_units"]
     assert _flagged(report)["counterexamples"] == expect
@@ -633,7 +633,7 @@ def test_run_geometry_counterexamples(monkeypatch):
         for i in range(2):
             flats = sample_indices(stream(1, i, k, harness.TAG_POINTS), 25, k)
             core = PointSet.from_flat(field, 2, flats).strip_origin()
-            missing = covers_units(dot_product_set(core))[1]
+            missing = missing_units(dot_product_set(core).bits)
             if missing:
                 expect.append({"check": "cover", "case": f"size{k}#{i}", "missing": missing})
             expect.append({"check": "second_moment", "case": f"size{k}#{i}"})
@@ -826,7 +826,7 @@ def test_cli_refuses_a_huge_degree_or_dimension_at_once(args, code):
     prints.  A p over the field size cap (here 2^61 - 1) is refused before
     trial division tries it."""
     res = subprocess.run([sys.executable, "-m", "fqcover", *args],
-                         capture_output=True, text=True, timeout=10)
+                         capture_output=True, text=True, timeout=10, env=src_env())
     assert res.returncode == code, res.stderr
     assert "Traceback" not in res.stderr and res.stdout == ""
 
@@ -971,6 +971,26 @@ def test_cli_cover_sample_refuses_per_set_verdicts_over_the_pair_budget(capsys):
     assert captured.out == "" and f"{scalar.PAIR_BUDGET}" in captured.err
 
 
+def test_pair_budget_counts_the_segments_that_tasks_cut(monkeypatch, capsys):
+    # 150 samples each of sizes 18 and 19 in GF(2^10) are packed as
+    # [(18, 0, 150), (19, 0, 106)], [(19, 106, 150)].  150 and 106 rows take
+    # the block kernel, but the 44-row segment goes per set, with up to
+    # 44 * 130,682 pairs.
+    field = get_field(2, 10)
+    assert [dense_block_rows(field, k, 2, rows) for k, rows in ((18, 150), (19, 106))] != [0, 0]
+    assert dense_block_rows(field, 19, 2, 44) == 0
+    assert scalar._sampled_pairs(field, 2, range(18, 20), 150, 256) == 44 * 130_682
+
+    def refuse(*args):
+        raise AssertionError("the run went on")
+    monkeypatch.setattr(scalar, "PAIR_BUDGET", 10 ** 6)
+    _patch_commands(monkeypatch, "_campaign", refuse)
+    assert cli.main(["cover-sample", "--p", "2", "--n", "10", "--d", "2",
+                     "--sizes", "18..19", "--samples", "150"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget of 1000000" in captured.err
+
+
 def test_bilinear_samples_over_the_pair_budget_are_refused_before_the_field(monkeypatch,
                                                                            capsys):
     # 8e6 drawn sets fit the draw budget, but each bilinear sample of
@@ -1042,7 +1062,8 @@ def test_cli_import_loads_no_process_pool():
             "print([m for m in commands if m not in sys.modules])\n"
             "print(sorted(m for m in sys.modules if m in "
             "('concurrent.futures.process', 'multiprocessing', 'fqcover.sampling')))\n")
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=src_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n[]\n[]\n"
     # The dependency goes one way: no import in `harness`, at module level
@@ -1069,9 +1090,8 @@ def test_cli_runs_load_no_module_they_do_not_execute():
         "        'cover-exhaustive --p 17 --d 2 --workers 2',\n"
         "        'geometry --p 3 --n 2 --sizes 5..6 --samples 2')]\n"
         "print(codes, [m for m in unused if m in sys.modules])\n")
-    src = Path(__file__).resolve().parents[1] / "src"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": str(src)})
+                         env=src_env())
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n[0, 0] []\n"
 
@@ -1201,7 +1221,7 @@ def test_cover_sample_block_verdicts_match_the_per_set_oracle():
                                              samples=40, seed=7))
     for k in range(4, 14):
         covered = sum(cover_verdict(PointSet.from_flat(field, 1, sample_indices(
-            stream(7, i, k, harness.TAG_COVER), 13, k)), 2).covers_units for i in range(40))
+            stream(7, i, k, harness.TAG_COVER), 13, k)), 2)["covers_units"] for i in range(40))
         assert report.tallies[str(k)] == {"checked": 40, "covered": covered,
                                           "threshold": k >= 7}
 

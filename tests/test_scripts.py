@@ -8,6 +8,7 @@ import sys
 
 from fqcover.harness import ExperimentSpec, canonical_json
 from fqcover.scalar import run_cover_exhaustive, run_sharpness
+from conftest import src_env
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPTS = os.path.join(ROOT, "scripts")
@@ -15,11 +16,8 @@ SCRIPTS = os.path.join(ROOT, "scripts")
 
 def _run(script, *args):
     path = os.path.join(SCRIPTS, script)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [os.path.join(ROOT, "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     res = subprocess.run([sys.executable, path, *args], capture_output=True, text=True,
-                         env=env, timeout=120)
+                         env=src_env(), timeout=120)
     return res, runpy.run_path(path)
 
 
