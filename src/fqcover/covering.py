@@ -126,12 +126,13 @@ def point_cover_threshold(e: PointSet):
 def _verdict(s: PointSet, threshold_met: bool | None, lhs: int, rhs: int, **extras) -> dict:
     """The report entry of a check whose sumset is S, with the exact witness
     lhs vs rhs."""
-    missing = missing_units(s.bits)
+    absent = s.bits[1:] == 0
+    count = int(np.count_nonzero(absent))
     return {
         "set_size": s.count,
-        "covers_units": not missing,
-        "missing": missing[:MISSING_REPORT_LIMIT],
-        "missing_count": len(missing),
+        "covers_units": not count,
+        "missing": (np.flatnonzero(absent)[:MISSING_REPORT_LIMIT] + 1).tolist(),
+        "missing_count": count,
         "threshold_met": threshold_met,
         "lhs": lhs,
         "rhs": rhs,

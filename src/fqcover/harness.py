@@ -55,6 +55,7 @@ from .gf import Field, make_field
 
 EXHAUSTIVE_BUDGET = 10 ** 7
 DRAW_CAP = 1 << 16  # values one sampler call draws, unless one task alone holds more
+SUBSET_CHUNK = 2048  # candidate rows per `decide` call of `levels`
 JSON_INT_LIMIT = 1 << 53
 
 EXIT_OK = 0
@@ -243,6 +244,55 @@ def colex_unrank(universe: int, k: int, lo: int, hi: int) -> np.ndarray:
         out[:, i - 1] = c
         rank -= binom[i - 1][c]
     return out
+
+
+def levels(universe: int, decide, lo: int, top: int):
+    """Search a family of sets of range(universe) that is closed under
+    taking subsets, level by level: level k holds its (k - 1)-sets, one
+    sorted row each.  `decide(rows)` takes a block of at most SUBSET_CHUNK
+    candidate rows and returns the mask of those in the family.  Yield
+    (k, decided, kept) for each level k searched, up to `top`: the number
+    of candidates and the rows kept, in the smallest unsigned dtype that
+    holds `universe`.
+
+    Level 1 decides the empty row, level k the children R | {u}, u > max(R),
+    of the rows kept at level k - 1: each set of the family has its parent,
+    the set less its largest element, in the family.  The search stops
+    after an empty level.  The levels below `lo` >= 1 only lead up to it,
+    and are searched while the candidates stay within the rows of levels
+    lo..top; past that, every row of level lo is decided, in colex order.
+    So a run decides at most twice as many rows as those levels hold.
+    """
+    dtype = np.min_scalar_type(universe)
+    direct = sum(math.comb(universe, k - 1) for k in range(lo, top + 1))
+    # ends is None where the candidates of level k are the colex ranks;
+    # otherwise parent o's children take the indices from
+    # ends[o] - (universe - 1 - max(R_o)) to ends[o] - 1, with u from
+    # max(R_o) + 1 to universe - 1.
+    k, count, decided, ends = 1, 1, 0, None
+    while True:
+        if k < lo and decided + count > direct:
+            k, count, ends = lo, math.comb(universe, lo - 1), None
+        decided += count
+        parts = []
+        for i in range(0, count, SUBSET_CHUNK):
+            j = min(i + SUBSET_CHUNK, count)
+            if ends is None:
+                rows = colex_unrank(universe, k - 1, i, j).astype(dtype)
+            else:
+                index = np.arange(i, j)
+                owner = np.searchsorted(ends, index, side="right")
+                u = index - ends[owner] + universe
+                rows = np.hstack([kept[owner], u[:, None].astype(dtype)])
+            parts.append(rows[decide(rows)])
+        kept = np.concatenate(parts) if parts else np.empty((0, k - 1), dtype)
+        yield k, count, kept
+        if not len(kept) or k == top:
+            return
+        k += 1
+        last = kept[:, -1].astype(np.int64) if k > 2 else np.full(len(kept), -1)
+        ends = np.cumsum(universe - 1 - last)
+        count = int(ends[-1])
 
 
 def require_budget(universe: int, sizes: range | list[int]) -> int:

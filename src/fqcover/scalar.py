@@ -16,7 +16,6 @@ from .covering import (
     d_for_epsilon,
     dense_block_rows,
     min_threshold_size,
-    missing_units,
     sqrt_subfield,
     sumset_of_products,
 )
@@ -37,8 +36,8 @@ from .harness import (
     _require_checks,
     _require_draw_budget,
     _streams,
-    colex_unrank,
     get_field,
+    levels,
     require_budget,
 )
 from .incidence import PointSet
@@ -49,9 +48,6 @@ from .incidence import PointSet
 # that take the per-set `cover_verdict` (sample-q4096 needs 3.4e8) and of its
 # bilinear samples.
 PAIR_BUDGET = 10 ** 9
-# Candidate orbit representatives per verdict block of the cover-exhaustive
-# search.
-SUBSET_CHUNK = 2048
 # Bits of the largest threshold power q^(2d) a scalar command may take:
 # quick to compute, and under the 4300 digits (14,284 bits) that Python
 # converts to a decimal string by default.
@@ -167,82 +163,6 @@ def _representatives(rest: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((len(rest), 1), dtype=np.int64), rest + (rest > 0)])
 
 
-def _last(rows: np.ndarray) -> np.ndarray:
-    """max(R) of every row R, as int64; -1 for the empty row."""
-    return rows[:, -1].astype(np.int64) if rows.shape[1] else np.full(len(rows), -1)
-
-
-def _children(parents: list[np.ndarray], universe: int):
-    """The rows R | {u} for every row R of the blocks `parents` and every u
-    in range(universe) above max(R), parent by parent, in blocks of at most
-    SUBSET_CHUNK rows."""
-    for block in parents:
-        last = _last(block)
-        ends = np.cumsum(universe - 1 - last)
-        for lo in range(0, int(ends[-1]), SUBSET_CHUNK):
-            j = np.arange(lo, min(lo + SUBSET_CHUNK, int(ends[-1])))
-            owner = np.searchsorted(ends, j, side="right")
-            # Parent o's children take the indices from
-            # ends[o] - (universe - 1 - last[o]) to ends[o] - 1, with u from
-            # last[o] + 1 to universe - 1.
-            u = j - ends[owner] + universe
-            yield np.hstack([block[owner], u[:, None].astype(block.dtype)])
-
-
-def _noncovering_levels(field: Field, d: int, lo: int, top: int):
-    """Yield (k, decided, kept) for each level k decided, up to `top`: the
-    number of orbit representatives of size k that got a `_covers` verdict,
-    and those of them whose d-fold sumset of A*A misses a unit, as blocks
-    of at most SUBSET_CHUNK rows.  A representative holds 1 and is stored
-    as the row R of `_representatives`, in the smallest unsigned dtype that
-    holds q - 1.
-
-    A subset B of A gives dB^2 inside dA^2, so the sets that miss a unit
-    are closed under taking subsets.  Each representative S of size k >= 2
-    has one parent, S minus the largest element of S \\ {1}, which holds 1
-    and misses a unit when S does.  So level 1 decides {1}, and level k
-    decides the children of the non-covering rows of level k - 1, the
-    sets R | {u} with u > max(R); all other representatives of size k
-    cover.  After an empty level every larger set covers, and the search
-    stops.
-
-    The levels below `lo` >= 1, the least size asked for, only lead up to
-    it.  They are searched while the sets decided stay within the number of
-    representatives of the sizes lo..top; past that, every representative
-    of size lo is decided, in colex order, and the search goes on from
-    there.  So a run decides at most twice as many sets as those
-    representatives.
-    """
-    q = field.q
-    dtype = np.min_scalar_type(q - 1)
-    direct = sum(math.comb(q - 1, k - 1) for k in range(lo, top + 1))
-    k, count, blocks = 1, 1, [np.zeros((1, 0), dtype=dtype)]
-    decided = 0
-    while True:
-        if k < lo and decided + count > direct:
-            k, count = lo, math.comb(q - 1, lo - 1)
-            blocks = (colex_unrank(q - 1, lo - 1, i, min(i + SUBSET_CHUNK, count)).astype(dtype)
-                      for i in range(0, count, SUBSET_CHUNK))
-        decided += count
-        kept = []
-        for rest in blocks:
-            rest = rest[~_covers(field, d, _representatives(rest))]
-            if not len(rest):
-                continue
-            # Small blocks are merged, so that the next level's verdict
-            # calls stay large.
-            if kept and len(kept[-1]) + len(rest) <= SUBSET_CHUNK:
-                kept[-1] = np.concatenate([kept[-1], rest])
-            else:
-                kept.append(rest)
-        yield k, count, kept
-        if not kept or k == top:
-            return
-        k += 1
-        count = sum(int((q - 2 - _last(rows)).sum()) for rows in kept)
-        blocks = _children(kept, q - 1)
-
-
 def _scalar_tallies(results: list, s_min: int) -> tuple[dict, list]:
     """The per-size tallies, keyed in size order, and the failures of a list
     of cover task results."""
@@ -279,8 +199,14 @@ def _scalar_sizes(spec: ExperimentSpec, q: int, s_min: int) -> range:
 
 
 def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
-    """Tally every subset of F_q of the sizes asked for from the kept
-    levels of `_noncovering_levels`, the sets that miss a unit."""
+    """Tally every subset of F_q of the sizes asked for from the orbit
+    representatives that miss a unit, the kept levels of `harness.levels`.
+
+    Coverage does not change under A -> cA, so only the representatives
+    {1} | R of each orbit {cA : c != 0} are searched, as the rows R of
+    `_representatives`.  A subset B of A gives dB^2 inside dA^2, so the
+    representatives that miss a unit are closed under taking subsets that
+    hold 1, and level k of the search holds those of size k."""
     # The budget is applied to q before any table of the field is built.
     q, d = _scalar_order(spec), spec.d
     s_min = min_threshold_size(q, d)
@@ -302,13 +228,14 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
     # verdicts take less time than a pool takes to start.
     lo = 1 if spec.sizes is None else max(sizes[0], 1)
     verdicts = 0
-    for k, level, kept in _noncovering_levels(field, d, lo, sizes[-1]):
+    for k, level, kept in levels(q - 1, lambda rest: ~_covers(field, d, _representatives(rest)),
+                                 lo, sizes[-1]):
         verdicts += level
-        # Coverage does not change under A -> cA, and a k-set with m units
-        # has m images cA that hold 1, so a representative stands for
-        # (q - 1)/m sets: m = k without 0, k - 1 with 0.
-        with_zero = sum(int((rest[:, :1] == 0).sum()) for rest in kept)
-        for reps, units in ((sum(map(len, kept)) - with_zero, k), (with_zero, k - 1)):
+        # A k-set with m units has m images cA that hold 1, so a
+        # representative stands for (q - 1)/m sets: m = k without 0, k - 1
+        # with 0.
+        with_zero = int((kept[:, :1] == 0).sum())
+        for reps, units in ((len(kept) - with_zero, k), (with_zero, k - 1)):
             if reps:
                 sets, remainder = divmod((q - 1) * reps, units)
                 if remainder:
@@ -316,7 +243,7 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
                                        f"{units} units are not whole orbits")
                 noncovering[k] = noncovering.get(k, 0) + sets
         if k >= first:
-            failing += [row for rest in kept for row in _representatives(rest).tolist()]
+            failing += _representatives(kept).tolist()
     report.tallies = {str(s): {"checked": math.comb(q, s),
                                "covered": math.comb(q, s) - noncovering.get(s, 0),
                                "threshold": s >= s_min} for s in sizes}
@@ -433,7 +360,7 @@ def run_sharpness(spec: ExperimentSpec) -> RunReport:
     if field.n % 2 == 0:
         sub = sqrt_subfield(field)
         closure_ok = all(sumset_of_products(sub, dd) == sub for dd in range(1, 7))
-        covered = not missing_units(sumset_of_products(sub, d).bits)
+        covered = bool(sumset_of_products(sub, d).bits[1:].all())
         extras["sqrt_subfield"] = {
             "size": sub.count,
             "closed_up_to_d6": closure_ok,

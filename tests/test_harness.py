@@ -112,6 +112,45 @@ def test_colex_unrank_rejects_ranks_out_of_range():
         colex_unrank(200, 100, 0, 1)
 
 
+@pytest.mark.parametrize("lo,seen", [(1, range(1, 11)), (5, range(1, 11)),
+                                     (9, [1, 2, 3, 4, 9, 10])])
+def test_levels_searches_a_down_closed_family(lo, seen, monkeypatch):
+    # The sets R of range(12) whose elements sum to less than 30 are closed
+    # under taking subsets; level k holds those of size k - 1, the largest
+    # two of size 8, so the search stops after the empty level 10, below
+    # top.  With blocks of 7 rows most levels take several decide calls.
+    # From level 9 up, levels 1..5 would decide 794 rows, more than the 781
+    # of levels 9..11, so after level 4 every row of level 9 is decided, in
+    # colex order.
+    monkeypatch.setattr(harness, "SUBSET_CHUNK", 7)
+    universe, bound, top = 12, 30, 11
+    family = {k: sorted(r for r in itertools.combinations(range(universe), k - 1)
+                        if sum(r) < bound) for k in range(1, top + 1)}
+    asked = {}
+
+    def decide(rows):
+        assert 0 < len(rows) <= 7 and rows.dtype == np.uint8
+        asked.setdefault(rows.shape[1] + 1, []).extend(map(tuple, rows.tolist()))
+        return rows.sum(axis=1, dtype=np.int64) < bound
+
+    got = list(harness.levels(universe, decide, lo, top))
+    assert [k for k, _, _ in got] == list(seen)
+    for k, decided, kept in got:
+        assert kept.dtype == np.uint8 and kept.shape == (len(family[k]), k - 1)
+        assert sorted(map(tuple, kept.tolist())) == family[k]
+        if k == 1:
+            expect = [()]
+        elif k - 1 not in asked:
+            expect = list(itertools.combinations(range(universe), k - 1))
+        else:
+            expect = [r + (u,) for r in family[k - 1]
+                      for u in range(max(r, default=-1) + 1, universe)]
+        assert decided == len(asked[k]) == len(expect)
+        assert sorted(asked[k]) == sorted(expect)
+    assert sum(decided for _, decided, _ in got) <= 2 * sum(
+        math.comb(universe, k - 1) for k in range(lo, top + 1))
+
+
 def test_budget_guard():
     assert require_budget(9, [6, 7, 8, 9]) == 130
     with pytest.raises(BudgetExceededError) as exc:
@@ -427,12 +466,17 @@ def test_cover_exhaustive_scan_matches_the_per_set_oracle(p, n, d):
         assert extras["empirical_scan_floor"] == expect
 
 
-@pytest.mark.parametrize("p,d,verdicts", [(17, 2, 1009), (13, 3, 108)])
+@pytest.mark.parametrize("p,d,verdicts", [(17, 2, 1009), (13, 3, 108), (13, 1, 1289),
+                                           (43, 2, 715168)])
 def test_cover_exhaustive_verdict_count_is_pinned(p, d, verdicts):
     # The search decides {1} and the children of the non-covering sets
     # holding 1 at every size below the threshold and above; 1,009 is the
-    # README's figure for --p 17 --d 2.
-    report = run_cover_exhaustive(ExperimentSpec(p=p, d=d, mode="exhaustive"))
+    # README's figure for --p 17 --d 2.  At d = 1 no size meets the
+    # threshold, so sizes are given: at q = 13 the search jumps to size 9
+    # in colex order, and at q = 43 the levels of sizes 5 and 6 take up to
+    # about 290 verdict blocks each.
+    sizes = {(13, 1): (9, 13), (43, 2): (5, 6)}.get((p, d))
+    report = run_cover_exhaustive(ExperimentSpec(p=p, d=d, mode="exhaustive", sizes=sizes))
     assert report.stats["verdicts"] == verdicts
 
 
@@ -503,7 +547,7 @@ def _check_search(p, n, d, monkeypatch, lo=0):
     covers = scalar._covers
 
     def counted(field, d, subsets):
-        assert 0 < len(subsets) <= scalar.SUBSET_CHUNK
+        assert 0 < len(subsets) <= harness.SUBSET_CHUNK
         assert (subsets == 1).any(axis=1).all()
         rows[subsets.shape[1]] += (tuple(sorted(a)) for a in subsets.tolist())
         return covers(field, d, subsets)
@@ -556,7 +600,7 @@ def test_cover_exhaustive_search_splits_levels_across_blocks(p, threshold, lo, m
     # searching all of sizes 1..8 would decide more sets than the 794
     # representatives of sizes 9..13: the search stops after size 5, and
     # every representative of size 9 is decided.
-    monkeypatch.setattr(scalar, "SUBSET_CHUNK", 7)
+    monkeypatch.setattr(harness, "SUBSET_CHUNK", 7)
     if threshold:
         monkeypatch.setattr(scalar, "min_threshold_size", lambda q, d: threshold)
     rows, report = _check_search(p, 1, 1, monkeypatch, lo)
@@ -605,9 +649,13 @@ def test_run_cover_sample_counterexamples_from_samples_and_structured_sets(monke
 
 
 def test_run_sharpness_counterexamples(monkeypatch):
-    # The subfield is reported when it covers, and every non-covering
-    # family when it is taken as above the threshold.
-    monkeypatch.setattr(scalar, "missing_units", lambda present: [])
+    # The subfield stays closed under its six closure sumsets and is
+    # reported when its cover sumset (the seventh call) is made the whole
+    # field; every non-covering family is reported when it is taken as
+    # above the threshold.
+    real, calls = scalar.sumset_of_products, itertools.count()
+    monkeypatch.setattr(scalar, "sumset_of_products",
+                        lambda a, d: real(a, d) if next(calls) < 6 else PointSet.full(a.field, 1))
     monkeypatch.setattr(covering, "scalar_cover_threshold", lambda a, d: True)
     field = get_field(3, 2)
     report = run_sharpness(ExperimentSpec(p=3, n=2, d=2, mode="structured"))
@@ -615,7 +663,9 @@ def test_run_sharpness_counterexamples(monkeypatch):
         {"structured": name, "size": a.count} for name, a in structured_scalar_sets(field)
         if not cover_verdict(a, 2)["covers_units"]]
     assert len(expect) > 1 and report.counterexamples == expect
+    assert report.extras["sqrt_subfield"]["closed_up_to_d6"]
     assert report.extras["sqrt_subfield"]["covers_units"]
+    assert next(calls) == 7
     assert _flagged(report)["counterexamples"] == expect
 
 
@@ -646,7 +696,7 @@ def test_run_geometry_counterexamples(monkeypatch):
 
 def test_run_cover_exhaustive_small_sets_in_a_large_field_stay_per_set():
     field = get_field(2, 12)
-    assert dense_block_rows(field, 1, 2, scalar.SUBSET_CHUNK) == 0
+    assert dense_block_rows(field, 1, 2, harness.SUBSET_CHUNK) == 0
     report = run_cover_exhaustive(ExperimentSpec(p=2, n=12, d=2, mode="exhaustive",
                                                  sizes=(1, 1)))
     assert report.tallies == {"1": {"checked": 4096, "covered": 0, "threshold": False}}
