@@ -15,7 +15,7 @@ from .covering import (
     missing_units,
     point_cover_threshold,
 )
-from .fourier import diff_hat_close, fourier_forward, row_blocks
+from .fourier import fourier_forward, fourier_invert, row_blocks, within_rounding
 from .gf import DEFAULT_SIZE_CAP, MUL_TABLE_MAX_Q, Field, field_order
 from .harness import (
     TAG_POINTS,
@@ -37,7 +37,6 @@ from .harness import (
 from .incidence import (
     PointSet,
     difference_counts,
-    hat_identity_close,
     hyperplane_sum,
     nu_bruteforce,
     remainder_sides,
@@ -113,10 +112,15 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
         put("sharpness_frac", [(w ** 2, n ** 2 * q ** (d + 1))
                                for w, n in zip(worst.tolist(), size.tolist())])
     if "identities" in checks:
-        stacked = np.stack([hyperplane_sum(e), difference_counts(e), e.bits])
-        hats = fourier_forward(field, d, stacked)
-        put("identities", (hat_identity_close(hats[0], lines, size, q)[0]
-                           & diff_hat_close(hats[1], hats[2], q ** d)).tolist())
+        # Fhat(k) = |E intersect l_k| / q (k != 0), Fhat(0) = |E| / q and
+        # Dhat = q^d |Ehat|^2, inverted: q F and D are the inverses of the
+        # line counts with |E| at 0 and of q^d |Ehat|^2.
+        lines_at_0 = np.concatenate([size[:, None], lines[:, 1:]], axis=1)
+        ehat = fourier_forward(field, d, e.bits)
+        inv = fourier_invert(field, d, np.stack([lines_at_0, q ** d * np.abs(ehat) ** 2]))
+        bound = incidence.identity_error(q, d, size)
+        put("identities", (within_rounding(inv[0], q * hyperplane_sum(e), bound)
+                           & within_rounding(inv[1], difference_counts(e), bound)).tolist())
     if "second_moment" in checks:
         lhs, rhs = second_moment_sides(counts, size, max_line, q, d)
         put("second_moment", (lhs <= rhs).tolist())
@@ -180,7 +184,8 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
     the origin stripped, as CSV; the remainder check finds that case, so
     without it spec.csv is refused.  A space whose q^d arrays or q x q
     character matrix pass the field layer's own caps is refused before
-    anything is built."""
+    anything is built, and one whose rounding bound at its largest set
+    reaches 1/2 before any count."""
     _require_checks(spec, POINT_CHECKS)
     checks = spec.checks or POINT_CHECKS
     if spec.csv and "remainder" not in checks:
@@ -216,10 +221,16 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
         _require_draw_budget(len(sizes) * spec.samples)
         totals = dict.fromkeys(sizes, spec.samples)
     field = get_field(p, n)
+    roster = structured_point_sets(field, d, spec.seed) if spec.mode == "structured" else []
+    # The bound of the identity checks, and of nu_spectral if a check reads nu.
+    largest = max([*sizes[-1:], *(e.count for _, e in roster)], default=0)
+    bound = max(incidence.identity_error(q, d, largest) if "identities" in checks else 0,
+                incidence.spectral_error(q, d, largest) if set(checks) != {"identities"} else 0)
+    if bound >= 0.5:
+        raise BudgetExceededError(f"{space}: rounding bound {bound:.3g} >= 1/2 at {largest} points")
     report = RunReport("geometry", spec.echo(), field.descriptor())
     outcomes = _campaign(_geometry_task, spec, totals, 64, checks)
-    if spec.mode == "structured":
-        roster = structured_point_sets(field, d, spec.seed)
+    if roster:
         checked = _stacked_checks(field, d, np.stack([e.bits for _, e in roster]), checks)
         for (name, e), res in zip(roster, checked):
             res.update(size=e.count, name=name, flats=e.flat_indices())

@@ -5,27 +5,21 @@ them.
 The central object is nu(t) = #{(x, y) in E x E : x.y = t} for a point
 set E.  Its deviation from the uniform count |E|^2/q is tracked as the
 exact integer numerator q*nu(t) - |E|^2: every inequality asserted here
-is an inequality between integers, with floats confined to diagnostics.
-Character sums enter only through the cross-validating spectral path and
-the hyperplane transform identity.
+is an inequality between integers.  Character sums enter only through the
+spectral path and the transform identities, held to integers under the
+bounds `spectral_error` and `identity_error`, from `fourier.transform_error`.
 
 The counts (nu, line counts, hyperplane sums, difference counts) are
 plain int64 arrays.  They take a `PointSet` that may be a stack of sets
 of any sizes, and give one result per set along leading axes.  Only this
 module tests for the point tables of F_q^d (`_table`: q^d <= 128 at the
 default cap).  With them, nu, the hyperplane sums and the difference
-counts are exact integer contractions of the stack's membership bits:
-F = bits . Z0, Z0[x, m] = [x.m = 0]; D(m) = sum_y E(y) E(m + y) through
-the add table; nu(0) = sum_x E(x) F(x) and, by dilation,
-nu(t) = sum_x E(x) A1(x / t) for t != 0, where A1 = bits . Z1,
-Z1[x, m] = [x.m = 1].  Without them, each set is counted in turn on its
-own flat indices (`_set_blocks`): nu and the difference counts count the
-pairs x.y and y - y', the hyperplane sums pair the set with one point per
-line through the origin, and the spectral path scales the set by every
-field element.  The line counts read the direction of each point
-(`_directions`) on every space.  The read-outs of the remainder estimate,
-the hat identity and the second moment (`remainder_sides`,
-`remainder_verdicts`, `hat_identity_close`, `second_moment_sides`) work
+counts are exact integer contractions of the stack's membership bits;
+without them, each set is counted in turn on its own flat indices
+(`_set_blocks`).  Each count's docstring gives its formula.  The line
+counts read the direction of each point (`_directions`) on every space.
+The read-outs of the remainder estimate and the second moment
+(`remainder_sides`, `remainder_verdicts`, `second_moment_sides`) work
 elementwise over leading axes too.  Their one caller,
 `geometry._geometry_checks`, reads every set's verdicts off the counts of
 a stack; a single set is a stack of one.
@@ -236,16 +230,27 @@ def nu_bruteforce(e: PointSet) -> np.ndarray:
     return _pair_counts(e, lambda flats: (flats, flats), partial(point_dot, field, e.d), q)
 
 
-def nu_spectral(e: PointSet) -> np.ndarray:
-    """nu via the character-sum representation.
+def spectral_error(q: int, d: int, size):
+    """`nu_spectral`'s rounding bound on sets of size points: the s-sums carry
+    the error of Ehat as transform_error(q, d, |E|^2) and are a round of
+    length |E| themselves; the last transform adds transform_error(q, 1, |E|^2)."""
+    pairs = size ** 2
+    return fourier.transform_error(q, d + 1, pairs) + fourier.transform_error(size, 1, pairs)
 
-    nu(t) = q^{-1} sum_s chi(-s t) S(s) with
+
+def identity_error(q: int, d: int, size):
+    """The rounding bound of the identity checks' inverses on sets of size
+    points: of the line counts, of mass q |E| (origin-free), and of q^d |Ehat|^2,
+    of mass |E| and error transform_error(q, d, 2 |E|^{3/2}) (Cauchy-Schwarz)."""
+    return fourier.transform_error(q, d, (q + 3 * size) * size)
+
+
+def nu_spectral(e: PointSet) -> np.ndarray:
+    """nu via characters: nu(t) = q^{-1} sum_s chi(-s t) S(s) with
     S(s) = sum_{x,y in E} chi(s (x.y)) = q^d sum_{x in E} Ehat(-s x).
 
-    Must reproduce the brute-force integers exactly after rounding; a
-    rounding defect, a set whose counts do not sum to |E|^2, or a mismatch
-    against a sampled direct count (on each set of at most 300 points)
-    raises SpectralMismatchError.
+    A value farther from its integer than `spectral_error`, or counts that
+    do not sum to |E|^2, raise SpectralMismatchError.
     """
     field, d, q = e.field, e.d, e.field.q
     ehat = fourier_forward(field, d, e.bits).reshape(-1, q ** d)
@@ -254,36 +259,22 @@ def nu_spectral(e: PointSet) -> np.ndarray:
     for i, s, x, y in _set_blocks(e, lambda flats: (field.neg_table, flats)):
         s_sums[i, s] = q ** d * ehat[i, point_scale(field, d, y, x[:, None])].sum(axis=1)
     nu_c = fourier_forward(field, 1, s_sums)
-    counts_f = nu_c.real
-    counts = np.rint(counts_f).astype(np.int64)
-    defect = float(np.max(np.abs(counts_f - counts)))
-    imag = float(np.max(np.abs(nu_c.imag)))
-    if defect > 1e-6 or imag > 1e-6:
-        raise SpectralMismatchError(f"spectral counts not near integers "
-                                    f"(defect {defect:.3g}, imag {imag:.3g})")
-    if np.any(counts.sum(axis=1) != sizes ** 2):
-        raise SpectralMismatchError("spectral counts do not sum to |E|^2")
-    small = np.flatnonzero(sizes <= 300)
-    if len(small):
-        t_star = np.argmax(counts[small], axis=1)
-        recount = PointSet(field, d, e.bits.reshape(len(sizes), -1)[small])
-        direct = nu_bruteforce(recount)[np.arange(len(small)), t_star]
-        bad = np.flatnonzero(direct != counts[small, t_star])
-        if len(bad):
-            r, t = small[bad[0]], t_star[bad[0]]
-            raise SpectralMismatchError(
-                f"spectral nu({t}) = {counts[r, t]}, direct count {direct[bad[0]]}")
+    counts = np.rint(nu_c.real).astype(np.int64)
+    exact = fourier.within_rounding(nu_c, counts, spectral_error(q, d, sizes))
+    if not np.all(exact & (counts.sum(axis=1) == sizes ** 2)):
+        raise SpectralMismatchError("spectral counts not within their rounding bound of "
+                                    "integers that sum to |E|^2")
     return counts.reshape(e.bits.shape[:-1] + (q,))
 
 
 def nu(e: PointSet) -> np.ndarray:
     # Per coordinate, brute force does |E|^2 pair steps and the transform
     # q^{d+1} multiply-adds, measured at about 40 times cheaper each (table
-    # in CHANGES.md).  Up to 300 points nu_spectral recounts by brute force.
-    # A stack is judged by its largest set; both paths count each set on
-    # its own points, and on spaces with point tables (`_table`: q^d <= 128,
-    # so at most 128 points) brute force contracts the bits in O(q^{2d})
-    # per set.
+    # in CHANGES.md).  Up to 300 points brute force is taken anyway: on the
+    # spaces with point tables (`_table`: q^d <= 128, so at most 128 points)
+    # it contracts the bits in O(q^{2d}) per set, and in F_101^2 the two
+    # paths cross at about 225 to 300 points (measured, CHANGES.md).  A stack
+    # is judged by its largest set; both paths count each set on its own points.
     if e.count <= 300 or 40 * e.count ** 2 <= e.field.q ** (e.d + 1):
         return nu_bruteforce(e)
     return nu_spectral(e)
@@ -373,18 +364,6 @@ def difference_counts(e: PointSet) -> np.ndarray:
     minus = field.neg_table[1]
     return _pair_counts(e, lambda flats: (flats, point_scale(field, d, flats, minus)),
                         partial(point_add, field, d), field.q ** d)
-
-
-def hat_identity_close(fhat: np.ndarray, line_counts: np.ndarray, size,
-                       q: int) -> tuple[np.ndarray, np.ndarray]:
-    """(ok, err) of Fhat(k) = q^{-1} |E intersect l_k| (k != 0) and
-    Fhat(0) = q^{-1} |E|, elementwise over the leading axes: err is the
-    largest deviation, ok whether it is within a relative 1e-8 of the
-    largest value.  It needs origin-free E to collapse the s-sum."""
-    expected = line_counts / q
-    expected[..., 0] = np.asarray(size) / q
-    err = np.max(np.abs(fhat - expected), axis=-1)
-    return err <= 1e-8 * np.maximum(1.0, np.max(np.abs(expected), axis=-1)), err
 
 
 def second_moment_sides(counts: np.ndarray, size, max_line, q: int, d: int):

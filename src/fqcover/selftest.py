@@ -6,35 +6,35 @@ from __future__ import annotations
 import numpy as np
 
 from .fourier import (
-    char_matrix,
-    diff_hat_close,
     fourier_forward,
     fourier_forward_direct,
     fourier_invert,
     plancherel_check,
+    transform_error,
+    within_rounding,
 )
 from .gf import Field
 from .harness import TAG_SELFTEST, ExperimentSpec, RunReport, _streams, get_field
-from .incidence import PointSet, difference_counts
+from .incidence import PointSet, difference_counts, identity_error
 
 SELFTEST_ROSTER = ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1),
                    (2, 3), (3, 2), (13, 1), (2, 4), (5, 2))
 
 
 def _selftest_field(field: Field) -> dict:
-    q = field.q
+    q, p = field.q, field.p
     results = {}
     a = np.arange(q)
-
-    w = char_matrix(field)
-    rows = w.sum(axis=1)
-    ortho = abs(rows[0] - q) <= 1e-9 * q and (
-        q == 1 or float(np.max(np.abs(rows[1:]))) <= 1e-9 * q)
-    results["orthogonality"] = bool(ortho)
-
     ab = field.add_arrays(a[:, None], a[None, :])
-    results["add_commutative"] = bool(np.array_equal(ab, ab.T))
     mul_ab = field.mul_arrays(a[:, None], a[None, :])
+
+    # The characters are orthogonal, sum_b chi(-ab) = q [a = 0], because
+    # b -> tr(-ab) takes each value of F_p q/p times for a != 0.
+    tr = field.trace_table[field.neg_table[mul_ab]]
+    levels = np.bincount((a[:, None] * p + tr).ravel(), minlength=q * p).reshape(q, p)
+    results["orthogonality"] = bool(levels[0, 0] == q and np.all(levels[1:] == q // p))
+
+    results["add_commutative"] = bool(np.array_equal(ab, ab.T))
     results["mul_commutative"] = bool(np.array_equal(mul_ab, mul_ab.T))
     aa, bb, cc = a[:, None, None], a[None, :, None], a[None, None, :]
     results["add_associative"] = bool(np.array_equal(
@@ -50,47 +50,41 @@ def _selftest_field(field: Field) -> dict:
         np.array_equal(field.add_arrays(a, 0), a)
         and np.array_equal(field.mul_arrays(a, 1), a)
         and np.all(field.mul_arrays(a, 0) == 0))
-    nz = a[1:]
-    results["inverses"] = bool(q == 1 or np.all(
-        field.mul_arrays(nz, field.inv_table[nz]) == 1))
+    results["inverses"] = bool(np.all(field.mul_arrays(a[1:], field.inv_table[a[1:]]) == 1))
+    a_p = field.pow_arrays(a, p)
     results["frobenius"] = bool(np.array_equal(
-        field.pow_arrays(field.add_arrays(a[:, None], a[None, :]), field.p),
-        field.add_arrays(field.pow_arrays(a, field.p)[:, None],
-                         field.pow_arrays(a, field.p)[None, :])))
-    results["trace_surjective"] = bool(
-        len(np.unique(field.trace_table)) == field.p)
+        field.pow_arrays(ab, p), field.add_arrays(a_p[:, None], a_p[None, :])))
+    results["trace_surjective"] = bool(len(np.unique(field.trace_table)) == p)
     return results
 
 
 def _selftest_transforms(field: Field, d: int, draws: np.ndarray) -> dict:
-    q = field.q
-    size = q ** d
-    results = {}
-    # The four bytes of a point's first draw are the real and imaginary
-    # parts of f and g there.
-    parts = (draws[:size, None] >> np.arange(0, 32, 8)) % 256 - 127.5
+    """The transform identities, each held to Gaussian integers, or to the
+    direct transform, under its rounding bound."""
+    q, size = field.q, field.q ** d
+    # The four bytes of a point's first draw, doubled and less 255, are the
+    # real and imaginary parts of f and g there: odd Gaussian integers.
+    parts = 2 * ((draws[:size, None] >> np.arange(0, 32, 8)) % 256) - 255
     f, g = parts[:, 0] + 1j * parts[:, 1], parts[:, 2] + 1j * parts[:, 3]
-    back = fourier_invert(field, d, fourier_forward(field, d, f))
-    results["inversion_roundtrip"] = bool(
-        float(np.max(np.abs(back - f))) <= 1e-9 * max(1.0, float(np.max(np.abs(f)))))
-
-    lhs, rhs = plancherel_check(field, d, f, g)
-    results["plancherel_random"] = bool(abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs)))
-
+    mass, fhat = float(np.abs(f).sum()), fourier_forward(field, d, f)
     # The subset: the points of the least second draws.
-    e_bits = np.zeros(size, dtype=bool)
-    e_bits[np.argsort(draws[size:], kind="stable")[:max(1, min(size // 2, 48))]] = True
-    lhs, rhs = plancherel_check(field, d, e_bits, e_bits)
-    results["plancherel_indicator"] = bool(abs(lhs - rhs) <= 1e-9 * (1 + abs(rhs)))
-
-    e = PointSet(field, d, e_bits)
-    hats = fourier_forward(field, d, np.stack([difference_counts(e), e_bits]))
-    results["diff_convolution_hat"] = bool(diff_hat_close(hats[0], hats[1], size))
-
+    e = PointSet.from_flat(field, d, np.argsort(draws[size:], kind="stable")[:min(size // 2, 48)])
+    diffs = fourier_invert(field, d, size * np.abs(fourier_forward(field, d, e.bits)) ** 2)
+    results = {
+        # The round trip is 2d rounds, its scale between them.
+        "inversion_roundtrip": within_rounding(fourier_invert(field, d, fhat), f,
+                                               transform_error(q, 2 * d, mass)),
+        "plancherel_random": within_rounding(*plancherel_check(field, d, f, g)),
+        "plancherel_indicator": within_rounding(*plancherel_check(field, d, e.bits, e.bits)),
+        # D is the inverse of q^d |Ehat|^2.
+        "diff_convolution_hat": within_rounding(diffs, difference_counts(e),
+                                                identity_error(q, d, e.count)),
+    }
     if size ** 2 <= 3 ** 12:
-        fast = fourier_forward(field, d, f)
-        direct = fourier_forward_direct(field, d, f)
-        results["forward_vs_direct"] = bool(float(np.max(np.abs(fast - direct))) <= 1e-9)
+        # The direct oracle is one inner product of length q^d a value.
+        bound = transform_error(q, d, mass / size) + transform_error(size, 1, mass / size)
+        results["forward_vs_direct"] = within_rounding(
+            fhat, fourier_forward_direct(field, d, f), bound)
     return results
 
 
@@ -110,7 +104,7 @@ def run_selftest(spec: ExperimentSpec) -> RunReport:
         results = _selftest_field(field)
         for d in (1, 2, 3):
             for name, ok in _selftest_transforms(field, d, next(draws)).items():
-                results[f"{name}_d{d}"] = ok
+                results[f"{name}_d{d}"] = bool(ok)
         for name, ok in results.items():
             checked += 1
             passed += ok

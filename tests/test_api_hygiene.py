@@ -8,7 +8,8 @@ use.  A helper that only tests reach is a second path to a result; the
 tests call what the package calls instead.  A private helper that nothing
 calls is left over from a deletion.  No module imports a name it does
 not use, and none loads numpy.random.  Only `harness` imports the
-sampler.  No module takes more than COMPILE_PEAK_BYTES to compile.
+sampler.  No module takes more than COMPILE_PEAK_BYTES to compile, and
+none holds a float tolerance.
 """
 
 import ast
@@ -142,3 +143,17 @@ def test_no_module_compiles_past_the_peak_limit():
         finally:
             tracemalloc.stop()
     assert {name: peak for name, peak in peaks.items() if peak > COMPILE_PEAK_BYTES} == {}
+
+
+def test_no_float_tolerance_in_the_package():
+    # Every float result that decides a verdict is held to integers under
+    # `fourier.transform_error`, a bound derived from the unit roundoff, so
+    # no module holds a hand-set tolerance: a nonzero float literal under
+    # 0.01 in absolute value.
+    found = []
+    for path in sorted((ROOT / "src" / "fqcover").glob("*.py")):
+        for n in ast.walk(_tree(path)):
+            if (isinstance(n, ast.Constant) and isinstance(n.value, (float, complex))
+                    and 0 < abs(n.value) < 0.01):
+                found.append(f"{path.name}:{n.lineno} {n.value!r}")
+    assert found == []

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fqcover.fourier import flat_to_coords, fourier_forward
+from fqcover.fourier import flat_to_coords
+from fqcover.geometry import _geometry_checks
 from fqcover.gf import make_field
 from fqcover.harness import get_field
 from fqcover.incidence import (
     PointSet,
     ZeroDirectionError,
-    hat_identity_close,
     hyperplane_sum,
     line_counts_all,
     nu,
@@ -55,10 +55,9 @@ def max_line(e):
 
 
 def hat_identity(e):
-    """(ok, err) of the hyperplane transform identity on one set."""
-    fhat = fourier_forward(e.field, e.d, hyperplane_sum(e))
-    ok, err = hat_identity_close(fhat, line_counts_all(e), e.count, e.field.q)
-    return bool(ok), float(err)
+    """The verdict of the `geometry` identity checks on one set."""
+    [res] = _geometry_checks(e.field, e.d, PointSet(e.field, e.d, e.bits[None]), ("identities",))
+    return res["identities"]
 
 
 def second_moment(e):
@@ -319,13 +318,12 @@ def test_hyperplane_mass_origin_free():
 def test_hat_identity_on_punctured_line():
     field = get_field(5, 1)
     e = PointSet.line(field, 2, 7).strip_origin()
-    ok, err = hat_identity(e)
-    assert ok and err <= 1e-8
+    assert hat_identity(e)
 
 
 def test_hat_identity_on_singleton():
     field = get_field(5, 1)
-    assert hat_identity(PointSet.from_flat(field, 2, [11]))[0]
+    assert hat_identity(PointSet.from_flat(field, 2, [11]))
 
 
 def test_hat_identity_on_50_random_origin_free_sets():
@@ -334,8 +332,7 @@ def test_hat_identity_on_50_random_origin_free_sets():
         size = trial % 20 + 1
         rng = stream(77, trial, size, 38)
         flats = 1 + np.sort(rng.choice(24, size, replace=False))
-        ok, err = hat_identity(PointSet.from_flat(field, 2, flats))
-        assert ok, f"trial {trial}: err {err}"
+        assert hat_identity(PointSet.from_flat(field, 2, flats)), f"trial {trial}"
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,6 @@ from fqcover.gf import is_prime
 from fqcover.harness import get_field
 from fqcover.incidence import (
     PointSet,
-    SpectralMismatchError,
     difference_counts,
     hyperplane_sum,
     line_counts_all,
@@ -456,9 +455,26 @@ def test_stacked_counts_and_checks_match_per_set_oracles(monkeypatch, p, n, d, k
     assert got == [per_set_checks(field, d, row) for row in flats]
 
 
+def mixed_size_bits(field, d, sizes):
+    """The bits of a stack of sets of the given sizes, the non-empty even
+    rows holding the origin."""
+    universe = field.q ** d
+    bits = np.zeros((len(sizes), universe), dtype=bool)
+    for r, k in enumerate(sizes):
+        origin = r % 2 == 0 and k > 0
+        rng = stream(82, r, k, 9)
+        bits[r, 1 + rng.choice(universe - 1, k - origin, replace=False)] = True
+        bits[r, 0] = origin
+    return bits
+
+
+# Stacks with the empty and the full set of their space.
+F3_SIZES, F13_SIZES = (4, 0, 9, 1, 6, 6, 2), (40, 7, 169, 0, 90, 1)
+
+
 @pytest.mark.parametrize("p,n,d,sizes,spectral", [
-    (3, 1, 2, (4, 0, 9, 1, 6, 6, 2), False),     # from the point tables
-    (13, 1, 2, (40, 7, 169, 0, 90, 1), False),   # coordinate by coordinate
+    (3, 1, 2, F3_SIZES, False),      # from the point tables
+    (13, 1, 2, F13_SIZES, False),    # coordinate by coordinate
     (7, 1, 3, (300, 12, 150, 299, 0), False),    # nu's switch: brute force up to 300
     (7, 1, 3, (301, 12, 150, 300, 0), True),     # and the transform above
 ])
@@ -470,13 +486,7 @@ def test_mixed_size_stacks_match_per_set_counts(monkeypatch, p, n, d, sizes, spe
     its own counts."""
     monkeypatch.setattr(fourier, "DENSE_BLOCK_BYTES", cap)
     field = get_field(p, n)
-    universe = field.q ** d
-    bits = np.zeros((len(sizes), universe), dtype=bool)
-    for r, k in enumerate(sizes):
-        origin = r % 2 == 0 and k > 0
-        rng = stream(82, r, k, 9)
-        bits[r, 1 + rng.choice(universe - 1, k - origin, replace=False)] = True
-        bits[r, 0] = origin
+    bits = mixed_size_bits(field, d, sizes)
     stack = PointSet(field, d, bits)
     assert stack.sizes.tolist() == list(sizes) and stack.count == max(sizes)
     singles = [PointSet(field, d, row) for row in bits]
@@ -493,24 +503,16 @@ def test_mixed_size_stacks_match_per_set_counts(monkeypatch, p, n, d, sizes, spe
     assert difference_counts(stack).tolist() == [difference_counts(e).tolist() for e in singles]
 
 
-def test_nu_spectral_recounts_each_set_of_at_most_300_points(monkeypatch):
-    """The direct recount takes the sets of at most 300 points of a stack,
-    and a count it disagrees with is an error."""
-    field = get_field(7, 1)
-    bits = np.zeros((3, 343), dtype=bool)
-    bits[0, :301] = bits[1, 5:25] = True
-    real = incidence.nu_bruteforce
-    recounted = []
-
-    def off_by_one(e):
-        recounted.append(e.sizes.tolist())
-        counts = real(e)
-        counts[0] += 1
-        return counts
-    monkeypatch.setattr(incidence, "nu_bruteforce", off_by_one)
-    with pytest.raises(SpectralMismatchError, match="direct count"):
-        nu_spectral(PointSet(field, 3, bits))
-    assert recounted == [[20, 0]]
+def test_nu_spectral_equals_brute_force_on_every_set():
+    """Brute force is the oracle of the spectral path, which rounds under its
+    derived bound and recounts nothing: each set of the mixed stacks of F_3^2
+    and F_13^2, the empty and the full set among them, and sets of more than
+    300 points in F_101^2, give the same counts both ways."""
+    for p, sizes in ((3, F3_SIZES), (13, F13_SIZES), (101, (301, 450))):
+        field = get_field(p, 1)
+        for bits in mixed_size_bits(field, 2, sizes):
+            e = PointSet(field, 2, bits)
+            assert nu_spectral(e).tolist() == nu_bruteforce(e).tolist(), (p, e.count)
 
 
 def test_stacked_kernel_peak_memory_stays_near_the_cap():
@@ -543,7 +545,7 @@ def test_point_constructors_match_oracles():
 
 
 @pytest.mark.parametrize("p,n,d,size,spectral", [
-    (101, 1, 2, 300, False),     # nu_spectral would recount by brute force
+    (101, 1, 2, 300, False),     # brute force up to 300 points
     (101, 1, 2, 301, True),
     (7, 1, 3, 301, True),
     (101, 1, 3, 1600, False),    # 40 |E|^2 <= q^{d+1}
