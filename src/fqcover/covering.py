@@ -82,16 +82,9 @@ def dot_product_set(e: PointSet) -> PointSet:
 
 
 def missing_units(present: np.ndarray) -> list:
-    """The nonzero field elements absent from `present`, a membership mask
-    or count array over the field (last axis), of one set or of a stack of
-    sets in rows: one list, or a list per row, split from one nonzero scan
-    of the whole stack."""
-    absent = present[..., 1:] == 0
-    units = (np.nonzero(absent)[-1] + 1).tolist()
-    if present.ndim == 1:
-        return units
-    ends = np.cumsum(np.count_nonzero(absent, axis=1)).tolist()
-    return [units[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    """The first MISSING_REPORT_LIMIT nonzero field elements absent from
+    `present`, a membership mask or count array over the field."""
+    return (np.flatnonzero(present[1:] == 0)[:MISSING_REPORT_LIMIT] + 1).tolist()
 
 
 def scalar_cover_threshold(a: PointSet, d: int) -> bool:
@@ -126,12 +119,11 @@ def point_cover_threshold(e: PointSet):
 def _verdict(s: PointSet, threshold_met: bool | None, lhs: int, rhs: int, **extras) -> dict:
     """The report entry of a check whose sumset is S, with the exact witness
     lhs vs rhs."""
-    absent = s.bits[1:] == 0
-    count = int(np.count_nonzero(absent))
+    count = s.field.q - 1 - int(np.count_nonzero(s.bits[1:]))
     return {
         "set_size": s.count,
         "covers_units": not count,
-        "missing": (np.flatnonzero(absent)[:MISSING_REPORT_LIMIT] + 1).tolist(),
+        "missing": missing_units(s.bits),
         "missing_count": count,
         "threshold_met": threshold_met,
         "lhs": lhs,

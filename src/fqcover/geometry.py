@@ -5,16 +5,12 @@ enumerated or from a structured roster, checked in stacks."""
 from __future__ import annotations
 
 import math
+from functools import cmp_to_key
 
 import numpy as np
 
 from . import incidence
-from .covering import (
-    MISSING_REPORT_LIMIT,
-    dot_set_lower_bound_sides,
-    missing_units,
-    point_cover_threshold,
-)
+from .covering import dot_set_lower_bound_sides, missing_units, point_cover_threshold
 from .fourier import fourier_forward, fourier_invert, row_blocks, within_rounding
 from .gf import DEFAULT_SIZE_CAP, MUL_TABLE_MAX_Q, Field, field_order
 from .harness import (
@@ -31,6 +27,7 @@ from .harness import (
     _require_checks,
     _require_draw_budget,
     _streams,
+    colex_unrank,
     get_field,
     require_budget,
 )
@@ -74,26 +71,22 @@ def structured_point_sets(field: Field, d: int, seed: int) -> list[tuple[str, Po
     return out
 
 
-def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
+def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> dict:
     """Run the requested point-set checks on every set of the stack e (one
-    set per row, of any sizes); per set, the per-check booleans plus the
-    exact remainder sharpness fraction.
+    set per row, of any sizes): per check, a (checked, passed) pair of bool
+    arrays over the sets; under "missing", the `missing_units` of each set
+    that fails cover; under "sharpness", the int arrays (worst r(t), |E|).
 
-    The coverage threshold is taken on each set as drawn; its verdict is
-    the same either way, because the origin adds only the dot product 0,
-    which coverage of the units ignores.  Every other count is taken once,
-    on the stack with the origin stripped, its core.
-    """
+    Cover is checked where |E|^2 > q^{d+1} on the set as drawn, the same
+    verdict as on its core, the set with the origin stripped (the origin
+    adds only the dot product 0); every other check runs on every set, and
+    every count is taken once, on the stack of the cores."""
     q = field.q
     drawn_met = point_cover_threshold(e)
     e = e.strip_origin()
     size = e.sizes
-    outs: list[dict] = [{} for _ in size]
-
-    def put(check, values) -> None:
-        for out, v in zip(outs, values):
-            out[check] = v
-
+    every = np.ones(len(size), dtype=bool)
+    out = {}
     # nu and the line counts are looked up on their module, where tests
     # count the calls.
     if {"cover", "remainder", "second_moment", "keylowerbound"} & set(checks):
@@ -102,15 +95,13 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
         lines = incidence.line_counts_all(e)
         max_line = lines[:, 1:].max(axis=1)
     if "cover" in checks:
-        for out, met, missing in zip(outs, drawn_met, missing_units(counts)):
-            out["cover"] = not missing if met else None
-            if met and missing:
-                out["cover_missing"] = missing[:MISSING_REPORT_LIMIT]
+        covered = counts[:, 1:].all(axis=1)
+        out["cover"] = (drawn_met, covered)
+        out["missing"] = [missing_units(row) for row in counts[drawn_met & ~covered]]
     if "remainder" in checks:
         ok, _, worst = remainder_verdicts(*remainder_sides(counts, size, q, d))
-        put("remainder", ok.tolist())
-        put("sharpness_frac", [(w ** 2, n ** 2 * q ** (d + 1))
-                               for w, n in zip(worst.tolist(), size.tolist())])
+        out["remainder"] = (every, ok)
+        out["sharpness"] = (worst, size)
     if "identities" in checks:
         # Fhat(k) = |E intersect l_k| / q (k != 0), Fhat(0) = |E| / q and
         # Dhat = q^d |Ehat|^2, inverted: q F and D are the inverses of the
@@ -119,63 +110,60 @@ def _geometry_checks(field: Field, d: int, e: PointSet, checks) -> list[dict]:
         ehat = fourier_forward(field, d, e.bits)
         inv = fourier_invert(field, d, np.stack([lines_at_0, q ** d * np.abs(ehat) ** 2]))
         bound = incidence.identity_error(q, d, size)
-        put("identities", (within_rounding(inv[0], q * hyperplane_sum(e), bound)
-                           & within_rounding(inv[1], difference_counts(e), bound)).tolist())
+        out["identities"] = (every, within_rounding(inv[0], q * hyperplane_sum(e), bound)
+                             & within_rounding(inv[1], difference_counts(e), bound))
     if "second_moment" in checks:
         lhs, rhs = second_moment_sides(counts, size, max_line, q, d)
-        put("second_moment", (lhs <= rhs).tolist())
+        out["second_moment"] = (every, lhs <= rhs)
     if "keylowerbound" in checks:
         lhs, rhs = dot_set_lower_bound_sides((counts > 0).sum(axis=1), max_line, size, q, d)
-        put("keylowerbound", (lhs >= rhs).tolist())
-    return outs
+        out["keylowerbound"] = (every, lhs >= rhs)
+    return out
 
 
 def _stacked_checks(field: Field, d: int, bits: np.ndarray, checks) -> list[dict]:
-    """`_geometry_checks` on the sets in the rows of bits, in stacks of as
-    many sets as keep a q^d array of complex values per set under
-    DENSE_BLOCK_BYTES, and at least one set."""
-    return [res for rows in row_blocks(len(bits), field.q ** d)
-            for res in _geometry_checks(field, d, PointSet(field, d, bits[rows]), checks)]
+    """`_geometry_checks` on the sets in the rows of bits, per stack of as many
+    sets (at least one) as keep a q^d complex array per set under DENSE_BLOCK_BYTES."""
+    return [_geometry_checks(field, d, PointSet(field, d, bits[rows]), checks)
+            for rows in row_blocks(len(bits), field.q ** d)]
 
 
 def _geometry_task(batch) -> list[list[dict]]:
     p, n, d, mode, seed, tasks, checks = batch
     field = get_field(p, n)
     out = []
-    for task, drawn in zip(tasks, _draw(mode, field.q ** d, tasks, seed, TAG_POINTS)):
+    for drawn in _draw(mode, field.q ** d, tasks, seed, TAG_POINTS):
         bits = np.zeros((sum(map(len, drawn)), field.q ** d), dtype=bool)
         for rows, at in zip(drawn, np.cumsum([0, *map(len, drawn)])):  # sets of one size
             bits[np.arange(at, at + len(rows))[:, None], rows] = True
         out.append(_stacked_checks(field, d, bits, checks))
-        outcomes = iter(out[-1])
-        for (size, lo, _), rows in zip(task, drawn):
-            for i, flats in enumerate(rows, lo):
-                name = f"_colex{tuple(flats.tolist())}" if mode == "exhaustive" else f"#{i}"
-                next(outcomes).update(size=size, name=f"size{size}{name}", flats=flats)
     return out
 
 
-def _merge_geometry_outcomes(report: RunReport, outcomes, checks) -> tuple:
-    tallies = {c: {"checked": 0, "passed": 0} for c in checks}
-    worst = (0, 1, None, None)  # (numerator, denominator, label, flat indices)
-    for res in outcomes:
-        label = res["name"]
-        for c in checks:
-            val = res.get(c)
-            if val is None:
-                continue
-            tallies[c]["checked"] += 1
-            tallies[c]["passed"] += bool(val)
-            if not val:
-                entry = {"check": c, "case": label}
-                if c == "cover":
-                    entry["missing"] = res.get("cover_missing", [])
-                report.counterexamples.append(entry)
-        frac = res.get("sharpness_frac")
-        if frac and frac[1] > 0 and frac[0] * worst[1] > worst[0] * frac[1]:
-            worst = (frac[0], frac[1], label, res["flats"])
-    report.tallies = tallies
-    return worst
+def _merge_geometry_outcomes(report: RunReport, outcomes, checks, case, q: int, d: int):
+    """Fill the report from the `_geometry_checks` results of consecutive
+    stacks, asking case(at) for the label and flat-index call of only the
+    sets it names, and return the call of the sharpest remainder case, the
+    first largest r(t)^2 / (|E|^2 q^{d+1}) (exactly: as |r(t)| / |E|)."""
+    missing = iter([m for o in outcomes for m in o.get("missing", ())])
+    for c in checks:
+        checked, passed = np.concatenate([o[c] for o in outcomes], axis=1)
+        report.tallies[c] = {"checked": int(np.count_nonzero(checked)),
+                             "passed": int(np.count_nonzero(checked & passed))}
+        report.counterexamples += [{"check": c, "case": case(at)[0],
+                                    **({"missing": next(missing)} if c == "cover" else {})}
+                                   for at in np.flatnonzero(checked & ~passed).tolist()]
+    report.counterexamples.sort(key=lambda c: (c["check"], str(c["case"])))
+    num, den, label, flats = 0, 1, None, None
+    if "remainder" in checks:
+        worst, size = np.abs(np.concatenate([o["sharpness"] for o in outcomes], axis=1)).tolist()
+        at = max(np.flatnonzero(worst).tolist(), default=None,
+                 key=cmp_to_key(lambda i, j: worst[i] * size[j] - worst[j] * size[i]))
+        if at is not None:
+            num, den, (label, flats) = worst[at] ** 2, size[at] ** 2 * q ** (d + 1), case(at)
+    report.extras = {"sharpness": {"max_ratio": num / den, "numerator": num,
+                                   "denominator": den, "case": label}}
+    return flats
 
 
 def run_geometry(spec: ExperimentSpec) -> RunReport:
@@ -231,32 +219,36 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
     report = RunReport("geometry", spec.echo(), field.descriptor())
     outcomes = _campaign(_geometry_task, spec, totals, 64, checks)
     if roster:
-        checked = _stacked_checks(field, d, np.stack([e.bits for _, e in roster]), checks)
-        for (name, e), res in zip(roster, checked):
-            res.update(size=e.count, name=name, flats=e.flat_indices())
-        outcomes += checked
+        outcomes += _stacked_checks(field, d, np.stack([e.bits for _, e in roster]), checks)
+    starts = np.cumsum([0, *totals.values()]).tolist()
 
-    worst = _merge_geometry_outcomes(report, outcomes, checks)
+    def case(at: int):
+        """The label of the set at position `at` of the outcomes (the
+        campaign's sets, then the roster's) and a call for its flats."""
+        if at >= starts[-1]:
+            name, e = roster[at - starts[-1]]
+            return name, e.flat_indices
+        j = int(np.searchsorted(starts, at, side="right")) - 1
+        size, i = list(totals)[j], at - starts[j]
+        if spec.mode == "exhaustive":
+            flats = colex_unrank(universe, size, i, i + 1)[0]
+            return f"size{size}_colex{tuple(flats.tolist())}", lambda: flats
+        return f"size{size}#{i}", lambda: _streams(spec.seed, TAG_POINTS, [(i, size)],
+                                                     universe, [size])[0]
+
+    flats = _merge_geometry_outcomes(report, outcomes, checks, case, q, d) if outcomes else None
     if not any(t["checked"] for t in report.tallies.values()):
         raise BadSpecError(f"checked nothing: no set drawn is within the scope of "
                            f"the checks {', '.join(checks)}")
-    report.extras = {
-        "sharpness": {"max_ratio": worst[0] / worst[1] if worst[2] else 0.0,
-                      "numerator": worst[0], "denominator": worst[1],
-                      "case": worst[2]},
-    }
-    report.counterexamples.sort(key=lambda c: (c["check"], str(c["case"])))
     report.flag_counterexamples()
-    if spec.csv and worst[2]:
+    if spec.csv and flats:
         import csv  # only a --csv run writes one
-        core = PointSet.from_flat(field, d, worst[3]).strip_origin()
-        rows = [[t, c, q * c - core.count ** 2]
-                for t, c in enumerate(nu_bruteforce(core).tolist())]
+        core = PointSet.from_flat(field, d, flats()).strip_origin()
+        rows = [["t_index", "nu", "r_numerator"]] + [
+            [t, c, q * c - core.count ** 2] for t, c in enumerate(nu_bruteforce(core).tolist())]
         try:
             with open(spec.csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t_index", "nu", "r_numerator"])
-                writer.writerows(rows)
+                csv.writer(fh).writerows(rows)
         except OSError as exc:
             raise BadSpecError(f"cannot write {spec.csv}: {exc}") from exc
     return report

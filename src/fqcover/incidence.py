@@ -21,8 +21,8 @@ counts read the direction of each point (`_directions`) on every space.
 The read-outs of the remainder estimate and the second moment
 (`remainder_sides`, `remainder_verdicts`, `second_moment_sides`) work
 elementwise over leading axes too.  Their one caller,
-`geometry._geometry_checks`, reads every set's verdicts off the counts of
-a stack; a single set is a stack of one.
+`geometry._geometry_checks`, reads each check off the counts of a stack
+as one column of verdicts over its sets; a single set is a stack of one.
 """
 
 from __future__ import annotations
@@ -275,7 +275,11 @@ def nu(e: PointSet) -> np.ndarray:
     # it contracts the bits in O(q^{2d}) per set, and in F_101^2 the two
     # paths cross at about 225 to 300 points (measured, CHANGES.md).  A stack
     # is judged by its largest set; both paths count each set on its own points.
-    if e.count <= 300 or 40 * e.count ** 2 <= e.field.q ** (e.d + 1):
+    # Brute force is also taken where the spectral rounding bound reaches
+    # 1/2, from about 1.3e5 points, where rounding would no longer be exact.
+    q, d = e.field.q, e.d
+    if (e.count <= 300 or 40 * e.count ** 2 <= q ** (d + 1)
+            or spectral_error(q, d, e.count) >= 0.5):
         return nu_bruteforce(e)
     return nu_spectral(e)
 

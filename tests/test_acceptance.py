@@ -245,8 +245,9 @@ def test_criterion_7_hyperplane_hat_identity():
         rng = stream(SEED, i, d, 108)
         size = int(rng.integers(1, min(field.q ** d - 1, 60) + 1))
         e = _random_origin_free(field, d, size, i, 109)
-        [res] = _geometry_checks(field, d, PointSet(field, d, e.bits[None]), ("identities",))
-        assert res["identities"], f"identity failed at i={i}"
+        [[checked], [passed]] = _geometry_checks(field, d, PointSet(field, d, e.bits[None]),
+                                                 ("identities",))["identities"]
+        assert checked and passed, f"identity failed at i={i}"
     elapsed = time.monotonic() - started
     assert elapsed < 60, f"hat identity sweep took {elapsed:.1f}s"
     _passline(7, "hyperplane transform identity", f"200 sets, {elapsed:.1f}s")

@@ -154,12 +154,15 @@ def test_missing_units_of_one_set():
 
 
 def test_missing_units_per_row_of_counts():
-    # nu-style counts, one row per set: entry 0 never counts as missing.
+    # nu-style counts, one set's row at a time: entry 0 never counts as
+    # missing, and at most the first 32 missing units are listed.
     counts = np.array([[0, 3, 0, 1, 2], [7, 1, 1, 1, 1], [0, 0, 0, 0, 0]])
-    assert missing_units(counts) == [[2], [], [1, 2, 3, 4]]
-    assert missing_units(counts[0]) == [2]
-    assert missing_units(counts > 0) == missing_units(counts)
-    assert missing_units(counts[:0]) == []
+    assert [missing_units(row) for row in counts] == [[2], [], [1, 2, 3, 4]]
+    assert [missing_units(row > 0) for row in counts] == [missing_units(row) for row in counts]
+    wide = np.zeros(41, dtype=np.int64)
+    wide[[0, 5, 36]] = 1
+    assert missing_units(wide) == [u for u in range(1, 41) if u not in (5, 36)][:32]
+    assert missing_units(wide)[-1] == 33
 
 
 def test_scalar_cover_threshold_exact_integers():

@@ -669,29 +669,97 @@ def test_run_sharpness_counterexamples(monkeypatch):
     assert _flagged(report)["counterexamples"] == expect
 
 
-def test_run_geometry_counterexamples(monkeypatch):
-    # The cover check runs below the point threshold, and second_moment
-    # is made to fail everywhere, so both kinds of entry are reported.
-    monkeypatch.setattr(geometry, "point_cover_threshold", lambda e: e.sizes >= 0)
+def _force_geometry_failures(monkeypatch):
+    """Patch the read-outs of `geometry` so that each of its five checks
+    fails on some sets, by a rule on the set's size: the cover check runs on
+    the sets of even drawn size, whatever the threshold; the remainder bound
+    is 0 on cores of size 2 mod 5; the hyperplane sums of cores of size
+    divisible by 3 are one too high; the second moment fails on cores of
+    odd size, and the key lower bound on cores of size divisible by 4."""
+    sides, sums = geometry.remainder_sides, geometry.hyperplane_sum
+    monkeypatch.setattr(geometry, "point_cover_threshold", lambda e: e.sizes % 2 == 0)
+    monkeypatch.setattr(geometry, "remainder_sides", lambda counts, size, q, d: (
+        lambda r, bound: (r, bound * (size % 5 != 2)))(*sides(counts, size, q, d)))
+    monkeypatch.setattr(geometry, "hyperplane_sum",
+                        lambda e: sums(e) + (e.sizes % 3 == 0)[:, None])
     monkeypatch.setattr(geometry, "second_moment_sides",
-                        lambda counts, size, max_line, q, d: (size + 1, size))
-    field = get_field(5, 1)
-    report = run_geometry(ExperimentSpec(p=5, d=2, mode="sample", sizes=(2, 10), samples=2,
-                                         seed=1, checks=("cover", "second_moment")))
-    expect = []
-    for k in range(2, 11):
-        for i in range(2):
-            flats = sample_indices(stream(1, i, k, harness.TAG_POINTS), 25, k)
-            core = PointSet.from_flat(field, 2, flats).strip_origin()
-            missing = missing_units(dot_product_set(core).bits)
-            if missing:
-                expect.append({"check": "cover", "case": f"size{k}#{i}", "missing": missing})
-            expect.append({"check": "second_moment", "case": f"size{k}#{i}"})
-    assert sum(c["check"] == "cover" for c in expect) > 1
-    assert report.counterexamples == sorted(expect, key=lambda c: (c["check"], c["case"]))
-    assert report.counterexamples[-18]["case"] == "size10#0"  # cases sort as strings
-    assert report.tallies["second_moment"] == {"checked": 18, "passed": 0}
-    assert _flagged(report)["counterexamples"] == report.counterexamples
+                        lambda counts, size, max_line, q, d: (size % 2, 0 * size))
+    monkeypatch.setattr(geometry, "dot_set_lower_bound_sides",
+                        lambda dots, max_line, size, q, d: (size % 4, 1 + 0 * size))
+
+
+def run_geometry_forced(spec):
+    """`run_geometry` under `_force_geometry_failures`."""
+    with pytest.MonkeyPatch.context() as m:
+        _force_geometry_failures(m)
+        return run_geometry(spec)
+
+
+def _forced_geometry_outcomes(field, d, drawn, label):
+    """(report entries, sharpness fraction, whether cover is checked) of one
+    set under `_force_geometry_failures`, counted on its own core."""
+    q = field.q
+    core = PointSet.from_flat(field, d, drawn).strip_origin()
+    n = core.count
+    r = [q * c - n * n for c in nu_bruteforce(core).tolist()]
+    worst = max(abs(v) for v in r[1:])
+    missing = missing_units(dot_product_set(core).bits)
+    checked = len(drawn) % 2 == 0
+    failed = {
+        "cover": checked and bool(missing),
+        "remainder": worst > math.isqrt(n * n * q ** (d + 1)) * (n % 5 != 2),
+        "identities": n % 3 == 0,
+        "second_moment": n % 2 == 1,
+        "keylowerbound": n % 4 == 0,
+    }
+    entries = [{"check": c, "case": label, **({"missing": missing[:32]} if c == "cover" else {})}
+               for c in geometry.POINT_CHECKS if failed[c]]
+    return entries, (worst * worst, n * n * q ** (d + 1)), checked
+
+
+def test_run_geometry_counterexamples():
+    # Sampled, enumerated and structured cases each fail every check on some
+    # sets and pass it on others.  Sets of 2 points in F_37^2 miss at least
+    # 33 of the 36 units, so their entries are cut at 32.
+    for spec in [ExperimentSpec(p=5, d=2, mode="sample", sizes=(2, 10), samples=2, seed=1),
+                 ExperimentSpec(p=3, d=2, mode="exhaustive", sizes=(1, 3)),
+                 ExperimentSpec(p=37, d=2, mode="structured", sizes=(2, 3), samples=2, seed=4)]:
+        field = get_field(spec.p, spec.n)
+        universe = field.q ** spec.d
+        cases = []
+        for k in range(spec.sizes[0], spec.sizes[1] + 1):
+            if spec.mode == "exhaustive":
+                cases += [(f"size{k}_colex{tuple(row)}", row) for row in
+                          colex_unrank(universe, k, 0, math.comb(universe, k)).tolist()]
+            else:
+                cases += [(f"size{k}#{i}", sample_indices(
+                    stream(spec.seed, i, k, harness.TAG_POINTS), universe, k).tolist())
+                    for i in range(spec.samples)]
+        if spec.mode == "structured":
+            cases += [(name, e.flat_indices().tolist())
+                      for name, e in structured_point_sets(field, spec.d, spec.seed)]
+        expect, sharpest, checked = [], (0, 1, None), 0
+        for label, drawn in cases:
+            entries, (num, den), met = _forced_geometry_outcomes(field, spec.d, drawn, label)
+            expect += entries
+            checked += met
+            if den and num * sharpest[1] > sharpest[0] * den:  # the first of the sharpest
+                sharpest = (num, den, label)
+        failed = {c: sum(e["check"] == c for e in expect) for c in geometry.POINT_CHECKS}
+        assert 0 < min(failed.values()) and max(failed.values()) < len(cases)
+
+        report = run_geometry_forced(spec)
+        # Cases sort as strings: "size10#0" before "size2#0".
+        assert report.counterexamples == sorted(expect, key=lambda c: (c["check"], c["case"]))
+        assert report.tallies == {
+            c: {"checked": checked if c == "cover" else len(cases),
+                "passed": (checked if c == "cover" else len(cases)) - failed[c]}
+            for c in geometry.POINT_CHECKS}
+        assert report.extras["sharpness"] == {
+            "max_ratio": sharpest[0] / sharpest[1], "numerator": sharpest[0],
+            "denominator": sharpest[1], "case": sharpest[2]}
+        assert _flagged(report)["counterexamples"] == report.counterexamples
+    assert max(len(e.get("missing", ())) for e in expect) == 32
 
 
 def test_run_cover_exhaustive_small_sets_in_a_large_field_stay_per_set():
@@ -782,8 +850,8 @@ def test_geometry_check_counts_nu_and_lines_once_per_set(monkeypatch):
     for i in range(3):
         e = PointSet.from_flat(field, 2, stream(5, i, 40, 0).choice(81, 40, replace=False))
         out = geometry._geometry_checks(field, 2, PointSet(field, 2, e.bits[None]),
-                                        geometry.POINT_CHECKS)[0]
-        assert set(geometry.POINT_CHECKS) <= set(out)
+                                        geometry.POINT_CHECKS)
+        assert all(np.shape(out[c]) == (2, 1) for c in geometry.POINT_CHECKS)
         assert calls == {"nu": i + 1, "line_counts_all": i + 1}
 
 
@@ -1248,6 +1316,10 @@ def test_campaign_starts_no_pool_on_one_usable_cpu(monkeypatch):
     # 91 sets in two tasks of 64 and 27, which span sizes and split size 37.
     (run_geometry, ExperimentSpec(p=3, n=2, d=2, mode="sample", sizes=(28, 40),
                                   samples=7, seed=3)),
+    # Forced failures of every check: 117 sampled sets in two tasks, then
+    # the roster.
+    (run_geometry_forced, ExperimentSpec(p=3, n=2, d=2, mode="structured", sizes=(2, 40),
+                                         samples=3, seed=5)),
 ])
 def test_campaign_reports_identical_across_workers(run, spec, monkeypatch):
     # With the cover threshold pretended down to size 1, failing sets are
@@ -1262,6 +1334,9 @@ def test_campaign_reports_identical_across_workers(run, spec, monkeypatch):
     assert reports[0] == reports[1] == reports[2]
     flagged = '"status":"counterexample"' in reports[0]
     assert flagged == (run is not run_geometry)
+    if run is run_geometry_forced:
+        checks = {c["check"] for c in json.loads(reports[0])["counterexamples"]}
+        assert checks == set(geometry.POINT_CHECKS)
 
 
 def test_cover_sample_block_verdicts_match_the_per_set_oracle():

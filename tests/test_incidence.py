@@ -56,8 +56,9 @@ def max_line(e):
 
 def hat_identity(e):
     """The verdict of the `geometry` identity checks on one set."""
-    [res] = _geometry_checks(e.field, e.d, PointSet(e.field, e.d, e.bits[None]), ("identities",))
-    return res["identities"]
+    [[checked], [passed]] = _geometry_checks(e.field, e.d, PointSet(e.field, e.d, e.bits[None]),
+                                             ("identities",))["identities"]
+    return checked and passed
 
 
 def second_moment(e):

@@ -452,7 +452,15 @@ def test_stacked_counts_and_checks_match_per_set_oracles(monkeypatch, p, n, d, k
         assert diffs[r].tolist() == differences(field, d, row)
 
     got = geometry._geometry_checks(field, d, stack, geometry.POINT_CHECKS)
-    assert got == [per_set_checks(field, d, row) for row in flats]
+    want = [per_set_checks(field, d, row) for row in flats]
+    for c in geometry.POINT_CHECKS:
+        checked, passed = got[c]
+        assert checked.tolist() == [w[c] is not None for w in want]
+        assert passed[checked].tolist() == [w[c] for w in want if w[c] is not None]
+    assert got["missing"] == [w["cover_missing"] for w in want if "cover_missing" in w]
+    worst, n = got["sharpness"]
+    assert [(r * r, m * m * q ** (d + 1)) for r, m in zip(worst.tolist(), n.tolist())] == \
+        [w["sharpness_frac"] for w in want]
 
 
 def mixed_size_bits(field, d, sizes):
@@ -557,3 +565,19 @@ def test_nu_crossover(monkeypatch, p, n, d, size, spectral):
     monkeypatch.setattr(incidence, "nu_spectral", lambda e: "spectral")
     e = PointSet.from_flat(field, d, np.arange(size))
     assert nu(e) == ("spectral" if spectral else "brute")
+
+
+@pytest.mark.parametrize("bound,spectral", [(0.5, False), (0.4999, True)])
+def test_nu_takes_brute_force_where_the_spectral_bound_reaches_half(monkeypatch, bound,
+                                                                     spectral):
+    # 400 points of F_101^2 are on the spectral side of the size rule; with
+    # their rounding bound patched to 1/2, nu counts them by brute force
+    # instead of raising.
+    field = get_field(101, 1)
+    e = PointSet.from_flat(field, 2, np.sort(stream(94, 400, 2, 43).choice(
+        101 ** 2, 400, replace=False)))
+    calls = []
+    monkeypatch.setattr(incidence, "spectral_error",
+                        lambda q, d, size: calls.append(size) or bound + 0 * np.asarray(size))
+    assert nu(e).tolist() == nu_bruteforce(e).tolist()
+    assert calls[0] == 400 and (len(calls) == 2) == spectral

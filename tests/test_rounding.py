@@ -116,14 +116,14 @@ def test_each_identity_comparison_fails_when_one_value_moves_twice_its_bound(
     stack = PointSet.from_flat(field, d, flats)
     checks = ("identities",)
     bounds = _moving(monkeypatch, [geometry], -1)
-    assert [r["identities"] for r in geometry._geometry_checks(field, d, stack, checks)] == \
-        [True] * 3
+    checked, passed = geometry._geometry_checks(field, d, stack, checks)["identities"]
+    assert checked.all() and passed.tolist() == [True] * 3
     assert len(bounds) == 2
     for target in range(2):
         with monkeypatch.context() as m:
             _moving(m, [geometry], target)
-            got = geometry._geometry_checks(field, d, stack, checks)
-        assert [r["identities"] for r in got] == [False, True, True], target
+            checked, passed = geometry._geometry_checks(field, d, stack, checks)["identities"]
+        assert checked.all() and passed.tolist() == [False, True, True], target
 
 
 def test_nu_spectral_raises_when_one_value_moves_twice_its_bound(monkeypatch):
