@@ -258,8 +258,7 @@ def positive_proportion_check(a: PointSet, d: int) -> dict:
     core = a.strip_origin() if stripped else a
     m = core.count
     s = sumset_of_products(core, d) if m else PointSet.empty(field, 1)
-    lhs = s.count * (m * q ** d + m ** (2 * d))
-    rhs = q * m ** (2 * d)
+    lhs, rhs = dot_set_lower_bound_sides(s.count, m, m ** d, q, d)
     c_size = m ** d / q ** (d / 2 + d / (2 * (2 * d - 1)))
     c_pow = c_size ** (2 - 1 / d)
     return _verdict(s, lhs >= rhs, lhs, rhs, input_size=m, zero_stripped=stripped,

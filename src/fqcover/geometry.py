@@ -12,7 +12,7 @@ import numpy as np
 from . import incidence
 from .covering import dot_set_lower_bound_sides, missing_units, point_cover_threshold
 from .fourier import fourier_forward, fourier_invert, row_blocks, within_rounding
-from .gf import DEFAULT_SIZE_CAP, MUL_TABLE_MAX_Q, Field, field_order
+from .gf import MUL_TABLE_MAX_Q, SIZE_CAP, Field, field_order
 from .harness import (
     TAG_POINTS,
     TAG_STRUCTURED,
@@ -25,7 +25,6 @@ from .harness import (
     _divisors,
     _draw,
     _require_checks,
-    _require_draw_budget,
     _streams,
     colex_unrank,
     get_field,
@@ -179,19 +178,16 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
     if spec.csv and "remainder" not in checks:
         raise BadSpecError("--csv writes the sharpest remainder case: it needs that check")
     p, n, d = spec.p, spec.n, spec.d
-    space = f"F_q^{d} for q = {p}^{n}"
-    caps = f"the caps are {DEFAULT_SIZE_CAP} points and q <= {MUL_TABLE_MAX_Q}"
-    if p >= 2 and n >= 1:  # field_order refuses any other p and n
-        # q >= p, q >= 2^n and q^d >= 2^d: a space this far over the caps
-        # is refused before a power is taken.
-        if max(n, d) >= DEFAULT_SIZE_CAP.bit_length() or p > DEFAULT_SIZE_CAP:
-            raise BudgetExceededError(f"{space} is too large: {caps}")
-        q = p ** n
-        if q ** d > DEFAULT_SIZE_CAP or q > MUL_TABLE_MAX_Q:
-            raise BudgetExceededError(
-                f"{space} needs {16 * q ** d} bytes per function on its q^d points "
-                f"and {16 * q * q} for the q x q character matrix; {caps}")
     q = field_order(p, n)
+    space = f"F_q^{d} for q = {p}^{n}"
+    caps = f"the caps are {SIZE_CAP} points and q <= {MUL_TABLE_MAX_Q}"
+    # q^d >= 2^d: a d this far over the cap is refused before the power is taken.
+    if d >= SIZE_CAP.bit_length():
+        raise BudgetExceededError(f"{space} is too large: {caps}")
+    if q ** d > SIZE_CAP or q > MUL_TABLE_MAX_Q:
+        raise BudgetExceededError(
+            f"{space} needs {16 * q ** d} bytes per function on its q^d points "
+            f"and {16 * q * q} for the q x q character matrix; {caps}")
     universe = q ** d
 
     if spec.sizes is not None:
@@ -203,10 +199,10 @@ def run_geometry(spec: ExperimentSpec) -> RunReport:
         sizes = range(1, min(universe, 100) + 1)
 
     if spec.mode == "exhaustive":
-        require_budget(universe, sizes)
+        require_budget(math.comb(universe, s) for s in sizes)
         totals = {s: math.comb(universe, s) for s in sizes}
     else:
-        _require_draw_budget(len(sizes) * spec.samples)
+        require_budget([len(sizes) * spec.samples])
         totals = dict.fromkeys(sizes, spec.samples)
     field = get_field(p, n)
     roster = structured_point_sets(field, d, spec.seed) if spec.mode == "structured" else []

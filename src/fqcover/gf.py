@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 
-DEFAULT_SIZE_CAP = 1 << 20
+SIZE_CAP = 1 << 20
 # Full q x q multiplication table below this size, log/antilog above it.
 MUL_TABLE_MAX_Q = 4096
 
@@ -97,8 +97,6 @@ def _poly_mod(a: list[int], m: list[int], p: int) -> list[int]:
 
 
 def _poly_mulmod(a: list[int], b: list[int], m: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
     prod = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         if ca:
@@ -331,9 +329,6 @@ class Field:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return int(self.inv_table[a])
 
-    def pow(self, a: int, e: int) -> int:
-        return int(self.pow_arrays(a, e))
-
     def trace(self, a: int) -> int:
         return int(self.trace_table[a])
 
@@ -373,8 +368,6 @@ class Field:
 
     def pow_arrays(self, a, e: int):
         a = np.asarray(a)
-        if e == 0:
-            return np.ones_like(a)
         out = self.exp_table[(self.log_table[a] * e) % (self.q - 1)]
         return np.where(a == 0, 0, out)
 
@@ -390,30 +383,31 @@ class Field:
         return f"Field(p={self.p}, n={self.n}, q={self.q})"
 
 
-def field_order(p: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP) -> int:
+def field_order(p: int, n: int) -> int:
     """q = p^n, after the argument checks of `make_field`, which build
-    nothing: p prime, n >= 1 and q within size_cap."""
+    nothing: p prime, n >= 1 and q within SIZE_CAP.  Every command that
+    takes --p calls it before anything else is sized, so a field over the
+    cap exits 3 from each of them."""
     if not isinstance(p, int) or p < 2:
         raise NotPrimeError(f"p={p} is not prime")
     if not isinstance(n, int) or n < 1:
         raise DegreeOutOfRangeError(f"extension degree n={n} must be >= 1")
     # q = p^n >= p and q >= 2^n: a p or n this large is refused before
     # trial division tries p and before the power is taken.
-    if p > size_cap or n >= size_cap.bit_length() or p ** n > size_cap:
-        raise FieldTooLargeError(f"q = {p}^{n} exceeds the size cap {size_cap}")
+    if p > SIZE_CAP or n >= SIZE_CAP.bit_length() or p ** n > SIZE_CAP:
+        raise FieldTooLargeError(f"q = {p}^{n} exceeds the size cap {SIZE_CAP}")
     if not is_prime(p):
         raise NotPrimeError(f"p={p} is not prime")
     return p ** n
 
 
-def make_field(p: int, n: int, *, size_cap: int = DEFAULT_SIZE_CAP,
-               _modulus: tuple[int, ...] | None = None) -> Field:
+def make_field(p: int, n: int, *, _modulus: tuple[int, ...] | None = None) -> Field:
     """Build GF(p^n) with the canonical (lexicographically least) modulus.
 
     `_modulus` is a test hook: an injected modulus is still checked for
     irreducibility and rejected hard if it fails.
     """
-    field_order(p, n, size_cap=size_cap)
+    field_order(p, n)
     if _modulus is not None:
         m = [int(c) % p for c in _modulus]
         if len(m) != n + 1 or m[-1] != 1:

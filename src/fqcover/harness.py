@@ -34,12 +34,13 @@ and the `--csv` branch of `geometry.run_geometry`, `sampling` inside
 `_streams`, where a run draws, and the process pool where one starts.  The CLI imports the
 command modules eagerly: one loaded on demand would compile in the run.
 
-Runs are refused before they start work they cannot finish: exhaustive
-enumeration past EXHAUSTIVE_BUDGET subsets and campaigns that would draw
-more than EXHAUSTIVE_BUDGET sets (the bilinear samples counted in), both
-before the field is built, and structured sets, sampled sets and
-bilinear samples whose per-set verdicts would form more than
-`scalar.PAIR_BUDGET` pairs.
+Runs are refused before they start work they cannot finish, one rule per
+resource: `gf.field_order` refuses a field over its size cap (exit 3)
+before any command sizes anything else; `require_budget` refuses more
+than EXHAUSTIVE_BUDGET sets enumerated or drawn, the bilinear samples
+counted in (exit 4), before the field is built; and `scalar` refuses
+structured sets, sampled sets and bilinear samples whose per-set verdicts
+would form more than `scalar.PAIR_BUDGET` pairs (exit 4).
 """
 
 from __future__ import annotations
@@ -295,26 +296,18 @@ def levels(universe: int, decide, lo: int, top: int):
         count = int(ends[-1])
 
 
-def require_budget(universe: int, sizes: range | list[int]) -> int:
-    """The number of subsets of the given sizes, refused past the budget."""
-    # Summed only until the budget is passed: over all the sizes of GF(4096),
-    # the binomials alone take seconds.
+def require_budget(counts) -> int:
+    """The sum of an iterable of set counts, the sets a run enumerates or
+    draws, refused once it passes EXHAUSTIVE_BUDGET."""
+    # Summed lazily, only until the budget is passed: over all the sizes of
+    # GF(4096), the binomials alone take seconds.
     total = 0
-    for s in sizes:
-        total += math.comb(universe, s)
+    for count in counts:
+        total += count
         if total > EXHAUSTIVE_BUDGET:
             raise BudgetExceededError(
-                f"exhaustive enumeration needs at least {total} subsets, over the "
-                f"budget of {EXHAUSTIVE_BUDGET}")
+                f"the run needs at least {total} sets, over the budget of {EXHAUSTIVE_BUDGET}")
     return total
-
-
-def _require_draw_budget(sets: int) -> None:
-    """Refuse a run that would draw more than EXHAUSTIVE_BUDGET sets, the
-    budget of enumerated subsets, before its tasks are packed."""
-    if sets > EXHAUSTIVE_BUDGET:
-        raise BudgetExceededError(
-            f"the run would draw {sets} sets, over the budget of {EXHAUSTIVE_BUDGET}")
 
 
 def _streams(seed: int, tag: int, keys, universe: int | None = None, sizes=None):

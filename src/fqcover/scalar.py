@@ -34,7 +34,6 @@ from .harness import (
     _draw,
     _pack,
     _require_checks,
-    _require_draw_budget,
     _streams,
     get_field,
     levels,
@@ -214,7 +213,7 @@ def run_cover_exhaustive(spec: ExperimentSpec) -> RunReport:
     if not sizes:
         raise BadSpecError(f"no size in 1..{q} is above the cover threshold at "
                            f"d={d}; give --sizes")
-    budget = require_budget(q, sizes)
+    budget = require_budget(math.comb(q, s) for s in sizes)
     field = get_field(spec.p, spec.n)
     report = RunReport("cover-exhaustive", spec.echo(), field.descriptor())
     # The sets that miss a unit, per size: {} and {0}, which hold none, and
@@ -303,7 +302,7 @@ def run_cover_sample(spec: ExperimentSpec) -> RunReport:
     # The bilinear check draws spec.samples more sets, and a sample forms at
     # most d (q - 1)^2 products and (d - 1) q^2 sumset pairs.
     bilinear = "bilinear" in spec.checks
-    _require_draw_budget(spec.samples * (len(sizes) + bilinear))
+    require_budget([spec.samples * (len(sizes) + bilinear)])
     bilinear_pairs = bilinear * spec.samples * (d * (q - 1) ** 2 + (d - 1) * q * q)
     _require_pair_budget([], bilinear_pairs)
     field = get_field(spec.p, spec.n)

@@ -82,6 +82,17 @@ def test_iterated_sumset_examples():
         iterated_sumset(s, 0)
 
 
+def test_threshold_block_and_proportion_refuse_d_0():
+    field = get_field(5, 1)
+    a = PointSet.from_flat(field, 1, [1, 2, 3])
+    with pytest.raises(BadArityError):
+        scalar_cover_threshold(a, 0)
+    with pytest.raises(BadArityError):
+        covers_units_block(field, np.array([[1, 2, 3]]), 0)
+    with pytest.raises(BadArityError):
+        positive_proportion_check(a, 0)
+
+
 def test_sumset_closed_subfield_gf4():
     f4 = get_field(2, 2)
     f2 = PointSet.from_flat(f4, 1, [0, 1])

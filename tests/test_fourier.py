@@ -82,6 +82,12 @@ def test_forward_of_origin_indicator_is_flat():
     assert np.allclose(fhat, 1 / 25)
 
 
+def test_direct_transform_refuses_a_space_past_its_size_limit():
+    # 3^8 = 6561 points: 6561^2 terms pass the oracle's 8e6.
+    with pytest.raises(ValueError, match="small q"):
+        fourier_forward_direct(get_field(3, 1), 8, np.zeros(3 ** 8))
+
+
 def test_forward_of_constant_is_delta_at_zero():
     # orthogonality in transform form: the constant function concentrates at 0
     field = get_field(3, 2)

@@ -140,7 +140,6 @@ def test_make_field_rejects_bad_input():
         make_field(5, 0)
     with pytest.raises(FieldTooLargeError):
         make_field(2, 21)
-    make_field(2, 21, size_cap=1 << 21)  # cap is configurable
 
 
 def test_corrupted_modulus_injection_fails_fast():
@@ -149,6 +148,9 @@ def test_corrupted_modulus_injection_fails_fast():
         make_field(2, 2, _modulus=(1, 0, 1))
     with pytest.raises(ReducibleModulusError):
         make_field(3, 2, _modulus=(0, 0, 1))  # x^2, obviously reducible
+    for modulus in [(2, 2, 2), (2, 1), (2, 2, 1, 0)]:  # not monic of degree 2
+        with pytest.raises(ReducibleModulusError, match="monic of degree 2"):
+            make_field(3, 2, _modulus=modulus)
     # a legitimate non-canonical modulus is accepted
     field = make_field(3, 2, _modulus=(2, 2, 1))
     assert field.q == 9
@@ -264,8 +266,9 @@ def _table_entries():
 
 
 @pytest.mark.parametrize("entry", _table_entries(), ids=lambda e: f"{e['p']}^{e['n']}")
-def test_tables_match_the_recorded_digests(entry):
-    field = make_field(entry["p"], entry["n"], size_cap=1 << 21)
+def test_tables_match_the_recorded_digests(monkeypatch, entry):
+    monkeypatch.setattr(gf, "SIZE_CAP", 1 << 21)
+    field = make_field(entry["p"], entry["n"])
     for name in TABLES:
         table = np.asarray(getattr(field, name), dtype="<i8")
         assert hashlib.sha256(table.tobytes()).hexdigest() == entry[name], name

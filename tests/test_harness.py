@@ -32,6 +32,7 @@ from fqcover.covering import (
 from fqcover.incidence import PointSet, line_counts_all, nu_bruteforce
 
 from fqcover.geometry import run_geometry, structured_point_sets
+from fqcover.gf import make_field
 from fqcover.harness import (
     BadSpecError,
     BudgetExceededError,
@@ -152,10 +153,10 @@ def test_levels_searches_a_down_closed_family(lo, seen, monkeypatch):
 
 
 def test_budget_guard():
-    assert require_budget(9, [6, 7, 8, 9]) == 130
+    assert require_budget(math.comb(9, s) for s in [6, 7, 8, 9]) == 130
     with pytest.raises(BudgetExceededError) as exc:
-        require_budget(101, list(range(32, 102)))
-    assert "subsets" in str(exc.value)
+        require_budget(math.comb(101, s) for s in range(32, 102))
+    assert "sets" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
@@ -199,6 +200,11 @@ def test_canonical_json_sorted_and_stable():
     b = canonical_json({"c": {"x": None, "y": 0.5}, "a": [2, 3], "b": 1})
     assert a == b
     assert a.endswith("\n")
+
+
+def test_canonical_json_refuses_numpy_scalars():
+    with pytest.raises(TypeError):
+        canonical_json({"x": np.int64(1)})
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +427,34 @@ def test_run_cover_exhaustive_q5():
     assert report.tallies["5"]["checked"] == 1
     assert report.extras["budget"] == 6
     assert report.extras["threshold_min_size"] == 4
+
+
+def test_run_selftest_reports_a_corrupted_field(monkeypatch):
+    bad = make_field(5, 1)
+    bad.trace_table = bad.trace_table.copy()
+    bad.trace_table[1] = 0
+    monkeypatch.setattr(selftest, "get_field",
+                        lambda p, n: bad if (p, n) == (5, 1) else get_field(p, n))
+    report = run_selftest(ExperimentSpec(p=2, seed=0))
+    assert report.status == "counterexample" and report.exit_code == 2
+    assert {"q": 5, "check": "trace_surjective"} in report.counterexamples
+    assert {c["q"] for c in report.counterexamples} == {5}
+
+
+def test_cover_sample_refuses_a_block_verdict_the_oracle_contradicts(monkeypatch):
+    monkeypatch.setattr(scalar, "covers_units_block",
+                        lambda field, subsets, d: np.zeros(len(subsets), dtype=bool))
+    with pytest.raises(RuntimeError, match="disagree"):
+        run_cover_sample(ExperimentSpec(p=17, d=2, sizes=(9, 9), samples=64))
+
+
+def test_cover_exhaustive_refuses_representatives_that_are_not_whole_orbits(monkeypatch):
+    # One representative of size 5 with 5 units stands for 6/5 sets of F_7.
+    def levels(universe, decide, lo, top):
+        yield 5, 1, np.array([[1, 2, 3, 4]])
+    monkeypatch.setattr(scalar, "levels", levels)
+    with pytest.raises(RuntimeError, match="not whole orbits"):
+        run_cover_exhaustive(ExperimentSpec(p=7, d=2, mode="exhaustive"))
 
 
 def test_run_cover_exhaustive_q7_29_subsets():
@@ -922,6 +956,12 @@ def test_cli_bad_field_exit_3():
     assert run_cli("cover-exhaustive", "--p", "4", "--n", "1").returncode == 3
 
 
+@pytest.mark.parametrize("option", [("--samples", "-1"), ("--workers", "0")])
+def test_cli_refuses_a_negative_sample_count_or_no_workers(capsys, option):
+    assert cli.main(["cover-sample", "--p", "7", *option]) == 3
+    assert "bad spec" in capsys.readouterr().err
+
+
 def test_cli_budget_exit_4():
     res = run_cli("cover-exhaustive", "--p", "101", "--n", "1", "--d", "2")
     assert res.returncode == 4
@@ -931,12 +971,13 @@ def test_cli_budget_exit_4():
 @pytest.mark.parametrize("args,code", [
     (("cover-exhaustive", "--p", "3", "--n", "100000000"), 3),
     (("sharpness", "--p", "3", "--n", "100000000"), 3),
-    (("geometry", "--p", "2", "--n", "15000", "--d", "1"), 4),
+    (("geometry", "--p", "2", "--n", "15000", "--d", "1"), 3),
     (("geometry", "--p", "3", "--d", "100000000"), 4),
     (("cover-exhaustive", "--p", "2305843009213693951"), 3),
     (("cover-exhaustive", "--p", "7", "--d", "100000000"), 4),
     (("cover-sample", "--p", "7", "--d", "100000000"), 4),
     (("sharpness", "--p", "3", "--n", "2", "--d", "100000000"), 4),
+    (("geometry", "--p", "2", "--n", "21", "--d", "1"), 3),
 ])
 def test_cli_refuses_a_huge_degree_or_dimension_at_once(args, code):
     """The bit length of a cap refuses n or d before p^n, q^d or the
@@ -1072,9 +1113,9 @@ def test_sample_counts_over_the_budget_are_refused_before_the_field(monkeypatch,
 
 
 def test_draw_budget_is_the_exhaustive_budget():
-    harness._require_draw_budget(harness.EXHAUSTIVE_BUDGET)
-    with pytest.raises(harness.BudgetExceededError, match="draw"):
-        harness._require_draw_budget(harness.EXHAUSTIVE_BUDGET + 1)
+    assert harness.require_budget([harness.EXHAUSTIVE_BUDGET]) == harness.EXHAUSTIVE_BUDGET
+    with pytest.raises(harness.BudgetExceededError, match="budget"):
+        harness.require_budget([harness.EXHAUSTIVE_BUDGET + 1])
 
 
 def test_cli_cover_sample_refuses_per_set_verdicts_over_the_pair_budget(capsys):

@@ -254,6 +254,14 @@ def test_line_intersection_empty_and_zero_direction():
         PointSet.line(field, 2, 0)
 
 
+def test_point_set_refuses_bits_of_the_wrong_length_and_a_zero_normal():
+    field = get_field(5, 1)
+    with pytest.raises(ValueError, match="length q"):
+        PointSet(field, 2, np.zeros(24, dtype=bool))
+    with pytest.raises(ZeroDirectionError):
+        PointSet.perp_hyperplane(field, 2, 0)
+
+
 def test_max_line_examples():
     field = get_field(5, 1)
     assert max_line(PointSet.grid_of_scalars(field, 2, [1, 2])) == 2
